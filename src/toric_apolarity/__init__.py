@@ -7,8 +7,7 @@ ideal linear algebra with length estimation, and secant-dimension probes.
 """
 
 from .abelian import (DegreeClass, GradedGroup, SmithDecomposition, cokernel,
-                      deg_add, deg_scale, deg_sub, smith_normal_form,
-                      solve_integer)
+                      smith_normal_form, solve_integer)
 from .apolarity import (ApolarForm, DegreeBox, HilbertGrid, SymmetryVerdict,
                         annihilator_in_degree, apolar_contains, check_symmetry,
                         contract, hilbert_grid, hilbert_value)

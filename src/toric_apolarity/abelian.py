@@ -248,18 +248,6 @@ class DegreeClass:
         return "(" + ",".join(str(x) for x in self.free + self.torsion) + ")"
 
 
-def deg_add(a: DegreeClass, b: DegreeClass) -> DegreeClass:
-    return a + b
-
-
-def deg_sub(a: DegreeClass, b: DegreeClass) -> DegreeClass:
-    return a - b
-
-
-def deg_scale(a: DegreeClass, k: int) -> DegreeClass:
-    return a.scale(k)
-
-
 class Projection:
     """Surjection Z^r -> GradedGroup given by explicit integer matrices.
 

@@ -84,13 +84,20 @@ def parse_form(text: str, fan) -> ApolarForm:
     return ApolarForm(fan, parse_poly(text, fan.dual_var_names, Side.DUAL, fan))
 
 
+def _read_lines(path):
+    """Stripped lines of a text file, without blanks and ``#`` comments."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    lines = (line.strip() for line in text.splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
+
+
 def read_terms_file(path, fan):
     """Lines of ``coefficient | c1, c2, ...`` with rational entries."""
     terms = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in _read_lines(path):
         coeff_text, sep, coord_text = line.partition("|")
         if not sep:
             raise ParseError(f"terms line lacks '|': {line!r}")
@@ -112,10 +119,7 @@ def read_family_file(path, fan) -> LaurentFamily:
     Laurent monomials in the parameters (``l^-1*m^-1`` style)."""
     params = None
     terms = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in _read_lines(path):
         if params is None:
             head, sep, rest = line.partition(":")
             if head.strip() != "params" or not sep:
@@ -142,58 +146,37 @@ def degree_json(degree: DegreeClass):
     return {"free": list(degree.free), "torsion": list(degree.torsion)}
 
 
-def emit(args, record: dict, lines):
-    if args.format == "records":
-        print(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    else:
-        for line in lines:
-            print(line)
-
-
-def format_param_monomial(expo, params) -> str:
-    parts = []
-    for name, e in zip(params, expo):
-        if e == 1:
-            parts.append(name)
-        elif e != 0:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
 def residue_string(coeff, expo, mono, params, names) -> str:
     pieces = []
     if coeff != 1:
         pieces.append(str(coeff))
-    p = format_param_monomial(expo, params)
-    if p != "1":
-        pieces.append(p)
-    m = _format_monomial(mono, names)
-    if m:
-        pieces.append(m)
+    for text in (_format_monomial(expo, params), _format_monomial(mono, names)):
+        if text:
+            pieces.append(text)
     return "*".join(pieces) if pieces else "1"
 
 
 # --- subcommands ------------------------------------------------------------
+# Each takes (args, fan) and returns (JSON record, table lines); ``main``
+# loads the fan and prints one of the two.
 
-def cmd_classgroup(args):
-    fan = load_fan(args.fan)
+def cmd_classgroup(args, fan):
     table = " ".join(f"{n}={d}" for n, d in zip(fan.var_names, fan.var_degrees))
+    completeness = fan.check_complete().value
     record = {
         "command": "classgroup",
         "class_group": {"free_rank": fan.class_group.free_rank,
                         "torsion_orders": list(fan.class_group.torsion_orders)},
         "degrees": {n: degree_json(d)
                     for n, d in zip(fan.var_names, fan.var_degrees)},
-        "completeness": fan.check_complete().value,
+        "completeness": completeness,
         "provenance": EXACT,
     }
-    emit(args, record, [f"Cl = {fan.class_group}; deg {table}",
-                        f"completeness: {fan.check_complete().value} [{EXACT}]"])
-    return 0
+    return record, [f"Cl = {fan.class_group}; deg {table}",
+                    f"completeness: {completeness} [{EXACT}]"]
 
 
-def cmd_basis(args):
-    fan = load_fan(args.fan)
+def cmd_basis(args, fan):
     degree = parse_degree(args.degree, fan.class_group)
     mons = graded_basis(fan, degree)
     names = fan.dual_var_names if args.dual else fan.var_names
@@ -202,8 +185,7 @@ def cmd_basis(args):
               "side": "dual" if args.dual else "primal",
               "dimension": len(mons), "monomials": strings,
               "provenance": EXACT}
-    emit(args, record, [f"dim = {len(mons)} [{EXACT}]", " ".join(strings)])
-    return 0
+    return record, [f"dim = {len(mons)} [{EXACT}]", " ".join(strings)]
 
 
 def _grid_lines(fan, grid, box):
@@ -227,12 +209,12 @@ def _grid_lines(fan, grid, box):
     return lines
 
 
-def cmd_hilbert(args):
-    fan = load_fan(args.fan)
+def cmd_hilbert(args, fan):
     form = parse_form(args.form, fan)
     box = parse_box(args.box, fan.class_group)
     grid = hilbert_grid(form, box)
     verdict = check_symmetry(form, box)
+    symmetry = "PASS" if verdict.ok else f"FAIL at {verdict.witness}"
     record = {
         "command": "hilbert",
         "form": format_poly(form.poly, fan.dual_var_names),
@@ -240,14 +222,13 @@ def cmd_hilbert(args):
         "values": [{"degree": degree_json(d), "value": v}
                    for d, v in sorted(grid.values.items(),
                                       key=lambda kv: (kv[0].free, kv[0].torsion))],
-        "symmetry": "PASS" if verdict.ok else f"FAIL at {verdict.witness}",
+        "symmetry": symmetry,
         "provenance": EXACT,
     }
     lines = [f"Hilbert function of the apolar algebra [{EXACT}]"]
     lines += _grid_lines(fan, grid, box)
-    lines.append(f"symmetry: {'PASS' if verdict.ok else f'FAIL at {verdict.witness}'}")
-    emit(args, record, lines)
-    return 0
+    lines.append(f"symmetry: {symmetry}")
+    return record, lines
 
 
 def _bound_lines(report):
@@ -260,8 +241,7 @@ def _bound_lines(report):
     return lines
 
 
-def cmd_cat(args):
-    fan = load_fan(args.fan)
+def cmd_cat(args, fan):
     form = parse_form(args.form, fan)
     degree = parse_degree(args.beta, fan.class_group)
     matrix = catalecticant(form, degree)
@@ -279,12 +259,10 @@ def cmd_cat(args):
     lines = [f"catalecticant is {matrix.shape[0]} x {matrix.shape[1]}, "
              f"rank {matrix.rank} [{EXACT}]"]
     lines += _bound_lines(report)
-    emit(args, record, lines)
-    return 0
+    return record, lines
 
 
-def cmd_bounds(args):
-    fan = load_fan(args.fan)
+def cmd_bounds(args, fan):
     form = parse_form(args.form, fan)
     box = parse_box(args.box, fan.class_group)
     sweep = best_bounds(form, box)
@@ -302,22 +280,18 @@ def cmd_bounds(args):
              f"rank >= {sweep.rank} at {sweep.rank_at} [{EXACT}]",
              f"cactus rank >= {sweep.cactus} at {sweep.cactus_at} "
              f"(Cartier classes only) [{EXACT}]"]
-    emit(args, record, lines)
-    return 0
+    return record, lines
 
 
-def cmd_contains(args):
-    fan = load_fan(args.fan)
+def cmd_contains(args, fan):
     form = parse_form(args.form, fan)
     ideal = parse_ideal(args.ideal, fan)
     ok = apolar_contains(ideal, form)
     record = {"command": "contains", "contained": ok, "provenance": EXACT}
-    emit(args, record, [f"ideal contained in the annihilator: {ok} [{EXACT}]"])
-    return 0
+    return record, [f"ideal contained in the annihilator: {ok} [{EXACT}]"]
 
 
-def cmd_length(args):
-    fan = load_fan(args.fan)
+def cmd_length(args, fan):
     ideal = parse_ideal(args.ideal, fan)
     ample = parse_degree(args.ample, fan.class_group)
     est = length_estimate(ideal, ample, window=args.window, max_k=args.max_k)
@@ -334,12 +308,10 @@ def cmd_length(args):
              "samples: " + " ".join(f"k={k}:{d}" for k, d in est.samples),
              "valid if the scheme is zero-dimensional and the ideal is "
              "saturated in high degrees"]
-    emit(args, record, lines)
-    return 0
+    return record, lines
 
 
-def cmd_cactus_cert(args):
-    fan = load_fan(args.fan)
+def cmd_cactus_cert(args, fan):
     form = parse_form(args.form, fan)
     ideal = parse_ideal(args.ideal, fan)
     ample = parse_degree(args.ample, fan.class_group)
@@ -363,53 +335,45 @@ def cmd_cactus_cert(args):
         lines.append(f"rank <= {cert.rank_bound} (scheme asserted reduced)")
     lines.append("valid if the scheme is zero-dimensional and the ideal is "
                  "saturated in high degrees")
-    emit(args, record, lines)
-    return 0
+    return record, lines
 
 
-def cmd_decompose_check(args):
-    fan = load_fan(args.fan)
+def cmd_decompose_check(args, fan):
     form = parse_form(args.form, fan)
     terms = read_terms_file(args.terms, fan)
     chk = verify_decomposition(form, terms)
+    residual = format_poly(chk.residual, fan.dual_var_names)
     record = {"command": "decompose-check", "exact": chk.ok,
-              "residual": format_poly(chk.residual, fan.dual_var_names),
-              "provenance": EXACT}
+              "residual": residual, "provenance": EXACT}
     lines = [f"decomposition exact: {chk.ok} [{EXACT}]"]
     if not chk.ok:
-        lines.append(f"residual: {format_poly(chk.residual, fan.dual_var_names)}")
-    emit(args, record, lines)
-    return 0
+        lines.append(f"residual: {residual}")
+    return record, lines
 
 
-def cmd_limit_cert(args):
-    fan = load_fan(args.fan)
+def cmd_limit_cert(args, fan):
     form = parse_form(args.form, fan)
     family = read_family_file(args.family, fan)
     cert = limit_certificate(form, family)
+    residue = [residue_string(c, expo, mono, family.params, fan.dual_var_names)
+               for expo, mono, c in cert.residue]
+    defect = [f"{c}*{_format_monomial(m, fan.dual_var_names)}"
+              for m, c in cert.constant_defect]
     record = {
         "command": "limit-cert",
         "status": cert.status,
         "terms": cert.term_count,
-        "residue": [residue_string(c, expo, mono, family.params,
-                                   fan.dual_var_names)
-                    for expo, mono, c in cert.residue],
-        "defect": [f"{c}*{_format_monomial(m, fan.dual_var_names)}"
-                   for m, c in cert.constant_defect],
+        "residue": residue,
+        "defect": defect,
         "provenance": EXACT,
     }
     lines = [f"certificate: {cert.status} [{EXACT}]"]
     if cert.valid:
         lines.append(f"border rank <= {cert.term_count}")
-        lines.append("residue: " + " + ".join(
-            residue_string(c, expo, mono, family.params, fan.dual_var_names)
-            for expo, mono, c in cert.residue))
+        lines.append("residue: " + " + ".join(residue))
     else:
-        lines.append("parameter-free defect: " + " + ".join(
-            f"{c}*{_format_monomial(m, fan.dual_var_names)}"
-            for m, c in cert.constant_defect))
-    emit(args, record, lines)
-    return 0
+        lines.append("parameter-free defect: " + " + ".join(defect))
+    return record, lines
 
 
 def _parse_pins(text):
@@ -418,8 +382,7 @@ def _parse_pins(text):
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
-def cmd_terracini(args):
-    fan = load_fan(args.fan)
+def cmd_terracini(args, fan):
     degree = parse_degree(args.degree, fan.class_group)
     probe = terracini_probe(fan, degree, args.r, prime=args.prime,
                             trials=args.trials, seed=args.seed,
@@ -450,12 +413,10 @@ def cmd_terracini(args):
     if probe.degenerate:
         lines.append("warning: all trials stayed below the expected cap "
                      "(degenerate samples)")
-    emit(args, record, lines)
-    return 0
+    return record, lines
 
 
-def cmd_det_check(args):
-    fan = load_fan(args.fan)
+def cmd_det_check(args, fan):
     degree = parse_degree(args.degree, fan.class_group)
     try:
         assignment = [Fraction(x) for x in args.at.split(",")]
@@ -468,8 +429,7 @@ def cmd_det_check(args):
     record = {"command": "det-check", "degree": degree_json(degree),
               "points": args.r, "field": field, "determinant": str(value),
               "provenance": EXACT}
-    emit(args, record, [f"determinant over {field} = {value} [{EXACT}]"])
-    return 0
+    return record, [f"determinant over {field} = {value} [{EXACT}]"]
 
 
 # --- driver -----------------------------------------------------------------
@@ -563,16 +523,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        record, lines = args.fn(args, load_fan(args.fan))
     except Refusal as exc:
         print(f"refused [{exc.name}]: {exc}", file=sys.stderr)
         return 1
     except InputError as exc:
         print(f"input error [{exc.name}]: {exc}", file=sys.stderr)
         return 2
+    if args.format == "records":
+        print(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    else:
+        print("\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

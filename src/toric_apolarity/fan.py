@@ -43,11 +43,12 @@ class FanModel:
     """Immutable fan data with the derived grading.
 
     Attributes: ambient_rank, rays, max_cones, class_group, projection,
-    var_degrees, irrelevant, var_names, dual_var_names.
+    var_degrees, irrelevant, var_names, dual_var_names.  The fan also owns
+    the caches derived from it: Cartier verdicts here, and the default
+    positivity certificate and graded bases filled in by ``ring``.
     """
 
-    def __init__(self, rays, max_cones, var_names=None, dual_var_names=None,
-                 assert_complete: bool = False):
+    def __init__(self, rays, max_cones, var_names=None, dual_var_names=None):
         rays = tuple(tuple(int(x) for x in r) for r in rays)
         if not rays:
             raise TorusFactor("a fan needs at least one ray")
@@ -73,7 +74,6 @@ class FanModel:
         self.ambient_rank = n
         self.rays = rays
         self.max_cones = tuple(cones)
-        self.assert_complete = assert_complete
         try:
             self.class_group, self.projection = cokernel([list(r) for r in rays])
         except NotFullRank as exc:
@@ -91,6 +91,8 @@ class FanModel:
         if len(self.var_names) != len(rays) or len(self.dual_var_names) != len(rays):
             raise ParseError("need one variable name per ray")
         self._cartier_cache = {}
+        self._certificate = None
+        self._basis_cache = {}  # (certificate, degree) -> monomial tuple
 
     # -- degrees ---------------------------------------------------------
 
@@ -175,14 +177,13 @@ class FanModel:
         return result
 
 
-def build_fan(rays, max_cones, var_names=None, dual_var_names=None,
-              assert_complete: bool = False) -> FanModel:
-    return FanModel(rays, max_cones, var_names, dual_var_names, assert_complete)
+def build_fan(rays, max_cones, var_names=None, dual_var_names=None) -> FanModel:
+    return FanModel(rays, max_cones, var_names, dual_var_names)
 
 
 def load_fan(path) -> FanModel:
     """Read a fan file: JSON with fields ambient_rank, rays, max_cones,
-    optional var_names, dual_var_names, assert_complete."""
+    optional var_names, dual_var_names."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -192,8 +193,7 @@ def load_fan(path) -> FanModel:
             raise ParseError(f"fan file {path} lacks required field '{field}'")
     fan = build_fan(data["rays"], data["max_cones"],
                     var_names=data.get("var_names"),
-                    dual_var_names=data.get("dual_var_names"),
-                    assert_complete=bool(data.get("assert_complete", False)))
+                    dual_var_names=data.get("dual_var_names"))
     declared = data.get("ambient_rank")
     if declared is not None and int(declared) != fan.ambient_rank:
         raise ParseError(

@@ -12,7 +12,7 @@ from .abelian import DegreeClass
 from .apolarity import ApolarForm, apolar_contains
 from .errors import ContainmentFailed, NonHomogeneousGenerator
 from .fan import IrrelevantIdeal
-from .linalg import SparseEchelon, nullspace, rref
+from .linalg import SparseEchelon, nullspace
 from .ring import Side, basis, tag_degree
 
 
@@ -38,37 +38,29 @@ def _column_index(fan, degree: DegreeClass):
     return {m: i for i, m in enumerate(basis(fan, degree))}
 
 
-def _piece_rows(ideal: IdealGens, degree: DegreeClass, index):
-    """Sparse rows spanning the graded piece: every monomial multiple of
-    every generator landing in ``degree``."""
+def _piece_echelon(ideal: IdealGens, degree: DegreeClass):
+    """Echelon of the graded piece, spanned by every monomial multiple of
+    every generator landing in ``degree``; also returns the column count."""
     fan = ideal.fan
+    index = _column_index(fan, degree)
+    ech = SparseEchelon()
     for g in ideal.generators:
         for mult in basis(fan, degree - g.degree):
-            yield {index[tuple(a + b for a, b in zip(mult, mono))]: coeff
-                   for mono, coeff in g.terms.items()}
+            ech.add({index[tuple(a + b for a, b in zip(mult, mono))]: coeff
+                     for mono, coeff in g.terms.items()})
+    return ech, len(index)
 
 
 def ideal_piece_dimension(ideal: IdealGens, degree: DegreeClass) -> int:
-    index = _column_index(ideal.fan, degree)
-    ech = SparseEchelon()
-    for row in _piece_rows(ideal, degree, index):
-        ech.add(row)
-    return ech.rank
+    return _piece_echelon(ideal, degree)[0].rank
 
 
 def ideal_piece(ideal: IdealGens, degree: DegreeClass):
     """Canonical basis (coefficient vectors over the monomial basis) of the
     ideal's graded piece."""
-    index = _column_index(ideal.fan, degree)
-    ncols = len(index)
-    dense = []
-    for row in _piece_rows(ideal, degree, index):
-        vec = [Fraction(0)] * ncols
-        for col, val in row.items():
-            vec[col] = val
-        dense.append(vec)
-    echelon, _ = rref(dense, ncols)
-    return [tuple(r) for r in echelon]
+    ech, ncols = _piece_echelon(ideal, degree)
+    return [tuple(row.get(c, Fraction(0)) for c in range(ncols))
+            for row in ech.reduced().values()]
 
 
 def colon_piece(ideal: IdealGens, irrelevant: IrrelevantIdeal,
@@ -84,11 +76,8 @@ def colon_piece(ideal: IdealGens, irrelevant: IrrelevantIdeal,
     for expo in irrelevant.generators:
         shift_degree = degree + fan.monomial_degree(expo)
         target_index = _column_index(fan, shift_degree)
-        piece = ideal_piece(ideal, shift_degree)
         # functionals vanishing exactly on the piece's span
-        checks = nullspace([list(v) for v in piece], len(target_index)) \
-            if piece else [[Fraction(int(i == j)) for i in range(len(target_index))]
-                           for j in range(len(target_index))]
+        checks = nullspace(ideal_piece(ideal, shift_degree), len(target_index))
         shifted = [target_index[tuple(a + b for a, b in zip(m, expo))]
                    for m in domain]
         for v in checks:

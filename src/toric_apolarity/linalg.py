@@ -5,40 +5,48 @@ echelonizer for graded ideal pieces, and prime-field elimination."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import BadPrime, NonSquare
 
 
 def _clear_denominators(rows):
-    """Scale each row by the lcm of its denominators; rank is unchanged."""
+    """Scale each row by the lcm of its denominators; rank is unchanged.
+
+    Returns the integer rows and the product of the row scales.
+    """
     out = []
+    scale = 1
     for row in rows:
         lcm = 1
         for x in row:
             if isinstance(x, Fraction):
                 d = x.denominator
-                from math import gcd
                 lcm = lcm // gcd(lcm, d) * d
+        scale *= lcm
         out.append([int(x * lcm) for x in row])
-    return out
+    return out, scale
 
 
-def rank_bareiss(rows) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination.
+def _bareiss(rows):
+    """Fraction-free (Bareiss) elimination of a nonempty matrix.
 
-    Accepts integer or Fraction entries; rectangular matrices allowed.
+    Returns (rank, sign of the row swaps, last pivot, denominator scale).
+    For a square matrix of full rank, sign * last pivot / scale is its
+    determinant.
     """
-    if not rows or not rows[0]:
-        return 0
-    a = _clear_denominators(rows)
+    a, scale = _clear_denominators(rows)
     m, n = len(a), len(a[0])
     rank = 0
+    sign = 1
     prev = 1
     for col in range(n):
         piv = next((i for i in range(rank, m) if a[i][col] != 0), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
         for i in range(rank + 1, m):
             for j in range(col + 1, n):
                 num = a[rank][col] * a[i][j] - a[i][col] * a[rank][j]
@@ -50,7 +58,17 @@ def rank_bareiss(rows) -> int:
         rank += 1
         if rank == m:
             break
-    return rank
+    return rank, sign, prev, scale
+
+
+def rank_bareiss(rows) -> int:
+    """Exact rank via fraction-free (Bareiss) elimination.
+
+    Accepts integer or Fraction entries; rectangular matrices allowed.
+    """
+    if not rows or not rows[0]:
+        return 0
+    return _bareiss(rows)[0]
 
 
 def det_bareiss(rows):
@@ -60,81 +78,10 @@ def det_bareiss(rows):
         raise NonSquare(f"matrix is {len(rows)}x{len(rows[0]) if rows else 0}")
     if n == 0:
         return Fraction(1)
-    scale = Fraction(1)
-    a = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                from math import gcd
-                lcm = lcm // gcd(lcm, x.denominator) * x.denominator
-        scale *= lcm
-        a.append([int(x * lcm) for x in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                q, r = divmod(num, prev)
-                assert r == 0
-                a[i][j] = q
-            a[i][k] = 0
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], 1) / scale
-
-
-def rref(rows, ncols: int):
-    """Reduced row echelon form over the rationals.
-
-    Returns (echelon_rows, pivot_columns).  Deterministic: pivots are the
-    leftmost nonzero columns in order, rows normalized to leading 1.
-    """
-    a = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        lead = a[rank][col]
-        a[rank] = [x / lead for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][col] != 0:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(a):
-            break
-    return a[:rank], pivots
-
-
-def nullspace(rows, ncols: int):
-    """Canonical kernel basis of the map v -> A v for A given row-wise.
-
-    One basis vector per free column: entry 1 there, minus the pivot-row
-    coefficients elsewhere.  Ordered by free column index.
-    """
-    echelon, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, pcol in zip(echelon, pivots):
-            vec[pcol] = -row[free]
-        basis.append(vec)
-    return basis
+    rank, sign, last, scale = _bareiss(rows)
+    if rank < n:
+        return Fraction(0)
+    return Fraction(sign * last, scale)
 
 
 class SparseEchelon:
@@ -158,13 +105,7 @@ class SparseEchelon:
             piv = self._pivots.get(lead)
             if piv is None:
                 return row
-            c = row[lead]
-            for col, val in piv.items():
-                new = row.get(col, Fraction(0)) - c * val
-                if new == 0:
-                    row.pop(col, None)
-                else:
-                    row[col] = new
+            _eliminate(row, row[lead], piv)
         return row
 
     def add(self, row: dict) -> bool:
@@ -179,6 +120,49 @@ class SparseEchelon:
 
     def contains(self, row: dict) -> bool:
         return not self.reduce(row)
+
+    def reduced(self) -> dict:
+        """Reduced row echelon form: pivot column -> row with a leading 1
+        and zeros in every other pivot column, in pivot column order."""
+        out = {}
+        for lead in sorted(self._pivots, reverse=True):
+            row = dict(self._pivots[lead])
+            for col in [c for c in row if c in out]:
+                _eliminate(row, row[col], out[col])
+            out[lead] = row
+        return dict(sorted(out.items()))
+
+
+def _eliminate(row: dict, c, piv: dict):
+    """row -= c * piv in place, dropping entries that cancel."""
+    for col, val in piv.items():
+        new = row.get(col, Fraction(0)) - c * val
+        if new == 0:
+            row.pop(col, None)
+        else:
+            row[col] = new
+
+
+def nullspace(rows, ncols: int):
+    """Canonical kernel basis of the map v -> A v for A given row-wise.
+
+    One basis vector per free column: entry 1 there, minus the pivot-row
+    coefficients elsewhere.  Ordered by free column index.
+    """
+    ech = SparseEchelon()
+    for row in rows:
+        ech.add(dict(enumerate(row)))
+    pivots = ech.reduced()
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for pcol, row in pivots.items():
+            vec[pcol] = -row.get(free, Fraction(0))
+        basis.append(vec)
+    return basis
 
 
 def mat_mod(rows, p: int):
@@ -244,13 +228,15 @@ def det_mod(rows, p: int) -> int:
 def invert_unimodular(rows):
     """Inverse of a unimodular integer matrix, as an integer matrix."""
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    echelon, pivots = rref(aug, 2 * n)
-    if pivots != list(range(n)):
+    ech = SparseEchelon()
+    for i, row in enumerate(rows):
+        ech.add({**dict(enumerate(row)), n + i: 1})
+    pivots = ech.reduced()
+    if list(pivots) != list(range(n)):
         raise NonSquare("matrix is not invertible")
     inv = []
-    for row in echelon:
-        assert all(x.denominator == 1 for x in row[n:]), "matrix not unimodular"
-        inv.append([int(x) for x in row[n:]])
+    for row in pivots.values():
+        entries = [row.get(n + j, Fraction(0)) for j in range(n)]
+        assert all(x.denominator == 1 for x in entries), "matrix not unimodular"
+        inv.append([int(x) for x in entries])
     return inv

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import product
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 
 from .abelian import DegreeClass
 from .errors import NoCertificate, ParseError, SideMismatch
@@ -161,15 +160,12 @@ def find_certificate(fan, bound: int = 16) -> PositivityCertificate:
 
 
 def default_certificate(fan) -> PositivityCertificate:
-    cert = getattr(fan, "_certificate", None)
-    if cert is None:
-        cert = find_certificate(fan)
-        fan._certificate = cert
-    return cert
+    if fan._certificate is None:
+        fan._certificate = find_certificate(fan)
+    return fan._certificate
 
 
-@lru_cache(maxsize=None)
-def _basis_cached(fan, cert: PositivityCertificate, degree: DegreeClass):
+def _enumerate_basis(fan, cert: PositivityCertificate, degree: DegreeClass):
     weights = [cert.grade(d) for d in fan.var_degrees]
     budget = cert.grade(degree)
     nvars = len(fan.rays)
@@ -192,8 +188,13 @@ def _basis_cached(fan, cert: PositivityCertificate, degree: DegreeClass):
 
 
 def monomial_basis(fan, cert: PositivityCertificate, degree: DegreeClass):
-    """All monomials of the given degree, in the fixed matrix order."""
-    return _basis_cached(fan, cert, degree)
+    """All monomials of the given degree, in the fixed matrix order; the
+    fan caches them per (certificate, degree)."""
+    key = (cert, degree)
+    found = fan._basis_cache.get(key)
+    if found is None:
+        found = fan._basis_cache[key] = _enumerate_basis(fan, cert, degree)
+    return found
 
 
 def basis(fan, degree: DegreeClass):
@@ -209,6 +210,7 @@ _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
 
 
 def _tokenize(text: str):
+    text = text.rstrip()
     pos = 0
     out = []
     while pos < len(text):
@@ -225,91 +227,79 @@ def _tokenize(text: str):
     return out
 
 
+def _parse_terms(text: str, names, allow_negative: bool):
+    """Read the shared term syntax, e.g. ``3/4*a0^2*b1 - a1^3``, into a
+    list of (coefficient, exponent tuple), one per signed term.
+
+    A term is a ``*``-product of rationals and powers of the ``names``;
+    exponents below zero are refused unless ``allow_negative``.
+    """
+    index = {n: i for i, n in enumerate(names)}
+    tokens = _tokenize(text) + [(None, None)]
+    pos = 0
+    terms = []
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def take_int(what):
+        kind, val = take()
+        if kind != "int":
+            raise ParseError(f"expected {what}")
+        return val
+
+    while tokens[pos][0] is not None:
+        coeff = Fraction(1)
+        if tokens[pos] in (("op", "+"), ("op", "-")):
+            coeff = Fraction(-1 if take()[1] == "-" else 1)
+        elif terms:
+            raise ParseError(f"expected '+' or '-' between terms, "
+                             f"got {tokens[pos][1]!r}")
+        expo = [0] * len(names)
+        while True:
+            kind, val = take()
+            if kind == "int":
+                if tokens[pos] == ("op", "/"):
+                    take()
+                    den = take_int("nonzero integer denominator")
+                    if den == 0:
+                        raise ParseError("expected nonzero integer denominator")
+                    val = Fraction(val, den)
+                coeff *= val
+            elif kind == "name":
+                if val not in index:
+                    raise ParseError(f"unknown variable {val!r}")
+                e = 1
+                if tokens[pos] == ("op", "^"):
+                    take()
+                    sign = -1 if tokens[pos] == ("op", "-") else 1
+                    if sign < 0:
+                        take()
+                    e = sign * take_int("integer exponent")
+                if e < 0 and not allow_negative:
+                    raise ParseError("negative exponents are not allowed here")
+                expo[index[val]] += e
+            else:
+                raise ParseError("expected a number or variable, got "
+                                 + (repr(val) if kind else "end of input"))
+            if tokens[pos] != ("op", "*"):
+                break
+            take()
+        terms.append((coeff, tuple(expo)))
+    return terms
+
+
 def parse_poly(text: str, names, side: Side, fan=None) -> MultiPoly:
     """Parse the shared polynomial syntax, e.g. ``3/4*a0^2*b1 - a1^3``.
 
     Variables must come from ``names``; when ``fan`` is given the result
     carries its degree tag if homogeneous.
     """
-    index = {n: i for i, n in enumerate(names)}
-    tokens = _tokenize(text)
-    nvars = len(names)
     terms = {}
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None)
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_exponent() -> int:
-        kind, val = take()
-        sign = 1
-        if (kind, val) == ("op", "-"):
-            sign = -1
-            kind, val = take()
-        if kind != "int":
-            raise ParseError("expected integer exponent")
-        return sign * val
-
-    def parse_term():
-        coeff = Fraction(1)
-        expo = [0] * nvars
-        expect_factor = True
-        while True:
-            kind, val = peek()
-            if kind is None or (kind == "op" and val in "+-"):
-                break
-            if kind == "op" and val == "*":
-                take()
-                expect_factor = True
-                continue
-            if not expect_factor:
-                raise ParseError(f"unexpected token {val!r}")
-            if kind == "int":
-                take()
-                num = Fraction(val)
-                if peek() == ("op", "/"):
-                    take()
-                    dkind, dval = take()
-                    if dkind != "int" or dval == 0:
-                        raise ParseError("expected nonzero integer denominator")
-                    num /= dval
-                coeff *= num
-            elif kind == "name":
-                take()
-                if val not in index:
-                    raise ParseError(f"unknown variable {val!r}")
-                e = 1
-                if peek() == ("op", "^"):
-                    take()
-                    e = parse_exponent()
-                if e < 0:
-                    raise ParseError("negative exponents are not allowed here")
-                expo[index[val]] += e
-            else:
-                raise ParseError(f"unexpected token {val!r}")
-            expect_factor = False
-        return coeff, tuple(expo)
-
-    first = True
-    while pos < len(tokens):
-        sign = 1
-        kind, val = peek()
-        if kind == "op" and val in "+-":
-            take()
-            sign = -1 if val == "-" else 1
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms")
-        coeff, expo = parse_term()
-        coeff *= sign
+    for coeff, expo in _parse_terms(text, names, allow_negative=False):
         terms[expo] = terms.get(expo, Fraction(0)) + coeff
-        first = False
-
     poly = MultiPoly(side, terms)
     if fan is not None:
         poly = tag_degree(fan, poly)

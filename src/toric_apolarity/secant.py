@@ -19,7 +19,7 @@ from .abelian import DegreeClass
 from .errors import (NegativeExponentResidue, NonSquare, ParseError,
                      PointInIrrelevantLocus)
 from .linalg import det_bareiss, det_mod, mat_mod, rank_bareiss, rank_mod
-from .ring import MultiPoly, Side, _tokenize, basis
+from .ring import MultiPoly, Side, _parse_terms, basis
 
 DEFAULT_PRIME = 101
 DEFAULT_TRIALS = 5
@@ -105,56 +105,10 @@ class LaurentFamily:
 
 def parse_laurent(text: str, params) -> LaurentScalar:
     """Parse a Laurent monomial such as ``-1/4*l^-2*m`` or ``0``."""
-    index = {n: i for i, n in enumerate(params)}
-    tokens = _tokenize(text)
-    coeff = Fraction(1)
-    expo = [0] * len(params)
-    pos = 0
-    sign = 1
-    if pos < len(tokens) and tokens[pos] == ("op", "-"):
-        sign = -1
-        pos += 1
-    if pos >= len(tokens):
-        raise ParseError(f"empty scalar {text!r}")
-    expect_factor = True
-    while pos < len(tokens):
-        kind, val = tokens[pos]
-        if kind == "op" and val == "*":
-            pos += 1
-            expect_factor = True
-            continue
-        if not expect_factor:
-            raise ParseError(f"unexpected token {val!r} in {text!r}")
-        if kind == "int":
-            num = Fraction(val)
-            pos += 1
-            if pos < len(tokens) and tokens[pos] == ("op", "/"):
-                pos += 1
-                if pos >= len(tokens) or tokens[pos][0] != "int" or tokens[pos][1] == 0:
-                    raise ParseError(f"bad denominator in {text!r}")
-                num /= tokens[pos][1]
-                pos += 1
-            coeff *= num
-        elif kind == "name":
-            if val not in index:
-                raise ParseError(f"unknown parameter {val!r}")
-            pos += 1
-            e = 1
-            if pos < len(tokens) and tokens[pos] == ("op", "^"):
-                pos += 1
-                esign = 1
-                if pos < len(tokens) and tokens[pos] == ("op", "-"):
-                    esign = -1
-                    pos += 1
-                if pos >= len(tokens) or tokens[pos][0] != "int":
-                    raise ParseError(f"bad exponent in {text!r}")
-                e = esign * tokens[pos][1]
-                pos += 1
-            expo[index[val]] += e
-        else:
-            raise ParseError(f"unexpected token {val!r} in {text!r}")
-        expect_factor = False
-    return LaurentScalar(sign * coeff, tuple(expo))
+    terms = _parse_terms(text, params, allow_negative=True)
+    if len(terms) != 1:
+        raise ParseError(f"expected one Laurent term, got {text!r}")
+    return LaurentScalar(*terms[0])
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,16 @@ def test_no_certificate_refusal(capsys, tmp_path):
     assert code == 1 and "NoCertificate" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("decompose-check", F1, "--form", "x0*x1*y0*y1", "--terms"),
+    ("limit-cert", F1, "--form", "x0*x1*y0*y1", "--family"),
+])
+def test_missing_input_file_is_an_input_error(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, str(tmp_path / "missing"))
+    assert code == 2 and "ParseError" in err
+    assert out == "" and "Traceback" not in err
+
+
 RECORD_COMMANDS = {
     "classgroup_fake.jsonl": ("--format", "records", "classgroup", FAKE),
     "hilbert_f1.jsonl": ("--format", "records", "hilbert", F1,

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -7,10 +9,10 @@ import pytest
 from toric_apolarity import (MultiPoly, NoCertificate, ParseError,
                              PositivityCertificate, Side, build_fan,
                              find_certificate, format_poly, homogeneous_degree,
-                             monomial_basis, parse_poly)
+                             load_fan, monomial_basis, parse_laurent, parse_poly)
 from toric_apolarity.ring import basis, monomial_key
 
-from conftest import dual, primal
+from conftest import FIXTURES, dual, primal
 
 
 def test_certificates(f1, p114, fake):
@@ -143,3 +145,27 @@ def test_parse_errors(f1):
         parse_poly("1/0*a0", f1.var_names, Side.PRIMAL)
     with pytest.raises(ParseError):
         parse_poly("a0 a1", f1.var_names, Side.PRIMAL)
+    # empty terms and dangling operators are errors, not the constant 1
+    for text in ("a0 +", "-", "+", "a0*", "*a0", "a0**a1", "a0 + -a1", "a0^",
+                 "1/"):
+        with pytest.raises(ParseError):
+            parse_poly(text, f1.var_names, Side.PRIMAL)
+    for text in ("-", "l*", "*l", "l - m", ""):
+        with pytest.raises(ParseError):
+            parse_laurent(text, ("l", "m"))
+
+
+def test_parse_accepts_surrounding_whitespace(f1):
+    assert parse_poly(" a0^2 - a1^2 ", f1.var_names, Side.PRIMAL) \
+        == parse_poly("a0^2 - a1^2", f1.var_names, Side.PRIMAL)
+    assert parse_laurent("-1/4*l^-2*m ", ("l", "m")) \
+        == parse_laurent("-1/4*l^-2*m", ("l", "m"))
+
+
+def test_fan_is_freed_after_use():
+    fan = load_fan(FIXTURES / "f1.fan")
+    alive = weakref.ref(fan)
+    assert len(basis(fan, fan.degree((3, 2)))) == 9
+    del fan
+    gc.collect()
+    assert alive() is None
