@@ -281,7 +281,9 @@ class Projection:
         if not rows:  # trivial group: every vector is a preimage of 0
             return [0] * self.rank
         sol = solve_integer(rows, rhs)
-        assert sol is not None, "projection must be surjective"
+        if sol is None:
+            raise GroupMismatch(f"degree {degree} has no preimage: the "
+                                f"projection is not onto its group")
         return sol[:self.rank]
 
 

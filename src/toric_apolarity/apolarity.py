@@ -9,7 +9,8 @@ from fractions import Fraction
 from itertools import product
 
 from .abelian import DegreeClass
-from .errors import BadPrime, NonHomogeneousGenerator, SideMismatch
+from .errors import (BadPrime, GroupMismatch, NonHomogeneousGenerator,
+                     SideMismatch)
 from .linalg import mat_mod, nullspace, rank_bareiss, rank_mod
 from .ring import MultiPoly, Side, basis, homogeneous_degree
 
@@ -106,7 +107,10 @@ class DegreeBox:
     free_ranges: tuple  # tuple of (lo, hi) pairs
 
     def __post_init__(self):
-        assert len(self.free_ranges) == self.group.free_rank
+        if len(self.free_ranges) != self.group.free_rank:
+            raise GroupMismatch(f"box has {len(self.free_ranges)} ranges, "
+                                f"the group has free rank "
+                                f"{self.group.free_rank}")
 
     def __iter__(self):
         axes = [range(lo, hi + 1) for lo, hi in self.free_ranges]

@@ -64,12 +64,51 @@ def parse_box(text: str, group) -> DegreeBox:
         if not sep:
             lo = hi = piece
         try:
-            ranges.append((int(lo), int(hi)))
+            lo, hi = int(lo), int(hi)
         except ValueError as exc:
             raise ParseError(f"bad box component {piece!r}") from exc
+        if lo > hi:
+            raise ParseError(f"box component {piece!r} is empty")
+        ranges.append((lo, hi))
     if len(ranges) != group.free_rank:
         raise ParseError(f"box {text!r}: expected {group.free_rank} ranges")
     return DegreeBox(group, tuple(ranges))
+
+
+def positive(value: int, flag: str) -> int:
+    if value < 1:
+        raise InputError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
+# Miller-Rabin with the first 13 prime bases decides primality exactly below
+# this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def checked_prime(value: int) -> int:
+    """``value`` if it is a prime, decided exactly; else an InputError."""
+    if value >= _MR_LIMIT:
+        raise InputError(f"--prime {value} is too large to be checked")
+    if value in _MR_BASES:
+        return value
+    if value < 2 or any(value % p == 0 for p in _MR_BASES):
+        raise InputError(f"--prime {value} is not a prime")
+    d, s = value - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in _MR_BASES:
+        x = pow(base, d, value)
+        if x in (1, value - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % value
+            if x == value - 1:
+                break
+        else:
+            raise InputError(f"--prime {value} is not a prime")
+    return value
 
 
 def parse_ideal(text: str, fan) -> IdealGens:
@@ -294,7 +333,8 @@ def cmd_contains(args, fan):
 def cmd_length(args, fan):
     ideal = parse_ideal(args.ideal, fan)
     ample = parse_degree(args.ample, fan.class_group)
-    est = length_estimate(ideal, ample, window=args.window, max_k=args.max_k)
+    est = length_estimate(ideal, ample, window=positive(args.window, "--window"),
+                          max_k=positive(args.max_k, "--max-k"))
     record = {
         "command": "length",
         "value": est.value,
@@ -315,8 +355,9 @@ def cmd_cactus_cert(args, fan):
     form = parse_form(args.form, fan)
     ideal = parse_ideal(args.ideal, fan)
     ample = parse_degree(args.ample, fan.class_group)
-    cert = cactus_certificate(form, ideal, ample, window=args.window,
-                              max_k=args.max_k,
+    cert = cactus_certificate(form, ideal, ample,
+                              window=positive(args.window, "--window"),
+                              max_k=positive(args.max_k, "--max-k"),
                               reduced_asserted=args.assert_reduced)
     record = {
         "command": "cactus-cert",
@@ -384,7 +425,8 @@ def _parse_pins(text):
 
 def cmd_terracini(args, fan):
     degree = parse_degree(args.degree, fan.class_group)
-    probe = terracini_probe(fan, degree, args.r, prime=args.prime,
+    probe = terracini_probe(fan, degree, positive(args.r, "-r"),
+                            prime=checked_prime(args.prime),
                             trials=args.trials, seed=args.seed,
                             pins=_parse_pins(args.pins))
     record = {
@@ -422,8 +464,10 @@ def cmd_det_check(args, fan):
         assignment = [Fraction(x) for x in args.at.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad assignment {args.at!r}") from exc
-    value = terracini_determinant_check(fan, degree, args.r, assignment,
-                                        prime=args.prime,
+    if args.prime is not None:
+        checked_prime(args.prime)
+    value = terracini_determinant_check(fan, degree, positive(args.r, "-r"),
+                                        assignment, prime=args.prime,
                                         pins=_parse_pins(args.pins))
     field = f"Z/{args.prime}" if args.prime else "Q"
     record = {"command": "det-check", "degree": degree_json(degree),

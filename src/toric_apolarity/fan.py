@@ -92,7 +92,7 @@ class FanModel:
             raise ParseError("need one variable name per ray")
         self._cartier_cache = {}
         self._certificate = None
-        self._basis_cache = {}  # (certificate, degree) -> monomial tuple
+        self._basis_cache = {}  # degree -> monomial tuple
 
     # -- degrees ---------------------------------------------------------
 

@@ -2,8 +2,10 @@
 
 The coordinate ring S (side PRIMAL) and its dual module T (side DUAL)
 share one term representation: a map from exponent tuples to nonzero
-Fractions.  Graded pieces are enumerated with a positivity certificate
-that bounds exponents; bases are ordered by total exponent degree, then
+Fractions.  The monomials of a graded piece S_[D] are the lattice points
+of the divisor polytope P_D (Cox, Little and Schenck, Toric Varieties,
+Prop. 5.4.1); a positivity certificate only proves that every piece is
+finite.  Bases are ordered by total exponent degree, then
 lexicographically, largest first, which fixes every matrix layout.
 """
 
@@ -165,35 +167,65 @@ def default_certificate(fan) -> PositivityCertificate:
     return fan._certificate
 
 
-def _enumerate_basis(fan, cert: PositivityCertificate, degree: DegreeClass):
-    weights = [cert.grade(d) for d in fan.var_degrees]
-    budget = cert.grade(degree)
-    nvars = len(fan.rays)
+def _eliminate(rows, k):
+    """One Fourier–Motzkin step: the rows ``(c, b)``, meaning
+    c·m + b >= 0, with coordinate k projected out."""
+    pos = [r for r in rows if r[0][k] > 0]
+    neg = [r for r in rows if r[0][k] < 0]
+    if not pos or not neg:
+        raise NoCertificate(f"P_D is unbounded along coordinate {k}, so "
+                            f"graded pieces may be infinite")
+    out = [r for r in rows if r[0][k] == 0]
+    for (cp, bp), (cq, bq) in product(pos, neg):
+        s, t = -cq[k], cp[k]
+        out.append((tuple(s * x + t * y for x, y in zip(cp, cq)),
+                    s * bp + t * bq))
+    return out
+
+
+def _enumerate_basis(fan, degree: DegreeClass):
+    """Monomials of class [D], D = sum a_rho D_rho, as the lattice points m
+    of P_D = {m : <m, u_rho> >= -a_rho}, mapped to e_rho = <m, u_rho> + a_rho.
+
+    systems[k] bounds m_0..m_k: it is the ray system with m_(k+1).. projected
+    out, so each coordinate's range follows from the ones fixed before it.
+    """
+    a = fan.weil_representative(degree)
+    n = fan.ambient_rank
+    rows = list(zip(fan.rays, a))
+    systems = [None] * n
+    for k in reversed(range(n)):
+        systems[k] = [r for r in rows if r[0][k]]
+        rows = _eliminate(rows, k)
+    if any(b < 0 for _, b in rows):  # P_D has no rational point
+        return ()
     found = []
-    expo = [0] * nvars
+    m = [0] * n
 
-    def walk(i, left):
-        if i == nvars:
-            if fan.monomial_degree(expo) == degree:
-                found.append(tuple(expo))
-            return
-        for e in range(left // weights[i] + 1):
-            expo[i] = e
-            walk(i + 1, left - e * weights[i])
-        expo[i] = 0
+    def walk(k):
+        bounds = [(c[k], b + sum(x * y for x, y in zip(c[:k], m)))
+                  for c, b in systems[k]]
+        lo = max(-(rest // ck) for ck, rest in bounds if ck > 0)
+        hi = min(rest // -ck for ck, rest in bounds if ck < 0)
+        for x in range(lo, hi + 1):
+            m[k] = x
+            if k + 1 < n:
+                walk(k + 1)
+            else:
+                found.append(tuple(sum(u * y for u, y in zip(ray, m)) + shift
+                                   for ray, shift in zip(fan.rays, a)))
 
-    if budget >= 0:
-        walk(0, budget)
+    walk(0)
     return tuple(sorted(found, key=monomial_key, reverse=True))
 
 
 def monomial_basis(fan, cert: PositivityCertificate, degree: DegreeClass):
     """All monomials of the given degree, in the fixed matrix order; the
-    fan caches them per (certificate, degree)."""
-    key = (cert, degree)
-    found = fan._basis_cache.get(key)
+    fan caches them per degree.  The basis does not depend on ``cert``,
+    which only certifies that graded pieces are finite."""
+    found = fan._basis_cache.get(degree)
     if found is None:
-        found = fan._basis_cache[key] = _enumerate_basis(fan, cert, degree)
+        found = fan._basis_cache[degree] = _enumerate_basis(fan, degree)
     return found
 
 

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +142,30 @@ def test_degree_fractions_rejected_by_projection_arithmetic():
     group = GradedGroup(1)
     degree = group.degree((Fraction(2, 1),))
     assert degree.free == (2,)
+
+
+OPTIMIZED_CHECKS = """
+import sys
+from toric_apolarity import DegreeBox, GradedGroup, GroupMismatch
+from toric_apolarity.abelian import Projection
+
+assert sys.flags.optimize, "asserts are live"
+not_onto = Projection(GradedGroup(1), [[2, 2]], [], 2)
+for attempt in (lambda: not_onto.section(GradedGroup(1).degree((1,))),
+                lambda: DegreeBox(GradedGroup(2), ((0, 1),))):
+    try:
+        attempt()
+    except GroupMismatch:
+        continue
+    sys.exit(f"no GroupMismatch from {attempt}")
+print("ok")
+"""
+
+
+def test_invariants_raise_under_optimize():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"

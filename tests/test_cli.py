@@ -191,6 +191,39 @@ def test_missing_input_file_is_an_input_error(capsys, tmp_path, argv):
     assert out == "" and "Traceback" not in err
 
 
+DET_CHECK = ("det-check", F1, "--degree", "5,2", "-r", "5",
+             "--at", "1,2,3,4,5,6,7,9,0,2")
+
+
+@pytest.mark.parametrize("value", ["0", "1", "4", "3825123056546413051"])
+@pytest.mark.parametrize("argv", [
+    ("terracini", F1, "--degree", "3,2", "-r", "3"), DET_CHECK])
+def test_non_prime_is_an_input_error(capsys, argv, value):
+    # 3825123056546413051 passes Miller-Rabin for every prime base up to 23
+    code, out, err = run(capsys, *argv, "--prime", value)
+    assert code == 2 and "InputError" in err and "not a prime" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("hilbert", F1, "--form", "x0*x1*y0*y1", "--box", "3..0,0..2"),
+    ("bounds", F1, "--form", "x0*x1*y0*y1", "--box", "0..3,2..0"),
+    ("length", FAKE, "--ideal", "a1^2, a2^2", "--ample", "3;0",
+     "--window", "0"),
+    ("length", FAKE, "--ideal", "a1^2, a2^2", "--ample", "3;0",
+     "--max-k", "0"),
+    ("cactus-cert", P114, "--form", "x^2*y^2", "--ideal", "a^3, b^3",
+     "--ample", "4", "--window", "0"),
+    ("cactus-cert", P114, "--form", "x^2*y^2", "--ideal", "a^3, b^3",
+     "--ample", "4", "--max-k", "0"),
+    ("terracini", F1, "--degree", "3,2", "-r", "0"),
+    DET_CHECK[:4] + ("-r", "0") + DET_CHECK[6:],
+])
+def test_degenerate_range_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "input error" in err and out == ""
+
+
 RECORD_COMMANDS = {
     "classgroup_fake.jsonl": ("--format", "records", "classgroup", FAKE),
     "hilbert_f1.jsonl": ("--format", "records", "hilbert", F1,

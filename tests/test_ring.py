@@ -3,11 +3,12 @@ import random
 import weakref
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
-from toric_apolarity import (MultiPoly, NoCertificate, ParseError,
-                             PositivityCertificate, Side, build_fan,
+from toric_apolarity import (Completeness, MultiPoly, NoCertificate,
+                             ParseError, PositivityCertificate, Side, build_fan,
                              find_certificate, format_poly, homogeneous_degree,
                              load_fan, monomial_basis, parse_laurent, parse_poly)
 from toric_apolarity.ring import basis, monomial_key
@@ -71,6 +72,87 @@ def test_basis_independent_of_certificate(f1, p114):
             (p114, p114.degree((8,)), PositivityCertificate((3,)))]:
         default = monomial_basis(fan, find_certificate(fan), degree)
         assert monomial_basis(fan, other, degree) == default
+
+
+def walk_basis(fan, degree):
+    """Oracle: every exponent vector under the certificate's weight budget,
+    kept when its class is ``degree``."""
+    cert = find_certificate(fan)
+    weights = [cert.grade(d) for d in fan.var_degrees]
+    found = []
+
+    def walk(prefix, left):
+        if len(prefix) == len(weights):
+            if fan.monomial_degree(prefix) == degree:
+                found.append(tuple(prefix))
+            return
+        for e in range(left // weights[len(prefix)] + 1):
+            walk(prefix + [e], left - e * weights[len(prefix)])
+
+    budget = cert.grade(degree)
+    if budget >= 0:
+        walk([], budget)
+    return tuple(sorted(found, key=monomial_key, reverse=True))
+
+
+def box_degrees(fan, ranges):
+    group = fan.class_group
+    for free in product(*(range(lo, hi + 1) for lo, hi in ranges)):
+        for tors in product(*(range(d) for d in group.torsion_orders)):
+            yield group.degree(free, tors)
+
+
+def p1_cubed():
+    rays = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
+            [0, 0, -1]]
+    return build_fan(rays, [[i, j, k] for i in (0, 1) for j in (2, 3)
+                            for k in (4, 5)])
+
+
+def test_basis_matches_walk_on_boxes(f1, p114, fake):
+    cases = [(f1, [(-2, 9), (-2, 5)]), (p114, [(-3, 20)]),
+             (fake, [(-3, 16)]), (p1_cubed(), [(-1, 3)] * 3)]
+    for fan, ranges in cases:
+        for degree in box_degrees(fan, ranges):
+            assert basis(fan, degree) == walk_basis(fan, degree), degree
+
+
+def test_basis_matches_walk_on_random_complete_fans():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def angle_key(ray):
+        x, y = ray
+        half = 0 if (y > 0 or (y == 0 and x > 0)) else 1
+        return (half, 0, Fraction(0)) if y == 0 else (half, 1, Fraction(-x, y))
+
+    vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+        lambda v: v != (0, 0) and gcd(*v) == 1)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.lists(vectors, min_size=3, max_size=5, unique=True),
+                      st.lists(st.integers(-2, 3), min_size=5, max_size=5))
+    def check(rays, shift):
+        rays = sorted(rays, key=angle_key)
+        k = len(rays)
+        hypothesis.assume(all(rays[i][0] * rays[(i + 1) % k][1]
+                              - rays[i][1] * rays[(i + 1) % k][0] > 0
+                              for i in range(k)))
+        fan = build_fan(rays, [[i, (i + 1) % k] for i in range(k)])
+        assert fan.check_complete() is Completeness.COMPLETE
+        degree = fan.monomial_degree([max(x, 0) for x in shift[:k]]) \
+            - fan.monomial_degree([max(-x, 0) for x in shift[:k]])
+        assert basis(fan, degree) == walk_basis(fan, degree)
+
+    check()
+
+
+def test_unbounded_polytope_is_refused():
+    # no certificate exists here, so the elimination meets an open bound
+    fan = build_fan([[1, 0], [0, 1], [-1, 0]], [[0, 1], [1, 2]])
+    with pytest.raises(NoCertificate):
+        monomial_basis(fan, PositivityCertificate((1,)), fan.degree((1,)))
 
 
 def test_poly_arithmetic(f1):
