@@ -184,8 +184,10 @@ class GradedGroup:
     torsion_orders: tuple = ()
 
     def __post_init__(self):
-        assert all(d >= 2 for d in self.torsion_orders)
-        assert list(self.torsion_orders) == sorted(self.torsion_orders)
+        orders = list(self.torsion_orders)
+        if orders != sorted(orders) or any(d < 2 for d in orders):
+            raise GroupMismatch(f"torsion orders {orders} must be sorted "
+                                f"and at least 2")
 
     def zero(self) -> "DegreeClass":
         return DegreeClass(self, (0,) * self.free_rank,

@@ -37,7 +37,8 @@ def contract(g: MultiPoly, form: MultiPoly) -> MultiPoly:
 
 
 class ApolarForm:
-    """A nonzero homogeneous dual element together with its fan."""
+    """A nonzero homogeneous dual element together with its fan, and the
+    catalecticant ranks computed for it so far (``hilbert_value``)."""
 
     def __init__(self, fan, poly: MultiPoly):
         if poly.side is not Side.DUAL:
@@ -50,6 +51,7 @@ class ApolarForm:
         self.fan = fan
         self.poly = MultiPoly(Side.DUAL, poly.terms, degree)
         self.degree = degree
+        self._ranks = {}  # degree -> rank of the catalecticant at it
 
 
 def catalecticant_entries(form: ApolarForm, degree: DegreeClass):
@@ -64,19 +66,17 @@ def catalecticant_entries(form: ApolarForm, degree: DegreeClass):
     return rows, cols, matrix
 
 
-def exact_rank(matrix, prescreen_prime: int | None = PRESCREEN_PRIME) -> int:
+def exact_rank(matrix) -> int:
     """Exact rank; a full-rank result mod p certifies it without exact
     elimination (a modular rank can only drop)."""
     if not matrix or not matrix[0]:
         return 0
     cap = min(len(matrix), len(matrix[0]))
-    if prescreen_prime:
-        try:
-            modular = rank_mod(mat_mod(matrix, prescreen_prime), prescreen_prime)
-            if modular == cap:
-                return cap
-        except BadPrime:
-            pass
+    try:
+        if rank_mod(mat_mod(matrix, PRESCREEN_PRIME), PRESCREEN_PRIME) == cap:
+            return cap
+    except BadPrime:
+        pass
     return rank_bareiss(matrix)
 
 
@@ -93,9 +93,17 @@ def annihilator_in_degree(form: ApolarForm, degree: DegreeClass):
 
 def hilbert_value(form: ApolarForm, degree: DegreeClass) -> int:
     """Dimension of the apolar algebra's graded piece: the rank of the
-    contraction matrix at ``degree``."""
-    _, _, matrix = catalecticant_entries(form, degree)
-    return exact_rank(matrix)
+    contraction matrix at ``degree``, computed once per form and degree.
+
+    The memo is keyed by the degree alone, not by the pair {beta,
+    alpha - beta}: the two matrices are transposes of each other, and
+    ranking both keeps ``check_symmetry`` a comparison of two independent
+    computations."""
+    rank = form._ranks.get(degree)
+    if rank is None:
+        _, _, matrix = catalecticant_entries(form, degree)
+        rank = form._ranks[degree] = exact_rank(matrix)
+    return rank
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import DegreeClass
-from .apolarity import ApolarForm, DegreeBox, catalecticant_entries, exact_rank
+from .apolarity import (ApolarForm, DegreeBox, catalecticant_entries,
+                        hilbert_value)
 from .ring import default_certificate
 
 
@@ -37,7 +38,7 @@ def catalecticant(form: ApolarForm, degree: DegreeClass) -> CatMatrix:
     return CatMatrix(form_degree=form.degree, degree=degree,
                      rows=rows, cols=cols,
                      entries=tuple(tuple(r) for r in matrix),
-                     rank=exact_rank(matrix))
+                     rank=hilbert_value(form, degree))
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class BoundReport:
 
 
 def bound_report(form: ApolarForm, degree: DegreeClass) -> BoundReport:
-    value = catalecticant(form, degree).rank
+    value = hilbert_value(form, degree)
     cartier = form.fan.is_cartier(degree)
     return BoundReport(degree=degree, rank_of_matrix=value,
                        border=value, rank=value,
@@ -74,17 +75,17 @@ class BestBounds:
 
 def best_bounds(form: ApolarForm, box: DegreeBox) -> BestBounds:
     """Per-kind maxima over a degree box; ties broken by the graded-lex
-    order on the degree (certificate grade, then coordinates)."""
+    order on the degree (certificate grade, then coordinates).  The rank
+    bound is the border bound, as in every ``BoundReport``."""
     cert = default_certificate(form.fan)
     ordered = sorted(box, key=lambda d: (cert.grade(d), d.free, d.torsion))
-    best = {"border": (0, None), "rank": (0, None), "cactus": (0, None)}
+    border, border_at, cactus, cactus_at = 0, None, 0, None
     for degree in ordered:
         report = bound_report(form, degree)
-        if report.border > best["border"][0]:
-            best["border"] = (report.border, degree)
-            best["rank"] = (report.rank, degree)
-        if report.cactus is not None and report.cactus > best["cactus"][0]:
-            best["cactus"] = (report.cactus, degree)
-    return BestBounds(border=best["border"][0], border_at=best["border"][1],
-                      rank=best["rank"][0], rank_at=best["rank"][1],
-                      cactus=best["cactus"][0], cactus_at=best["cactus"][1])
+        if report.border > border:
+            border, border_at = report.border, degree
+        if report.cactus is not None and report.cactus > cactus:
+            cactus, cactus_at = report.cactus, degree
+    return BestBounds(border=border, border_at=border_at,
+                      rank=border, rank_at=border_at,
+                      cactus=cactus, cactus_at=cactus_at)

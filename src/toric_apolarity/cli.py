@@ -417,18 +417,28 @@ def cmd_limit_cert(args, fan):
     return record, lines
 
 
-def _parse_pins(text):
+def _parse_pins(text, fan):
+    """Comma-separated distinct variable indices, each naming a ray."""
     if text is None:
         return None
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    try:
+        pins = tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError as exc:
+        raise ParseError(f"bad --pins {text!r}") from exc
+    if len(set(pins)) != len(pins):
+        raise InputError(f"--pins {text!r} repeats an index")
+    if any(not 0 <= i < len(fan.rays) for i in pins):
+        raise InputError(f"--pins {text!r}: indices must lie in "
+                         f"0..{len(fan.rays) - 1}")
+    return pins
 
 
 def cmd_terracini(args, fan):
     degree = parse_degree(args.degree, fan.class_group)
     probe = terracini_probe(fan, degree, positive(args.r, "-r"),
                             prime=checked_prime(args.prime),
-                            trials=args.trials, seed=args.seed,
-                            pins=_parse_pins(args.pins))
+                            trials=positive(args.trials, "--trials"),
+                            seed=args.seed, pins=_parse_pins(args.pins, fan))
     record = {
         "command": "terracini",
         "degree": degree_json(degree),
@@ -468,7 +478,7 @@ def cmd_det_check(args, fan):
         checked_prime(args.prime)
     value = terracini_determinant_check(fan, degree, positive(args.r, "-r"),
                                         assignment, prime=args.prime,
-                                        pins=_parse_pins(args.pins))
+                                        pins=_parse_pins(args.pins, fan))
     field = f"Z/{args.prime}" if args.prime else "Q"
     record = {"command": "det-check", "degree": degree_json(degree),
               "points": args.r, "field": field, "determinant": str(value),

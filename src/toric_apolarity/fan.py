@@ -90,6 +90,9 @@ class FanModel:
             f"y{i}" for i in range(len(rays)))
         if len(self.var_names) != len(rays) or len(self.dual_var_names) != len(rays):
             raise ParseError("need one variable name per ray")
+        for names in (self.var_names, self.dual_var_names):
+            if len(set(names)) != len(names):
+                raise ParseError(f"variable names {list(names)} are not distinct")
         self._cartier_cache = {}
         self._certificate = None
         self._basis_cache = {}  # degree -> monomial tuple
@@ -181,21 +184,49 @@ def build_fan(rays, max_cones, var_names=None, dual_var_names=None) -> FanModel:
     return FanModel(rays, max_cones, var_names, dual_var_names)
 
 
+def _int_table(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(type(x) is int for x in row)
+        for row in value)
+
+
+def _str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+# field -> (required, type check, what the field must be); JSON null counts
+# as absent.  ``type(x) is int`` refuses booleans, floats and strings.
+_FAN_FIELDS = {
+    "rays": (True, _int_table, "a list of lists of integers"),
+    "max_cones": (True, _int_table, "a list of lists of integers"),
+    "var_names": (False, _str_list, "a list of strings"),
+    "dual_var_names": (False, _str_list, "a list of strings"),
+    "ambient_rank": (False, lambda v: type(v) is int, "an integer"),
+}
+
+
 def load_fan(path) -> FanModel:
     """Read a fan file: JSON with fields ambient_rank, rays, max_cones,
     optional var_names, dual_var_names."""
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read fan file {path}: {exc}") from exc
-    for field in ("rays", "max_cones"):
-        if field not in data:
-            raise ParseError(f"fan file {path} lacks required field '{field}'")
+    if not isinstance(data, dict):
+        raise ParseError(f"fan file {path} is not a JSON object")
+    for field, (required, valid, kind) in _FAN_FIELDS.items():
+        value = data.get(field)
+        if value is None:
+            if required:
+                raise ParseError(
+                    f"fan file {path} lacks required field '{field}'")
+        elif not valid(value):
+            raise ParseError(f"fan file {path}: '{field}' must be {kind}")
     fan = build_fan(data["rays"], data["max_cones"],
                     var_names=data.get("var_names"),
                     dual_var_names=data.get("dual_var_names"))
     declared = data.get("ambient_rank")
-    if declared is not None and int(declared) != fan.ambient_rank:
+    if declared is not None and declared != fan.ambient_rank:
         raise ParseError(
             f"fan file declares ambient_rank {declared}, rays have {fan.ambient_rank}")
     return fan

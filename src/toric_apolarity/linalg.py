@@ -237,6 +237,7 @@ def invert_unimodular(rows):
     inv = []
     for row in pivots.values():
         entries = [row.get(n + j, Fraction(0)) for j in range(n)]
-        assert all(x.denominator == 1 for x in entries), "matrix not unimodular"
+        if any(x.denominator != 1 for x in entries):
+            raise NonSquare("matrix is not unimodular")
         inv.append([int(x) for x in entries])
     return inv

@@ -146,18 +146,27 @@ def test_degree_fractions_rejected_by_projection_arithmetic():
 
 OPTIMIZED_CHECKS = """
 import sys
-from toric_apolarity import DegreeBox, GradedGroup, GroupMismatch
+from toric_apolarity import DegreeBox, GradedGroup, GroupMismatch, NonSquare
 from toric_apolarity.abelian import Projection
+from toric_apolarity.linalg import invert_unimodular
 
 assert sys.flags.optimize, "asserts are live"
 not_onto = Projection(GradedGroup(1), [[2, 2]], [], 2)
 for attempt in (lambda: not_onto.section(GradedGroup(1).degree((1,))),
-                lambda: DegreeBox(GradedGroup(2), ((0, 1),))):
+                lambda: DegreeBox(GradedGroup(2), ((0, 1),)),
+                lambda: GradedGroup(1, (3, 2)),
+                lambda: GradedGroup(0, (1,))):
     try:
         attempt()
     except GroupMismatch:
         continue
     sys.exit(f"no GroupMismatch from {attempt}")
+try:
+    invert_unimodular([[2]])
+except NonSquare:
+    pass
+else:
+    sys.exit("no NonSquare from invert_unimodular([[2]])")
 print("ok")
 """
 

@@ -5,8 +5,11 @@ import pytest
 
 from toric_apolarity import (ApolarForm, DegreeBox, MultiPoly,
                              NonHomogeneousGenerator, Side, annihilator_in_degree,
-                             apolar_contains, check_symmetry, contract,
-                             hilbert_grid, hilbert_value)
+                             apolar_contains, best_bounds, build_fan,
+                             check_symmetry, contract, hilbert_grid,
+                             SymmetryVerdict, hilbert_value)
+from toric_apolarity import apolarity
+from toric_apolarity.apolarity import catalecticant_entries
 from toric_apolarity.ring import basis
 
 from conftest import dual, form, primal
@@ -179,6 +182,74 @@ def test_symmetry_random_monomials(f1):
     for mono in rng.sample(list(basis(f1, degree)), 3):
         F = ApolarForm(f1, MultiPoly.monomial(Side.DUAL, mono))
         assert check_symmetry(F, box).ok
+
+
+def random_form(fan, degree, rng):
+    """At most four monomials of ``degree`` with random coefficients."""
+    mons = list(basis(fan, degree))
+    coeffs = {m: Fraction(rng.randrange(1, 9)) for m in
+              rng.sample(mons, min(4, len(mons)))}
+    return ApolarForm(fan, MultiPoly(Side.DUAL, coeffs))
+
+
+def p1_cubed():
+    rays = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
+            [0, 0, -1]]
+    return build_fan(rays, [[i, j, k] for i in (0, 1) for j in (2, 3)
+                            for k in (4, 5)])
+
+
+def memo_cases(f1, p114, fake):
+    """(form, box) pairs whose boxes reach past 0 and alpha on every axis."""
+    rng = random.Random(23)
+    cube = p1_cubed()
+    return [
+        (random_form(f1, f1.degree((4, 2)), rng),
+         DegreeBox(f1.class_group, ((-1, 5), (-1, 3)))),
+        (random_form(p114, p114.degree((6,)), rng),
+         DegreeBox(p114.class_group, ((-1, 7),))),
+        (random_form(fake, fake.degree((6,), (1,)), rng),
+         DegreeBox(fake.class_group, ((-1, 7),))),
+        (random_form(cube, cube.degree((2, 2, 1)), rng),
+         DegreeBox(cube.class_group, ((-1, 3), (0, 2), (0, 1)))),
+    ]
+
+
+def test_catalecticant_at_complement_is_the_transpose(f1, p114, fake):
+    # the premise of keying the rank memo by degree: both ranks of a
+    # symmetry pair come from matrices that are exact transposes
+    for F, box in memo_cases(f1, p114, fake):
+        for degree in box:
+            rows, cols, matrix = catalecticant_entries(F, degree)
+            t_rows, t_cols, t_matrix = catalecticant_entries(
+                F, F.degree - degree)
+            assert (t_rows, t_cols) == (cols, rows)
+            assert t_matrix == [[matrix[i][j] for i in range(len(rows))]
+                                for j in range(len(cols))]
+
+
+def test_one_rank_per_distinct_degree(f1, p114, fake, monkeypatch):
+    calls = []
+    rank = apolarity.exact_rank
+    monkeypatch.setattr(apolarity, "exact_rank",
+                        lambda matrix: calls.append(matrix) or rank(matrix))
+    for F, box in memo_cases(f1, p114, fake):
+        calls.clear()
+        hilbert_grid(F, box)
+        assert check_symmetry(F, box).ok
+        best_bounds(F, box)
+        distinct = set(box) | {F.degree - d for d in box}
+        assert len(calls) == len(distinct)
+        assert set(F._ranks) == distinct
+
+
+def test_symmetry_compares_independent_ranks(f1):
+    F = form(f1, "x0^2*x1^2*y0*y1")
+    box = DegreeBox(f1.class_group, ((0, 5), (0, 2)))
+    assert check_symmetry(F, box).ok
+    first = next(iter(box))
+    F._ranks[first] += 1
+    assert check_symmetry(F, box) == SymmetryVerdict(False, first)
 
 
 def test_apolar_contains_fixtures(f1, p114):

@@ -218,10 +218,47 @@ def test_non_prime_is_an_input_error(capsys, argv, value):
      "--ample", "4", "--max-k", "0"),
     ("terracini", F1, "--degree", "3,2", "-r", "0"),
     DET_CHECK[:4] + ("-r", "0") + DET_CHECK[6:],
+    ("terracini", F1, "--degree", "3,2", "-r", "3", "--trials", "0"),
+    ("terracini", F1, "--degree", "3,2", "-r", "3", "--trials", "-1"),
 ])
 def test_degenerate_range_is_an_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and "input error" in err and out == ""
+
+
+@pytest.mark.parametrize("pins, error", [
+    ("a", "ParseError"), ("0,x", "ParseError"), ("99", "InputError"),
+    ("-1", "InputError"), ("0,0", "InputError")])
+@pytest.mark.parametrize("argv", [
+    ("terracini", F1, "--degree", "3,2", "-r", "3"), DET_CHECK])
+def test_bad_pins_are_an_input_error(capsys, argv, pins, error):
+    code, out, err = run(capsys, *argv, "--pins", pins)
+    assert code == 2 and f"[{error}]" in err and out == ""
+
+
+PLANE = {"rays": [[1, 0], [0, 1], [-1, -1]],
+         "max_cones": [[0, 1], [0, 2], [1, 2]]}
+
+
+@pytest.mark.parametrize("fields", [
+    {"rays": [[1.5, 0], [0, 1], [-1, -1]]},
+    {"rays": [[True, 0], [0, 1], [-1, -1]]},
+    {"rays": [["1", 0], [0, 1], [-1, -1]]},
+    {"rays": "xx"},
+    {"max_cones": [[0, "x"], [0, 2], [1, 2]]},
+    {"max_cones": [[0, 1.0], [0, 2], [1, 2]]},
+    {"max_cones": "01"},
+    {"var_names": 5},
+    {"var_names": "abc"},
+    {"var_names": ["a", "a", "b"]},
+    {"dual_var_names": ["x", "y", "x"]},
+    {"ambient_rank": "xx"},
+])
+def test_malformed_fan_file_is_a_parse_error(capsys, tmp_path, fields):
+    fan_file = tmp_path / "bad.fan"
+    fan_file.write_text(json.dumps({**PLANE, **fields}))
+    code, out, err = run(capsys, "classgroup", str(fan_file))
+    assert code == 2 and "ParseError" in err and out == ""
 
 
 RECORD_COMMANDS = {
