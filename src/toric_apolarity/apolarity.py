@@ -7,11 +7,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import add
 
 from .abelian import DegreeClass
-from .errors import (BadPrime, GroupMismatch, NonHomogeneousGenerator,
-                     SideMismatch)
-from .linalg import mat_mod, nullspace, rank_bareiss, rank_mod
+from .errors import GroupMismatch, NonHomogeneousGenerator, SideMismatch
+from .linalg import nullspace, rank_bareiss, rank_mod
 from .ring import MultiPoly, Side, basis, homogeneous_degree
 
 PRESCREEN_PRIME = 101
@@ -38,7 +39,10 @@ def contract(g: MultiPoly, form: MultiPoly) -> MultiPoly:
 
 class ApolarForm:
     """A nonzero homogeneous dual element together with its fan, and the
-    catalecticant ranks computed for it so far (``hilbert_value``)."""
+    catalecticant ranks computed for it so far (``hilbert_value``).
+
+    ``scale`` is the lcm D of the coefficient denominators and
+    ``scaled_terms`` holds the integer coefficients of D times the form."""
 
     def __init__(self, fan, poly: MultiPoly):
         if poly.side is not Side.DUAL:
@@ -51,32 +55,34 @@ class ApolarForm:
         self.fan = fan
         self.poly = MultiPoly(Side.DUAL, poly.terms, degree)
         self.degree = degree
+        self.scale = lcm(*(c.denominator for c in poly.terms.values()))
+        self.scaled_terms = {m: c.numerator * (self.scale // c.denominator)
+                             for m, c in poly.terms.items()}
         self._ranks = {}  # degree -> rank of the catalecticant at it
 
 
 def catalecticant_entries(form: ApolarForm, degree: DegreeClass):
-    """Rows (domain basis), columns (target basis), and the exact matrix of
-    the contraction map from the graded piece at ``degree``."""
+    """Rows (domain basis), columns (target basis), and the integer matrix
+    of the contraction map from the graded piece at ``degree``, taken on
+    ``form.scale`` times the form.  It has the same rank and kernel as the
+    form's own matrix, which is this one divided by ``form.scale``."""
     fan = form.fan
     rows = basis(fan, degree)
     cols = basis(fan, form.degree - degree)
-    coeffs = form.poly.terms
-    matrix = [[coeffs.get(tuple(a + c for a, c in zip(row, col)), Fraction(0))
-               for col in cols] for row in rows]
+    get = form.scaled_terms.get
+    matrix = [[get(tuple(map(add, row, col)), 0) for col in cols]
+              for row in rows]
     return rows, cols, matrix
 
 
 def exact_rank(matrix) -> int:
-    """Exact rank; a full-rank result mod p certifies it without exact
-    elimination (a modular rank can only drop)."""
+    """Exact rank of an integer matrix; a full-rank result mod p certifies
+    it without exact elimination (a modular rank can only drop)."""
     if not matrix or not matrix[0]:
         return 0
     cap = min(len(matrix), len(matrix[0]))
-    try:
-        if rank_mod(mat_mod(matrix, PRESCREEN_PRIME), PRESCREEN_PRIME) == cap:
-            return cap
-    except BadPrime:
-        pass
+    if rank_mod(matrix, PRESCREEN_PRIME) == cap:
+        return cap
     return rank_bareiss(matrix)
 
 

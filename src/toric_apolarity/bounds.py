@@ -8,6 +8,7 @@ overshoot the true cactus rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .abelian import DegreeClass
 from .apolarity import (ApolarForm, DegreeBox, catalecticant_entries,
@@ -37,7 +38,8 @@ def catalecticant(form: ApolarForm, degree: DegreeClass) -> CatMatrix:
     rows, cols, matrix = catalecticant_entries(form, degree)
     return CatMatrix(form_degree=form.degree, degree=degree,
                      rows=rows, cols=cols,
-                     entries=tuple(tuple(r) for r in matrix),
+                     entries=tuple(tuple(Fraction(x, form.scale) for x in r)
+                                   for r in matrix),
                      rank=hilbert_value(form, degree))
 
 

@@ -166,12 +166,12 @@ def nullspace(rows, ncols: int):
 
 
 def mat_mod(rows, p: int):
-    """Reduce a rational matrix mod p; BadPrime if a denominator vanishes."""
+    """Reduce an int or Fraction matrix mod p; BadPrime if a denominator
+    vanishes."""
     out = []
     for row in rows:
         new = []
         for x in row:
-            x = Fraction(x)
             if x.denominator % p == 0:
                 raise BadPrime(f"prime {p} divides a denominator")
             new.append(x.numerator * pow(x.denominator, -1, p) % p)
@@ -180,20 +180,21 @@ def mat_mod(rows, p: int):
 
 
 def rank_mod(rows, p: int) -> int:
+    """Rank over Z/p of an integer matrix; entries need not be reduced."""
     if not rows or not rows[0]:
         return 0
-    a = [list(r) for r in rows]
+    a = [[x % p for x in r] for r in rows]
     m, n = len(a), len(a[0])
     rank = 0
     for col in range(n):
-        piv = next((i for i in range(rank, m) if a[i][col] % p != 0), None)
+        piv = next((i for i in range(rank, m) if a[i][col]), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
         inv = pow(a[rank][col], -1, p)
         a[rank] = [x * inv % p for x in a[rank]]
         for i in range(rank + 1, m):
-            c = a[i][col] % p
+            c = a[i][col]
             if c:
                 a[i] = [(x - c * y) % p for x, y in zip(a[i], a[rank])]
         rank += 1

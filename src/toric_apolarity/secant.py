@@ -257,7 +257,7 @@ def terracini_probe(fan, degree: DegreeClass, r: int, prime: int = DEFAULT_PRIME
             else:
                 raise PointInIrrelevantLocus("sampling kept hitting the cut locus")
             rows.extend(_tangent_rows(fan, degree, coords, free_positions))
-        ranks.append(rank_mod([[x % prime for x in row] for row in rows], prime))
+        ranks.append(rank_mod(rows, prime))
     best = max(ranks)
     cap = min(len(mons), r * (len(free_positions) + 1))
     return TerraciniProbe(degree=degree, points=r, prime=prime, seed=seed,

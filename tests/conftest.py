@@ -1,8 +1,13 @@
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from toric_apolarity import ApolarForm, Side, load_fan, parse_poly
+from toric_apolarity import (ApolarForm, DegreeBox, MultiPoly, Side, load_fan,
+                             parse_poly)
+from toric_apolarity.ring import basis
+from toric_apolarity.secant import parametrize
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -32,3 +37,54 @@ def dual(fan, text):
 
 def form(fan, text):
     return ApolarForm(fan, dual(fan, text))
+
+
+# Denominators of the seeded rational forms; 101 is the prescreen prime.
+DENOMINATORS = (2, 7, 101, 202, 3 * 101 ** 2)
+
+
+def rational_forms(fan, degree, seed):
+    """Seeded forms of ``degree``: per denominator d in DENOMINATORS, one
+    with random coefficients over d and one sum of two points with
+    coordinates and weights over d."""
+    rng = random.Random(seed)
+    mons = list(basis(fan, degree))
+
+    def q(d):
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                        rng.choice([1, d]))
+
+    forms = []
+    for d in DENOMINATORS:
+        coeffs = {m: q(d) for m in rng.sample(mons, min(6, len(mons)))}
+        coeffs[mons[0]] = Fraction(1, d)
+        forms.append(ApolarForm(fan, MultiPoly(Side.DUAL, coeffs)))
+        total = MultiPoly.zero(Side.DUAL)
+        for _ in range(2):
+            point = parametrize(fan, degree, [q(d) for _ in fan.rays])
+            total = total + point.scale(q(d))
+        forms.append(ApolarForm(fan, total))
+    return forms
+
+
+def rational_cases(f1, p114, fake):
+    """(form, box) pairs: the rational forms on each fixture, with a box
+    running from 0 to the form's degree."""
+    cases = []
+    for seed, (fan, degree) in enumerate([(f1, f1.degree((4, 2))),
+                                          (p114, p114.degree((6,))),
+                                          (fake, fake.degree((6,), (1,)))]):
+        box = DegreeBox(fan.class_group, tuple((0, x) for x in degree.free))
+        cases += [(F, box) for F in rational_forms(fan, degree, seed)]
+    return cases
+
+
+def coefficient_matrix(F, degree):
+    """Domain basis, target basis and the Fraction matrix of F's own
+    coefficients: row i, column j holds the coefficient of the product of
+    the i-th domain and the j-th target monomial."""
+    rows = basis(F.fan, degree)
+    cols = basis(F.fan, F.degree - degree)
+    return rows, cols, [[F.poly.terms.get(tuple(a + b for a, b in zip(r, c)),
+                                          Fraction(0)) for c in cols]
+                        for r in rows]

@@ -178,3 +178,84 @@ def test_invariants_raise_under_optimize():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
+
+
+def oracle_diag(matrix):
+    """Invariant factors from sympy's Smith normal form (an independent
+    oracle, test-only)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    snf = sympy_snf(sympy.Matrix(matrix), domain=sympy.ZZ)
+    return tuple(int(snf[i, i]) for i in range(min(snf.shape)))
+
+
+def seeded_integer_matrices(seed, count=120, bound=12):
+    """Rectangular matrices in both orientations with entries in
+    [-bound, bound], a third rank-deficient (the last row a combination of
+    the others) and every tenth zero."""
+    rng = random.Random(seed)
+    for k in range(count):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        if k % 10 == 0:
+            yield [[0] * n for _ in range(m)]
+            continue
+        rows = [[rng.choice([0, rng.randint(-bound, bound)]) for _ in range(n)]
+                for _ in range(m)]
+        if m >= 2 and k % 3 == 0:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[m - 2])]
+        yield rows
+
+
+def test_smith_normal_form_matches_sympy():
+    for matrix in seeded_integer_matrices(31):
+        dec = assert_decomposition(matrix)
+        assert dec.diag == oracle_diag(matrix)
+
+
+def test_cokernel_matches_sympy_invariants():
+    # small entries keep the torsion orders small: the automorphism search
+    # in _canonicalize_torsion is not bounded by _TORSION_SEARCH_LIMIT
+    rng = random.Random(32)
+    checked = 0
+    for matrix in seeded_integer_matrices(33, count=300, bound=6):
+        m, n = len(matrix), len(matrix[0])
+        diag = oracle_diag(matrix)
+        if m < n or 0 in diag:
+            with pytest.raises(NotFullRank):
+                cokernel(matrix)
+            continue
+        group, proj = cokernel(matrix)
+        assert group == GradedGroup(m - n, tuple(d for d in diag if d >= 2))
+        # the kernel of the projection is exactly the column span
+        for _ in range(10):
+            v = [rng.randint(-6, 6) for _ in range(m)]
+            assert proj(v).is_zero() == (solve_integer(matrix, v) is not None)
+        checked += 1
+    assert checked >= 30
+
+
+def test_solve_integer_matches_sympy_invariants():
+    rng = random.Random(34)
+    solvable = unsolvable = 0
+    for matrix in seeded_integer_matrices(35):
+        m, n = len(matrix), len(matrix[0])
+        for _ in range(4):
+            if rng.random() < 0.5:
+                x = [rng.randint(-5, 5) for _ in range(n)]
+                b = [sum(a * y for a, y in zip(row, x)) for row in matrix]
+            else:
+                b = [rng.randint(-9, 9) for _ in range(m)]
+            augmented = [row + [c] for row, c in zip(matrix, b)]
+            same = ([d for d in oracle_diag(augmented) if d]
+                    == [d for d in oracle_diag(matrix) if d])
+            sol = solve_integer(matrix, b)
+            assert (sol is not None) == same
+            if sol is None:
+                unsolvable += 1
+            else:
+                assert [sum(a * y for a, y in zip(row, sol))
+                        for row in matrix] == b
+                solvable += 1
+    assert solvable >= 100 and unsolvable >= 50

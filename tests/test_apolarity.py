@@ -12,7 +12,8 @@ from toric_apolarity import apolarity
 from toric_apolarity.apolarity import catalecticant_entries
 from toric_apolarity.ring import basis
 
-from conftest import dual, form, primal
+from conftest import (coefficient_matrix, dual, form, primal,
+                      rational_cases)
 
 
 def test_contract_monomial_pairing(f1):
@@ -265,3 +266,27 @@ def test_apolar_contains_rejects_inhomogeneous(f1):
     F = form(f1, "x0*x1*y0*y1")
     with pytest.raises(NonHomogeneousGenerator):
         apolar_contains([primal(f1, "a0 + b0")], F)
+
+
+def test_hilbert_value_matches_sympy_rank(f1, p114, fake):
+    # rational coefficients, including denominators divisible by the
+    # prescreen prime, and point sums with rational weights
+    sympy = pytest.importorskip("sympy")
+    for F, box in rational_cases(f1, p114, fake):
+        assert any(c.denominator > 1 for c in F.poly.terms.values())
+        for degree in box:
+            rows, cols, matrix = coefficient_matrix(F, degree)
+            want = sympy.Matrix(len(rows), len(cols), sum(matrix, [])).rank()
+            assert hilbert_value(F, degree) == want
+
+
+def test_annihilator_matches_sympy_nullspace(f1, p114, fake):
+    sympy = pytest.importorskip("sympy")
+    for F, box in rational_cases(f1, p114, fake):
+        for degree in box:
+            rows, cols, matrix = coefficient_matrix(F, degree)
+            transpose = sympy.Matrix(len(cols), len(rows),
+                                     [x for col in zip(*matrix) for x in col])
+            want = [tuple(Fraction(int(x.p), int(x.q)) for x in v)
+                    for v in transpose.nullspace()] if rows else []
+            assert annihilator_in_degree(F, degree) == want

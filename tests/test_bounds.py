@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
+
+import pytest
 
 from toric_apolarity import (DegreeBox, best_bounds, bound_report,
                              catalecticant, hilbert_value)
 from toric_apolarity.linalg import rank_bareiss
 
-from conftest import form
+from conftest import coefficient_matrix, form, rational_cases
 
 
 def test_catalecticant_f1_two_one(f1):
@@ -120,3 +123,27 @@ def test_point_image_monomial_has_rank_one_catalecticants(f1):
         assert catalecticant(F, degree).rank <= 1
     sweep = best_bounds(F, box)
     assert sweep.border == 1 and sweep.rank == 1 and sweep.cactus == 1
+
+
+def test_catalecticant_rank_matches_sympy(f1, p114, fake):
+    sympy = pytest.importorskip("sympy")
+    for F, box in rational_cases(f1, p114, fake):
+        for degree in box:
+            rows, cols, matrix = coefficient_matrix(F, degree)
+            want = sympy.Matrix(len(rows), len(cols), sum(matrix, [])).rank()
+            assert catalecticant(F, degree).rank == want
+
+
+def test_entries_are_the_form_coefficients(f1, p114, fake):
+    # the entries are F's own coefficients, not those of a scaled copy
+    F = form(f1, "1/6*x0^2*x1^2*y0*y1 - 5/14*x0^3*y0^2 + 3*x1^5*y1^2")
+    cat = catalecticant(F, f1.degree((2, 1)))
+    _, _, matrix = coefficient_matrix(F, f1.degree((2, 1)))
+    assert cat.entries == tuple(tuple(row) for row in matrix)
+    assert Fraction(-5, 14) in {x for row in cat.entries for x in row}
+    assert all(type(x) is Fraction for row in cat.entries for x in row)
+    for F, box in rational_cases(f1, p114, fake):
+        for degree in box:
+            _, _, matrix = coefficient_matrix(F, degree)
+            assert catalecticant(F, degree).entries \
+                == tuple(tuple(row) for row in matrix)

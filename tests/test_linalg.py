@@ -8,7 +8,8 @@ import pytest
 
 from toric_apolarity import NonSquare
 from toric_apolarity.linalg import (SparseEchelon, det_bareiss,
-                                    invert_unimodular, nullspace, rank_bareiss)
+                                    invert_unimodular, nullspace, rank_bareiss,
+                                    rank_mod)
 
 sympy = pytest.importorskip("sympy")
 
@@ -112,3 +113,23 @@ def test_invert_unimodular_matches_sympy():
 def test_invert_unimodular_rejects_singular():
     with pytest.raises(NonSquare):
         invert_unimodular([[1, 2], [2, 4]])
+
+
+def test_rank_mod_matches_sympy_on_unreduced_rows():
+    # negative entries and entries >= p: rank_mod reduces its own input
+    from sympy import GF, ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(7)
+    for k in range(120):
+        p = (2, 3, 101, 32003)[k % 4]
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.choice([0, rng.randint(-3 * p, 3 * p)]) for _ in range(n)]
+                for _ in range(m)]
+        if m >= 2 and rng.random() < 0.5:
+            c = rng.randint(-p, p)
+            rows[-1] = [c * x + y + p * rng.randint(-2, 2)
+                        for x, y in zip(rows[0], rows[1 % (m - 1)])]
+        want = DomainMatrix([[ZZ(x) for x in row] for row in rows], (m, n),
+                            ZZ).convert_to(GF(p)).rank()
+        assert rank_mod(rows, p) == want
