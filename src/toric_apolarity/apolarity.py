@@ -97,9 +97,12 @@ def annihilator_in_degree(form: ApolarForm, degree: DegreeClass):
     return [tuple(v) for v in nullspace(transpose, len(rows))]
 
 
-def hilbert_value(form: ApolarForm, degree: DegreeClass) -> int:
+def hilbert_value(form: ApolarForm, degree: DegreeClass, *,
+                  matrix=None) -> int:
     """Dimension of the apolar algebra's graded piece: the rank of the
     contraction matrix at ``degree``, computed once per form and degree.
+    A caller that has already built that matrix with
+    ``catalecticant_entries`` passes it as ``matrix``.
 
     The memo is keyed by the degree alone, not by the pair {beta,
     alpha - beta}: the two matrices are transposes of each other, and
@@ -107,7 +110,8 @@ def hilbert_value(form: ApolarForm, degree: DegreeClass) -> int:
     computations."""
     rank = form._ranks.get(degree)
     if rank is None:
-        _, _, matrix = catalecticant_entries(form, degree)
+        if matrix is None:
+            _, _, matrix = catalecticant_entries(form, degree)
         rank = form._ranks[degree] = exact_rank(matrix)
     return rank
 

@@ -40,7 +40,7 @@ def catalecticant(form: ApolarForm, degree: DegreeClass) -> CatMatrix:
                      rows=rows, cols=cols,
                      entries=tuple(tuple(Fraction(x, form.scale) for x in r)
                                    for r in matrix),
-                     rank=hilbert_value(form, degree))
+                     rank=hilbert_value(form, degree, matrix=matrix))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import BadPrime, NonSquare
+from .errors import NonSquare
 
 
 def _clear_denominators(rows):
@@ -35,7 +35,10 @@ def _bareiss(rows):
     For a square matrix of full rank, sign * last pivot / scale is its
     determinant.
     """
-    a, scale = _clear_denominators(rows)
+    if all(type(x) is int for row in rows for x in row):
+        a, scale = [list(row) for row in rows], 1
+    else:
+        a, scale = _clear_denominators(rows)
     m, n = len(a), len(a[0])
     rank = 0
     sign = 1
@@ -165,65 +168,72 @@ def nullspace(rows, ncols: int):
     return basis
 
 
-def mat_mod(rows, p: int):
-    """Reduce an int or Fraction matrix mod p; BadPrime if a denominator
-    vanishes."""
-    out = []
-    for row in rows:
-        new = []
-        for x in row:
-            if x.denominator % p == 0:
-                raise BadPrime(f"prime {p} divides a denominator")
-            new.append(x.numerator * pow(x.denominator, -1, p) % p)
-        out.append(new)
-    return out
+def _pack(values, width: int) -> int:
+    """One int holding ``values`` in ``width``-bit slots, lowest column in
+    the lowest slot."""
+    packed = 0
+    for x in reversed(values):
+        packed = packed << width | x
+    return packed
+
+
+def _eliminate_mod(rows, p: int):
+    """Gaussian elimination over Z/p on packed rows.
+
+    Returns the rank and the product of the pivots times the sign of the
+    row swaps, which is the determinant of a square matrix of full rank.
+
+    Each row is one int with a fixed-width slot per column, and a row is
+    eliminated by one multiply-add, ``row += (p - c) * pivot``.  Only the
+    pivot row is unpacked and reduced: every pivot is repacked with a
+    leading 1 and entries below p, so an elimination adds less than p*p
+    to a slot.  A row is eliminated at most m - 1 times before it becomes
+    a pivot, so its slots stay below p*p*(m+1) and never carry into the
+    next slot.
+    """
+    if not rows or not rows[0]:
+        return 0, 1
+    m, n = len(rows), len(rows[0])
+    width = (p * p * (m + 1)).bit_length() + 1
+    mask = (1 << width) - 1
+    a = [_pack([x % p for x in row], width) for row in rows]
+    rank, det = 0, 1
+    for col in range(n):
+        shift = col * width
+        cs = [(r >> shift & mask) % p for r in a[rank:]]
+        k = next((k for k, c in enumerate(cs) if c), None)
+        if k is None:
+            continue
+        if k:
+            a[rank], a[rank + k] = a[rank + k], a[rank]
+            det = -det
+        det = det * cs[k] % p
+        inv = pow(cs[k], -1, p)
+        r = a[rank] >> shift
+        pivot = a[rank] = _pack([(r >> (j * width) & mask) * inv % p
+                                 for j in range(n - col)], width) << shift
+        # the rows passed over, now at rank + 1 .. rank + k, have c = 0
+        for i, c in enumerate(cs[k + 1:], rank + k + 1):
+            if c:
+                a[i] += (p - c) * pivot
+        rank += 1
+        if rank == m:
+            break
+    return rank, det
 
 
 def rank_mod(rows, p: int) -> int:
     """Rank over Z/p of an integer matrix; entries need not be reduced."""
-    if not rows or not rows[0]:
-        return 0
-    a = [[x % p for x in r] for r in rows]
-    m, n = len(a), len(a[0])
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        a[rank] = [x * inv % p for x in a[rank]]
-        for i in range(rank + 1, m):
-            c = a[i][col]
-            if c:
-                a[i] = [(x - c * y) % p for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    return _eliminate_mod(rows, p)[0]
 
 
 def det_mod(rows, p: int) -> int:
+    """Determinant over Z/p of a square integer matrix, in [0, p)."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise NonSquare(f"matrix is {len(rows)}x{len(rows[0]) if rows else 0}")
-    a = [[x % p for x in row] for row in rows]
-    det = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det % p
-        det = det * a[col][col] % p
-        inv = pow(a[col][col], -1, p)
-        for i in range(col + 1, n):
-            c = a[i][col]
-            if c:
-                factor = c * inv % p
-                a[i] = [(x - factor * y) % p for x, y in zip(a[i], a[col])]
-    return det % p
+    rank, det = _eliminate_mod(rows, p)
+    return det if rank == n else 0
 
 
 def invert_unimodular(rows):

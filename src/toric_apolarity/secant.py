@@ -14,11 +14,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import getitem
 
 from .abelian import DegreeClass
-from .errors import (NegativeExponentResidue, NonSquare, ParseError,
+from .errors import (BadPrime, NegativeExponentResidue, NonSquare, ParseError,
                      PointInIrrelevantLocus)
-from .linalg import det_bareiss, det_mod, mat_mod, rank_bareiss, rank_mod
+from .linalg import det_bareiss, det_mod, rank_bareiss, rank_mod
 from .ring import MultiPoly, Side, _parse_terms, basis
 
 DEFAULT_PRIME = 101
@@ -196,25 +198,35 @@ def default_pins(fan):
     return tuple(pins)
 
 
-def _tangent_rows(fan, degree, coords, free_positions):
-    """Value row plus one exponent-drop derivative row per free position."""
+def _residue(x, p: int) -> int:
+    """An int or Fraction reduced mod p; BadPrime if p divides its
+    denominator."""
+    if x.denominator % p == 0:
+        raise BadPrime(f"prime {p} divides the denominator of a coordinate")
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def _tangent_rows(fan, degree, coords, free_positions, prime=None):
+    """Value row plus one exponent-drop derivative row per free position,
+    over Q, or over Z/prime with each coordinate reduced once.
+
+    Every entry is a product of one table value per variable: the powers
+    of its coordinate, or for the variable differentiated, e * c^(e-1).
+    """
     mons = basis(fan, degree)
-
-    def ev(mono, drop=None):
-        value = 1
-        for i, e in enumerate(mono):
-            if drop == i:
-                e -= 1
-            if e < 0:
-                return 0
-            if e:
-                value *= coords[i] ** e
-        return value
-
-    rows = [[ev(m) for m in mons]]
+    top = max(map(max, mons), default=0)
+    if prime is None:
+        powers = [[c ** e for e in range(top + 1)] for c in coords]
+    else:
+        residues = [_residue(c, prime) for c in coords]
+        powers = [[pow(c, e, prime) for e in range(top + 1)] for c in residues]
+    tables = [powers]
     for j in free_positions:
-        rows.append([m[j] * ev(m, drop=j) for m in mons])
-    return rows
+        slope = [e * x for e, x in enumerate([0] + powers[j][:-1])]
+        tables.append(powers[:j] + [slope] + powers[j + 1:])
+    if prime is None:
+        return [[prod(map(getitem, t, m)) for m in mons] for t in tables]
+    return [[prod(map(getitem, t, m)) % prime for m in mons] for t in tables]
 
 
 @dataclass(frozen=True)
@@ -256,7 +268,8 @@ def terracini_probe(fan, degree: DegreeClass, r: int, prime: int = DEFAULT_PRIME
                     break
             else:
                 raise PointInIrrelevantLocus("sampling kept hitting the cut locus")
-            rows.extend(_tangent_rows(fan, degree, coords, free_positions))
+            rows.extend(_tangent_rows(fan, degree, coords, free_positions,
+                                      prime))
         ranks.append(rank_mod(rows, prime))
     best = max(ranks)
     cap = min(len(mons), r * (len(free_positions) + 1))
@@ -290,7 +303,7 @@ def terracini_determinant_check(fan, degree: DegreeClass, r: int, assignment,
         coords = [Fraction(1)] * len(fan.rays)
         for pos, val in zip(free_positions, values):
             coords[pos] = val
-        rows.extend(_tangent_rows(fan, degree, coords, free_positions))
+        rows.extend(_tangent_rows(fan, degree, coords, free_positions, prime))
     if prime is None:
         return det_bareiss(rows)
-    return det_mod(mat_mod(rows, prime), prime)
+    return det_mod(rows, prime)

@@ -292,3 +292,19 @@ def test_records_are_byte_identical_across_runs(capsys, name):
     _, second, _ = run(capsys, *argv)
     assert first == second
     json.loads(first)  # each record is one well-formed JSON document
+
+
+def test_cat_builds_its_catalecticant_once(capsys, monkeypatch):
+    from toric_apolarity import apolarity, bounds
+    builds = []
+    build = apolarity.catalecticant_entries
+
+    def counted(form, degree):
+        builds.append(degree)
+        return build(form, degree)
+
+    monkeypatch.setattr(apolarity, "catalecticant_entries", counted)
+    monkeypatch.setattr(bounds, "catalecticant_entries", counted)
+    code, out, _ = run(capsys, "cat", P114, "--form", "x^2*y^2", "--beta", "2")
+    assert code == 0 and "rank 3 [exact]" in out
+    assert len(builds) == 1

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from toric_apolarity import NonSquare
-from toric_apolarity.linalg import (SparseEchelon, det_bareiss,
+from toric_apolarity.linalg import (SparseEchelon, det_bareiss, det_mod,
                                     invert_unimodular, nullspace, rank_bareiss,
                                     rank_mod)
 
@@ -133,3 +133,141 @@ def test_rank_mod_matches_sympy_on_unreduced_rows():
         want = DomainMatrix([[ZZ(x) for x in row] for row in rows], (m, n),
                             ZZ).convert_to(GF(p)).rank()
         assert rank_mod(rows, p) == want
+
+
+# --- prime-field elimination on packed rows --------------------------------
+
+PRIMES = (2, 3, 5, 101, 32003)
+
+
+def rowwise_rank_mod(rows, p):
+    """Oracle: the row-by-row elimination that packed rows replaced."""
+    if not rows or not rows[0]:
+        return 0
+    a = [[x % p for x in r] for r in rows]
+    m, n = len(a), len(a[0])
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, m) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for i in range(rank + 1, m):
+            c = a[i][col]
+            if c:
+                a[i] = [(x - c * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def rowwise_det_mod(rows, p):
+    """Oracle: the row-by-row determinant that packed rows replaced."""
+    n = len(rows)
+    a = [[x % p for x in row] for row in rows]
+    det = 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det % p
+        det = det * a[col][col] % p
+        inv = pow(a[col][col], -1, p)
+        for i in range(col + 1, n):
+            c = a[i][col]
+            if c:
+                factor = c * inv % p
+                a[i] = [(x - factor * y) % p for x, y in zip(a[i], a[col])]
+    return det % p
+
+
+def modular_matrices(seed, count=600, square=False):
+    """Seeded (p, rows) pairs: entries in [-3p, 3p], a third of them zero;
+    tall shapes (up to 40 x 4), single rows, whole zero rows and columns,
+    and a last row that is a combination of two others mod p half of the
+    time, so many squares are singular."""
+    rng = random.Random(seed)
+    for k in range(count):
+        p = PRIMES[k % len(PRIMES)]
+        shape = k // len(PRIMES) % 4
+        if square:
+            m = n = rng.randint(1, 8)
+        elif shape == 0:
+            m, n = rng.randint(12, 40), rng.randint(1, 4)
+        elif shape == 1:
+            m, n = 1, rng.randint(1, 8)
+        else:
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+        rows = [[rng.choice([0, 0, rng.randint(-3 * p, 3 * p)])
+                 for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.25:
+            rows[rng.randrange(m)] = [0] * n
+        if rng.random() < 0.25:
+            col = rng.randrange(n)
+            for row in rows:
+                row[col] = 0
+        if m >= 2 and rng.random() < 0.5:
+            c = rng.randint(-p, p)
+            rows[-1] = [c * x + y + p * rng.randint(-2, 2)
+                        for x, y in zip(rows[0], rows[1 % (m - 1)])]
+        yield p, rows
+
+
+def slot_growth_matrix(p, m, n, last):
+    """An m x n matrix on which every elimination adds the most it can to
+    a slot: m - 1 unit upper-triangular pivot rows with p - 1 right of the
+    diagonal, and a last row whose multiplier is 1 at every pivot, so each
+    of its slots right of column j grows by (p - 1)^2 per pivot.  After
+    the m - 1 eliminations the last row is ``last`` in every column from
+    m - 1 on."""
+    rows = [[0] * i + [1] + [p - 1] * (n - i - 1) for i in range(m - 1)]
+    rows.append([(1 - j) % p for j in range(m - 1)]
+                + [(last - m + 1) % p] * (n - m + 1))
+    return rows
+
+
+def test_rank_mod_matches_rowwise_elimination():
+    tall = 0
+    for p, rows in modular_matrices(8):
+        tall += len(rows) > 4 * len(rows[0])
+        assert rank_mod(rows, p) == rowwise_rank_mod(rows, p)
+    assert tall >= 100
+
+
+def test_det_mod_matches_rowwise_elimination():
+    singular = 0
+    for p, rows in modular_matrices(9, square=True):
+        want = rowwise_det_mod(rows, p)
+        singular += want == 0
+        assert det_mod(rows, p) == want
+    assert singular >= 100
+
+
+def test_det_mod_matches_sympy():
+    for p, rows in modular_matrices(10, count=150, square=True):
+        assert det_mod(rows, p) == int(sympy.Matrix(rows).det()) % p
+
+
+def test_prime_field_elimination_of_empty_shapes():
+    assert rank_mod([], 5) == rank_mod([[]], 5) == rank_mod([[], []], 5) == 0
+    assert det_mod([], 5) == 1
+    assert rank_mod([[0, 0], [0, 0], [0, 0]], 2) == 0
+    with pytest.raises(NonSquare):
+        det_mod([[1, 2, 3], [4, 5, 6]], 5)
+
+
+def test_prime_field_elimination_under_worst_slot_growth():
+    # the slots of the last row reach (p-1) + (m-1)(p-1)^2, the most the
+    # slot width has to hold; the row ends as ``last`` from column m-1 on
+    for p in PRIMES:
+        for m in range(2, 41):
+            for last in (0, 1):
+                rows = slot_growth_matrix(p, m, m + 2, last)
+                assert rank_mod(rows, p) == m - 1 + last
+                square = [row[:m] for row in rows]
+                assert det_mod(square, p) == rowwise_det_mod(square, p) == last

@@ -275,3 +275,131 @@ def test_determinant_requires_square_stack(f1):
     with pytest.raises(NonSquare):
         terracini_determinant_check(f1, f1.degree((5, 2)), 4,
                                     [1, 2, 3, 4, 5, 6, 7, 9])
+
+
+# --- tangent stacks over Z/p ------------------------------------------------
+
+PRIMES = (2, 3, 5, 101, 32003)
+
+
+def p1_cubed():
+    from toric_apolarity import build_fan
+    rays = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
+            [0, 0, -1]]
+    return build_fan(rays, [[i, j, k] for i in (0, 1) for j in (2, 3)
+                            for k in (4, 5)])
+
+
+def square_stacks(f1, p114, fake):
+    """(fan, degree, r) with r * (free chart parameters + 1) == dim."""
+    cube = p1_cubed()
+    return [(f1, f1.degree((3, 2)), 3), (f1, f1.degree((5, 2)), 5),
+            (p114, p114.degree((7,)), 4), (p114, p114.degree((9,)), 6),
+            (fake, fake.degree((6,), (1,)), 3),
+            (fake, fake.degree((8,), (2,)), 5),
+            (cube, cube.degree((1, 1, 1)), 2)]
+
+
+def mat_mod(rows, p):
+    """Oracle: entrywise reduction of a rational matrix mod p."""
+    return [[Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p
+             for x in row] for row in rows]
+
+
+def rational(rng, p):
+    """A rational in [-9, 9] over a denominator prime to p."""
+    den = rng.choice([d for d in (1, 2, 3, 7, 9, 10) if d % p])
+    return Fraction(rng.randint(-9, 9), den)
+
+
+def free_positions(fan):
+    pins = default_pins(fan)
+    return [i for i in range(len(fan.rays)) if i not in pins]
+
+
+def naive_tangent_rows(mons, coords, free):
+    """Value row and one partial-derivative row per free position, each
+    entry evaluated term by term."""
+    def value(mono, drop=None):
+        out = 1
+        for i, (c, e) in enumerate(zip(coords, mono)):
+            out *= c ** (e - (i == drop))
+        return out
+
+    rows = [[value(m) for m in mons]]
+    rows += [[m[j] * value(m, j) if m[j] else 0 for m in mons] for j in free]
+    return rows
+
+
+def test_tangent_rows_mod_p_are_the_rational_rows_reduced(f1, p114, fake):
+    from toric_apolarity import BadPrime
+    from toric_apolarity.secant import _tangent_rows
+    rng = random.Random(31)
+    for fan, degree, _ in square_stacks(f1, p114, fake):
+        free = free_positions(fan)
+        mons = basis(fan, degree)
+        for p in PRIMES:
+            for _ in range(3):
+                coords = [rational(rng, p) for _ in fan.rays]
+                over_q = _tangent_rows(fan, degree, coords, free)
+                assert over_q == naive_tangent_rows(mons, coords, free)
+                want = mat_mod(over_q, p)
+                assert _tangent_rows(fan, degree, coords, free, prime=p) == want
+            coords[free[0]] = Fraction(1, 2 * p)
+            with pytest.raises(BadPrime):
+                _tangent_rows(fan, degree, coords, free, prime=p)
+
+
+def test_determinant_mod_p_is_the_rational_determinant_reduced(f1, p114, fake):
+    rng = random.Random(32)
+    nonzero = 0
+    for fan, degree, r in square_stacks(f1, p114, fake):
+        size = r * len(free_positions(fan))
+        for k, p in enumerate(PRIMES * 2):
+            if k % 2:
+                assignment = [rational(rng, p) for _ in range(size)]
+            else:
+                assignment = [rng.randint(-9, 9) for _ in range(size)]
+            over_q = terracini_determinant_check(fan, degree, r, assignment)
+            want = mat_mod([[over_q]], p)[0][0]
+            nonzero += want != 0
+            assert terracini_determinant_check(fan, degree, r, assignment,
+                                               prime=p) == want
+    assert nonzero >= 20
+
+
+def test_probe_trial_ranks_match_sympy(f1, p114, fake):
+    # replays the probe's sampling and ranks each stack with sympy over GF(p)
+    pytest.importorskip("sympy")
+    from sympy import GF, ZZ
+    from sympy.polys.matrices import DomainMatrix
+    cube = p1_cubed()
+    cases = [(f1, f1.degree((3, 2)), 3, 101, 0),
+             (f1, f1.degree((5, 2)), 5, 3, 1),
+             (f1, f1.degree((4, 2)), 4, 2, 2),
+             (p114, p114.degree((9,)), 6, 5, 3),
+             (fake, fake.degree((6,), (1,)), 3, 3, 4),
+             (fake, fake.degree((8,), (2,)), 4, 32003, 5),
+             (cube, cube.degree((2, 2, 1)), 4, 5, 6),
+             (cube, cube.degree((1, 1, 1)), 2, 2, 7)]
+    deficient = 0
+    for fan, degree, r, prime, seed in cases:
+        probe = terracini_probe(fan, degree, r, prime=prime, seed=seed)
+        pins, free = probe.pins, free_positions(fan)
+        mons = basis(fan, degree)
+        rng = random.Random(seed)
+        for got in probe.ranks:
+            rows = []
+            for _ in range(r):
+                for _ in range(50):
+                    coords = [1 if i in pins else rng.randrange(prime)
+                              for i in range(len(fan.rays))]
+                    if fan.irrelevant.nonvanishing_at(coords):
+                        break
+                rows += naive_tangent_rows(mons, coords, free)
+            want = DomainMatrix([[ZZ(x) for x in row] for row in rows],
+                                (len(rows), len(mons)),
+                                ZZ).convert_to(GF(prime)).rank()
+            deficient += want < min(len(rows), len(mons))
+            assert got == want
+    assert deficient >= 5
