@@ -35,10 +35,7 @@ def _bareiss(rows):
     For a square matrix of full rank, sign * last pivot / scale is its
     determinant.
     """
-    if all(type(x) is int for row in rows for x in row):
-        a, scale = [list(row) for row in rows], 1
-    else:
-        a, scale = _clear_denominators(rows)
+    a, scale = _clear_denominators(rows)
     m, n = len(a), len(a[0])
     rank = 0
     sign = 1

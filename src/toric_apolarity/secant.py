@@ -208,7 +208,8 @@ def _residue(x, p: int) -> int:
 
 def _tangent_rows(fan, degree, coords, free_positions, prime=None):
     """Value row plus one exponent-drop derivative row per free position,
-    over Q, or over Z/prime with each coordinate reduced once.
+    over Q, or given a prime, as integers congruent to them mod prime with
+    each coordinate reduced once (rank_mod and det_mod reduce the entries).
 
     Every entry is a product of one table value per variable: the powers
     of its coordinate, or for the variable differentiated, e * c^(e-1).
@@ -224,9 +225,7 @@ def _tangent_rows(fan, degree, coords, free_positions, prime=None):
     for j in free_positions:
         slope = [e * x for e, x in enumerate([0] + powers[j][:-1])]
         tables.append(powers[:j] + [slope] + powers[j + 1:])
-    if prime is None:
-        return [[prod(map(getitem, t, m)) for m in mons] for t in tables]
-    return [[prod(map(getitem, t, m)) % prime for m in mons] for t in tables]
+    return [[prod(map(getitem, t, m)) for m in mons] for t in tables]
 
 
 @dataclass(frozen=True)

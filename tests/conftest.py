@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from toric_apolarity import (ApolarForm, DegreeBox, MultiPoly, Side, load_fan,
-                             parse_poly)
+from toric_apolarity import (ApolarForm, DegreeBox, MultiPoly, Side, build_fan,
+                             load_fan, parse_poly)
 from toric_apolarity.ring import basis
 from toric_apolarity.secant import parametrize
 
@@ -27,6 +27,15 @@ def fake():
     return load_fan(FIXTURES / "fake_plane.fan")
 
 
+@pytest.fixture(scope="session")
+def cube():
+    """P1 x P1 x P1."""
+    rays = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
+            [0, 0, -1]]
+    return build_fan(rays, [[i, j, k] for i in (0, 1) for j in (2, 3)
+                            for k in (4, 5)])
+
+
 def primal(fan, text):
     return parse_poly(text, fan.var_names, Side.PRIMAL, fan)
 
@@ -38,6 +47,10 @@ def dual(fan, text):
 def form(fan, text):
     return ApolarForm(fan, dual(fan, text))
 
+
+# Primes of the prime-field tests: the smallest ones, the prescreen prime
+# and a large one.
+PRIMES = (2, 3, 5, 101, 32003)
 
 # Denominators of the seeded rational forms; 101 is the prescreen prime.
 DENOMINATORS = (2, 7, 101, 202, 3 * 101 ** 2)

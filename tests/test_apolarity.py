@@ -5,9 +5,9 @@ import pytest
 
 from toric_apolarity import (ApolarForm, DegreeBox, MultiPoly,
                              NonHomogeneousGenerator, Side, annihilator_in_degree,
-                             apolar_contains, best_bounds, build_fan,
-                             check_symmetry, contract, hilbert_grid,
-                             SymmetryVerdict, hilbert_value)
+                             apolar_contains, best_bounds, check_symmetry,
+                             contract, hilbert_grid, SymmetryVerdict,
+                             hilbert_value)
 from toric_apolarity import apolarity
 from toric_apolarity.apolarity import catalecticant_entries
 from toric_apolarity.ring import basis
@@ -193,17 +193,9 @@ def random_form(fan, degree, rng):
     return ApolarForm(fan, MultiPoly(Side.DUAL, coeffs))
 
 
-def p1_cubed():
-    rays = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
-            [0, 0, -1]]
-    return build_fan(rays, [[i, j, k] for i in (0, 1) for j in (2, 3)
-                            for k in (4, 5)])
-
-
-def memo_cases(f1, p114, fake):
+def memo_cases(f1, p114, fake, cube):
     """(form, box) pairs whose boxes reach past 0 and alpha on every axis."""
     rng = random.Random(23)
-    cube = p1_cubed()
     return [
         (random_form(f1, f1.degree((4, 2)), rng),
          DegreeBox(f1.class_group, ((-1, 5), (-1, 3)))),
@@ -216,10 +208,10 @@ def memo_cases(f1, p114, fake):
     ]
 
 
-def test_catalecticant_at_complement_is_the_transpose(f1, p114, fake):
+def test_catalecticant_at_complement_is_the_transpose(f1, p114, fake, cube):
     # the premise of keying the rank memo by degree: both ranks of a
     # symmetry pair come from matrices that are exact transposes
-    for F, box in memo_cases(f1, p114, fake):
+    for F, box in memo_cases(f1, p114, fake, cube):
         for degree in box:
             rows, cols, matrix = catalecticant_entries(F, degree)
             t_rows, t_cols, t_matrix = catalecticant_entries(
@@ -229,12 +221,12 @@ def test_catalecticant_at_complement_is_the_transpose(f1, p114, fake):
                                 for j in range(len(cols))]
 
 
-def test_one_rank_per_distinct_degree(f1, p114, fake, monkeypatch):
+def test_one_rank_per_distinct_degree(f1, p114, fake, cube, monkeypatch):
     calls = []
     rank = apolarity.exact_rank
     monkeypatch.setattr(apolarity, "exact_rank",
                         lambda matrix: calls.append(matrix) or rank(matrix))
-    for F, box in memo_cases(f1, p114, fake):
+    for F, box in memo_cases(f1, p114, fake, cube):
         calls.clear()
         hilbert_grid(F, box)
         assert check_symmetry(F, box).ok

@@ -11,6 +11,8 @@ from toric_apolarity.linalg import (SparseEchelon, det_bareiss, det_mod,
                                     invert_unimodular, nullspace, rank_bareiss,
                                     rank_mod)
 
+from conftest import PRIMES
+
 sympy = pytest.importorskip("sympy")
 
 
@@ -136,8 +138,6 @@ def test_rank_mod_matches_sympy_on_unreduced_rows():
 
 
 # --- prime-field elimination on packed rows --------------------------------
-
-PRIMES = (2, 3, 5, 101, 32003)
 
 
 def rowwise_rank_mod(rows, p):

@@ -102,16 +102,9 @@ def box_degrees(fan, ranges):
             yield group.degree(free, tors)
 
 
-def p1_cubed():
-    rays = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
-            [0, 0, -1]]
-    return build_fan(rays, [[i, j, k] for i in (0, 1) for j in (2, 3)
-                            for k in (4, 5)])
-
-
-def test_basis_matches_walk_on_boxes(f1, p114, fake):
+def test_basis_matches_walk_on_boxes(f1, p114, fake, cube):
     cases = [(f1, [(-2, 9), (-2, 5)]), (p114, [(-3, 20)]),
-             (fake, [(-3, 16)]), (p1_cubed(), [(-1, 3)] * 3)]
+             (fake, [(-3, 16)]), (cube, [(-1, 3)] * 3)]
     for fan, ranges in cases:
         for degree in box_degrees(fan, ranges):
             assert basis(fan, degree) == walk_basis(fan, degree), degree

@@ -11,7 +11,7 @@ from toric_apolarity import (LaurentFamily, NegativeExponentResidue,
 from toric_apolarity.linalg import rank_bareiss
 from toric_apolarity.ring import basis
 
-from conftest import form
+from conftest import PRIMES, form
 
 
 def test_parametrize_corner_point(f1):
@@ -279,20 +279,9 @@ def test_determinant_requires_square_stack(f1):
 
 # --- tangent stacks over Z/p ------------------------------------------------
 
-PRIMES = (2, 3, 5, 101, 32003)
 
-
-def p1_cubed():
-    from toric_apolarity import build_fan
-    rays = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
-            [0, 0, -1]]
-    return build_fan(rays, [[i, j, k] for i in (0, 1) for j in (2, 3)
-                            for k in (4, 5)])
-
-
-def square_stacks(f1, p114, fake):
+def square_stacks(f1, p114, fake, cube):
     """(fan, degree, r) with r * (free chart parameters + 1) == dim."""
-    cube = p1_cubed()
     return [(f1, f1.degree((3, 2)), 3), (f1, f1.degree((5, 2)), 5),
             (p114, p114.degree((7,)), 4), (p114, p114.degree((9,)), 6),
             (fake, fake.degree((6,), (1,)), 3),
@@ -331,11 +320,12 @@ def naive_tangent_rows(mons, coords, free):
     return rows
 
 
-def test_tangent_rows_mod_p_are_the_rational_rows_reduced(f1, p114, fake):
+def test_tangent_rows_mod_p_are_the_rational_rows_reduced(f1, p114, fake,
+                                                         cube):
     from toric_apolarity import BadPrime
     from toric_apolarity.secant import _tangent_rows
     rng = random.Random(31)
-    for fan, degree, _ in square_stacks(f1, p114, fake):
+    for fan, degree, _ in square_stacks(f1, p114, fake, cube):
         free = free_positions(fan)
         mons = basis(fan, degree)
         for p in PRIMES:
@@ -344,16 +334,18 @@ def test_tangent_rows_mod_p_are_the_rational_rows_reduced(f1, p114, fake):
                 over_q = _tangent_rows(fan, degree, coords, free)
                 assert over_q == naive_tangent_rows(mons, coords, free)
                 want = mat_mod(over_q, p)
-                assert _tangent_rows(fan, degree, coords, free, prime=p) == want
+                over_p = _tangent_rows(fan, degree, coords, free, prime=p)
+                assert [[x % p for x in row] for row in over_p] == want
             coords[free[0]] = Fraction(1, 2 * p)
             with pytest.raises(BadPrime):
                 _tangent_rows(fan, degree, coords, free, prime=p)
 
 
-def test_determinant_mod_p_is_the_rational_determinant_reduced(f1, p114, fake):
+def test_determinant_mod_p_is_the_rational_determinant_reduced(f1, p114, fake,
+                                                               cube):
     rng = random.Random(32)
     nonzero = 0
-    for fan, degree, r in square_stacks(f1, p114, fake):
+    for fan, degree, r in square_stacks(f1, p114, fake, cube):
         size = r * len(free_positions(fan))
         for k, p in enumerate(PRIMES * 2):
             if k % 2:
@@ -368,12 +360,11 @@ def test_determinant_mod_p_is_the_rational_determinant_reduced(f1, p114, fake):
     assert nonzero >= 20
 
 
-def test_probe_trial_ranks_match_sympy(f1, p114, fake):
+def test_probe_trial_ranks_match_sympy(f1, p114, fake, cube):
     # replays the probe's sampling and ranks each stack with sympy over GF(p)
     pytest.importorskip("sympy")
     from sympy import GF, ZZ
     from sympy.polys.matrices import DomainMatrix
-    cube = p1_cubed()
     cases = [(f1, f1.degree((3, 2)), 3, 101, 0),
              (f1, f1.degree((5, 2)), 5, 3, 1),
              (f1, f1.degree((4, 2)), 4, 2, 2),
