@@ -133,49 +133,47 @@ def _read_lines(path):
     return [line for line in lines if line and not line.startswith("#")]
 
 
-def read_terms_file(path, fan):
-    """Lines of ``coefficient | c1, c2, ...`` with rational entries."""
+def _rational(text: str) -> Fraction:
+    """One rational entry such as ``-3/4``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {text.strip()!r}") from exc
+
+
+def _read_points(path, lines, fan, entry):
+    """(coefficient, coordinates) pairs from ``coefficient | c1, c2, ...``
+    lines, each entry read by ``entry``; refuses a file without any."""
     terms = []
-    for line in _read_lines(path):
+    for line in lines:
         coeff_text, sep, coord_text = line.partition("|")
         if not sep:
-            raise ParseError(f"terms line lacks '|': {line!r}")
-        try:
-            coeff = Fraction(coeff_text.strip())
-            coords = [Fraction(c.strip()) for c in coord_text.split(",")]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad terms line {line!r}") from exc
+            raise ParseError(f"point line lacks '|': {line!r}")
+        coeff = entry(coeff_text)
+        coords = tuple(entry(c) for c in coord_text.split(","))
         if len(coords) != len(fan.rays):
             raise ParseError(f"expected {len(fan.rays)} coordinates: {line!r}")
         terms.append((coeff, coords))
     if not terms:
-        raise ParseError(f"no terms in {path}")
+        raise ParseError(f"no point terms in {path}")
     return terms
+
+
+def read_terms_file(path, fan):
+    """Lines of ``coefficient | c1, c2, ...`` with rational entries."""
+    return _read_points(path, _read_lines(path), fan, _rational)
 
 
 def read_family_file(path, fan) -> LaurentFamily:
     """Like a terms file, after a ``params: l, m`` header; entries are
     Laurent monomials in the parameters (``l^-1*m^-1`` style)."""
-    params = None
-    terms = []
-    for line in _read_lines(path):
-        if params is None:
-            head, sep, rest = line.partition(":")
-            if head.strip() != "params" or not sep:
-                raise ParseError("family file must start with 'params: ...'")
-            params = tuple(p.strip() for p in rest.split(",") if p.strip())
-            continue
-        coeff_text, sep, coord_text = line.partition("|")
-        if not sep:
-            raise ParseError(f"family line lacks '|': {line!r}")
-        coeff = parse_laurent(coeff_text.strip(), params)
-        coords = tuple(parse_laurent(c.strip(), params)
-                       for c in coord_text.split(","))
-        if len(coords) != len(fan.rays):
-            raise ParseError(f"expected {len(fan.rays)} coordinates: {line!r}")
-        terms.append((coeff, coords))
-    if params is None or not terms:
-        raise ParseError(f"no family terms in {path}")
+    lines = _read_lines(path)
+    head, sep, rest = (lines[0] if lines else "").partition(":")
+    if head.strip() != "params" or not sep:
+        raise ParseError("family file must start with 'params: ...'")
+    params = tuple(p.strip() for p in rest.split(",") if p.strip())
+    terms = _read_points(path, lines[1:], fan,
+                         lambda text: parse_laurent(text, params))
     return LaurentFamily(params, tuple(terms))
 
 
@@ -470,10 +468,7 @@ def cmd_terracini(args, fan):
 
 def cmd_det_check(args, fan):
     degree = parse_degree(args.degree, fan.class_group)
-    try:
-        assignment = [Fraction(x) for x in args.at.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad assignment {args.at!r}") from exc
+    assignment = [_rational(x) for x in args.at.split(",")]
     if args.prime is not None:
         checked_prime(args.prime)
     value = terracini_determinant_check(fan, degree, positive(args.r, "-r"),

@@ -145,11 +145,16 @@ class PositivityCertificate:
 
 
 def find_certificate(fan, bound: int = 16) -> PositivityCertificate:
-    """Search |coords| <= bound for a valid weight vector (deterministic)."""
+    """Search |coords| <= bound for a valid weight vector (deterministic).
+
+    A weight exists iff the rays positively span N_R (Gordan), that is iff
+    the cone {m : <m, u_rho> >= 0} is zero; eliminating every coordinate
+    from its rays decides this exactly before the search begins."""
+    rows = [(ray, 0) for ray in fan.rays]
+    for k in reversed(range(fan.ambient_rank)):
+        rows = _eliminate(rows, k)
     rank = fan.class_group.free_rank
     frees = [d.free for d in fan.var_degrees]
-    if rank == 0:
-        raise NoCertificate("class group has no free part")
 
     def valid(w):
         return all(sum(a * b for a, b in zip(w, f)) >= 1 for f in frees)

@@ -35,15 +35,8 @@ def parametrize(fan, degree: DegreeClass, coords) -> MultiPoly:
         raise ParseError(f"expected {len(fan.rays)} coordinates")
     if not fan.irrelevant.nonvanishing_at(coords):
         raise PointInIrrelevantLocus(f"coordinates {coords} lie in the cut locus")
-    terms = {}
-    for mono in basis(fan, degree):
-        value = Fraction(1)
-        for c, e in zip(coords, mono):
-            if e:
-                value *= c ** e
-        if value:
-            terms[mono] = value
-    return MultiPoly(Side.DUAL, terms, degree)
+    values = _tangent_rows(fan, degree, coords)[0]
+    return MultiPoly(Side.DUAL, zip(basis(fan, degree), values), degree)
 
 
 @dataclass(frozen=True)
@@ -57,10 +50,12 @@ def verify_decomposition(form, terms) -> DecompositionCheck:
 
     ``terms`` is a sequence of (coefficient, coordinates) pairs.
     """
-    total = MultiPoly.zero(Side.DUAL)
+    total = {m: -c for m, c in form.poly.terms.items()}
     for coeff, coords in terms:
-        total = total + parametrize(form.fan, form.degree, coords).scale(coeff)
-    residual = total - form.poly
+        coeff = Fraction(coeff)
+        for m, value in parametrize(form.fan, form.degree, coords).terms.items():
+            total[m] = total.get(m, 0) + coeff * value
+    residual = MultiPoly(Side.DUAL, total, form.degree)
     return DecompositionCheck(ok=residual.is_zero(), residual=residual)
 
 
@@ -87,7 +82,10 @@ class LaurentScalar:
         return LaurentScalar(self.coeff * other.coeff,
                              tuple(a + b for a, b in zip(self.expo, other.expo)))
 
-    def power(self, e: int) -> "LaurentScalar":
+    def __rmul__(self, other: int) -> "LaurentScalar":
+        return LaurentScalar(other * self.coeff, self.expo)
+
+    def __pow__(self, e: int) -> "LaurentScalar":
         if e == 0:
             return LaurentScalar.constant(1, len(self.expo))
         if self.coeff == 0:
@@ -140,16 +138,13 @@ def limit_certificate(form, family: LaurentFamily) -> LimitCertificate:
     nparams = len(family.params)
     zero_expo = (0,) * nparams
     total = {}
+    mons = basis(form.fan, form.degree)
     for coeff, coords in family.terms:
         if len(coords) != len(form.fan.rays):
             raise ParseError(f"expected {len(form.fan.rays)} point coordinates")
-        for mono in basis(form.fan, form.degree):
-            value = coeff
-            for c, e in zip(coords, mono):
-                if e:
-                    value = value * c.power(e)
-                if value.coeff == 0:
-                    break
+        for mono, value in zip(mons, _tangent_rows(form.fan, form.degree,
+                                                   coords)[0]):
+            value = coeff * value
             if value.coeff != 0:
                 key = (value.expo, mono)
                 total[key] = total.get(key, Fraction(0)) + value.coeff
@@ -206,10 +201,18 @@ def _residue(x, p: int) -> int:
     return x.numerator * pow(x.denominator, -1, p) % p
 
 
-def _tangent_rows(fan, degree, coords, free_positions, prime=None):
+def _chart(fan, pins):
+    """The pinned positions (``default_pins`` when None) and the free ones."""
+    pins = default_pins(fan) if pins is None else tuple(pins)
+    return pins, [i for i in range(len(fan.rays)) if i not in pins]
+
+
+def _tangent_rows(fan, degree, coords, free_positions=(), prime=None):
     """Value row plus one exponent-drop derivative row per free position,
-    over Q, or given a prime, as integers congruent to them mod prime with
-    each coordinate reduced once (rank_mod and det_mod reduce the entries).
+    in the coordinates' own arithmetic (rationals, or LaurentScalar for
+    limit families), or given a prime, as integers congruent to them mod
+    prime with each coordinate reduced once (rank_mod and det_mod reduce
+    the entries).  This is the one place a monomial meets a point.
 
     Every entry is a product of one table value per variable: the powers
     of its coordinate, or for the variable differentiated, e * c^(e-1).
@@ -250,10 +253,7 @@ class TerraciniProbe:
 def terracini_probe(fan, degree: DegreeClass, r: int, prime: int = DEFAULT_PRIME,
                     trials: int = DEFAULT_TRIALS, seed: int = 0,
                     pins=None) -> TerraciniProbe:
-    if pins is None:
-        pins = default_pins(fan)
-    pins = tuple(pins)
-    free_positions = [i for i in range(len(fan.rays)) if i not in pins]
+    pins, free_positions = _chart(fan, pins)
     mons = basis(fan, degree)
     rng = random.Random(seed)
     ranks = []
@@ -284,10 +284,7 @@ def terracini_determinant_check(fan, degree: DegreeClass, r: int, assignment,
                                 prime: int | None = None, pins=None):
     """Exact determinant of the stacked tangent matrix at an explicit
     parameter assignment, over Q or over Z/prime."""
-    if pins is None:
-        pins = default_pins(fan)
-    pins = tuple(pins)
-    free_positions = [i for i in range(len(fan.rays)) if i not in pins]
+    _, free_positions = _chart(fan, pins)
     mons = basis(fan, degree)
     per_point = len(free_positions)
     if len(assignment) != r * per_point:

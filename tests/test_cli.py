@@ -1,8 +1,13 @@
 import json
+import os
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import toric_apolarity
 from toric_apolarity.cli import main
 
 from conftest import FIXTURES
@@ -191,8 +196,47 @@ def test_missing_input_file_is_an_input_error(capsys, tmp_path, argv):
     assert out == "" and "Traceback" not in err
 
 
+# malformed point files: each is an input error, never a traceback
+POINT_FILES = [
+    ("--terms", "1 1, 1, 1, 1\n"),              # no '|'
+    ("--terms", "1 | 1, 1, 1\n"),               # wrong coordinate count
+    ("--terms", "1 | 1, x, 1, 1\n"),            # non-rational entry
+    ("--terms", "1 | 1/0, 1, 1, 1\n"),
+    ("--terms", "1/0 | 1, 1, 1, 1\n"),
+    ("--terms", ""),                              # empty file
+    ("--terms", "# only a comment\n"),
+    ("--family", "params: l\n1 l, 1, 1, 1\n"),
+    ("--family", "params: l\n1 | l, 1, 1\n"),
+    ("--family", "params: l\n1 | q, 1, 1, 1\n"),
+    ("--family", "params: l\n1 | 1/0, 1, 1, 1\n"),
+    ("--family", ""),
+    ("--family", "params: l, m\n"),              # header only
+    ("--family", "1 | 1, 1, 1, 1\n"),            # no 'params:' header
+]
+
+
+@pytest.mark.parametrize("flag, text", POINT_FILES)
+def test_malformed_point_file_is_a_parse_error(capsys, tmp_path, flag, text):
+    command = "decompose-check" if flag == "--terms" else "limit-cert"
+    path = tmp_path / "points"
+    path.write_text(text)
+    code, out, err = run(capsys, command, F1, "--form", "x0*x1*y0*y1", flag,
+                         str(path))
+    assert code == 2 and "[ParseError]" in err
+    assert out == "" and "Traceback" not in err
+
+
 DET_CHECK = ("det-check", F1, "--degree", "5,2", "-r", "5",
              "--at", "1,2,3,4,5,6,7,9,0,2")
+
+
+@pytest.mark.parametrize("at", ["1,2,3,4,5,6,7,9,0,x", "1/0,2,3,4,5,6,7,9,0,2",
+                                "1,,3,4,5,6,7,9,0,2", "", "1,2,3",
+                                "1/2/3,2,3,4,5,6,7,9,0,2", "0x1,2,3,4,5,6,7,9,0,2"])
+def test_bad_assignment_is_a_parse_error(capsys, at):
+    code, out, err = run(capsys, *DET_CHECK[:-1], at)
+    assert code == 2 and "[ParseError]" in err
+    assert out == "" and "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["0", "1", "4", "3825123056546413051"])
@@ -274,6 +318,12 @@ RECORD_COMMANDS = {
                            "--degree", "3,2", "-r", "3", "--seed", "1"),
     "length_fake.jsonl": ("--format", "records", "length", FAKE,
                           "--ideal", "a1^2, a2^2", "--ample", "3;0"),
+    "decompose_check_f1.jsonl": ("--format", "records", "decompose-check", F1,
+                                 "--form", "x0*x1*y0*y1", "--terms",
+                                 str(FIXTURES / "f1_four_points.terms")),
+    "decompose_check_f1_perturbed.jsonl": (
+        "--format", "records", "decompose-check", F1, "--form", "x0*x1*y0*y1",
+        "--terms", str(FIXTURES / "f1_perturbed_points.terms")),
 }
 
 
@@ -308,3 +358,49 @@ def test_cat_builds_its_catalecticant_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "cat", P114, "--form", "x^2*y^2", "--beta", "2")
     assert code == 0 and "rank 3 [exact]" in out
     assert len(builds) == 1
+
+
+OPEN_FAN = {"rays": [[1, 0], [3, 1], [2, 1], [1, 1], [1, 2], [1, 3], [0, 1],
+                     [-1, 3], [-1, 2], [-1, 1], [-1, 0]],
+            "max_cones": [[i, i + 1] for i in range(10)]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("basis", "--degree", ",".join(["1"] + ["0"] * 8)),
+    ("bounds", "--form", "y0", "--box", ",".join(["0..1"] + ["0..0"] * 8)),
+])
+def test_fan_without_certificate_is_refused_at_once(tmp_path, argv):
+    # a non-complete fan of free rank 9: a weight search alone would try
+    # up to 33^9 vectors before giving up
+    fan_file = tmp_path / "open.fan"
+    fan_file.write_text(json.dumps(OPEN_FAN))
+    src = str(Path(toric_apolarity.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric_apolarity.cli", argv[0], str(fan_file),
+         *argv[1:]], capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1 and "[NoCertificate]" in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """Argument lists of the ``toric-apolarity`` examples in the README."""
+    text = README.read_text().replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("toric-apolarity ")]
+
+
+@pytest.mark.parametrize("fmt", ["table", "records"])
+def test_readme_examples_run(capsys, monkeypatch, fmt):
+    monkeypatch.chdir(README.parent)
+    examples = readme_examples()
+    assert len(examples) >= 12
+    for argv in examples:
+        code, out, err = run(capsys, "--format", fmt, *argv)
+        assert code == 0 and out, (argv, err)
+        if fmt == "records":
+            record, = out.splitlines()
+            assert json.loads(record)["command"] == argv[0]

@@ -8,7 +8,8 @@ from math import gcd
 import pytest
 
 from toric_apolarity import (Completeness, MultiPoly, NoCertificate,
-                             ParseError, PositivityCertificate, Side, build_fan,
+                             ParseError, PositivityCertificate, Side,
+                             TorusFactor, build_fan,
                              find_certificate, format_poly, homogeneous_degree,
                              load_fan, monomial_basis, parse_laurent, parse_poly)
 from toric_apolarity.ring import basis, monomial_key
@@ -244,3 +245,50 @@ def test_fan_is_freed_after_use():
     del fan
     gc.collect()
     assert alive() is None
+
+
+def search_weight(fan, bound=16):
+    """Oracle: the radius search alone, without the elimination gate; the
+    first valid weight by radius, then lexicographically, or None."""
+    rank = fan.class_group.free_rank
+    frees = [d.free for d in fan.var_degrees]
+    if rank == 0:
+        return None
+    box = sorted(product(range(-bound, bound + 1), repeat=rank),
+                 key=lambda w: max(map(abs, w)))
+    return next((w for w in box
+                 if all(sum(a * b for a, b in zip(w, f)) >= 1 for f in frees)),
+                None)
+
+
+def test_certificate_gate_agrees_with_the_weight_search():
+    # every fan the search certifies passes the gate with the same weight,
+    # and every fan the gate refuses has no weight within radius 16
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    verdicts = []
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.integers(2, 3), st.integers(0, 3), st.data())
+    def check(dim, free_rank, data):
+        ray = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(
+            lambda v: gcd(*v) == 1)
+        rays = data.draw(st.lists(ray, min_size=dim + free_rank,
+                                  max_size=dim + free_rank, unique_by=tuple))
+        try:
+            fan = build_fan(rays, [[i] for i in range(len(rays))])
+        except TorusFactor:
+            hypothesis.assume(False)
+        want = search_weight(fan)
+        if want is not None:
+            assert find_certificate(fan).weight == want
+            verdicts.append("weight")
+        else:
+            with pytest.raises(NoCertificate) as refusal:
+                find_certificate(fan)
+            verdicts.append("gate" if "unbounded" in str(refusal.value)
+                            else "search")
+
+    check()
+    assert verdicts.count("weight") >= 20 and verdicts.count("gate") >= 20

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from toric_apolarity import (LaurentFamily, NegativeExponentResidue,
-                             NonSquare, PointInIrrelevantLocus,
+from toric_apolarity import (ApolarForm, LaurentFamily, MultiPoly,
+                             NegativeExponentResidue, NonSquare, ParseError,
+                             PointInIrrelevantLocus, Side,
                              default_pins, limit_certificate, parametrize,
                              parse_laurent, terracini_determinant_check,
                              terracini_probe, verify_decomposition)
@@ -394,3 +396,251 @@ def test_probe_trial_ranks_match_sympy(f1, p114, fake, cube):
             deficient += want < min(len(rows), len(mons))
             assert got == want
     assert deficient >= 5
+
+
+# --- point sums against the term-by-term evaluation --------------------------
+
+
+def loop_parametrize(fan, degree, coords):
+    """Oracle: the term-by-term Fraction loop that parametrize was."""
+    coords = [Fraction(c) for c in coords]
+    if len(coords) != len(fan.rays):
+        raise ParseError(f"expected {len(fan.rays)} coordinates")
+    if not fan.irrelevant.nonvanishing_at(coords):
+        raise PointInIrrelevantLocus(f"coordinates {coords} lie in the cut locus")
+    terms = {}
+    for mono in basis(fan, degree):
+        value = Fraction(1)
+        for c, e in zip(coords, mono):
+            if e:
+                value *= c ** e
+        if value:
+            terms[mono] = value
+    return MultiPoly(Side.DUAL, terms, degree)
+
+
+def chain_verify(form, terms):
+    """Oracle: the MultiPoly chain that verify_decomposition was."""
+    total = MultiPoly.zero(Side.DUAL)
+    for coeff, coords in terms:
+        image = loop_parametrize(form.fan, form.degree, coords)
+        total = total + image.scale(coeff)
+    residual = total - form.poly
+    return residual.is_zero(), residual
+
+
+def point_sum_cases(f1, p114, fake, cube):
+    """Seeded (form, terms) pairs: exact sums, sums with zero coefficients,
+    repeated points and exactly cancelling pairs, and perturbed ones."""
+    rng = random.Random(41)
+    degrees = [(f1, f1.degree((3, 2))), (f1, f1.degree((4, 2))),
+               (p114, p114.degree((6,))), (fake, fake.degree((6,), (1,))),
+               (cube, cube.degree((1, 1, 1))), (cube, cube.degree((2, 1, 1)))]
+
+    def q():
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 7]))
+
+    def point(fan):
+        while True:
+            coords = [q() for _ in fan.rays]
+            if fan.irrelevant.nonvanishing_at(coords):
+                return coords
+
+    cases = []
+    for fan, degree in degrees:
+        for _ in range(6):
+            pts = [point(fan) for _ in range(rng.randint(1, 4))]
+            terms = [(q(), p) for p in pts]
+            terms.append((Fraction(0), point(fan)))          # zero coefficient
+            terms.append((q(), rng.choice(pts)))             # repeated point
+            c, p = q() or Fraction(1), point(fan)
+            terms += [(c, p), (-c, p)]                       # exact cancellation
+            rng.shuffle(terms)
+            target = MultiPoly.zero(Side.DUAL)
+            for coeff, coords in terms:
+                target = target + loop_parametrize(fan, degree, coords).scale(coeff)
+            if not target.is_zero():
+                cases.append((ApolarForm(fan, target), terms))   # exact sum
+            mono = rng.choice(basis(fan, degree))
+            nudged = target + MultiPoly(Side.DUAL, {mono: q() or 1}, degree)
+            if not nudged.is_zero():
+                cases.append((ApolarForm(fan, nudged), terms))   # inexact sum
+            one_point = loop_parametrize(fan, degree, pts[0])
+            cases.append((ApolarForm(fan, one_point), terms))    # unrelated form
+    return cases
+
+
+def test_point_sums_match_the_term_by_term_oracle(f1, p114, fake, cube):
+    exact = inexact = 0
+    for F, terms in point_sum_cases(f1, p114, fake, cube):
+        for _, coords in terms:
+            got = parametrize(F.fan, F.degree, coords)
+            want = loop_parametrize(F.fan, F.degree, coords)
+            assert got.terms == want.terms and got.degree == want.degree
+        ok, residual = chain_verify(F, terms)
+        check = verify_decomposition(F, terms)
+        assert check.ok == ok
+        assert check.residual.terms == residual.terms
+        assert check.residual.degree == residual.degree == F.degree
+        exact += ok
+        inexact += not ok
+    assert exact >= 20 and inexact >= 20
+
+
+def test_point_sum_input_errors_match_the_oracle(f1, cube):
+    for fan, degree, coords, error in [
+            (f1, f1.degree((3, 2)), [0, 0, 1, 1], PointInIrrelevantLocus),
+            (f1, f1.degree((3, 2)), [1, 1, 1], ParseError),
+            (cube, cube.degree((1, 1, 1)), [0, 0, 1, 1, 1, 1],
+             PointInIrrelevantLocus)]:
+        terms = [(Fraction(1), [1] * len(fan.rays)), (Fraction(0), coords)]
+        F = ApolarForm(fan, loop_parametrize(fan, degree, [1] * len(fan.rays)))
+        for call in (lambda: loop_parametrize(fan, degree, coords),
+                     lambda: parametrize(fan, degree, coords),
+                     lambda: chain_verify(F, terms),
+                     lambda: verify_decomposition(F, terms)):
+            with pytest.raises(error):
+                call()
+
+
+# --- limit certificates against a sympy expansion ---------------------------
+
+
+def sympy_expansion(F, family):
+    """Oracle: sum(coeff * prod coord^m * X^m) - F expanded with sympy, as
+    {(parameter exponents, monomial): coefficient} over its nonzero terms."""
+    sympy = pytest.importorskip("sympy")
+    params = sympy.symbols(" ".join(family.params), seq=True)
+    xs = sympy.symbols(f"X:{len(F.fan.rays)}", seq=True)
+
+    def scalar(s):
+        return sympy.Rational(s.coeff.numerator, s.coeff.denominator) \
+            * sympy.Mul(*(p ** e for p, e in zip(params, s.expo)))
+
+    def monomial(mono):
+        return sympy.Mul(*(x ** e for x, e in zip(xs, mono)))
+
+    expr = -sum(sympy.Rational(c.numerator, c.denominator) * monomial(m)
+                for m, c in F.poly.terms.items())
+    for coeff, coords in family.terms:
+        point = [scalar(c) for c in coords]
+        expr += scalar(coeff) * sum(
+            sympy.Mul(*(c ** e for c, e in zip(point, mono))) * monomial(mono)
+            for mono in basis(F.fan, F.degree))
+    out = {}
+    for term, c in sympy.expand(expr).as_coefficients_dict().items():
+        if c != 0:
+            powers = term.as_powers_dict()
+            key = (tuple(int(powers.get(p, 0)) for p in params),
+                   tuple(int(powers.get(x, 0)) for x in xs))
+            out[key] = Fraction(int(c.p), int(c.q))
+    return out
+
+
+def check_limit_against_sympy(F, family):
+    """VALID exactly when the parameter-free part vanishes, refused when a
+    surviving term has a negative exponent; returns the verdict."""
+    want = sympy_expansion(F, family)
+    zero = (0,) * len(family.params)
+    defect = tuple(sorted((mono, c) for (expo, mono), c in want.items()
+                          if expo == zero))
+    if defect:
+        cert = limit_certificate(F, family)
+        assert not cert.valid and cert.constant_defect == defect
+        assert cert.residue == () and cert.term_count == len(family.terms)
+        return "INVALID"
+    if any(e < 0 for expo, _ in want for e in expo):
+        with pytest.raises(NegativeExponentResidue):
+            limit_certificate(F, family)
+        return "DIVERGES"
+    cert = limit_certificate(F, family)
+    assert cert.valid and cert.constant_defect == ()
+    assert cert.residue == tuple(sorted((expo, mono, c)
+                                        for (expo, mono), c in want.items()))
+    assert cert.term_count == len(family.terms)
+    return "VALID"
+
+
+def test_limit_certificate_fixed_families_match_sympy(f1):
+    F = form(f1, "x0*x1*y0*y1")
+    fam = golden_family()
+    L = lambda s: parse_laurent(s, PARAMS)
+    flipped = LaurentFamily(PARAMS, ((L("-1*l^-1*m^-1"), fam.terms[0][1]),)
+                            + fam.terms[1:])
+    diverging = LaurentFamily(PARAMS, fam.terms[:2]
+                              + ((L("m^-1"), fam.terms[2][1]),))
+    assert check_limit_against_sympy(F, fam) == "VALID"
+    assert check_limit_against_sympy(F, flipped) == "INVALID"
+    assert check_limit_against_sympy(F, diverging) == "DIVERGES"
+
+
+def tangent_families(fan, degree, rng, nparams):
+    """Seeded families whose l -> 0 limit is a tangent vector at a point
+    (coordinate k moves as b_k*l), plus fixed points; with two parameters
+    coordinate j carries m, and the coefficient sometimes m^-1.  Each comes
+    with its expected limit and with that limit nudged."""
+    from toric_apolarity.secant import LaurentScalar
+    names = PARAMS[:nparams]
+    mons = basis(fan, degree)
+    n = len(fan.rays)
+
+    def S(c, *expo):
+        return LaurentScalar(Fraction(c), tuple(expo) + (0,) * (nparams - len(expo)))
+
+    def nonzero():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 5]))
+
+    out = []
+    for _ in range(8):
+        k = rng.choice([i for i in range(n) if any(m[i] == 1 for m in mons)])
+        j = rng.choice([i for i in range(n) if i != k])
+        base = [nonzero() for _ in range(n)]
+        lam = nonzero()
+        m_power = nparams == 2 and rng.random() < 0.5
+        coeff_expo = (-1, -1) if m_power else (-1,) + (0,) * (nparams - 1)
+        moving, fixed = [], []
+        for i, b in enumerate(base):
+            if i == k:
+                moving.append(S(b, 1))
+                fixed.append(S(0))
+            elif i == j and nparams == 2:
+                moving.append(S(b, 0, 1))
+                fixed.append(S(b, 0, 1))
+            else:
+                moving.append(S(b))
+                fixed.append(S(b))
+        terms = [(LaurentScalar(lam, coeff_expo), tuple(moving)),
+                 (LaurentScalar(-lam, coeff_expo), tuple(fixed))]
+        target = {}
+        want_j = 1 if m_power else 0
+        for mono in mons:
+            if mono[k] == 1 and (nparams == 1 or mono[j] == want_j):
+                target[mono] = lam * prod(b ** e for b, e in zip(base, mono))
+        for _ in range(rng.randint(0, 2)):
+            mu, pt = nonzero(), [nonzero() for _ in range(n)]
+            terms.append((S(mu), tuple(S(c) for c in pt)))
+            for mono, v in loop_parametrize(fan, degree, pt).terms.items():
+                target[mono] = target.get(mono, 0) + mu * v
+        family = LaurentFamily(names, tuple(terms))
+        limit = MultiPoly(Side.DUAL, target, degree)
+        nudge = MultiPoly(Side.DUAL, {rng.choice(mons): nonzero()}, degree)
+        for poly in (limit, limit + nudge):
+            if not poly.is_zero():
+                out.append((ApolarForm(fan, poly), family))
+    return out
+
+
+def test_limit_certificate_tangent_families_match_sympy(f1, cube):
+    rng = random.Random(43)
+    verdicts = []
+    for fan, degree in [(f1, f1.degree((3, 2))), (f1, f1.degree((4, 2))),
+                        (cube, cube.degree((1, 1, 1))),
+                        (cube, cube.degree((2, 1, 1)))]:
+        for nparams in (1, 2):
+            for F, family in tangent_families(fan, degree, rng, nparams):
+                verdicts.append((nparams,
+                                 check_limit_against_sympy(F, family)))
+    for nparams in (1, 2):
+        assert sum(v == (nparams, "VALID") for v in verdicts) >= 10
+        assert sum(v == (nparams, "INVALID") for v in verdicts) >= 10
+    assert (2, "DIVERGES") in verdicts
