@@ -114,9 +114,14 @@ def smith_normal_form(matrix) -> SmithDecomposition:
 
 def solve_integer(matrix, rhs):
     """One integer solution x of matrix @ x == rhs, or None."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    dec = smith_normal_form(matrix)
+    return _solve_smith(smith_normal_form(matrix), rhs)
+
+
+def _solve_smith(dec: SmithDecomposition, rhs):
+    """One integer solution x of matrix @ x == rhs, or None, given the
+    Smith decomposition ``dec`` of the matrix."""
+    m = len(dec.left)
+    n = len(dec.right)
     lb = [sum(dec.left[i][k] * rhs[k] for k in range(m)) for i in range(m)]
     y = [0] * n
     for i in range(m):
@@ -262,6 +267,7 @@ class Projection:
         self.free_matrix = tuple(tuple(r) for r in free_matrix)
         self.tors_matrix = tuple(tuple(r) for r in tors_matrix)
         self.rank = rank
+        self._smith = None  # Smith decomposition of the section's system
 
     def __call__(self, vector) -> DegreeClass:
         free = tuple(sum(row[i] * vector[i] for i in range(self.rank))
@@ -271,18 +277,26 @@ class Projection:
         return DegreeClass(self.group, free, tors)
 
     def section(self, degree: DegreeClass):
-        """An integer preimage of a degree class (deterministic)."""
+        """An integer preimage of a degree class (deterministic).
+
+        It solves [free 0; tors -diag(orders)] @ (x, t) == (free, torsion)
+        for x.  The Smith decomposition of that fixed matrix is computed
+        on first use and kept, so each later section is two matrix-vector
+        products."""
         if degree.group != self.group:
             raise GroupMismatch("degree does not belong to this projection")
-        orders = self.group.torsion_orders
-        k = len(orders)
-        rows = [list(r) + [0] * k for r in self.free_matrix]
-        for j, r in enumerate(self.tors_matrix):
-            rows.append(list(r) + [-orders[j] if j == i else 0 for i in range(k)])
-        rhs = list(degree.free) + list(degree.torsion)
-        if not rows:  # trivial group: every vector is a preimage of 0
-            return [0] * self.rank
-        sol = solve_integer(rows, rhs)
+        if not self.free_matrix and not self.tors_matrix:
+            return [0] * self.rank  # trivial group: every vector maps to 0
+        if self._smith is None:
+            orders = self.group.torsion_orders
+            k = len(orders)
+            rows = [list(r) + [0] * k for r in self.free_matrix]
+            for j, r in enumerate(self.tors_matrix):
+                rows.append(list(r) + [-orders[j] if j == i else 0
+                                       for i in range(k)])
+            self._smith = smith_normal_form(rows)
+        sol = _solve_smith(self._smith,
+                           list(degree.free) + list(degree.torsion))
         if sol is None:
             raise GroupMismatch(f"degree {degree} has no preimage: the "
                                 f"projection is not onto its group")

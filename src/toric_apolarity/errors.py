@@ -65,6 +65,10 @@ class NoCertificate(Refusal):
     """No positivity certificate found; graded pieces may be infinite."""
 
 
+class BasisTooLarge(Refusal):
+    """A graded piece has more monomials than the enumeration cap."""
+
+
 class ContainmentFailed(Refusal):
     """The candidate ideal is not contained in the apolar ideal."""
 

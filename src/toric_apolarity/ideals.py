@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, ge, sub
 
 from .abelian import DegreeClass
 from .apolarity import ApolarForm, apolar_contains
@@ -34,20 +35,25 @@ class IdealGens:
         self.generators = tuple(gens)
 
 
-def _column_index(fan, degree: DegreeClass):
-    return {m: i for i, m in enumerate(basis(fan, degree))}
-
-
 def _piece_echelon(ideal: IdealGens, degree: DegreeClass):
     """Echelon of the graded piece, spanned by every monomial multiple of
-    every generator landing in ``degree``; also returns the column count."""
-    fan = ideal.fan
-    index = _column_index(fan, degree)
+    every generator landing in ``degree``; also returns the column count.
+
+    The multipliers basis(D - deg g) of a generator g are read off
+    basis(D): for a fixed exponent e of g they are the m - e with m in
+    basis(D) and m >= e, in the same order, since subtracting a fixed
+    vector keeps the monomial order."""
+    mons = basis(ideal.fan, degree)
+    index = {m: i for i, m in enumerate(mons)}
     ech = SparseEchelon()
     for g in ideal.generators:
-        for mult in basis(fan, degree - g.degree):
-            ech.add({index[tuple(a + b for a, b in zip(mult, mono))]: coeff
-                     for mono, coeff in g.terms.items()})
+        e = next(iter(g.terms))
+        offsets = [(tuple(map(sub, mono, e)), coeff)
+                   for mono, coeff in g.terms.items()]
+        for m in mons:
+            if all(map(ge, m, e)):
+                ech.add({index[tuple(map(add, m, off))]: coeff
+                         for off, coeff in offsets})
     return ech, len(index)
 
 
@@ -75,7 +81,7 @@ def colon_piece(ideal: IdealGens, irrelevant: IrrelevantIdeal,
     conditions = []
     for expo in irrelevant.generators:
         shift_degree = degree + fan.monomial_degree(expo)
-        target_index = _column_index(fan, shift_degree)
+        target_index = {m: i for i, m in enumerate(basis(fan, shift_degree))}
         # functionals vanishing exactly on the piece's span
         checks = nullspace(ideal_piece(ideal, shift_degree), len(target_index))
         shifted = [target_index[tuple(a + b for a, b in zip(m, expo))]

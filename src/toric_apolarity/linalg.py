@@ -89,6 +89,7 @@ class SparseEchelon:
 
     Rows are dicts mapping column index to a nonzero Fraction.  Suited to
     the graded pieces of binomial/monomial ideals, where rows stay short.
+    Entries are not converted: a caller holding ints converts them first.
     """
 
     def __init__(self):
@@ -99,7 +100,7 @@ class SparseEchelon:
         return len(self._pivots)
 
     def reduce(self, row: dict) -> dict:
-        row = {c: Fraction(v) for c, v in row.items() if v != 0}
+        row = {c: v for c, v in row.items() if v}
         while row:
             lead = min(row)
             piv = self._pivots.get(lead)
@@ -114,8 +115,10 @@ class SparseEchelon:
         if not row:
             return False
         lead = min(row)
-        inv = 1 / row[lead]
-        self._pivots[lead] = {c: v * inv for c, v in row.items()}
+        if row[lead] != 1:
+            inv = 1 / Fraction(row[lead])
+            row = {c: v * inv for c, v in row.items()}
+        self._pivots[lead] = row
         return True
 
     def contains(self, row: dict) -> bool:
@@ -136,7 +139,7 @@ class SparseEchelon:
 def _eliminate(row: dict, c, piv: dict):
     """row -= c * piv in place, dropping entries that cancel."""
     for col, val in piv.items():
-        new = row.get(col, Fraction(0)) - c * val
+        new = row.get(col, 0) - c * val
         if new == 0:
             row.pop(col, None)
         else:
@@ -151,7 +154,7 @@ def nullspace(rows, ncols: int):
     """
     ech = SparseEchelon()
     for row in rows:
-        ech.add(dict(enumerate(row)))
+        ech.add({c: Fraction(v) for c, v in enumerate(row) if v})
     pivots = ech.reduced()
     basis = []
     for free in range(ncols):
@@ -238,7 +241,8 @@ def invert_unimodular(rows):
     n = len(rows)
     ech = SparseEchelon()
     for i, row in enumerate(rows):
-        ech.add({**dict(enumerate(row)), n + i: 1})
+        ech.add({**{c: Fraction(v) for c, v in enumerate(row) if v},
+                 n + i: Fraction(1)})
     pivots = ech.reduced()
     if list(pivots) != list(range(n)):
         raise NonSquare("matrix is not invertible")

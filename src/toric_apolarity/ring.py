@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from itertools import product
 from enum import Enum
 from fractions import Fraction
+from operator import add
 
 from .abelian import DegreeClass
-from .errors import NoCertificate, ParseError, SideMismatch
+from .errors import BasisTooLarge, NoCertificate, ParseError, SideMismatch
 
 
 class Side(Enum):
@@ -188,12 +189,20 @@ def _eliminate(rows, k):
     return out
 
 
+# Most monomials one graded piece may have; a larger piece is refused with
+# BasisTooLarge while it is walked, before it fills memory.  On f1 the
+# piece (400,200) has 60,501 monomials.
+MAX_BASIS_MONOMIALS = 200_000
+
+
 def _enumerate_basis(fan, degree: DegreeClass):
     """Monomials of class [D], D = sum a_rho D_rho, as the lattice points m
     of P_D = {m : <m, u_rho> >= -a_rho}, mapped to e_rho = <m, u_rho> + a_rho.
 
     systems[k] bounds m_0..m_k: it is the ray system with m_(k+1).. projected
     out, so each coordinate's range follows from the ones fixed before it.
+    The walk carries e = a + sum_(j<k) m_j * col_j, col_j being column j of
+    the ray matrix, and steps it by col_k along coordinate k.
     """
     a = fan.weil_representative(degree)
     n = fan.ambient_rank
@@ -204,23 +213,34 @@ def _enumerate_basis(fan, degree: DegreeClass):
         rows = _eliminate(rows, k)
     if any(b < 0 for _, b in rows):  # P_D has no rational point
         return ()
+    cols = list(zip(*fan.rays))
     found = []
     m = [0] * n
 
-    def walk(k):
+    def walk(k, e):
         bounds = [(c[k], b + sum(x * y for x, y in zip(c[:k], m)))
                   for c, b in systems[k]]
         lo = max(-(rest // ck) for ck, rest in bounds if ck > 0)
         hi = min(rest // -ck for ck, rest in bounds if ck < 0)
+        if lo > hi:
+            return
+        col = cols[k]
+        e = tuple(map(add, e, [lo * u for u in col]))
+        if k + 1 == n:
+            if len(found) + hi - lo + 1 > MAX_BASIS_MONOMIALS:
+                raise BasisTooLarge(
+                    f"the graded piece of degree {degree} has more than "
+                    f"{MAX_BASIS_MONOMIALS} monomials")
+            for _ in range(lo, hi + 1):
+                found.append(e)
+                e = tuple(map(add, e, col))
+            return
         for x in range(lo, hi + 1):
             m[k] = x
-            if k + 1 < n:
-                walk(k + 1)
-            else:
-                found.append(tuple(sum(u * y for u, y in zip(ray, m)) + shift
-                                   for ray, shift in zip(fan.rays, a)))
+            walk(k + 1, e)
+            e = tuple(map(add, e, col))
 
-    walk(0)
+    walk(0, tuple(a))
     return tuple(sorted(found, key=monomial_key, reverse=True))
 
 

@@ -101,3 +101,36 @@ def coefficient_matrix(F, degree):
     return rows, cols, [[F.poly.terms.get(tuple(a + b for a, b in zip(r, c)),
                                           Fraction(0)) for c in cols]
                         for r in rows]
+
+
+def record_echelons(monkeypatch):
+    """Swap ``linalg.SparseEchelon`` for a subclass that keeps every
+    instance and every row handed to ``add``; returns the instances."""
+    from toric_apolarity import linalg
+
+    made = []
+
+    class Recording(linalg.SparseEchelon):
+        def __init__(self):
+            super().__init__()
+            self.inputs = []
+            made.append(self)
+
+        def add(self, row):
+            self.inputs.append(dict(row))
+            return super().add(row)
+
+    monkeypatch.setattr(linalg, "SparseEchelon", Recording)
+    return made
+
+
+def assert_fraction_pivots(made):
+    """Every stored pivot row leads with 1 and holds only Fractions; some
+    row came in with a leading entry other than 1, so a pivot was
+    normalized."""
+    assert made
+    for ech in made:
+        for lead, row in ech._pivots.items():
+            assert min(row) == lead and row[lead] == 1
+            assert all(type(v) is Fraction for v in row.values())
+    assert any(row[min(row)] != 1 for ech in made for row in ech.inputs if row)

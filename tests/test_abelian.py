@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 from toric_apolarity import (DegreeClass, GradedGroup, GroupMismatch,
-                             NotFullRank, cokernel, smith_normal_form,
-                             solve_integer)
-from toric_apolarity.linalg import det_bareiss
+                             NonSquare, NotFullRank, cokernel, load_fan,
+                             smith_normal_form, solve_integer)
+from toric_apolarity.linalg import det_bareiss, invert_unimodular
+
+from conftest import FIXTURES, assert_fraction_pivots, record_echelons
 
 
 def matmul(a, b):
@@ -259,3 +261,80 @@ def test_solve_integer_matches_sympy_invariants():
                         for row in matrix] == b
                 solvable += 1
     assert solvable >= 100 and unsolvable >= 50
+
+
+# --- the stored Smith form of a projection -----------------------------
+
+def section_system(proj):
+    """The integer system a section solves, built afresh:
+    [free 0; tors -diag(orders)] @ (x, t) == (free, torsion)."""
+    orders = proj.group.torsion_orders
+    k = len(orders)
+    rows = [list(r) + [0] * k for r in proj.free_matrix]
+    for j, r in enumerate(proj.tors_matrix):
+        rows.append(list(r) + [-orders[j] if j == i else 0 for i in range(k)])
+    return rows
+
+
+def test_section_matches_a_fresh_integer_solve():
+    rng = random.Random(43)
+    projections = [load_fan(FIXTURES / name).projection
+                   for name in ("f1.fan", "p114.fan", "fake_plane.fan")]
+    for matrix in seeded_integer_matrices(44, count=100, bound=6):
+        if len(matrix) > len(matrix[0]):
+            try:
+                projections.append(cokernel(matrix)[1])
+            except NotFullRank:
+                pass
+    torsion = sum(1 for p in projections if p.group.torsion_orders)
+    assert len(projections) >= 30 and torsion >= 8
+    for proj in projections:
+        group = proj.group
+        rows = section_system(proj)
+        for _ in range(8):
+            degree = group.degree(
+                [rng.randint(-9, 9) for _ in range(group.free_rank)],
+                [rng.randrange(d) for d in group.torsion_orders])
+            x = proj.section(degree)
+            rhs = list(degree.free) + list(degree.torsion)
+            if rows:
+                assert x == solve_integer(rows, rhs)[:proj.rank]
+            assert proj(x) == degree
+
+
+def test_sections_run_one_smith_form_per_projection(monkeypatch):
+    from toric_apolarity import abelian
+
+    fans = [load_fan(FIXTURES / name) for name in ("f1.fan", "fake_plane.fan")]
+    real = abelian.smith_normal_form
+    calls = []
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", counting)
+    for fan in fans:
+        group = fan.class_group
+        for k in range(1, 10):
+            degree = fan.degree([k + i for i in range(group.free_rank)],
+                                [k % d for d in group.torsion_orders])
+            weil = fan.weil_representative(degree)
+            assert fan.monomial_degree(weil) == degree
+    assert len(calls) == len(fans)
+
+
+def test_invert_unimodular_converts_int_rows(monkeypatch):
+    # non-unit leading entries: each pivot is normalized to Fractions, and
+    # the inverse comes back as ints
+    made = record_echelons(monkeypatch)
+    for matrix in ([[2, 1], [1, 1]], [[3, 2, 0], [1, 1, 0], [4, 0, 1]],
+                   [[-2, 3], [1, -1]]):
+        inverse = invert_unimodular(matrix)
+        assert all(type(x) is int for row in inverse for x in row)
+        n = len(matrix)
+        assert matmul(matrix, inverse) == [[int(i == j) for j in range(n)]
+                                           for i in range(n)]
+    assert_fraction_pivots(made)
+    with pytest.raises(NonSquare):
+        invert_unimodular([[2, 1], [0, 1]])

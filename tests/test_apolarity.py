@@ -12,8 +12,8 @@ from toric_apolarity import apolarity
 from toric_apolarity.apolarity import catalecticant_entries
 from toric_apolarity.ring import basis
 
-from conftest import (coefficient_matrix, dual, form, primal,
-                      rational_cases)
+from conftest import (assert_fraction_pivots, coefficient_matrix, dual, form,
+                      primal, rational_cases, record_echelons)
 
 
 def test_contract_monomial_pairing(f1):
@@ -282,3 +282,28 @@ def test_annihilator_matches_sympy_nullspace(f1, p114, fake):
             want = [tuple(Fraction(int(x.p), int(x.q)) for x in v)
                     for v in transpose.nullspace()] if rows else []
             assert annihilator_in_degree(F, degree) == want
+
+
+def test_annihilator_of_an_integer_matrix_has_fraction_entries(f1, monkeypatch):
+    # catalecticant entries are ints, some of them 1 and some not;
+    # nullspace converts them before the echelon, whose pivots lead with 1
+    # and hold only Fractions
+    rng = random.Random(71)
+    top = f1.degree((4, 2))
+    mons = basis(f1, top)
+    F = ApolarForm(f1, MultiPoly(Side.DUAL, {
+        m: rng.choice([1, 1, 1, -1, 2, -3, 5])
+        for m in rng.sample(mons, 8)}))
+    made = record_echelons(monkeypatch)
+    kernels = 0
+    for degree in DegreeBox(f1.class_group, ((1, 3), (0, 2))):
+        _, _, matrix = catalecticant_entries(F, degree)
+        assert all(type(x) is int for row in matrix for x in row)
+        vectors = annihilator_in_degree(F, degree)
+        for v in vectors:
+            assert all(type(x) is Fraction for x in v)
+            assert all(sum(x * row[j] for x, row in zip(v, matrix)) == 0
+                       for j in range(len(matrix[0])))
+        kernels += len(vectors)
+    assert kernels >= 10
+    assert_fraction_pivots(made)

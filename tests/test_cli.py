@@ -383,6 +383,18 @@ def test_fan_without_certificate_is_refused_at_once(tmp_path, argv):
     assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
+def test_oversized_basis_is_refused_while_walked():
+    # about 1.5 million monomials: the walk stops at the cap, before the
+    # piece fills memory
+    src = str(Path(toric_apolarity.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric_apolarity.cli", "basis", F1,
+         "--degree", "2000,1000"], capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1 and "[BasisTooLarge]" in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

@@ -1,17 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from toric_apolarity import (ContainmentFailed, DegreeBox, IdealGens,
-                             NonHomogeneousGenerator, build_fan,
-                             cactus_certificate, colon_piece, hilbert_value,
-                             ideal_piece, ideal_piece_dimension,
-                             length_estimate, saturation_gap)
+                             MultiPoly, NonHomogeneousGenerator, Side,
+                             build_fan, cactus_certificate, colon_piece,
+                             hilbert_value, ideal_piece, ideal_piece_dimension,
+                             length_estimate, load_fan, saturation_gap)
 from toric_apolarity.linalg import SparseEchelon
 from toric_apolarity.ring import basis
 
-from conftest import form, primal
+from conftest import FIXTURES, form, primal
 
 
 def ideal(fan, *texts):
@@ -165,3 +166,148 @@ def test_ideal_gens_validation(f1):
         ideal(f1, "a0 + b0")
     with pytest.raises(NonHomogeneousGenerator):
         ideal(f1, "0")
+
+
+# --- the multipliers read off basis(D) --------------------------------
+
+def multiples_piece_echelon(ideal, degree):
+    """Oracle: the graded piece built from every multiplier in
+    basis(D - deg g), enumerated as a piece of its own for each
+    generator g."""
+    fan = ideal.fan
+    index = {m: i for i, m in enumerate(basis(fan, degree))}
+    ech = SparseEchelon()
+    for g in ideal.generators:
+        for mult in basis(fan, degree - g.degree):
+            ech.add({index[tuple(a + b for a, b in zip(mult, mono))]: coeff
+                     for mono, coeff in g.terms.items()})
+    return ech, len(index)
+
+
+def seeded_ideal(fan, rng, gen_degrees, nterms):
+    """Generators of ``nterms`` random monomials each, one per degree, with
+    random nonzero coefficients, so leads are often not 1."""
+    gens = []
+    for degree in gen_degrees:
+        mons = basis(fan, degree)
+        chosen = rng.sample(mons, min(nterms, len(mons)))
+        gens.append(MultiPoly(Side.PRIMAL, {
+            m: Fraction(rng.choice([-1, 1]) * rng.randint(1, 5),
+                        rng.randint(1, 3)) for m in chosen}))
+    return IdealGens(fan, gens)
+
+
+def seeded_ideals(fan, seed, gen_pool):
+    """Monomial, binomial and three-term ideals with two or three
+    generators whose degrees are drawn from ``gen_pool``."""
+    rng = random.Random(seed)
+    pool = [d for d in gen_pool if basis(fan, d)]
+    out = []
+    for nterms in (1, 2, 3):
+        for _ in range(2):
+            degrees = rng.sample(pool, rng.randint(2, 3))
+            out.append(seeded_ideal(fan, rng, degrees, nterms))
+    return out
+
+
+def degree_box(fan, ranges, torsions=((),)):
+    """The degrees whose free part lies in the product of ``ranges``, with
+    each torsion part in ``torsions``."""
+    return [fan.degree(free, t) for free in product(*ranges)
+            for t in torsions]
+
+
+Z3 = [(t,) for t in range(3)]
+
+
+def differential_cases(f1, p114, fake, cube):
+    """(fan, generator degree pool, checked degrees) per fixture: f1, p114,
+    fake_plane (torsion Z/3) and P1^3."""
+    return [
+        (f1, degree_box(f1, (range(3), range(2))),
+         degree_box(f1, (range(4), range(3)))),
+        (p114, degree_box(p114, (range(1, 5),)),
+         degree_box(p114, (range(8),))),
+        (fake, degree_box(fake, (range(1, 3),), Z3),
+         degree_box(fake, (range(5),), Z3)),
+        (cube, degree_box(cube, (range(2),) * 3),
+         degree_box(cube, (range(3),) * 3)),
+    ]
+
+
+def test_piece_from_basis_of_d_matches_multiples_oracle(f1, p114, fake, cube,
+                                                        monkeypatch):
+    from toric_apolarity import ideals as ideals_module
+
+    checked = 0
+    for seed, (fan, pool, degrees) in enumerate(
+            differential_cases(f1, p114, fake, cube)):
+        rng = random.Random(100 + seed)
+        for I in seeded_ideals(fan, seed, pool):
+            sample = rng.sample(degrees, min(5, len(degrees)))
+
+            def results():
+                return [(ideal_piece(I, d), ideal_piece_dimension(I, d),
+                         colon_piece(I, fan.irrelevant, d),
+                         saturation_gap(I, fan.irrelevant, d))
+                        for d in sample]
+
+            got = results()
+            with monkeypatch.context() as patch:
+                patch.setattr(ideals_module, "_piece_echelon",
+                              multiples_piece_echelon)
+                want = results()
+            assert got == want
+            checked += sum(1 for piece, *_ in got if piece)
+    assert checked >= 40
+
+
+def test_length_samples_enumerate_only_sample_degrees():
+    fan = load_fan(FIXTURES / "f1.fan")
+    I = ideal(fan, "a0^2-a1^2", "b0^2-a1^2*b1^2", "a0*b0 - a1^2*b1")
+    ample = fan.degree((1, 1))
+    length_estimate(I, ample, max_k=12)
+    assert set(fan._basis_cache) == {ample.scale(k) for k in range(1, 13)}
+
+
+# --- an independent oracle: Groebner bases ----------------------------
+
+def groebner_quotient_dimension(ideal, degrees):
+    """dim(S/I)_D for each D: the degree-D monomials outside the leading
+    term ideal of a grevlex Groebner basis.  Buchberger's algorithm keeps
+    homogeneous generators homogeneous in any grading, so this holds in
+    the class group grading, torsion included."""
+    sympy = pytest.importorskip("sympy")
+    fan = ideal.fan
+    xs = sympy.symbols(fan.var_names)
+    polys = [sum(sympy.Rational(c.numerator, c.denominator)
+                 * sympy.prod([x ** e for x, e in zip(xs, mono)])
+                 for mono, c in g.terms.items()) for g in ideal.generators]
+    gb = sympy.groebner(polys, *xs, order="grevlex")
+    leads = [sympy.Poly(p, *xs).monoms(order="grevlex")[0] for p in gb.exprs]
+    return [sum(1 for m in basis(fan, d)
+                if not any(all(a >= b for a, b in zip(m, lead))
+                           for lead in leads))
+            for d in degrees]
+
+
+def test_quotient_dimensions_match_groebner_oracle(f1, p114, fake):
+    cases = [(f1, degree_box(f1, (range(3), range(2))), f1.degree((1, 1))),
+             (p114, degree_box(p114, (range(1, 5),)), p114.degree((4,))),
+             (fake, degree_box(fake, (range(1, 3),), Z3), fake.degree((3,)))]
+    compared = 0
+    for seed, (fan, pool, ample) in enumerate(cases):
+        rng = random.Random(200 + seed)
+        pool = [d for d in pool if basis(fan, d)]
+        ideals = [seeded_ideal(fan, rng, rng.sample(pool, rng.randint(2, 3)),
+                               nterms)
+                  for nterms in (1, 1, 2, 2, 2)]
+        for I in ideals:
+            estimate = length_estimate(I, ample, max_k=5)
+            degrees = [ample.scale(k) for k, _ in estimate.samples]
+            want = groebner_quotient_dimension(I, degrees)
+            assert [dim for _, dim in estimate.samples] == want
+            assert [len(basis(fan, d)) - ideal_piece_dimension(I, d)
+                    for d in degrees] == want
+            compared += len(want)
+    assert compared == 75

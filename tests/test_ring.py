@@ -7,7 +7,8 @@ from math import gcd
 
 import pytest
 
-from toric_apolarity import (Completeness, MultiPoly, NoCertificate,
+from toric_apolarity import (BasisTooLarge, Completeness, MultiPoly,
+                             NoCertificate,
                              ParseError, PositivityCertificate, Side,
                              TorusFactor, build_fan,
                              find_certificate, format_poly, homogeneous_degree,
@@ -292,3 +293,28 @@ def test_certificate_gate_agrees_with_the_weight_search():
 
     check()
     assert verdicts.count("weight") >= 20 and verdicts.count("gate") >= 20
+
+
+def test_basis_cap_lists_a_piece_at_the_cap_and_refuses_one_more(cube,
+                                                                  monkeypatch):
+    from toric_apolarity import ring
+
+    # each case builds a fresh fan, whose basis cache is empty
+    cases = [(lambda: load_fan(FIXTURES / "f1.fan"), (6, 3), ()),
+             (lambda: load_fan(FIXTURES / "p114.fan"), (12,), ()),
+             (lambda: load_fan(FIXTURES / "fake_plane.fan"), (9,), (1,)),
+             (lambda: build_fan(cube.rays, cube.max_cones), (2, 3, 1), ())]
+    sizes = [len(basis(make(), make().degree(free, torsion)))
+             for make, free, torsion in cases]
+    for (make, free, torsion), size in zip(cases, sizes):
+        degree = make().degree(free, torsion)
+        assert size >= 10
+        monkeypatch.setattr(ring, "MAX_BASIS_MONOMIALS", size)
+        assert len(basis(make(), degree)) == size
+        monkeypatch.setattr(ring, "MAX_BASIS_MONOMIALS", size - 1)
+        fan = make()
+        with pytest.raises(BasisTooLarge) as refused:
+            basis(fan, fan.degree(free, torsion))
+        assert str(degree) in str(refused.value)
+        assert str(size - 1) in str(refused.value)
+        assert not fan._basis_cache
