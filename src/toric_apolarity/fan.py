@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .abelian import DegreeClass, cokernel, solve_integer
+from .abelian import DegreeClass, _solve_smith, cokernel, smith_normal_form
 from .errors import (GroupMismatch, NonPrimitiveRay, NonSimplicialCone,
                      NotFullRank, ParseError, TorusFactor)
 from .linalg import rank_bareiss
@@ -44,8 +44,9 @@ class FanModel:
 
     Attributes: ambient_rank, rays, max_cones, class_group, projection,
     var_degrees, irrelevant, var_names, dual_var_names.  The fan also owns
-    the caches derived from it: Cartier verdicts here, and the default
-    positivity certificate and graded bases filled in by ``ring``.
+    the caches derived from it: Cartier verdicts and cone Smith forms
+    here, and the default positivity certificate and graded bases filled
+    in by ``ring``.
     """
 
     def __init__(self, rays, max_cones, var_names=None, dual_var_names=None):
@@ -94,6 +95,7 @@ class FanModel:
             if len(set(names)) != len(names):
                 raise ParseError(f"variable names {list(names)} are not distinct")
         self._cartier_cache = {}
+        self._cone_smith = None  # Smith form of each maximal cone's rays
         self._certificate = None
         self._basis_cache = {}  # degree -> monomial tuple
 
@@ -165,17 +167,18 @@ class FanModel:
 
     def is_cartier(self, degree: DegreeClass) -> bool:
         """True iff every maximal cone admits an integral trivializing
-        character: <m, u_rho> = -a_rho for all rays of the cone."""
+        character: <m, u_rho> = -a_rho for all rays of the cone.  The
+        Smith form of each cone's ray system is computed on first use and
+        kept, so each later degree is one Smith solve per cone."""
         if degree in self._cartier_cache:
             return self._cartier_cache[degree]
+        if self._cone_smith is None:
+            self._cone_smith = tuple(
+                smith_normal_form([self.rays[i] for i in cone])
+                for cone in self.max_cones)
         coeffs = self.weil_representative(degree)
-        result = True
-        for cone in self.max_cones:
-            system = [list(self.rays[i]) for i in cone]
-            rhs = [-coeffs[i] for i in cone]
-            if solve_integer(system, rhs) is None:
-                result = False
-                break
+        result = all(_solve_smith(dec, [-coeffs[i] for i in cone]) is not None
+                     for cone, dec in zip(self.max_cones, self._cone_smith))
         self._cartier_cache[degree] = result
         return result
 

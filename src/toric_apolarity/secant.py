@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from operator import getitem
+from operator import getitem, mul
 
 from .abelian import DegreeClass
 from .errors import (BadPrime, NegativeExponentResidue, NonSquare, ParseError,
@@ -35,8 +35,10 @@ def parametrize(fan, degree: DegreeClass, coords) -> MultiPoly:
         raise ParseError(f"expected {len(fan.rays)} coordinates")
     if not fan.irrelevant.nonvanishing_at(coords):
         raise PointInIrrelevantLocus(f"coordinates {coords} lie in the cut locus")
-    values = _tangent_rows(fan, degree, coords)[0]
-    return MultiPoly(Side.DUAL, zip(basis(fan, degree), values), degree)
+    (values,), scale = _tangent_rows(fan, degree, coords)
+    return MultiPoly(Side.DUAL, {m: Fraction(x, scale) for m, x
+                                 in zip(basis(fan, degree), values) if x},
+                     degree)
 
 
 @dataclass(frozen=True)
@@ -67,31 +69,6 @@ class LaurentScalar:
 
     coeff: Fraction
     expo: tuple
-
-    @classmethod
-    def zero(cls, nparams: int):
-        return cls(Fraction(0), (0,) * nparams)
-
-    @classmethod
-    def constant(cls, value, nparams: int):
-        return cls(Fraction(value), (0,) * nparams)
-
-    def __mul__(self, other: "LaurentScalar") -> "LaurentScalar":
-        if self.coeff == 0 or other.coeff == 0:
-            return LaurentScalar.zero(len(self.expo))
-        return LaurentScalar(self.coeff * other.coeff,
-                             tuple(a + b for a, b in zip(self.expo, other.expo)))
-
-    def __rmul__(self, other: int) -> "LaurentScalar":
-        return LaurentScalar(other * self.coeff, self.expo)
-
-    def __pow__(self, e: int) -> "LaurentScalar":
-        if e == 0:
-            return LaurentScalar.constant(1, len(self.expo))
-        if self.coeff == 0:
-            return LaurentScalar.zero(len(self.expo))
-        return LaurentScalar(self.coeff ** e,
-                             tuple(a * e for a in self.expo))
 
 
 @dataclass(frozen=True)
@@ -135,19 +112,24 @@ def limit_certificate(form, family: LaurentFamily) -> LimitCertificate:
     certificate is INVALID.  Otherwise any residue term with a negative
     exponent means the family diverges and is refused.
     """
-    nparams = len(family.params)
-    zero_expo = (0,) * nparams
+    zero_expo = (0,) * len(family.params)
     total = {}
     mons = basis(form.fan, form.degree)
     for coeff, coords in family.terms:
         if len(coords) != len(form.fan.rays):
             raise ParseError(f"expected {len(form.fan.rays)} point coordinates")
-        for mono, value in zip(mons, _tangent_rows(form.fan, form.degree,
-                                                   coords)[0]):
-            value = coeff * value
-            if value.coeff != 0:
-                key = (value.expo, mono)
-                total[key] = total.get(key, Fraction(0)) + value.coeff
+        if coeff.coeff == 0:
+            continue
+        (values,), scale = _tangent_rows(form.fan, form.degree,
+                                         [c.coeff for c in coords])
+        factor = coeff.coeff / scale
+        # the parameter exponents of m: coeff.expo + sum m_i c_i.expo
+        slopes = list(zip(*(c.expo for c in coords)))
+        for mono, x in zip(mons, values):
+            if x:
+                key = (tuple(e + sum(map(mul, slope, mono))
+                             for e, slope in zip(coeff.expo, slopes)), mono)
+                total[key] = total.get(key, 0) + factor * x
     for mono, c in form.poly.terms.items():
         key = (zero_expo, mono)
         total[key] = total.get(key, Fraction(0)) - c
@@ -193,14 +175,6 @@ def default_pins(fan):
     return tuple(pins)
 
 
-def _residue(x, p: int) -> int:
-    """An int or Fraction reduced mod p; BadPrime if p divides its
-    denominator."""
-    if x.denominator % p == 0:
-        raise BadPrime(f"prime {p} divides the denominator of a coordinate")
-    return x.numerator * pow(x.denominator, -1, p) % p
-
-
 def _chart(fan, pins):
     """The pinned positions (``default_pins`` when None) and the free ones."""
     pins = default_pins(fan) if pins is None else tuple(pins)
@@ -209,26 +183,38 @@ def _chart(fan, pins):
 
 def _tangent_rows(fan, degree, coords, free_positions=(), prime=None):
     """Value row plus one exponent-drop derivative row per free position,
-    in the coordinates' own arithmetic (rationals, or LaurentScalar for
-    limit families), or given a prime, as integers congruent to them mod
-    prime with each coordinate reduced once (rank_mod and det_mod reduce
-    the entries).  This is the one place a monomial meets a point.
+    as Python ints, and the scale they carry: for coordinates a_i/b_i the
+    rows are scale = prod b_i^top_i times the true rows, top_i the largest
+    exponent of variable i in the basis.  Given a prime, tables and scale
+    are reduced mod prime (BadPrime when it divides some b_i), and
+    rank_mod and det_mod reduce the entries.  This is the one place a
+    monomial meets a point.
 
-    Every entry is a product of one table value per variable: the powers
-    of its coordinate, or for the variable differentiated, e * c^(e-1).
+    Every entry is a product of one table value per variable:
+    a^e * b^(top-e), or for the variable differentiated,
+    e * a^(e-1) * b^(top-e+1).
     """
     mons = basis(fan, degree)
-    top = max(map(max, mons), default=0)
-    if prime is None:
-        powers = [[c ** e for e in range(top + 1)] for c in coords]
-    else:
-        residues = [_residue(c, prime) for c in coords]
-        powers = [[pow(c, e, prime) for e in range(top + 1)] for c in residues]
+    tops = list(map(max, zip(*mons))) if mons else [0] * len(coords)
+    powers = []
+    scale = 1
+    for c, top in zip(coords, tops):
+        a, b = c.numerator, c.denominator
+        if prime and b % prime == 0:
+            raise BadPrime(f"prime {prime} divides the denominator of a "
+                           f"coordinate")
+        up = [pow(a, e, prime) for e in range(top + 1)]
+        if b != 1:
+            down = [pow(b, e, prime) for e in range(top, -1, -1)]
+            up = list(map(mul, up, down))
+            scale *= down[0]
+        powers.append(up)
     tables = [powers]
     for j in free_positions:
         slope = [e * x for e, x in enumerate([0] + powers[j][:-1])]
         tables.append(powers[:j] + [slope] + powers[j + 1:])
-    return [[prod(map(getitem, t, m)) for m in mons] for t in tables]
+    rows = [[prod(map(getitem, t, m)) for m in mons] for t in tables]
+    return rows, scale % prime if prime else scale
 
 
 @dataclass(frozen=True)
@@ -268,7 +254,7 @@ def terracini_probe(fan, degree: DegreeClass, r: int, prime: int = DEFAULT_PRIME
             else:
                 raise PointInIrrelevantLocus("sampling kept hitting the cut locus")
             rows.extend(_tangent_rows(fan, degree, coords, free_positions,
-                                      prime))
+                                      prime)[0])
         ranks.append(rank_mod(rows, prime))
     best = max(ranks)
     cap = min(len(mons), r * (len(free_positions) + 1))
@@ -293,13 +279,16 @@ def terracini_determinant_check(fan, degree: DegreeClass, r: int, assignment,
     if r * (per_point + 1) != len(mons):
         raise NonSquare(
             f"stacked matrix is {r * (per_point + 1)}x{len(mons)}")
-    rows = []
+    values = [Fraction(v) for v in assignment]
+    rows, scale = [], 1
     for k in range(r):
-        values = [Fraction(v) for v in assignment[k * per_point:(k + 1) * per_point]]
-        coords = [Fraction(1)] * len(fan.rays)
-        for pos, val in zip(free_positions, values):
+        coords = [1] * len(fan.rays)
+        for pos, val in zip(free_positions, values[k * per_point:]):
             coords[pos] = val
-        rows.extend(_tangent_rows(fan, degree, coords, free_positions, prime))
+        point_rows, point_scale = _tangent_rows(fan, degree, coords,
+                                                free_positions, prime)
+        rows += point_rows
+        scale *= point_scale ** len(point_rows)
     if prime is None:
-        return det_bareiss(rows)
-    return det_mod(rows, prime)
+        return det_bareiss(rows) / scale
+    return det_mod(rows, prime) * pow(scale, -1, prime) % prime

@@ -7,7 +7,7 @@ import pytest
 from toric_apolarity import (ApolarForm, DegreeBox, MultiPoly, Side, build_fan,
                              load_fan, parse_poly)
 from toric_apolarity.ring import basis
-from toric_apolarity.secant import parametrize
+from toric_apolarity.secant import default_pins, parametrize
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -54,6 +54,30 @@ PRIMES = (2, 3, 5, 101, 32003)
 
 # Denominators of the seeded rational forms; 101 is the prescreen prime.
 DENOMINATORS = (2, 7, 101, 202, 3 * 101 ** 2)
+
+
+def sympy_tangent_det(fan, degree, r, assignment):
+    """Oracle: the determinant over Q of the stacked tangent matrix in the
+    default chart, each point's rows being its coordinate monomials and
+    their ``sympy.diff`` in each free coordinate, evaluated there."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x:{len(fan.rays)}", seq=True)
+    mons = [sympy.Mul(*(x ** e for x, e in zip(xs, m)))
+            for m in basis(fan, degree)]
+    pins = default_pins(fan)
+    free = [i for i in range(len(fan.rays)) if i not in pins]
+    values = iter(Fraction(v) for v in assignment)
+    rows = []
+    for _ in range(r):
+        point = {x: sympy.Integer(1) for x in xs}
+        for i in free:
+            v = next(values)
+            point[xs[i]] = sympy.Rational(v.numerator, v.denominator)
+        rows.append([mon.xreplace(point) for mon in mons])
+        rows += [[sympy.diff(mon, xs[i]).xreplace(point) for mon in mons]
+                 for i in free]
+    det = sympy.Matrix(rows).det()
+    return Fraction(int(det.p), int(det.q))
 
 
 def rational_forms(fan, degree, seed):

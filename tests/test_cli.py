@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import toric_apolarity
 from toric_apolarity.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, sympy_tangent_det
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -152,6 +153,26 @@ def test_det_check_golden(capsys):
                        "--at", "1,2,3,4,5,6,7,9,0,2", "--prime", "101")
     assert code == 0
     assert "determinant over Z/101 = 34" in out
+
+
+RATIONAL_AT = "1/2,-2/3,3/7,-4/10,5/2,6/7,-7/3,9/10,1/7,2"
+
+
+def test_det_check_rational_assignment(capsys, f1):
+    want = sympy_tangent_det(f1, f1.degree((5, 2)), 5,
+                             [Fraction(x) for x in RATIONAL_AT.split(",")])
+    assert want != 0 and want.denominator != 1
+    argv = ("det-check", F1, "--degree", "5,2", "-r", "5", "--at", RATIONAL_AT)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and f"determinant over Q = {want} " in out
+    for p in (11, 101, 32003):
+        reduced = want.numerator * pow(want.denominator, -1, p) % p
+        code, out, err = run(capsys, *argv, "--prime", str(p))
+        assert code == 0 and f"determinant over Z/{p} = {reduced} " in out
+    for p in (2, 3, 5, 7):  # each divides a denominator of the assignment
+        code, out, err = run(capsys, *argv, "--prime", str(p))
+        assert code == 1 and "[BadPrime]" in err
+        assert out == "" and "Traceback" not in err
 
 
 def test_non_simplicial_fan_rejected(capsys, tmp_path):

@@ -145,3 +145,23 @@ def test_cartier_independent_of_representative(p114, fake):
                     rhs = [-shifted[i] for i in cone]
                     verdicts.append(solve_integer(system, rhs) is not None)
                 assert all(verdicts) == fan.is_cartier(degree)
+
+
+def test_cartier_matches_rational_cone_solves(f1, p114, fake):
+    # oracle: each maximal cone's square system <m, u_rho> = -a_rho solved
+    # over Q by sympy; the class is Cartier iff every solution is integral
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(12)
+    for fan in (f1, p114, fake):
+        seen = set()
+        for _ in range(30):
+            coeffs = [rng.randint(-6, 6) for _ in fan.rays]
+            want = True
+            for cone in fan.max_cones:
+                assert len(cone) == fan.ambient_rank
+                system = sympy.Matrix([fan.rays[i] for i in cone])
+                m = system.LUsolve(sympy.Matrix([-coeffs[i] for i in cone]))
+                want = want and all(x.is_integer for x in m)
+            assert fan.is_cartier(fan.projection(coeffs)) == want
+            seen.add(want)
+        assert seen == ({True} if fan is f1 else {True, False})

@@ -13,7 +13,7 @@ from toric_apolarity import (ApolarForm, LaurentFamily, MultiPoly,
 from toric_apolarity.linalg import rank_bareiss
 from toric_apolarity.ring import basis
 
-from conftest import PRIMES, form
+from conftest import PRIMES, form, sympy_tangent_det
 
 
 def test_parametrize_corner_point(f1):
@@ -333,11 +333,18 @@ def test_tangent_rows_mod_p_are_the_rational_rows_reduced(f1, p114, fake,
         for p in PRIMES:
             for _ in range(3):
                 coords = [rational(rng, p) for _ in fan.rays]
-                over_q = _tangent_rows(fan, degree, coords, free)
-                assert over_q == naive_tangent_rows(mons, coords, free)
-                want = mat_mod(over_q, p)
-                over_p = _tangent_rows(fan, degree, coords, free, prime=p)
-                assert [[x % p for x in row] for row in over_p] == want
+                want = naive_tangent_rows(mons, coords, free)
+                rows, scale = _tangent_rows(fan, degree, coords, free)
+                assert all(type(x) is int for row in rows + [[scale]]
+                           for x in row)
+                assert [[Fraction(x, scale) for x in row]
+                        for row in rows] == want
+                rows, scale = _tangent_rows(fan, degree, coords, free, prime=p)
+                assert all(type(x) is int for row in rows + [[scale]]
+                           for x in row)
+                inverse = pow(scale, -1, p)
+                assert [[x * inverse % p for x in row]
+                        for row in rows] == mat_mod(want, p)
             coords[free[0]] = Fraction(1, 2 * p)
             with pytest.raises(BadPrime):
                 _tangent_rows(fan, degree, coords, free, prime=p)
@@ -360,6 +367,25 @@ def test_determinant_mod_p_is_the_rational_determinant_reduced(f1, p114, fake,
             assert terracini_determinant_check(fan, degree, r, assignment,
                                                prime=p) == want
     assert nonzero >= 20
+
+
+def test_determinant_over_q_matches_sympy(f1, p114, fake, cube):
+    # the stack built from sympy.diff of the monomials, not the
+    # exponent-drop rule, on integer and rational assignments
+    rng = random.Random(33)
+    nonzero = 0
+    for fan, degree, r in square_stacks(f1, p114, fake, cube):
+        size = r * len(free_positions(fan))
+        integers = [rng.choice((-1, 1)) * rng.randint(1, 9)
+                    for _ in range(size)]
+        rationals = [Fraction(x, (2, 3, 7, 10)[k % 4])
+                     for k, x in enumerate(integers)]
+        for assignment in (integers, rationals):
+            want = sympy_tangent_det(fan, degree, r, assignment)
+            assert terracini_determinant_check(fan, degree, r,
+                                               assignment) == want
+            nonzero += want != 0
+    assert nonzero >= 10
 
 
 def test_probe_trial_ranks_match_sympy(f1, p114, fake, cube):
