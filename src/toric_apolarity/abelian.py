@@ -226,6 +226,12 @@ class DegreeClass:
             self, "torsion",
             tuple(int(t) % d for t, d in zip(self.torsion,
                                              self.group.torsion_orders)))
+        # degrees key the fan's caches: hash once, not on every lookup
+        object.__setattr__(self, "_hash",
+                           hash((self.group, self.free, self.torsion)))
+
+    def __hash__(self):
+        return self._hash
 
     def _check(self, other: "DegreeClass"):
         if self.group != other.group:

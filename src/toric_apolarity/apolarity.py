@@ -4,8 +4,10 @@ ideal-containment test behind every upper-bound certificate."""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import lcm
 from operator import add
@@ -42,7 +44,8 @@ class ApolarForm:
     catalecticant ranks computed for it so far (``hilbert_value``).
 
     ``scale`` is the lcm D of the coefficient denominators and
-    ``scaled_terms`` holds the integer coefficients of D times the form."""
+    ``scaled_terms`` holds the integer coefficients of D times the form;
+    ``basis_values`` lists them in basis(alpha) order, zeros included."""
 
     def __init__(self, fan, poly: MultiPoly):
         if poly.side is not Side.DUAL:
@@ -60,19 +63,39 @@ class ApolarForm:
                              for m, c in poly.terms.items()}
         self._ranks = {}  # degree -> rank of the catalecticant at it
 
+    @cached_property
+    def basis_values(self):
+        """Listed on the first catalecticant, so forms that are never
+        ranked never enumerate basis(alpha)."""
+        get = self.scaled_terms.get
+        return [get(m, 0) for m in basis(self.fan, self.degree)]
+
+
+def _sum_index_table(fan, degree: DegreeClass, form_degree: DegreeClass):
+    """basis(beta), basis(alpha - beta), and per row an ``array("I")`` of
+    the positions of row + col in basis(alpha); kept on the fan, since no
+    form enters them (4 bytes per cell)."""
+    key = (degree, form_degree)
+    found = fan._sum_index_cache.get(key)
+    if found is None:
+        rows = basis(fan, degree)
+        cols = basis(fan, form_degree - degree)
+        position = {m: i for i, m in enumerate(basis(fan, form_degree))}
+        found = fan._sum_index_cache[key] = (rows, cols, [
+            array("I", [position[tuple(map(add, row, col))] for col in cols])
+            for row in rows])
+    return found
+
 
 def catalecticant_entries(form: ApolarForm, degree: DegreeClass):
     """Rows (domain basis), columns (target basis), and the integer matrix
     of the contraction map from the graded piece at ``degree``, taken on
     ``form.scale`` times the form.  It has the same rank and kernel as the
-    form's own matrix, which is this one divided by ``form.scale``."""
-    fan = form.fan
-    rows = basis(fan, degree)
-    cols = basis(fan, form.degree - degree)
-    get = form.scaled_terms.get
-    matrix = [[get(tuple(map(add, row, col)), 0) for col in cols]
-              for row in rows]
-    return rows, cols, matrix
+    form's own matrix, which is this one divided by ``form.scale``.  Each
+    cell is one index into ``form.basis_values``, read off the fan's table."""
+    rows, cols, table = _sum_index_table(form.fan, degree, form.degree)
+    values = form.basis_values
+    return rows, cols, [list(map(values.__getitem__, t)) for t in table]
 
 
 def exact_rank(matrix) -> int:

@@ -45,8 +45,9 @@ class FanModel:
     Attributes: ambient_rank, rays, max_cones, class_group, projection,
     var_degrees, irrelevant, var_names, dual_var_names.  The fan also owns
     the caches derived from it: Cartier verdicts and cone Smith forms
-    here, and the default positivity certificate and graded bases filled
-    in by ``ring``.
+    here, the default positivity certificate and graded bases filled in
+    by ``ring``, and the sum-index tables of catalecticants filled in by
+    ``apolarity``.
     """
 
     def __init__(self, rays, max_cones, var_names=None, dual_var_names=None):
@@ -98,6 +99,7 @@ class FanModel:
         self._cone_smith = None  # Smith form of each maximal cone's rays
         self._certificate = None
         self._basis_cache = {}  # degree -> monomial tuple
+        self._sum_index_cache = {}  # (beta, alpha) -> rows, cols, indices
 
     # -- degrees ---------------------------------------------------------
 

@@ -51,7 +51,8 @@ def _bareiss(rows):
             for j in range(col + 1, n):
                 num = a[rank][col] * a[i][j] - a[i][col] * a[rank][j]
                 q, r = divmod(num, prev)
-                assert r == 0, "Bareiss division must be exact"
+                if r:
+                    raise ArithmeticError("Bareiss division must be exact")
                 a[i][j] = q
             a[i][col] = 0
         prev = a[rank][col]

@@ -30,15 +30,22 @@ DEFAULT_TRIALS = 5
 def parametrize(fan, degree: DegreeClass, coords) -> MultiPoly:
     """Image of a point under the degree's monomial parametrization:
     the sum over the dual basis of (coordinate monomial) * (basis monomial)."""
+    values, scale = _image_row(fan, degree, coords)
+    return MultiPoly(Side.DUAL, {m: Fraction(x, scale) for m, x
+                                 in zip(basis(fan, degree), values) if x},
+                     degree)
+
+
+def _image_row(fan, degree, coords):
+    """The checked point's integer value row over basis(degree), and its
+    scale, from ``_tangent_rows``."""
     coords = [Fraction(c) for c in coords]
     if len(coords) != len(fan.rays):
         raise ParseError(f"expected {len(fan.rays)} coordinates")
     if not fan.irrelevant.nonvanishing_at(coords):
         raise PointInIrrelevantLocus(f"coordinates {coords} lie in the cut locus")
     (values,), scale = _tangent_rows(fan, degree, coords)
-    return MultiPoly(Side.DUAL, {m: Fraction(x, scale) for m, x
-                                 in zip(basis(fan, degree), values) if x},
-                     degree)
+    return values, scale
 
 
 @dataclass(frozen=True)
@@ -55,8 +62,11 @@ def verify_decomposition(form, terms) -> DecompositionCheck:
     total = {m: -c for m, c in form.poly.terms.items()}
     for coeff, coords in terms:
         coeff = Fraction(coeff)
-        for m, value in parametrize(form.fan, form.degree, coords).terms.items():
-            total[m] = total.get(m, 0) + coeff * value
+        values, scale = _image_row(form.fan, form.degree, coords)
+        factor = coeff / scale
+        for m, x in zip(basis(form.fan, form.degree), values):
+            if x:
+                total[m] = total.get(m, 0) + factor * x
     residual = MultiPoly(Side.DUAL, total, form.degree)
     return DecompositionCheck(ok=residual.is_zero(), residual=residual)
 

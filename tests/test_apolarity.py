@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from toric_apolarity import (ApolarForm, DegreeBox, MultiPoly,
                              NonHomogeneousGenerator, Side, annihilator_in_degree,
-                             apolar_contains, best_bounds, check_symmetry,
-                             contract, hilbert_grid, SymmetryVerdict,
-                             hilbert_value)
+                             apolar_contains, best_bounds, build_fan,
+                             check_symmetry, contract, hilbert_grid,
+                             SymmetryVerdict, hilbert_value)
 from toric_apolarity import apolarity
 from toric_apolarity.apolarity import catalecticant_entries
 from toric_apolarity.ring import basis
+from toric_apolarity.secant import parametrize
 
 from conftest import (assert_fraction_pivots, coefficient_matrix, dual, form,
                       primal, rational_cases, record_echelons)
@@ -307,3 +309,68 @@ def test_annihilator_of_an_integer_matrix_has_fraction_entries(f1, monkeypatch):
         kernels += len(vectors)
     assert kernels >= 10
     assert_fraction_pivots(made)
+
+
+def oracle_entries(F, degree):
+    """Rows, columns and cells of the catalecticant, each cell looked up
+    in the form's integer coefficients by the sum of its row and column."""
+    rows = basis(F.fan, degree)
+    cols = basis(F.fan, F.degree - degree)
+    get = F.scaled_terms.get
+    return rows, cols, [[get(tuple(map(add, row, col)), 0) for col in cols]
+                        for row in rows]
+
+
+def point_sum(fan, degree, rng, points=3):
+    """Weighted sum of the images of random points with nonzero rational
+    coordinates."""
+    total = MultiPoly.zero(Side.DUAL)
+    for _ in range(points):
+        coords = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                           rng.randint(1, 4)) for _ in fan.rays]
+        total = total + parametrize(fan, degree, coords).scale(
+            Fraction(rng.randint(1, 9), rng.randint(1, 3)))
+    return ApolarForm(fan, total)
+
+
+def cancelling_point_sum(fan, degree, rng):
+    """image(p) + image(p'), p' being p with one coordinate negated: the
+    monomials odd in that coordinate cancel, so some coefficients in
+    basis(degree) order are zero."""
+    mons = basis(fan, degree)
+    i = next(i for i in range(len(fan.rays))
+             if len({m[i] % 2 for m in mons}) == 2)
+    coords = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in fan.rays]
+    flipped = coords[:i] + [-coords[i]] + coords[i + 1:]
+    F = ApolarForm(fan, parametrize(fan, degree, coords)
+                   + parametrize(fan, degree, flipped))
+    assert 0 < len(F.scaled_terms) < len(mons)
+    return F
+
+
+def test_catalecticant_entries_match_sum_lookup(f1, p114, fake, cube):
+    # fresh fans, so every table is built here; at each beta three forms
+    # of one alpha read the same table in turn, then a form of another
+    # alpha asks for the same beta
+    rng = random.Random(43)
+    cases = [(f1, (4, 2), (5, 2), ()), (p114, (6,), (8,), ()),
+             (fake, (6,), (7,), (1,)), (cube, (2, 2, 1), (2, 1, 2), ())]
+    for fixture, free, other_free, torsion in cases:
+        fan = build_fan(fixture.rays, fixture.max_cones, fixture.var_names,
+                        fixture.dual_var_names)
+        alpha = fan.degree(free, torsion)
+        other = fan.degree(other_free, torsion)
+        dense = ApolarForm(fan, MultiPoly(Side.DUAL, {
+            m: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            for m in basis(fan, alpha)}))
+        forms = [dense, point_sum(fan, alpha, rng),
+                 cancelling_point_sum(fan, alpha, rng),
+                 point_sum(fan, other, rng)]
+        box = DegreeBox(fan.class_group, tuple((0, x) for x in free))
+        checked = 0
+        for beta in box:
+            for F in forms:
+                rows, cols, matrix = catalecticant_entries(F, beta)
+                assert (rows, cols, matrix) == oracle_entries(F, beta)
+                checked += len(rows) * len(cols)
+        assert checked

@@ -365,6 +365,28 @@ def test_records_are_byte_identical_across_runs(capsys, name):
     json.loads(first)  # each record is one well-formed JSON document
 
 
+OPTIMIZED_RECORDS = """
+import sys
+from toric_apolarity.cli import main
+if not sys.flags.optimize:
+    sys.exit("asserts are live")
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("name", ["hilbert_f1.jsonl", "cat_p114.jsonl"])
+def test_records_match_golden_under_optimize(name):
+    # catalecticants gathered through the fan's tables, ranked by the
+    # prescreen and Bareiss, give the same records with asserts stripped
+    src = str(Path(toric_apolarity.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_RECORDS,
+         *RECORD_COMMANDS[name]], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / name).read_text()
+
+
 def test_cat_builds_its_catalecticant_once(capsys, monkeypatch):
     from toric_apolarity import apolarity, bounds
     builds = []
