@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import gcd, prod
+from math import factorial, gcd, isqrt, prod
+from operator import add, sub
 
 from .errors import GroupMismatch, NotFullRank
 from .linalg import invert_unimodular
@@ -195,14 +196,11 @@ class GradedGroup:
                                 f"and at least 2")
 
     def zero(self) -> "DegreeClass":
-        return DegreeClass(self, (0,) * self.free_rank,
-                           (0,) * len(self.torsion_orders))
+        return self.degree((0,) * self.free_rank)
 
     def degree(self, free, torsion=()) -> "DegreeClass":
-        torsion = tuple(torsion)
-        if not torsion:
-            torsion = (0,) * len(self.torsion_orders)
-        return DegreeClass(self, tuple(free), torsion)
+        return DegreeClass(self, tuple(free),
+                           tuple(torsion) or (0,) * len(self.torsion_orders))
 
     def __str__(self):
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion_orders]
@@ -239,19 +237,16 @@ class DegreeClass:
 
     def __add__(self, other: "DegreeClass") -> "DegreeClass":
         self._check(other)
-        return DegreeClass(self.group,
-                           tuple(a + b for a, b in zip(self.free, other.free)),
-                           tuple(a + b for a, b in zip(self.torsion, other.torsion)))
+        return DegreeClass(self.group, tuple(map(add, self.free, other.free)),
+                           tuple(map(add, self.torsion, other.torsion)))
 
     def __sub__(self, other: "DegreeClass") -> "DegreeClass":
         self._check(other)
-        return DegreeClass(self.group,
-                           tuple(a - b for a, b in zip(self.free, other.free)),
-                           tuple(a - b for a, b in zip(self.torsion, other.torsion)))
+        return DegreeClass(self.group, tuple(map(sub, self.free, other.free)),
+                           tuple(map(sub, self.torsion, other.torsion)))
 
     def scale(self, k: int) -> "DegreeClass":
-        return DegreeClass(self.group,
-                           tuple(k * a for a in self.free),
+        return DegreeClass(self.group, tuple(k * a for a in self.free),
                            tuple(k * a for a in self.torsion))
 
     def is_zero(self) -> bool:
@@ -371,7 +366,22 @@ def _torsion_automorphisms(orders):
             yield p, scales
 
 
-_TORSION_SEARCH_LIMIT = 20000
+def _automorphism_count(orders) -> int:
+    """The length of ``_torsion_automorphisms(orders)``, counted without
+    listing it: the permutations of equal orders times prod phi(d)."""
+    count = prod(factorial(orders.count(d)) for d in set(orders))
+    for d in orders:
+        phi = m = d
+        for p in range(2, isqrt(d) + 1):
+            if m % p == 0:
+                phi -= phi // p
+                while m % p == 0:
+                    m //= p
+        count *= phi - phi // m if m > 1 else phi
+    return count
+
+
+_TORSION_SEARCH_LIMIT = 20000  # mixings times automorphisms
 
 
 def _canonicalize_torsion(free_rows, tors_rows, orders):
@@ -382,7 +392,9 @@ def _canonicalize_torsion(free_rows, tors_rows, orders):
     ncols = len(tors_rows[0])
     rank = len(free_rows)
     size = prod(orders)
-    if size ** rank > _TORSION_SEARCH_LIMIT:
+    # automorphisms allowed per mixing; phi(d) >= sqrt(d / 2) bounds d
+    budget = _TORSION_SEARCH_LIMIT // size ** rank
+    if max(orders) > 2 * budget ** 2 or _automorphism_count(orders) > budget:
         return tors_rows
     residues = list(product(*[range(d) for d in orders]))
     table = [tuple(tors_rows[j][i] % orders[j] for j in range(k))

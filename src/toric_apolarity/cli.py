@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -581,10 +582,14 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error [{exc.name}]: {exc}", file=sys.stderr)
         return 2
-    if args.format == "records":
-        print(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    else:
-        print("\n".join(lines))
+    text = (json.dumps(record, sort_keys=True, separators=(",", ":"))
+            if args.format == "records" else "\n".join(lines))
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader stopped after the work was done: devnull takes the
+        # rest, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

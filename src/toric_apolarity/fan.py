@@ -7,21 +7,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 from .abelian import DegreeClass, _solve_smith, cokernel, smith_normal_form
 from .errors import (GroupMismatch, NonPrimitiveRay, NonSimplicialCone,
                      NotFullRank, ParseError, TorusFactor)
-from .linalg import rank_bareiss
+from .linalg import det_bareiss, rank_bareiss
 
 
 class Completeness(Enum):
     COMPLETE = "Complete"
     NOT_COMPLETE = "NotComplete"
-    COMPLETE_LIKELY = "CompleteLikely"
-    UNVERIFIED = "Unverified"
 
 
 @dataclass(frozen=True)
@@ -33,10 +30,8 @@ class IrrelevantIdeal:
 
     def nonvanishing_at(self, coords) -> bool:
         """True unless every generator vanishes at the coordinates."""
-        for expo in self.generators:
-            if all(coords[i] != 0 for i, e in enumerate(expo) if e):
-                return True
-        return False
+        return any(all(coords[i] != 0 for i, e in enumerate(expo) if e)
+                   for expo in self.generators)
 
 
 class FanModel:
@@ -58,10 +53,7 @@ class FanModel:
         if any(len(r) != n for r in rays):
             raise ParseError("rays have inconsistent lengths")
         for r in rays:
-            g = 0
-            for x in r:
-                g = gcd(g, abs(x))
-            if g != 1:
+            if gcd(*r) != 1:
                 raise NonPrimitiveRay(f"ray {list(r)} is not primitive")
         cones = []
         for cone in max_cones:
@@ -115,48 +107,37 @@ class FanModel:
     # -- completeness ------------------------------------------------------
 
     def check_complete(self) -> Completeness:
+        """Wall-crossing test on the distinct maximal cones (Cox, Little,
+        Schenck, Toric Varieties, 3.4): every cone has n rays, every ray is
+        used, each facet lies in exactly two cones, on opposite sides, and
+        v = (1, t, ..., t^(n-1)) off every facet hyperplane lies in exactly
+        one cone.  Each hyperplane meets that curve at most n - 1 times,
+        so the search for t finishes."""
         n = self.ambient_rank
-        if n == 1:
-            have = {r[0] for r in self.rays}
-            covered = {self.rays[c[0]][0] for c in self.max_cones if len(c) == 1}
-            return (Completeness.COMPLETE
-                    if have == {1, -1} and covered == {1, -1}
-                    else Completeness.NOT_COMPLETE)
-        if n == 2:
-            return self._check_complete_2d()
-        facets = {}
-        for cone in self.max_cones:
-            if len(cone) != n:
-                return Completeness.UNVERIFIED
-            for skip in cone:
-                facet = tuple(i for i in cone if i != skip)
-                facets[facet] = facets.get(facet, 0) + 1
-        if facets and all(v == 2 for v in facets.values()):
-            return Completeness.COMPLETE_LIKELY
-        return Completeness.UNVERIFIED
-
-    def _check_complete_2d(self) -> Completeness:
-        def angle_key(i):
-            # (half-plane, axis-start flag, cotangent): exact angular order
-            x, y = self.rays[i]
-            half = 0 if (y > 0 or (y == 0 and x > 0)) else 1
-            if y == 0:
-                return (half, 0, Fraction(0))
-            return (half, 1, Fraction(-x, y))
-
-        order = sorted(range(len(self.rays)), key=angle_key)
-        k = len(order)
-        if k < 3:
+        cones = set(self.max_cones)
+        if (any(len(c) != n for c in cones)
+                or set().union(*cones) != set(range(len(self.rays)))):
             return Completeness.NOT_COMPLETE
-        expected = set()
-        for a in range(k):
-            i, j = order[a], order[(a + 1) % k]
-            u, v = self.rays[i], self.rays[j]
-            cross = u[0] * v[1] - u[1] * v[0]
-            if cross <= 0:  # adjacent gap must be a pointed positive turn
-                return Completeness.NOT_COMPLETE
-            expected.add(tuple(sorted((i, j))))
-        return (Completeness.COMPLETE if expected == set(self.max_cones)
+
+        def side(facet, v):  # sign of v against the hyperplane of facet
+            d = det_bareiss([self.rays[i] for i in facet] + [v])
+            return (d > 0) - (d < 0)
+
+        walls = {}  # facet -> (cone, side of the ray opposite it) pairs
+        for cone in cones:
+            for i in cone:
+                facet = tuple(j for j in cone if j != i)
+                walls.setdefault(facet, []).append(
+                    (cone, side(facet, self.rays[i])))
+        if any(sorted(s for _, s in w) != [-1, 1] for w in walls.values()):
+            return Completeness.NOT_COMPLETE
+        t = 1
+        while not all(side(f, [t ** k for k in range(n)]) for f in walls):
+            t += 1
+        v = [t ** k for k in range(n)]
+        outside = {cone for f, w in walls.items() for cone, s in w
+                   if side(f, v) != s}
+        return (Completeness.COMPLETE if len(cones - outside) == 1
                 else Completeness.NOT_COMPLETE)
 
     # -- divisors ----------------------------------------------------------

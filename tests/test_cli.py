@@ -32,6 +32,31 @@ def test_classgroup_fake_plane(capsys):
     assert out.splitlines()[0] == "Cl = Z x Z/3; deg a0=(1,0) a1=(1,1) a2=(1,2)"
 
 
+CUBE_FAN = {"rays": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                     [0, 0, 1], [0, 0, -1]],
+            "max_cones": [[i, j, k] for i in (0, 1) for j in (2, 3)
+                          for k in (4, 5)]}
+
+
+@pytest.mark.parametrize("drop,verdict", [(0, "Complete"),
+                                          (1, "NotComplete")])
+def test_classgroup_completeness_in_dimension_three(capsys, tmp_path, drop,
+                                                    verdict):
+    # P1^3, and P1^3 with one maximal cone removed
+    fan_file = tmp_path / "cube.fan"
+    fan_file.write_text(json.dumps(
+        {**CUBE_FAN, "max_cones": CUBE_FAN["max_cones"][drop:]}))
+    code, out, _ = run(capsys, "classgroup", str(fan_file))
+    assert code == 0
+    assert out.splitlines()[1] == f"completeness: {verdict} [exact]"
+    code, out, _ = run(capsys, "--format", "records", "classgroup",
+                       str(fan_file))
+    assert code == 0
+    record = json.loads(out)
+    assert record["completeness"] == verdict
+    assert record["class_group"] == {"free_rank": 3, "torsion_orders": []}
+
+
 def test_classgroup_f1(capsys):
     code, out, _ = run(capsys, "classgroup", F1)
     assert code == 0
@@ -374,10 +399,12 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("name", ["hilbert_f1.jsonl", "cat_p114.jsonl"])
+@pytest.mark.parametrize("name", ["hilbert_f1.jsonl", "cat_p114.jsonl",
+                                  "classgroup_fake.jsonl"])
 def test_records_match_golden_under_optimize(name):
     # catalecticants gathered through the fan's tables, ranked by the
-    # prescreen and Bareiss, give the same records with asserts stripped
+    # prescreen and Bareiss, and the completeness test give the same
+    # records with asserts stripped
     src = str(Path(toric_apolarity.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_RECORDS,
@@ -436,6 +463,21 @@ def test_oversized_basis_is_refused_while_walked():
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 1 and "[BasisTooLarge]" in proc.stderr
     assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the reader closes the pipe before the child writes its 13.9 KB: the
+    # work is done, so the exit code is 0 and stderr stays clean
+    src = str(Path(toric_apolarity.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toric_apolarity.cli", "basis", F1,
+         "--degree", "40,20"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env={**os.environ, "PYTHONPATH": src})
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=30) == 0, err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -1,4 +1,8 @@
 import random
+from collections import Counter
+from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
@@ -47,20 +51,117 @@ def test_completeness_fixtures(f1, p114, fake):
     assert fake.check_complete() is Completeness.COMPLETE
 
 
-def test_completeness_negative_and_heuristic():
+P3_RAYS = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+P3_CONES = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+
+
+def test_completeness_negative_and_three_dimensional():
     half = build_fan([[1, 0], [0, 1]], [[0, 1]])
     assert half.check_complete() is Completeness.NOT_COMPLETE
     # missing one quadrant
     fan = build_fan([[1, 0], [0, 1], [-1, 0], [0, -1]],
                     [[0, 1], [1, 2], [2, 3]])
     assert fan.check_complete() is Completeness.NOT_COMPLETE
-    # projective 3-space: facet pairing heuristic
-    p3 = build_fan([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
-                   [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
-    assert p3.check_complete() is Completeness.COMPLETE_LIKELY
-    open_p3 = build_fan([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
-                        [[0, 1, 2], [0, 1, 3], [0, 2, 3]])
-    assert open_p3.check_complete() is Completeness.UNVERIFIED
+    # projective 3-space, decided exactly
+    p3 = build_fan(P3_RAYS, P3_CONES)
+    assert p3.check_complete() is Completeness.COMPLETE
+    open_p3 = build_fan(P3_RAYS, P3_CONES[:3])
+    assert open_p3.check_complete() is Completeness.NOT_COMPLETE
+
+
+def test_completeness_exact_in_every_dimension(cube):
+    assert len(Completeness) == 2
+    # dimension 1: both half-lines, or only one
+    assert build_fan([[1], [-1]], [[0], [1]]).check_complete() \
+        is Completeness.COMPLETE
+    assert build_fan([[1]], [[0]]).check_complete() is Completeness.NOT_COMPLETE
+    # five cones that wind twice around the origin: every ray is used and
+    # every ray is a wall between two cones on opposite sides of it, but a
+    # generic vector lies in two cones
+    star = [[1, 0], [-2, 1], [1, -2], [0, 1], [-1, -2]]
+    winding = build_fan(star, [[i, (i + 1) % 5] for i in range(5)])
+    assert winding.check_complete() is Completeness.NOT_COMPLETE
+    assert cube.check_complete() is Completeness.COMPLETE
+    open_cube = build_fan(cube.rays, cube.max_cones[1:])
+    assert open_cube.check_complete() is Completeness.NOT_COMPLETE
+    p4_rays = [[int(i == j) for j in range(4)] for i in range(4)] + [[-1] * 4]
+    p4 = build_fan(p4_rays, [[i for i in range(5) if i != k]
+                             for k in range(5)])
+    assert p4.check_complete() is Completeness.COMPLETE
+
+
+def angle_key(ray):
+    """Exact angular order: half-plane, then axis first, then cotangent."""
+    x, y = ray
+    half = 0 if (y > 0 or (y == 0 and x > 0)) else 1
+    return (half, 0, Fraction(0)) if y == 0 else (half, 1, Fraction(-x, y))
+
+
+def angular_verdict(fan):
+    """Oracle for ambient dimension 2: sort the rays by angle and require
+    that consecutive rays make a positive turn of less than pi and that the
+    maximal cones are exactly the consecutive pairs."""
+    order = sorted(range(len(fan.rays)), key=lambda i: angle_key(fan.rays[i]))
+    k = len(order)
+    if k < 3:
+        return Completeness.NOT_COMPLETE
+    expected = set()
+    for a in range(k):
+        i, j = order[a], order[(a + 1) % k]
+        (ux, uy), (vx, vy) = fan.rays[i], fan.rays[j]
+        if ux * vy - uy * vx <= 0:
+            return Completeness.NOT_COMPLETE
+        expected.add(tuple(sorted((i, j))))
+    return (Completeness.COMPLETE if expected == set(fan.max_cones)
+            else Completeness.NOT_COMPLETE)
+
+
+def test_completeness_matches_angular_sort_in_2d():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+        lambda v: v != (0, 0) and gcd(*v) == 1)
+    sometimes = st.sampled_from([False, False, True])
+    seen = Counter()
+
+    @hypothesis.settings(max_examples=1000, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.lists(vectors, min_size=2, max_size=7, unique=True),
+                      st.data())
+    def check(rays, data):
+        # the angular cycle through the rays, sometimes perturbed: a ray
+        # left out of every cone, a cone dropped, a stray cone of one or
+        # two rays, a cone listed twice
+        rays = sorted(rays, key=angle_key)
+        k = len(rays)
+        unused = {data.draw(st.integers(0, k - 1))} if data.draw(sometimes) \
+            else set()
+        cycle = [i for i in range(k) if i not in unused]
+        cones = [[cycle[a], cycle[(a + 1) % len(cycle)]]
+                 for a in range(len(cycle))]
+        if data.draw(sometimes):
+            del cones[data.draw(st.integers(0, len(cones) - 1))]
+        if data.draw(sometimes):
+            cones.append(data.draw(st.lists(st.integers(0, k - 1), min_size=1,
+                                            max_size=2, unique=True)))
+        twice = bool(cones) and data.draw(st.booleans())
+        if twice:
+            cones.append(cones[0][::-1])
+        try:
+            fan = build_fan(rays, cones)
+        except (NonSimplicialCone, ParseError, TorusFactor):
+            hypothesis.assume(False)
+        verdict = fan.check_complete()
+        assert verdict is angular_verdict(fan), (rays, cones)
+        seen[verdict, len(set().union(*map(set, cones))) < k, twice] += 1
+
+    check()
+    assert sum(seen.values()) >= 1000
+    # complete fans, with and without a repeated cone, and fans with an
+    # unused ray all occur
+    for key in product(Completeness, (False, True), (False, True)):
+        if key[0] is Completeness.NOT_COMPLETE or not key[1]:
+            assert seen[key] >= 40, seen
 
 
 def test_build_fan_rejections():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 import pytest
 
@@ -272,6 +273,20 @@ def test_length_samples_enumerate_only_sample_degrees():
 
 # --- an independent oracle: Groebner bases ----------------------------
 
+def monomial(xs, exponents):
+    return pytest.importorskip("sympy").prod(
+        [x ** e for x, e in zip(xs, exponents)])
+
+
+def groebner_basis(ideal):
+    """The variables and a grevlex Groebner basis of the ideal over Q."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(ideal.fan.var_names)
+    polys = [sum(sympy.Rational(c.numerator, c.denominator) * monomial(xs, m)
+                 for m, c in g.terms.items()) for g in ideal.generators]
+    return xs, sympy.groebner(polys, *xs, order="grevlex")
+
+
 def groebner_quotient_dimension(ideal, degrees):
     """dim(S/I)_D for each D: the degree-D monomials outside the leading
     term ideal of a grevlex Groebner basis.  Buchberger's algorithm keeps
@@ -279,11 +294,7 @@ def groebner_quotient_dimension(ideal, degrees):
     the class group grading, torsion included."""
     sympy = pytest.importorskip("sympy")
     fan = ideal.fan
-    xs = sympy.symbols(fan.var_names)
-    polys = [sum(sympy.Rational(c.numerator, c.denominator)
-                 * sympy.prod([x ** e for x, e in zip(xs, mono)])
-                 for mono, c in g.terms.items()) for g in ideal.generators]
-    gb = sympy.groebner(polys, *xs, order="grevlex")
+    xs, gb = groebner_basis(ideal)
     leads = [sympy.Poly(p, *xs).monoms(order="grevlex")[0] for p in gb.exprs]
     return [sum(1 for m in basis(fan, d)
                 if not any(all(a >= b for a, b in zip(m, lead))
@@ -311,3 +322,45 @@ def test_quotient_dimensions_match_groebner_oracle(f1, p114, fake):
                     for d in degrees] == want
             compared += len(want)
     assert compared == 75
+
+
+def groebner_colon_dimension(ideal, degree):
+    """dim of the colon piece: the kernel on basis(D) of the linear map
+    f -> (NF_G(f * m_j))_j over the irrelevant generators m_j, for G a
+    Groebner basis of the ideal, since f * m_j lies in the ideal iff its
+    normal form is zero."""
+    sympy = pytest.importorskip("sympy")
+    fan = ideal.fan
+    xs, gb = groebner_basis(ideal)
+    mons = basis(fan, degree)
+    rows = {}  # (j, normal form monomial) -> coefficient per column
+    for j, expo in enumerate(fan.irrelevant.generators):
+        for col, mono in enumerate(mons):
+            _, remainder = gb.reduce(monomial(xs, map(add, mono, expo)))
+            for term, c in sympy.Poly(remainder, *xs).terms():
+                rows.setdefault((j, term), [0] * len(mons))[col] = c
+    return len(mons) - (sympy.Matrix(list(rows.values())).rank() if rows else 0)
+
+
+def test_colon_pieces_match_groebner_oracle(f1, p114, fake):
+    cases = [
+        (f1, ["a0^2-a1^2", "b0^2-a1^2*b1^2"], ((0, 3), (0, 2))),
+        (f1, ["a0^2*b1", "a1^2*b1"], ((2, 2), (1, 1))),
+        (p114, ["a^3", "b^3"], ((0, 6),)),
+        (p114, ["a^3-b^3", "c"], ((4, 4),)),
+        (p114, ["a^3-b^3", "c"], ((8, 8),)),
+        (fake, ["a1^2", "a2^2"], ((0, 5),)),
+    ]
+    compared = gaps = 0
+    for fan, gens, ranges in cases:
+        I = ideal(fan, *gens)
+        degrees = list(DegreeBox(fan.class_group, ranges))
+        quotients = groebner_quotient_dimension(I, degrees)
+        for degree, quotient in zip(degrees, quotients):
+            colon = groebner_colon_dimension(I, degree)
+            assert len(colon_piece(I, fan.irrelevant, degree)) == colon
+            gap = colon - (len(basis(fan, degree)) - quotient)
+            assert saturation_gap(I, fan.irrelevant, degree) == gap
+            compared += 1
+            gaps += gap > 0
+    assert compared == 40 and gaps >= 1
