@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm
 from operator import add
 
 from .abelian import DegreeClass
@@ -58,9 +57,7 @@ class ApolarForm:
         self.fan = fan
         self.poly = MultiPoly(Side.DUAL, poly.terms, degree)
         self.degree = degree
-        self.scale = lcm(*(c.denominator for c in poly.terms.values()))
-        self.scaled_terms = {m: c.numerator * (self.scale // c.denominator)
-                             for m, c in poly.terms.items()}
+        self.scale, self.scaled_terms = self.poly.integer_terms()
         self._ranks = {}  # degree -> rank of the catalecticant at it
 
     @cached_property
@@ -153,12 +150,16 @@ class DegreeBox:
                                 f"the group has free rank "
                                 f"{self.group.free_rank}")
 
-    def __iter__(self):
+    @cached_property
+    def degrees(self):  # built once, in iteration order
         axes = [range(lo, hi + 1) for lo, hi in self.free_ranges]
         axes += [range(d) for d in self.group.torsion_orders]
         rank = self.group.free_rank
-        for coords in product(*axes):
-            yield DegreeClass(self.group, coords[:rank], coords[rank:])
+        return tuple(DegreeClass(self.group, coords[:rank], coords[rank:])
+                     for coords in product(*axes))
+
+    def __iter__(self):
+        return iter(self.degrees)
 
     def __contains__(self, degree: DegreeClass) -> bool:
         if degree.group != self.group:

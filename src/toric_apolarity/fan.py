@@ -67,7 +67,7 @@ class FanModel:
 
         self.ambient_rank = n
         self.rays = rays
-        self.max_cones = tuple(cones)
+        self.max_cones = tuple(dict.fromkeys(cones))  # a repeat counts once
         try:
             self.class_group, self.projection = cokernel([list(r) for r in rays])
         except NotFullRank as exc:

@@ -14,7 +14,7 @@ from .apolarity import ApolarForm, apolar_contains
 from .errors import ContainmentFailed, NonHomogeneousGenerator
 from .fan import IrrelevantIdeal
 from .linalg import SparseEchelon, nullspace
-from .ring import Side, basis, tag_degree
+from .ring import Side, basis, monomial_key, tag_degree
 
 
 class IdealGens:
@@ -40,20 +40,23 @@ def _piece_echelon(ideal: IdealGens, degree: DegreeClass):
     every generator landing in ``degree``; also returns the column count.
 
     The multipliers basis(D - deg g) of a generator g are read off
-    basis(D): for a fixed exponent e of g they are the m - e with m in
-    basis(D) and m >= e, in the same order, since subtracting a fixed
-    vector keeps the monomial order."""
+    basis(D): for the largest term e of g they are the m - e with m in
+    basis(D) and m >= e, in the same order, and the row of m - e leads at
+    m's own column, since the monomial order is translation invariant.
+    Each generator is scaled to integer coefficients; the ideal is the same."""
     mons = basis(ideal.fan, degree)
     index = {m: i for i, m in enumerate(mons)}
     ech = SparseEchelon()
     for g in ideal.generators:
-        e = next(iter(g.terms))
-        offsets = [(tuple(map(sub, mono, e)), coeff)
-                   for mono, coeff in g.terms.items()]
-        for m in mons:
+        _, terms = g.integer_terms()
+        e = max(terms, key=monomial_key)
+        lead = terms.pop(e)
+        offsets = [(tuple(map(sub, mono, e)), c) for mono, c in terms.items()]
+        for i, m in enumerate(mons):
             if all(map(ge, m, e)):
-                ech.add({index[tuple(map(add, m, off))]: coeff
-                         for off, coeff in offsets})
+                row = {index[tuple(map(add, m, off))]: c for off, c in offsets}
+                row[i] = lead
+                ech.add(row)
     return ech, len(index)
 
 
@@ -65,7 +68,7 @@ def ideal_piece(ideal: IdealGens, degree: DegreeClass):
     """Canonical basis (coefficient vectors over the monomial basis) of the
     ideal's graded piece."""
     ech, ncols = _piece_echelon(ideal, degree)
-    return [tuple(row.get(c, Fraction(0)) for c in range(ncols))
+    return [tuple(Fraction(row.get(c, 0)) for c in range(ncols))
             for row in ech.reduced().values()]
 
 

@@ -88,9 +88,9 @@ def det_bareiss(rows):
 class SparseEchelon:
     """Incremental row echelonizer over the rationals with sparse rows.
 
-    Rows are dicts mapping column index to a nonzero Fraction.  Suited to
-    the graded pieces of binomial/monomial ideals, where rows stay short.
-    Entries are not converted: a caller holding ints converts them first.
+    Rows are dicts mapping column index to an int or Fraction; zeros are
+    dropped.  Each pivot row has a leading 1, and a row already leading
+    with 1 keeps its ints.  Suited to the graded pieces of ideals.
     """
 
     def __init__(self):
@@ -111,11 +111,14 @@ class SparseEchelon:
         return row
 
     def add(self, row: dict) -> bool:
-        """Insert a row; returns True if it increased the rank."""
-        row = self.reduce(row)
-        if not row:
-            return False
-        lead = min(row)
+        """Insert a row; returns True if it increased the rank.  A row with a
+        fresh lead skips elimination, so the echelon may keep its dict."""
+        lead = min(row) if row and all(row.values()) else None
+        if lead is None or lead in self._pivots:
+            row = self.reduce(row)
+            if not row:
+                return False
+            lead = min(row)
         if row[lead] != 1:
             inv = 1 / Fraction(row[lead])
             row = {c: v * inv for c, v in row.items()}

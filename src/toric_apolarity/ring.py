@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 from .abelian import DegreeClass
@@ -109,6 +110,13 @@ class MultiPoly:
         if self.degree is not None and other.degree is not None:
             degree = self.degree + other.degree
         return MultiPoly(Side.PRIMAL, terms, degree)
+
+    def integer_terms(self):
+        """The lcm D of the coefficient denominators, and the integer
+        coefficients of D times the polynomial."""
+        scale = lcm(*(c.denominator for c in self.terms.values()))
+        return scale, {m: c.numerator * (scale // c.denominator)
+                       for m, c in self.terms.items()}
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: monomial_key(t[0]),

@@ -10,6 +10,7 @@ from toric_apolarity import (ApolarForm, DegreeBox, MultiPoly,
                              check_symmetry, contract, hilbert_grid,
                              SymmetryVerdict, hilbert_value)
 from toric_apolarity import apolarity
+from toric_apolarity.abelian import DegreeClass
 from toric_apolarity.apolarity import catalecticant_entries
 from toric_apolarity.ring import basis
 from toric_apolarity.secant import parametrize
@@ -236,6 +237,19 @@ def test_one_rank_per_distinct_degree(f1, p114, fake, cube, monkeypatch):
         distinct = set(box) | {F.degree - d for d in box}
         assert len(calls) == len(distinct)
         assert set(F._ranks) == distinct
+
+
+def test_box_builds_its_degrees_once(fake, monkeypatch):
+    # hilbert_grid, check_symmetry and best_bounds each walk the box; its
+    # degrees are built on the first walk, free part outermost
+    want = [fake.degree((a,), (t,)) for a in range(3) for t in range(3)]
+    box = DegreeBox(fake.class_group, ((0, 2),))
+    built = []
+    post_init = DegreeClass.__post_init__
+    monkeypatch.setattr(DegreeClass, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    assert [list(box) for _ in range(3)] == [want] * 3
+    assert built == want
 
 
 def test_symmetry_compares_independent_ranks(f1):

@@ -400,11 +400,12 @@ sys.exit(main(sys.argv[1:]))
 
 
 @pytest.mark.parametrize("name", ["hilbert_f1.jsonl", "cat_p114.jsonl",
-                                  "classgroup_fake.jsonl"])
+                                  "classgroup_fake.jsonl",
+                                  "length_fake.jsonl"])
 def test_records_match_golden_under_optimize(name):
     # catalecticants gathered through the fan's tables, ranked by the
-    # prescreen and Bareiss, and the completeness test give the same
-    # records with asserts stripped
+    # prescreen and Bareiss, the completeness test and the ideal pieces'
+    # integer echelon give the same records with asserts stripped
     src = str(Path(toric_apolarity.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_RECORDS,

@@ -6,9 +6,10 @@ from math import gcd
 
 import pytest
 
-from toric_apolarity import (Completeness, GradedGroup, NonPrimitiveRay,
-                             NonSimplicialCone, ParseError, TorusFactor,
-                             build_fan, solve_integer)
+from toric_apolarity import (Completeness, GradedGroup, IdealGens,
+                             NonPrimitiveRay, NonSimplicialCone, ParseError,
+                             Side, TorusFactor, build_fan, colon_piece,
+                             parse_poly, solve_integer)
 
 
 def generator_names(fan):
@@ -39,6 +40,31 @@ def test_irrelevant_ideal_projective_plane():
     plane = build_fan([[1, 0], [0, 1], [-1, -1]], [[0, 1], [0, 2], [1, 2]],
                       var_names=["x0", "x1", "x2"])
     assert generator_names(plane) == ["x0", "x1", "x2"]
+
+
+def test_repeated_maximal_cone_counts_once():
+    # a cone listed twice, in either order, is one maximal cone: one
+    # irrelevant generator and one Smith form, in first-occurrence order.
+    # P(1,2,1), so that the Cartier verdicts are not all equal
+    rays = [[1, 0], [0, 1], [-1, -2]]
+    names = ["x0", "x1", "x2"]
+    once = build_fan(rays, [[0, 1], [0, 2], [1, 2]], var_names=names)
+    twice = build_fan(rays, [[0, 1], [0, 2], [1, 2], [1, 0]], var_names=names)
+    assert twice.max_cones == once.max_cones == ((0, 1), (0, 2), (1, 2))
+    assert twice.irrelevant == once.irrelevant
+    assert generator_names(twice) == ["x0", "x1", "x2"]
+
+    def results(fan):
+        ideal = IdealGens(fan, [parse_poly(t, names, Side.PRIMAL, fan)
+                                for t in ("x0^2", "x1*x2")])
+        degrees = [fan.degree((k,)) for k in range(-2, 6)]
+        return ([fan.is_cartier(d) for d in degrees],
+                [colon_piece(ideal, fan.irrelevant, d) for d in degrees])
+
+    cartier, pieces = results(twice)
+    assert (cartier, pieces) == results(once)
+    assert len(set(cartier)) == 2 and any(pieces)
+    assert len(twice._cone_smith) == 3
 
 
 def test_irrelevant_ideal_fake_plane(fake):

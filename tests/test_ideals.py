@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 from operator import add
 
 import pytest
@@ -10,7 +11,7 @@ from toric_apolarity import (ContainmentFailed, DegreeBox, IdealGens,
                              build_fan, cactus_certificate, colon_piece,
                              hilbert_value, ideal_piece, ideal_piece_dimension,
                              length_estimate, load_fan, saturation_gap)
-from toric_apolarity.linalg import SparseEchelon
+from toric_apolarity.linalg import SparseEchelon, det_bareiss
 from toric_apolarity.ring import basis
 
 from conftest import FIXTURES, form, primal
@@ -364,3 +365,125 @@ def test_colon_pieces_match_groebner_oracle(f1, p114, fake):
             compared += 1
             gaps += gap > 0
     assert compared == 40 and gaps >= 1
+
+
+# --- integer rows whose lead column is known --------------------------
+
+def record_reduced_leads(monkeypatch):
+    """Patch ``SparseEchelon.reduce`` to keep the lead column of every row
+    handed to it; returns that list."""
+    leads = []
+    reduce = SparseEchelon.reduce
+
+    def recording(self, row):
+        leads.append(min(c for c, v in row.items() if v))
+        return reduce(self, row)
+
+    monkeypatch.setattr(SparseEchelon, "reduce", recording)
+    return leads
+
+
+def test_only_rows_meeting_a_pivot_are_reduced(f1, p114, fake, monkeypatch):
+    leads = record_reduced_leads(monkeypatch)
+    # one generator: the row of each multiplier m - e leads at m's own
+    # column, so no two rows share a lead and none is reduced
+    for fan, gen, degrees in [(f1, "a0^2 - 3/2*a1^2", [(2, 1), (4, 2)]),
+                              (f1, "2*b0^2 - a1^2*b1^2", [(3, 2)]),
+                              (p114, "a^3 - b^3", [(4,), (8,)]),
+                              (fake, "a1^2", [(3,), (6,)])]:
+        I = ideal(fan, gen)
+        for free in degrees:
+            degree = fan.degree(free)
+            assert ideal_piece_dimension(I, degree) \
+                == len(basis(fan, degree - I.generators[0].degree))
+    assert leads == []
+    # a1^2, a2^2: a row meets a pivot exactly at the monomials of basis(D)
+    # divisible by both generators, and each of them is reduced once
+    I = ideal(fake, "a1^2", "a2^2")
+    for k in range(1, 6):
+        degree = fake.degree((3,)).scale(k)
+        leads.clear()
+        ideal_piece_dimension(I, degree)
+        assert leads == [i for i, m in enumerate(basis(fake, degree))
+                         if m[1] >= 2 and m[2] >= 2]
+    assert leads
+
+
+def test_ideal_piece_entries_are_fractions(f1, fake):
+    # pivots of integer rows that lead with 1 keep their ints; ideal_piece
+    # converts at its boundary
+    from toric_apolarity.ideals import _piece_echelon
+
+    int_pivots = 0
+    for fan, gens, free in [(fake, ["a1^2", "a2^2"], (6,)),
+                            (f1, ["a0^2-a1^2", "b0^2-a1^2*b1^2"], (3, 2)),
+                            (f1, ["2*a0^2 - 3/2*a1^2", "a0*b1"], (3, 1))]:
+        I = ideal(fan, *gens)
+        degree = fan.degree(free)
+        ech, _ = _piece_echelon(I, degree)
+        int_pivots += sum(type(v) is int for row in ech._pivots.values()
+                          for v in row.values())
+        piece = ideal_piece(I, degree)
+        assert piece
+        assert all(type(x) is Fraction for v in piece for x in v)
+    assert int_pivots
+
+
+# --- independent length oracles ----------------------------------------
+
+def chart_count(fan, cone, exponents):
+    """Oracle: the number of k in prod [0, e_rho] that lie in the image of
+    the cone's ray matrix, k = (<m, u_rho>)_rho for some m in M: the
+    characters of U_sigma that survive (x_rho^(e_rho+1) : rho in sigma).
+    m is solved by Cramer's rule."""
+    rays = [fan.rays[i] for i in cone]
+    det = det_bareiss(rays)
+    return sum(all(det_bareiss([r[:j] + (x,) + r[j + 1:]
+                                for r, x in zip(rays, k)]) % det == 0
+                   for j in range(len(rays)))
+               for k in product(*(range(e + 1) for e in exponents)))
+
+
+@pytest.mark.parametrize("fan_name,ample",
+                         [("f1", (2, 1)), ("p114", (4,)), ("fake", (3,))])
+def test_fixed_point_lengths_match_chart_count(request, fan_name, ample):
+    fan = request.getfixturevalue(fan_name)
+    nvars = len(fan.rays)
+    nontrivial = 0
+    for cone in fan.max_cones:
+        for exponents in product(range(4), repeat=len(cone)):
+            I = IdealGens(fan, [MultiPoly.monomial(
+                Side.PRIMAL, [(e + 1) * (j == i) for j in range(nvars)])
+                for i, e in zip(cone, exponents)])
+            estimate = length_estimate(I, fan.degree(ample))
+            want = chart_count(fan, cone, exponents)
+            assert estimate.stabilized and estimate.value == want
+            nontrivial += want < prod(e + 1 for e in exponents)
+    # f1 is smooth, so every k is a character; p114 and fake_plane have
+    # singular cones, where some k are not
+    assert bool(nontrivial) == (fan_name != "f1")
+
+
+def test_projective_plane_lengths_match_closed_forms():
+    # a0 <= a1 <= a2: the fixed-point ideals give (a0+1)(a1+1), the cactus
+    # rank of the monomial (Ranestad and Schreyer), and the reduced
+    # binomial ideal gives (a1+1)(a2+1), its rank (Carlini, Catalisano and
+    # Geramita)
+    plane = build_fan([[1, 0], [0, 1], [-1, -1]], [[0, 1], [0, 2], [1, 2]],
+                      var_names=["x0", "x1", "x2"])
+    line = plane.degree((1,))
+    monomials = [a for a in product(range(8), repeat=3)
+                 if a[0] <= a[1] <= a[2] and sum(a) <= 7]
+    for a in monomials:
+        F = form(plane, "*".join(f"y{i}^{e}" for i, e in enumerate(a)))
+        fixed = [cactus_certificate(F, ideal(
+            plane, *(f"x{i}^{a[i] + 1}" for i in cone)), line, max_k=10)
+            for cone in plane.max_cones]
+        assert all(c.length.stabilized for c in fixed)
+        assert min(c.cactus_bound for c in fixed) == (a[0] + 1) * (a[1] + 1)
+        reduced = cactus_certificate(F, ideal(
+            plane, *(f"x{j}^{a[j] + 1} - x0^{a[j] + 1}" for j in (1, 2))),
+            line, max_k=10, reduced_asserted=True)
+        assert reduced.length.stabilized
+        assert reduced.rank_bound == (a[1] + 1) * (a[2] + 1)
+    assert len(monomials) == 31

@@ -63,6 +63,22 @@ def test_reduced_matches_rref():
         assert got == want
 
 
+def test_sparse_echelon_normalizes_fresh_leads_and_drops_zeros():
+    ech = SparseEchelon()
+    assert not ech.add({}) and not ech.add({0: 0, 4: Fraction(0)})
+    assert ech.add({0: 0, 2: 1, 5: -3})  # the zero at 0 is not its lead
+    assert ech.add({1: 4, 5: 2})  # a fresh lead of 4 is divided out
+    pivots = ech._pivots
+    assert pivots == {1: {1: 1, 5: Fraction(1, 2)}, 2: {2: 1, 5: -3}}
+    # a fresh row that leads with 1 keeps its ints
+    assert all(type(v) is int for v in pivots[2].values())
+    assert all(type(v) is Fraction for v in pivots[1].values())
+    assert ech.add({2: 2, 3: 6})  # meets the pivot at 2
+    assert not ech.add({1: 4, 2: 1, 3: 6, 5: 5})
+    assert pivots[3] == {3: 1, 5: 1} and ech.rank == 3
+    assert ech.reduced() == pivots
+
+
 def test_nullspace_matches_sympy():
     for rows, ncols in matrices(2):
         got = nullspace(rows, ncols)
