@@ -12,11 +12,13 @@ from itertools import product
 from operator import add
 
 from .abelian import DegreeClass
-from .errors import GroupMismatch, NonHomogeneousGenerator, SideMismatch
+from .errors import (CatalecticantTooLarge, GroupMismatch,
+                     NonHomogeneousGenerator, SideMismatch)
 from .linalg import nullspace, rank_bareiss, rank_mod
 from .ring import MultiPoly, Side, basis, homogeneous_degree
 
 PRESCREEN_PRIME = 101
+MAX_CATALECTICANT_CELLS = 4_000_000  # built and ranked at up to 24 bytes each
 
 
 def contract(g: MultiPoly, form: MultiPoly) -> MultiPoly:
@@ -77,6 +79,8 @@ def _sum_index_table(fan, degree: DegreeClass, form_degree: DegreeClass):
     if found is None:
         rows = basis(fan, degree)
         cols = basis(fan, form_degree - degree)
+        if len(rows) * len(cols) > MAX_CATALECTICANT_CELLS:
+            raise CatalecticantTooLarge(f"{len(rows)} x {len(cols)} cells, over the cap")
         position = {m: i for i, m in enumerate(basis(fan, form_degree))}
         found = fan._sum_index_cache[key] = (rows, cols, [
             array("I", [position[tuple(map(add, row, col))] for col in cols])

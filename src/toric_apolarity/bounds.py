@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .abelian import DegreeClass
 from .apolarity import (ApolarForm, DegreeBox, catalecticant_entries,
@@ -18,16 +19,22 @@ from .ring import default_certificate
 
 @dataclass(frozen=True)
 class CatMatrix:
-    """Contraction matrix of a form at a fixed domain degree, with its
-    exact rank.  Row i, column j holds the coefficient of the j-th target
-    monomial in (i-th domain monomial acting on the form)."""
+    """Contraction matrix of a form at a fixed domain degree, with its exact rank.
+    Row i, column j holds the coefficient of the j-th target monomial in (i-th
+    domain monomial acting on the form): times ``scale`` in ``matrix``, and in
+    ``entries`` as a Fraction, made when first read."""
 
     form_degree: DegreeClass
     degree: DegreeClass
     rows: tuple
     cols: tuple
-    entries: tuple
+    matrix: tuple
+    scale: int
     rank: int
+
+    @cached_property
+    def entries(self):
+        return tuple(tuple(Fraction(x, self.scale) for x in r) for r in self.matrix)
 
     @property
     def shape(self):
@@ -36,11 +43,8 @@ class CatMatrix:
 
 def catalecticant(form: ApolarForm, degree: DegreeClass) -> CatMatrix:
     rows, cols, matrix = catalecticant_entries(form, degree)
-    return CatMatrix(form_degree=form.degree, degree=degree,
-                     rows=rows, cols=cols,
-                     entries=tuple(tuple(Fraction(x, form.scale) for x in r)
-                                   for r in matrix),
-                     rank=hilbert_value(form, degree, matrix=matrix))
+    return CatMatrix(form.degree, degree, rows, cols, tuple(map(tuple, matrix)),
+                     form.scale, hilbert_value(form, degree, matrix=matrix))
 
 
 @dataclass(frozen=True)

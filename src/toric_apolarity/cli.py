@@ -4,7 +4,8 @@ One job per invocation; human-readable tables by default, one
 self-contained JSON record per result with ``--format records``.  Every
 numeric claim carries its provenance: exact, mod-p lower bound, or
 heuristic-stabilized.  Exit codes: 0 success, 1 mathematical refusal,
-2 input error.
+2 input error.  A run builds the parser of its own command alone; help,
+errors and any argv that does not start with a command build them all.
 """
 
 from __future__ import annotations
@@ -484,96 +485,79 @@ def cmd_det_check(args, fan):
 
 # --- driver -----------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (help, required string options, other options' add_argument keywords);
+# each build looks up the handler cmd_<name> (a tracer may have rebound it)
+COUNTS = {"--window": {"type": int, "default": 3},
+          "--max-k": {"type": int, "default": 12}}
+INT_R = {"-r": {"type": int, "required": True}}
+COMMANDS = {
+    "classgroup": ("class group and variable degree table", "", {}),
+    "basis": ("monomial basis of a graded piece", "--degree", {
+        "--dual": {"action": "store_true", "help": "print dual-side variable names"}}),
+    "hilbert": ("Hilbert grid of an apolar algebra with symmetry check",
+                "--form --box", {}),
+    "cat": ("catalecticant matrix rank and bounds", "--form --beta", {}),
+    "bounds": ("best bounds over a degree box", "--form --box", {}),
+    "contains": ("apolarity containment verdict", "--form", {
+        "--ideal": {"required": True, "help": "comma-separated generators"}}),
+    "length": ("length estimate of a subscheme", "--ideal --ample", COUNTS),
+    "cactus-cert": ("containment plus length: cactus-rank upper bound",
+                    "--form --ideal --ample",
+                    {**COUNTS, "--assert-reduced": {"action": "store_true"}}),
+    "decompose-check": ("verify an exact point decomposition", "--form", {
+        "--terms": {"required": True, "help": "terms file"}}),
+    "limit-cert": ("symbolic limit certificate for a border-rank bound", "--form", {
+        "--family": {"required": True, "help": "family file"}}),
+    "terracini": ("randomized secant-dimension probe", "--degree", {
+        **INT_R, "--prime": {"type": int, "default": DEFAULT_PRIME},
+        "--trials": {"type": int, "default": DEFAULT_TRIALS},
+        "--seed": {"type": int, "default": 0},
+        "--pins": {"help": "comma-separated pinned variable indices"}}),
+    "det-check": ("tangent-stack determinant at an explicit assignment", "--degree", {
+        **INT_R, "--at": {"required": True, "help": "comma-separated values "
+                                                   "for the free chart parameters"},
+        "--prime": {"type": int}, "--pins": {}}),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with ``command``'s alone.  A
+    narrowed parser's metavar keeps every name in the usage line; the full
+    one has none, as a metavar would also rename the argument in errors."""
     parser = argparse.ArgumentParser(
         prog="toric-apolarity",
         description="Exact apolarity, catalecticant bounds, and secant "
                     "probes on simplicial toric varieties.")
-    parser.add_argument("--format", choices=("table", "records"),
-                        default="table")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    parser.add_argument("--format", choices=("table", "records"), default="table")
+    sub = parser.add_subparsers(
+        dest="cmd", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(COMMANDS))
+    for name in COMMANDS if command is None else (command,):
+        help_text, required, options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("fan", help="fan file (JSON)")
-        p.set_defaults(fn=fn)
-        return p
-
-    add("classgroup", cmd_classgroup,
-        help="class group and variable degree table")
-
-    p = add("basis", cmd_basis, help="monomial basis of a graded piece")
-    p.add_argument("--degree", required=True)
-    p.add_argument("--dual", action="store_true",
-                   help="print dual-side variable names")
-
-    p = add("hilbert", cmd_hilbert,
-            help="Hilbert grid of an apolar algebra with symmetry check")
-    p.add_argument("--form", required=True)
-    p.add_argument("--box", required=True)
-
-    p = add("cat", cmd_cat, help="catalecticant matrix rank and bounds")
-    p.add_argument("--form", required=True)
-    p.add_argument("--beta", required=True)
-
-    p = add("bounds", cmd_bounds, help="best bounds over a degree box")
-    p.add_argument("--form", required=True)
-    p.add_argument("--box", required=True)
-
-    p = add("contains", cmd_contains, help="apolarity containment verdict")
-    p.add_argument("--form", required=True)
-    p.add_argument("--ideal", required=True,
-                   help="comma-separated generators")
-
-    p = add("length", cmd_length, help="length estimate of a subscheme")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--ample", required=True)
-    p.add_argument("--window", type=int, default=3)
-    p.add_argument("--max-k", type=int, default=12)
-
-    p = add("cactus-cert", cmd_cactus_cert,
-            help="containment plus length: cactus-rank upper bound")
-    p.add_argument("--form", required=True)
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--ample", required=True)
-    p.add_argument("--window", type=int, default=3)
-    p.add_argument("--max-k", type=int, default=12)
-    p.add_argument("--assert-reduced", action="store_true")
-
-    p = add("decompose-check", cmd_decompose_check,
-            help="verify an exact point decomposition")
-    p.add_argument("--form", required=True)
-    p.add_argument("--terms", required=True, help="terms file")
-
-    p = add("limit-cert", cmd_limit_cert,
-            help="symbolic limit certificate for a border-rank bound")
-    p.add_argument("--form", required=True)
-    p.add_argument("--family", required=True, help="family file")
-
-    p = add("terracini", cmd_terracini,
-            help="randomized secant-dimension probe")
-    p.add_argument("--degree", required=True)
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pins", default=None,
-                   help="comma-separated pinned variable indices")
-
-    p = add("det-check", cmd_det_check,
-            help="tangent-stack determinant at an explicit assignment")
-    p.add_argument("--degree", required=True)
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--at", required=True,
-                   help="comma-separated values for the free chart parameters")
-    p.add_argument("--prime", type=int, default=None)
-    p.add_argument("--pins", default=None)
-
+        for flag in required.split():
+            p.add_argument(flag, required=True)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
+def invoked_command(argv):
+    """The command ``argv`` runs if a parser narrowed to it parses ``argv``
+    as the full one does: if argv starts with it, after ``--format table``
+    or ``--format records`` at most.  Else None, as for help and errors."""
+    if argv[:2] in (["--format", "table"], ["--format", "records"]):
+        argv = argv[2:]
+    elif argv[:1] in (["--format=table"], ["--format=records"]):
+        argv = argv[1:]
+    return argv[0] if argv[:1] and argv[0] in COMMANDS else None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(invoked_command(argv)).parse_args(argv)
     try:
         record, lines = args.fn(args, load_fan(args.fan))
     except Refusal as exc:

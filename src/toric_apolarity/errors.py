@@ -69,6 +69,10 @@ class BasisTooLarge(Refusal):
     """A graded piece has more monomials than the enumeration cap."""
 
 
+class CatalecticantTooLarge(Refusal):
+    """A catalecticant has more cells than the matrix cap."""
+
+
 class ContainmentFailed(Refusal):
     """The candidate ideal is not contained in the apolar ideal."""
 

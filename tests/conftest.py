@@ -1,4 +1,6 @@
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,6 +8,7 @@ import pytest
 
 from toric_apolarity import (ApolarForm, DegreeBox, MultiPoly, Side, build_fan,
                              load_fan, parse_poly)
+from toric_apolarity.cli import build_parser, invoked_command
 from toric_apolarity.ring import basis
 from toric_apolarity.secant import default_pins, parametrize
 
@@ -158,3 +161,18 @@ def assert_fraction_pivots(made):
             assert min(row) == lead and row[lead] == 1
             assert all(type(v) is Fraction for v in row.values())
     assert any(row[min(row)] != 1 for ech in made for row in ech.inputs if row)
+
+
+def parse_outcome(argv, narrowed):
+    """Exit code (None when parsed), stdout, stderr and Namespace of parsing
+    ``argv`` with the full CLI parser, or with the one narrowed to the
+    command that ``argv`` invokes."""
+    parser = build_parser(invoked_command(argv) if narrowed else None)
+    out, err = io.StringIO(), io.StringIO()
+    code = namespace = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            namespace = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace

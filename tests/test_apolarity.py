@@ -4,10 +4,10 @@ from operator import add
 
 import pytest
 
-from toric_apolarity import (ApolarForm, DegreeBox, MultiPoly,
-                             NonHomogeneousGenerator, Side, annihilator_in_degree,
-                             apolar_contains, best_bounds, build_fan,
-                             check_symmetry, contract, hilbert_grid,
+from toric_apolarity import (ApolarForm, CatalecticantTooLarge, DegreeBox,
+                             MultiPoly, NonHomogeneousGenerator, Side,
+                             annihilator_in_degree, apolar_contains, best_bounds,
+                             build_fan, check_symmetry, contract, hilbert_grid,
                              SymmetryVerdict, hilbert_value)
 from toric_apolarity import apolarity
 from toric_apolarity.abelian import DegreeClass
@@ -388,3 +388,15 @@ def test_catalecticant_entries_match_sum_lookup(f1, p114, fake, cube):
                 assert (rows, cols, matrix) == oracle_entries(F, beta)
                 checked += len(rows) * len(cols)
         assert checked
+
+
+def test_catalecticant_over_the_cell_cap_is_refused_unbuilt(f1, monkeypatch):
+    fan = build_fan(f1.rays, f1.max_cones, f1.var_names, f1.dual_var_names)
+    F = form(fan, "x0^2*x1^2*y0*y1")
+    beta = fan.degree((2, 1))  # 5 x 7 cells
+    monkeypatch.setattr(apolarity, "MAX_CATALECTICANT_CELLS", 34)
+    with pytest.raises(CatalecticantTooLarge):
+        hilbert_value(F, beta)
+    assert not fan._sum_index_cache
+    monkeypatch.setattr(apolarity, "MAX_CATALECTICANT_CELLS", 35)
+    assert hilbert_value(F, beta) == 5

@@ -1,17 +1,19 @@
+import argparse
 import json
 import os
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import toric_apolarity
-from toric_apolarity.cli import main
+from toric_apolarity.cli import COMMANDS, main
 
-from conftest import FIXTURES, sympy_tangent_det
+from conftest import FIXTURES, parse_outcome, sympy_tangent_det
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -502,3 +504,78 @@ def test_readme_examples_run(capsys, monkeypatch, fmt):
         if fmt == "records":
             record, = out.splitlines()
             assert json.loads(record)["command"] == argv[0]
+
+
+LENGTH = ["length", FAKE, "--ideal", "a1^2, a2^2", "--ample", "3;0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["-h", "length"], [], ["bogus", FAKE], ["fan.fan", *LENGTH],
+    ["--format", "records", "fan.fan", *LENGTH],
+    ["--format", "bogus", *LENGTH], ["--format=records", *LENGTH],
+    ["--format", "table", *LENGTH], ["--fo", "records", *LENGTH],
+    ["--", *LENGTH], [*LENGTH, "--extra"],
+    ["--format", "records", "cactus-cert", P114, "--form", "x^2*y^2",
+     "--ideal", "a^3, b^3", "--ample", "4", "--extra"],
+    LENGTH[:4], ["length", "--format", "records", FAKE],
+    ["--format", "records", "--format", "table", *LENGTH],
+] + [[name, "--help"] for name in COMMANDS])
+def test_narrowed_parser_matches_the_full_one_on_edge_cases(monkeypatch, argv):
+    # exit code, both streams and the Namespace: narrowing must not show
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parse_outcome(argv, True) == parse_outcome(argv, False)
+
+
+def test_main_builds_only_the_invoked_subparser(capsys, monkeypatch):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    code, out, _ = run(capsys, "--format", "records", *LENGTH)
+    assert code == 0 and out == (GOLDEN / "length_fake.jsonl").read_text()
+    assert names == ["length"]
+    for argv in (["-h"], ["bogus", FAKE]):
+        names.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert len(names) == 12
+
+
+def test_cat_never_builds_the_fraction_entries(capsys, monkeypatch):
+    from toric_apolarity import bounds
+
+    def unread(matrix):
+        raise AssertionError("cat read CatMatrix.entries")
+
+    monkeypatch.setattr(bounds.CatMatrix, "entries", property(unread))
+    code, out, _ = run(capsys, *RECORD_COMMANDS["cat_p114.jsonl"])
+    assert code == 0 and out == (GOLDEN / "cat_p114.jsonl").read_text()
+
+
+def test_oversized_catalecticant_is_refused_before_it_is_built():
+    # a monomial of degree (200,100) on f1 at beta (100,50): 3,876 x 3,876
+    # cells, about 15 million
+    src = str(Path(toric_apolarity.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric_apolarity.cli", "cat", F1, "--form",
+         "x0^100*y0^100", "--beta", "100,50"], capture_output=True,
+        text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1 and "[CatalecticantTooLarge]" in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+def test_package_runs_as_a_module():
+    src = str(Path(toric_apolarity.__file__).resolve().parents[1])
+    runs = [subprocess.run(
+        [sys.executable, "-m", module, "classgroup", P114],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+        for module in ("toric_apolarity", "toric_apolarity.cli")]
+    assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout != ""

@@ -10,7 +10,7 @@ import pytest
 
 from toric_apolarity.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, parse_outcome
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -168,5 +168,18 @@ def test_cli_never_raises(paths):
             assert exc.code == 2, argv
         else:
             assert code in (0, 1, 2), argv
+
+    check()
+
+
+def test_narrowed_parser_parses_as_the_full_one(paths, monkeypatch):
+    # the help layout follows the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(command_lines(paths))
+    def check(argv):
+        assert parse_outcome(argv, True) == parse_outcome(argv, False), argv
 
     check()
