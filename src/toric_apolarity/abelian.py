@@ -5,15 +5,16 @@ degree-class arithmetic, and integer linear solving.
 The cokernel basis is canonicalized so that variable degree tables are
 reproducible: the free part is adapted to the cone spanned by the degree
 columns when that cone is unimodular simplicial (exact for free rank <= 2,
-Hermite fallback otherwise), and small torsion tables are reduced to their
-lexicographic minimum over group automorphisms.
+Hermite fallback otherwise).  Each torsion row is reduced to its least
+form under mixing with the free rows and unit scalings, and rows of equal
+order are sorted; for cyclic torsion that covers every automorphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
-from math import factorial, gcd, isqrt, prod
+from itertools import permutations
+from math import gcd
 from operator import add, sub
 
 from .errors import GroupMismatch, NotFullRank
@@ -355,65 +356,47 @@ def _canonical_free_transform(columns, rank: int):
     return u
 
 
-def _torsion_automorphisms(orders):
-    """Unit scalings per factor composed with permutations of equal orders."""
-    units = [[u for u in range(1, d) if gcd(u, d) == 1] for d in orders]
-    k = len(orders)
-    perms = [p for p in permutations(range(k))
-             if all(orders[p[i]] == orders[i] for i in range(k))]
-    for p in perms:
-        for scales in product(*units):
-            yield p, scales
-
-
-def _automorphism_count(orders) -> int:
-    """The length of ``_torsion_automorphisms(orders)``, counted without
-    listing it: the permutations of equal orders times prod phi(d)."""
-    count = prod(factorial(orders.count(d)) for d in set(orders))
-    for d in orders:
-        phi = m = d
-        for p in range(2, isqrt(d) + 1):
-            if m % p == 0:
-                phi -= phi // p
-                while m % p == 0:
-                    m //= p
-        count *= phi - phi // m if m > 1 else phi
-    return count
-
-
-_TORSION_SEARCH_LIMIT = 20000  # mixings times automorphisms
-
-
 def _canonicalize_torsion(free_rows, tors_rows, orders):
-    """Lexicographically minimal torsion table over mixing and automorphisms."""
-    k = len(orders)
-    if k == 0:
-        return tors_rows
-    ncols = len(tors_rows[0])
-    rank = len(free_rows)
-    size = prod(orders)
-    # automorphisms allowed per mixing; phi(d) >= sqrt(d / 2) bounds d
-    budget = _TORSION_SEARCH_LIMIT // size ** rank
-    if max(orders) > 2 * budget ** 2 or _automorphism_count(orders) > budget:
-        return tors_rows
-    residues = list(product(*[range(d) for d in orders]))
-    table = [tuple(tors_rows[j][i] % orders[j] for j in range(k))
-             for i in range(ncols)]
-    best = None
-    for taus in product(residues, repeat=rank):
-        mixed = []
-        for i in range(ncols):
-            col = list(table[i])
-            for g in range(rank):
-                for j in range(k):
-                    col[j] = (col[j] + free_rows[g][i] * taus[g][j]) % orders[j]
-            mixed.append(col)
-        for perm, scales in _torsion_automorphisms(orders):
-            cand = tuple(tuple(col[perm[j]] * scales[j] % orders[j]
-                               for j in range(k)) for col in mixed)
-            if best is None or cand < best:
-                best = cand
-    return [tuple(best[i][j] for i in range(ncols)) for j in range(k)]
+    """Lexicographically minimal torsion table over mixing with the free
+    rows, unit scalings and permutations of equal orders.  The choices for
+    one row leave the others alone, so this is each row's least form, the
+    rows sorted within equal orders."""
+    return [row for _, row in sorted((d, _least_row(free_rows, t, d))
+                                     for t, d in zip(tors_rows, orders))]
+
+
+def _least_row(free_rows, t, d):
+    """The least member of the cosets s*t + L over units s mod d, L the
+    span of the free rows and d*Z^m.  Reducing by L's Hermite form h,
+    column by column, gives a coset's least member.  While s is fixed
+    mod n, the lifts s + n*k (0 <= k < f) give column c each value
+    reduce(s)[c] + g*i mod h[c][c] once, with y = reduce(n)[c],
+    g = gcd(y, h[c][c]) and f = h[c][c] / g: the least value whose lift
+    is a unit mod n*f fixes s mod n*f."""
+    m = len(t)
+    h = hermite_row_form(list(free_rows) + [[d * (i == j) for j in range(m)]
+                                            for i in range(m)])[0]
+
+    def reduce(k):
+        x = [k * a for a in t]
+        for c in range(m):
+            q = x[c] // h[c][c]
+            if q:
+                x = [a - q * b for a, b in zip(x, h[c])]
+        return x
+
+    s = n = 1
+    for c in range(m):
+        r, y = reduce(s)[c], reduce(n)[c]
+        g = gcd(y, h[c][c])
+        f = h[c][c] // g
+        step = pow(y // g, -1, f)
+        for v in range(r % g, h[c][c], g):
+            k = (v - r) // g * step % f
+            if gcd(s + n * k, n * f) == 1:
+                break
+        s, n = s + n * k, n * f
+    return tuple(reduce(s))
 
 
 def cokernel(matrix):
@@ -440,9 +423,6 @@ def cokernel(matrix):
         [tuple(row[i] for row in free_rows) for i in range(m)], free_rank)
     free_rows = [[sum(u[a][b] * free_rows[b][i] for b in range(free_rank))
                   for i in range(m)] for a in range(free_rank)]
-    tors_rows = [[row[i] % d for i in range(m)]
-                 for row, d in zip(tors_rows, orders)]
-    if orders:
-        tors_rows = _canonicalize_torsion(free_rows, tors_rows, orders)
+    tors_rows = _canonicalize_torsion(free_rows, tors_rows, orders)
 
     return group, Projection(group, free_rows, tors_rows, m)

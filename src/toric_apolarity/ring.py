@@ -4,9 +4,9 @@ The coordinate ring S (side PRIMAL) and its dual module T (side DUAL)
 share one term representation: a map from exponent tuples to nonzero
 Fractions.  The monomials of a graded piece S_[D] are the lattice points
 of the divisor polytope P_D (Cox, Little and Schenck, Toric Varieties,
-Prop. 5.4.1); a positivity certificate only proves that every piece is
-finite.  Bases are ordered by total exponent degree, then
-lexicographically, largest first, which fixes every matrix layout.
+Prop. 5.4.1), all finite exactly when the rays positively span N_R.
+Bases are ordered by total exponent degree, then lexicographically,
+largest first, which fixes every matrix layout.
 """
 
 from __future__ import annotations
@@ -253,18 +253,19 @@ def _enumerate_basis(fan, degree: DegreeClass):
 
 
 def monomial_basis(fan, cert: PositivityCertificate, degree: DegreeClass):
+    """``basis(fan, degree)``: the basis does not depend on ``cert``."""
+    return basis(fan, degree)
+
+
+def basis(fan, degree: DegreeClass):
     """All monomials of the given degree, in the fixed matrix order; the
-    fan caches them per degree.  The basis does not depend on ``cert``,
-    which only certifies that graded pieces are finite."""
+    fan caches them per degree.  No weight is needed: the walk's
+    elimination refuses with NoCertificate a fan whose rays do not
+    positively span, the only fans with infinite graded pieces."""
     found = fan._basis_cache.get(degree)
     if found is None:
         found = fan._basis_cache[degree] = _enumerate_basis(fan, degree)
     return found
-
-
-def basis(fan, degree: DegreeClass):
-    """Monomial basis under the fan's cached default certificate."""
-    return monomial_basis(fan, default_certificate(fan), degree)
 
 
 # --- text syntax --------------------------------------------------------

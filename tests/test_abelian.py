@@ -4,6 +4,8 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import permutations, product
+from math import factorial, gcd, prod
 from pathlib import Path
 
 import pytest
@@ -101,14 +103,129 @@ def test_cokernel_exactness_on_random_matrices():
 
 
 def test_torsion_search_counts_automorphisms():
-    # 9,900 mixings times phi(2) * phi(4950) = 1,200 automorphisms each is
-    # over _TORSION_SEARCH_LIMIT: the table is left as the Smith form gives
-    # it, where the search alone used to take minutes
+    # 9,900 mixings times phi(2) * phi(4950) = 1,200 automorphisms each: a
+    # search over them took minutes, while the Hermite reduction of each
+    # torsion row takes milliseconds
     start = time.perf_counter()
     group, _ = cokernel([[0, -10, 0, -5], [0, 0, 0, -11], [0, -6, -10, -11],
                          [-9, 0, 11, 8], [0, 0, 0, 0]])
     assert time.perf_counter() - start < 1
     assert group == GradedGroup(1, (2, 4950))
+
+
+def searched_torsion_table(free_rows, tors_rows, orders):
+    """The least torsion table, compared column by column, found by trying
+    every mixing of the torsion rows with the free rows, every unit scaling
+    of each factor and every permutation of equal orders (an independent
+    brute-force oracle, test-only)."""
+    k, ncols = len(orders), len(tors_rows[0])
+    units = [[u for u in range(1, d) if gcd(u, d) == 1] for d in orders]
+    perms = [p for p in permutations(range(k))
+             if all(orders[p[j]] == orders[j] for j in range(k))]
+    residues = list(product(*(range(d) for d in orders)))
+    best = None
+    for taus in product(residues, repeat=len(free_rows)):
+        mixed = [[(tors_rows[j][i] + sum(f[i] * tau[j] for f, tau
+                                         in zip(free_rows, taus))) % orders[j]
+                  for j in range(k)] for i in range(ncols)]
+        for perm in perms:
+            for scales in product(*units):
+                cand = tuple(tuple(col[perm[j]] * scales[j] % orders[j]
+                                   for j in range(k)) for col in mixed)
+                if best is None or cand < best:
+                    best = cand
+    return [tuple(best[i][j] for i in range(ncols)) for j in range(k)]
+
+
+def search_size(rank, orders):
+    """Mixings times automorphisms that the oracle tries."""
+    count = prod(factorial(orders.count(d)) for d in set(orders))
+    for d in orders:
+        count *= d ** rank * sum(1 for u in range(1, d) if gcd(u, d) == 1)
+    return count
+
+
+def unimodular(rng, n):
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(6):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rng.randint(-2, 2)
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    rng.shuffle(u)
+    return u
+
+
+def torsion_cokernels(seed, count):
+    """Matrices U @ D @ V with unimodular U and V, whose cokernels have
+    free rank 0 to 2 and torsion drawn from a list with repeated orders,
+    then plain random matrices with torsion."""
+    rng = random.Random(seed)
+    groups = [(2, 2), (3, 3), (2, 2, 2), (2, 4), (2, 2, 4), (4, 4), (5, 5),
+              (2, 6), (3, 6), (6, 6), (3, 3, 3), (2,), (7,), (12,)]
+    for _ in range(count):
+        orders = rng.choice(groups)
+        n = len(orders) + rng.randint(0, 1)
+        m = n + rng.randint(0, 2)
+        diag = [1] * (n - len(orders)) + list(orders)
+        d = [[diag[i] if i == j else 0 for j in range(n)] for i in range(m)]
+        yield matmul(matmul(unimodular(rng, m), d), unimodular(rng, n))
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        m = n + rng.randint(1, 3)
+        yield [[rng.choice([0, rng.randint(-4, 4)]) for _ in range(n)]
+               for _ in range(m)]
+
+
+def test_torsion_table_matches_the_search():
+    compared = repeated = several = 0
+    for matrix in torsion_cokernels(45, 150):
+        try:
+            group, proj = cokernel(matrix)
+        except NotFullRank:
+            continue
+        orders = group.torsion_orders
+        if not orders or search_size(group.free_rank, orders) > 20000:
+            continue
+        dec = smith_normal_form(matrix)
+        smith_rows = [dec.left[i] for i, d in enumerate(dec.diag) if d >= 2]
+        assert list(proj.tors_matrix) == searched_torsion_table(
+            proj.free_matrix, smith_rows, orders)
+        compared += 1
+        several += len(orders) > 1
+        repeated += len(set(orders)) < len(orders)
+    assert compared >= 200 and several >= 100 and repeated >= 60
+
+
+def test_large_torsion_table_is_built_at_once():
+    # Z x Z/2 x Z/4950: far past what a search over mixings and
+    # automorphisms can try, and the least table is its own least form
+    from toric_apolarity.abelian import _canonicalize_torsion
+
+    start = time.perf_counter()
+    group, proj = cokernel([[0, -10, 0, -5], [0, 0, 0, -11],
+                            [0, -6, -10, -11], [-9, 0, 11, 8], [0, 0, 0, 0]])
+    assert time.perf_counter() - start < 0.1
+    assert group == GradedGroup(1, (2, 4950))
+    assert _canonicalize_torsion(proj.free_matrix, proj.tors_matrix,
+                                 group.torsion_orders) == list(proj.tors_matrix)
+
+
+@pytest.mark.parametrize("k", [309, 99_999, 9_999_999])
+def test_cyclic_torsion_table_ignores_the_lattice_basis(k):
+    # Z x Z/(k + 1), its rays u written as v @ u in four bases of N; the
+    # search gave up on all of them
+    rays = [[-1, -1], [k, -1], [-1, k]]
+    tables = set()
+    for v in ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[2, 1], [1, 1]],
+              [[0, -1], [1, 0]]):
+        start = time.perf_counter()
+        group, proj = cokernel([[sum(a * x for a, x in zip(row, ray))
+                                 for row in v] for ray in rays])
+        assert time.perf_counter() - start < 0.1
+        assert group == GradedGroup(1, (k + 1,))
+        tables.add((proj.free_matrix, proj.tors_matrix))
+    assert len(tables) == 1
 
 
 def test_cokernel_rejects_rank_deficiency():
@@ -231,7 +348,7 @@ def test_smith_normal_form_matches_sympy():
 def test_cokernel_matches_sympy_invariants():
     rng = random.Random(32)
     checked = 0
-    for matrix in seeded_integer_matrices(33, count=300, bound=6):
+    for matrix in seeded_integer_matrices(33, count=300, bound=12):
         m, n = len(matrix), len(matrix[0])
         diag = oracle_diag(matrix)
         if m < n or 0 in diag:

@@ -456,6 +456,24 @@ def test_fan_without_certificate_is_refused_at_once(tmp_path, argv):
     assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
+def test_complete_fan_lists_a_basis_without_a_weight(tmp_path):
+    # OPEN_FAN closed up: complete, of free rank 12, with no weight within
+    # radius 1; a basis needs none, so the command returns at once
+    fan_file = tmp_path / "complete.fan"
+    rays = OPEN_FAN["rays"] + [[-1, -1], [0, -1], [1, -1]]
+    fan_file.write_text(json.dumps({
+        "rays": rays, "max_cones": [[i, (i + 1) % 14] for i in range(14)]}))
+    src = str(Path(toric_apolarity.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric_apolarity.cli", "basis", str(fan_file),
+         "--degree", ",".join(["1"] + ["0"] * 11)], capture_output=True,
+        text=True, timeout=10, env={**os.environ, "PYTHONPATH": src})
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "dim = 1 [exact]\nx0\n"
+
+
 def test_oversized_basis_is_refused_while_walked():
     # about 1.5 million monomials: the walk stops at the cap, before the
     # piece fills memory

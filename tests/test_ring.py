@@ -150,6 +150,24 @@ def test_unbounded_polytope_is_refused():
         monomial_basis(fan, PositivityCertificate((1,)), fan.degree((1,)))
 
 
+def test_basis_searches_no_weight(monkeypatch):
+    # a complete fan of free rank 12 whose nearest weight lies past radius
+    # 1, where the next shell alone has 243.6 million vectors
+    from toric_apolarity import ring
+
+    def searched(fan, bound=16):
+        raise AssertionError("a basis searched for a weight")
+
+    monkeypatch.setattr(ring, "find_certificate", searched)
+    rays = [[1, 0], [3, 1], [2, 1], [1, 1], [1, 2], [1, 3], [0, 1], [-1, 3],
+            [-1, 2], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]]
+    fan = build_fan(rays, [[i, (i + 1) % 14] for i in range(14)])
+    degree = fan.degree((1,) + (0,) * 11)
+    assert basis(fan, degree) == ((1,) + (0,) * 13,)
+    assert monomial_basis(fan, PositivityCertificate((1,) * 12),
+                          degree.scale(2)) == ((2,) + (0,) * 13,)
+
+
 def test_poly_arithmetic(f1):
     p = primal(f1, "a0^2*b1 + 3*b0")
     one = MultiPoly.one(Side.PRIMAL, 4)
