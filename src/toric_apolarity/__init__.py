@@ -19,8 +19,8 @@ from .ideals import (CactusCertificate, IdealGens, LengthEstimate,
                      cactus_certificate, colon_piece, ideal_piece,
                      ideal_piece_dimension, length_estimate, saturation_gap)
 from .ring import (MultiPoly, PositivityCertificate, Side, basis,
-                   default_certificate, find_certificate, format_poly,
-                   homogeneous_degree, monomial_basis, parse_poly)
+                   find_certificate, format_poly, homogeneous_degree,
+                   monomial_basis, parse_poly)
 from .secant import (DecompositionCheck, LaurentFamily, LaurentScalar,
                      LimitCertificate, TerraciniProbe, default_pins,
                      limit_certificate, parametrize, parse_laurent,

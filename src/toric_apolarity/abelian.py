@@ -1,13 +1,17 @@
 """Finitely generated abelian groups presented as cokernels of integer
 matrices: Smith normal form with transform tracking, graded-group and
-degree-class arithmetic, and integer linear solving.
+degree-class arithmetic, and integer linear solving.  One reduction,
+the Hermite form, serves both normal forms.
 
-The cokernel basis is canonicalized so that variable degree tables are
-reproducible: the free part is adapted to the cone spanned by the degree
-columns when that cone is unimodular simplicial (exact for free rank <= 2,
-Hermite fallback otherwise).  Each torsion row is reduced to its least
-form under mixing with the free rows and unit scalings, and rows of equal
-order are sorted; for cyclic torsion that covers every automorphism.
+The cokernel is computed from the Hermite basis of the column span, so
+every variable degree table is a function of the lattice alone, not of
+the basis it is given in.  The free part is adapted to the cone spanned
+by the degree columns when that cone is unimodular simplicial (exact for
+free rank <= 2, Hermite fallback otherwise).  Each torsion row is reduced
+to its least form under mixing with the free rows and unit scalings, and
+rows of equal order are sorted; for cyclic torsion that covers every
+automorphism.  A least form over every automorphism of several torsion
+factors is not attempted.
 """
 
 from __future__ import annotations
@@ -39,78 +43,46 @@ def smith_normal_form(matrix) -> SmithDecomposition:
 
     Returns unimodular left (m x m) and right (n x n) with
     left @ matrix @ right diagonal, diagonal entries nonnegative and each
-    dividing the next.  Total function; arbitrary-precision throughout.
+    dividing the next.  Row and column Hermite passes alternate until the
+    matrix is diagonal, then 2 x 2 Bezout steps fix divisibility
+    (Kannan and Bachem, SIAM J. Comput. 8, 1979).  Each pass carries its
+    row operations into ``left``, or into ``right`` transposed.
     """
     a = [[int(x) for x in row] for row in matrix]
     m = len(a)
     n = len(a[0]) if m else 0
     left = _identity(m)
-    right = _identity(n)
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in right:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        left[dst] = [x + c * y for x, y in zip(left[dst], left[src])]
-
-    def add_col(dst, src, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in right:
-            row[dst] += c * row[src]
-
-    t = 0
-    while t < min(m, n):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None
-                                     or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    right_t = _identity(n)
+    while True:  # at least one pair of passes, so zero pivots come last
+        _hermite(a, left)
+        a = [list(col) for col in zip(*a)]
+        _hermite(a, right_t)
+        if all(x == 0 for i, row in enumerate(a)
+               for j, x in enumerate(row) if i != j):
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            offender = next(((i, j) for i in range(t + 1, m)
-                             for j in range(t + 1, n) if a[i][j] % a[t][t]), None)
-            if offender is None:
-                break
-            add_row(t, offender[0], 1)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            left[t] = [-x for x in left[t]]
-        t += 1
-
+        a = [list(col) for col in zip(*a)]
+    diag = [a[i][i] for i in range(min(m, n))]
+    rank = sum(1 for d in diag if d)
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            x, y = diag[i], diag[j]
+            if y % x:
+                # diag(x, y) -> diag(g, xy/g): left [[s, t], [-y/g, x/g]],
+                # right [[1, -ty/g], [1, sx/g]]
+                g = gcd(x, y)
+                s = pow(x // g, -1, y // g)
+                t = (g - s * x) // y
+                li, lj, ri, rj = left[i], left[j], right_t[i], right_t[j]
+                left[i] = [s * p + t * q for p, q in zip(li, lj)]
+                left[j] = [(x * q - y * p) // g for p, q in zip(li, lj)]
+                right_t[i] = [p + q for p, q in zip(ri, rj)]
+                right_t[j] = [(s * x * q - t * y * p) // g
+                              for p, q in zip(ri, rj)]
+                diag[i], diag[j] = g, x * y // g
     return SmithDecomposition(
         left=tuple(tuple(r) for r in left),
-        diag=tuple(a[i][i] for i in range(min(m, n))),
-        right=tuple(tuple(r) for r in right),
+        diag=tuple(diag),
+        right=tuple(zip(*right_t)),
     )
 
 
@@ -143,8 +115,15 @@ def _solve_smith(dec: SmithDecomposition, rhs):
 def hermite_row_form(matrix):
     """Row-style Hermite normal form H = U @ matrix with U unimodular."""
     a = [[int(x) for x in row] for row in matrix]
+    u = _identity(len(a))
+    _hermite(a, u)
+    return a, u
+
+
+def _hermite(a, u):
+    """Bring the rows of ``a`` to Hermite form in place, applying each row
+    operation to the rows of ``u`` as well."""
     m = len(a)
-    u = _identity(m)
     rank = 0
     ncols = len(a[0]) if m else 0
     for col in range(ncols):
@@ -180,7 +159,6 @@ def hermite_row_form(matrix):
         rank += 1
         if rank == m:
             break
-    return a, u
 
 
 @dataclass(frozen=True)
@@ -403,12 +381,14 @@ def cokernel(matrix):
     """Cokernel of an integer matrix with full column rank.
 
     Returns (GradedGroup, Projection); the projection is surjective with
-    kernel exactly the column span, derived from the Smith decomposition
-    and canonicalized as described in the module docstring.
+    kernel exactly the column span.  It is derived from the Smith
+    decomposition of the span's Hermite basis, so it depends only on the
+    span, and canonicalized as described in the module docstring.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    dec = smith_normal_form(matrix)
+    h = hermite_row_form([[row[j] for row in matrix] for j in range(n)])[0]
+    dec = smith_normal_form([[h[j][i] for j in range(n)] for i in range(m)])
     nonzero = [d for d in dec.diag if d != 0]
     if len(nonzero) < n:
         raise NotFullRank(f"column rank {len(nonzero)} < {n}")

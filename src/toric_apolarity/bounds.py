@@ -14,7 +14,6 @@ from functools import cached_property
 from .abelian import DegreeClass
 from .apolarity import (ApolarForm, DegreeBox, catalecticant_entries,
                         hilbert_value)
-from .ring import default_certificate
 
 
 @dataclass(frozen=True)
@@ -80,11 +79,11 @@ class BestBounds:
 
 
 def best_bounds(form: ApolarForm, box: DegreeBox) -> BestBounds:
-    """Per-kind maxima over a degree box; ties broken by the graded-lex
-    order on the degree (certificate grade, then coordinates).  The rank
-    bound is the border bound, as in every ``BoundReport``."""
-    cert = default_certificate(form.fan)
-    ordered = sorted(box, key=lambda d: (cert.grade(d), d.free, d.torsion))
+    """Per-kind maxima over a degree box; ties go to the first degree in
+    the graded-lex order (total free degree, then coordinates), which
+    needs no weight because the box is finite.  The rank bound is the
+    border bound, as in every ``BoundReport``."""
+    ordered = sorted(box, key=lambda d: (sum(d.free), d.free, d.torsion))
     border, border_at, cactus, cactus_at = 0, None, 0, None
     for degree in ordered:
         report = bound_report(form, degree)

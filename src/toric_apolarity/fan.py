@@ -40,9 +40,8 @@ class FanModel:
     Attributes: ambient_rank, rays, max_cones, class_group, projection,
     var_degrees, irrelevant, var_names, dual_var_names.  The fan also owns
     the caches derived from it: Cartier verdicts and cone Smith forms
-    here, the default positivity certificate and graded bases filled in
-    by ``ring``, and the sum-index tables of catalecticants filled in by
-    ``apolarity``.
+    here, graded bases filled in by ``ring``, and the sum-index tables of
+    catalecticants filled in by ``apolarity``.
     """
 
     def __init__(self, rays, max_cones, var_names=None, dual_var_names=None):
@@ -89,7 +88,6 @@ class FanModel:
                 raise ParseError(f"variable names {list(names)} are not distinct")
         self._cartier_cache = {}
         self._cone_smith = None  # Smith form of each maximal cone's rays
-        self._certificate = None
         self._basis_cache = {}  # degree -> monomial tuple
         self._sum_index_cache = {}  # (beta, alpha) -> rows, cols, indices
 

@@ -175,12 +175,6 @@ def find_certificate(fan, bound: int = 16) -> PositivityCertificate:
     raise NoCertificate(f"no weight vector with coordinates up to {bound}")
 
 
-def default_certificate(fan) -> PositivityCertificate:
-    if fan._certificate is None:
-        fan._certificate = find_certificate(fan)
-    return fan._certificate
-
-
 def _eliminate(rows, k):
     """One Fourier–Motzkin step: the rows ``(c, b)``, meaning
     c·m + b >= 0, with coordinate k projected out."""

@@ -1,8 +1,11 @@
+import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, gcd, prod
@@ -13,6 +16,7 @@ import pytest
 from toric_apolarity import (DegreeClass, GradedGroup, GroupMismatch,
                              NonSquare, NotFullRank, cokernel, load_fan,
                              smith_normal_form, solve_integer)
+from toric_apolarity.abelian import hermite_row_form
 from toric_apolarity.linalg import det_bareiss, invert_unimodular
 
 from conftest import FIXTURES, assert_fraction_pivots, record_echelons
@@ -177,6 +181,12 @@ def torsion_cokernels(seed, count):
                for _ in range(m)]
 
 
+def hermite_basis(matrix):
+    """The Hermite basis of the column span that ``cokernel`` reduces."""
+    h = hermite_row_form([list(col) for col in zip(*matrix)])[0]
+    return [list(row) for row in zip(*h)]
+
+
 def test_torsion_table_matches_the_search():
     compared = repeated = several = 0
     for matrix in torsion_cokernels(45, 150):
@@ -187,7 +197,7 @@ def test_torsion_table_matches_the_search():
         orders = group.torsion_orders
         if not orders or search_size(group.free_rank, orders) > 20000:
             continue
-        dec = smith_normal_form(matrix)
+        dec = smith_normal_form(hermite_basis(matrix))
         smith_rows = [dec.left[i] for i, d in enumerate(dec.diag) if d >= 2]
         assert list(proj.tors_matrix) == searched_torsion_table(
             proj.free_matrix, smith_rows, orders)
@@ -226,6 +236,103 @@ def test_cyclic_torsion_table_ignores_the_lattice_basis(k):
         assert group == GradedGroup(1, (k + 1,))
         tables.add((proj.free_matrix, proj.tors_matrix))
     assert len(tables) == 1
+
+
+def test_torsion_tables_ignore_the_lattice_basis():
+    # the cokernel reduces the Hermite basis of the column span, so M and
+    # M @ V give one table for every unimodular V, also with several
+    # torsion factors, where the least form leaves some automorphisms out
+    rng = random.Random(46)
+    compared = 0
+    for matrix in torsion_cokernels(46, 200):
+        try:
+            group, proj = cokernel(matrix)
+        except NotFullRank:
+            continue
+        if len(group.torsion_orders) < 2:
+            continue
+        for _ in range(2):
+            moved = matmul(matrix, unimodular(rng, len(matrix[0])))
+            other_group, other = cokernel(moved)
+            assert other_group == group
+            assert (other.free_matrix, other.tors_matrix) \
+                == (proj.free_matrix, proj.tors_matrix)
+        compared += 1
+    assert compared >= 100
+
+
+def test_z2z4_fixture_table_ignores_the_lattice_basis():
+    fan = load_fan(FIXTURES / "z2z4.fan")
+    assert fan.class_group == GradedGroup(1, (2, 4))
+    rng = random.Random(47)
+    tables = set()
+    for _ in range(20):
+        v = unimodular(rng, 3)
+        _, proj = cokernel(matmul([list(r) for r in fan.rays], v))
+        tables.add((proj.free_matrix, proj.tors_matrix))
+    assert tables == {(fan.projection.free_matrix, fan.projection.tors_matrix)}
+
+
+# the row-and-column sweep let this matrix's entries pass 3.3 million bits
+# (invariant factors 1, ..., 1, 367911)
+SWEEP_GROWTH = [[0, -1, -2, -3, 5, 3, -6], [-1, 4, -2, -5, 5, 6, 3],
+                [3, 6, -4, -5, 1, 6, -6], [1, -1, -2, 0, -4, -6, 5],
+                [2, -4, -4, 0, 5, 5, 5], [6, 5, -3, -2, 3, 2, 3],
+                [-6, -6, -3, -6, 3, 6, 4]]
+
+
+@contextmanager
+def alarm(seconds):
+    """Raise TimeoutError after ``seconds``: a runaway in-process call
+    fails its test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_smith_form_of_a_matrix_that_grew_under_the_sweep():
+    with alarm(5):
+        start = time.perf_counter()
+        dec = smith_normal_form(SWEEP_GROWTH)
+        assert time.perf_counter() - start < 0.1
+    assert dec == assert_decomposition(SWEEP_GROWTH)
+    assert dec.diag == oracle_diag(SWEEP_GROWTH) == (1,) * 6 + (367911,)
+
+
+def one_cone_fan(tmp_path):
+    fan_file = tmp_path / "cone7.fan"
+    fan_file.write_text(json.dumps({"rays": SWEEP_GROWTH,
+                                    "max_cones": [list(range(7))]}))
+    return fan_file
+
+
+def test_classgroup_of_the_grown_matrix_returns_at_once(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "toric_apolarity.cli", "classgroup",
+         str(one_cone_fan(tmp_path))], capture_output=True, text=True,
+        timeout=10, env=dict(os.environ, PYTHONPATH=src))
+    assert time.perf_counter() - start < 1
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("Cl = Z/367911;")
+
+
+def test_is_cartier_on_the_grown_matrix_returns_at_once(tmp_path):
+    # is_cartier solves the cone's own 7 x 7 ray system
+    with alarm(5):
+        start = time.perf_counter()
+        fan = load_fan(one_cone_fan(tmp_path))
+        x0 = fan.var_degrees[0]
+        assert not fan.is_cartier(x0) and fan.is_cartier(x0.scale(367911))
+        assert time.perf_counter() - start < 1
 
 
 def test_cokernel_rejects_rank_deficiency():

@@ -147,3 +147,35 @@ def test_entries_are_the_form_coefficients(f1, p114, fake):
             _, _, matrix = coefficient_matrix(F, degree)
             assert catalecticant(F, degree).entries \
                 == tuple(tuple(row) for row in matrix)
+
+
+def test_ties_follow_total_free_degree_without_a_weight():
+    # the smallest weight of this fan is (1, 0), not all-ones (x2 has
+    # degree (1, -2)): the three values are those of the old weight order,
+    # and each degree is the first in the new order that reaches its value
+    from toric_apolarity import build_fan, find_certificate
+
+    fan = build_fan([[-2, -3], [1, 0], [2, 1], [-3, 2]],
+                    [[0, 1], [1, 2], [2, 3], [3, 0]])
+    cert = find_certificate(fan)
+    assert cert.weight == (1, 0)
+    moved = 0
+    for text, ranges in [("y2*y3", ((0, 2), (-2, 1))),
+                         ("y0^2*y2^2", ((0, 4), (-5, 1))),
+                         ("y0*y1*y2*y3", ((0, 6), (-1, 7)))]:
+        F = form(fan, text)
+        box = DegreeBox(fan.class_group, ranges)
+        reports = {d: bound_report(F, d) for d in box}
+        border = max(r.border for r in reports.values())
+        cactus = max((r.cactus for r in reports.values() if r.cactus), default=0)
+        weighted = sorted(box, key=lambda d: (cert.grade(d), d.free))
+        graded = sorted(box, key=lambda d: (sum(d.free), d.free))
+        sweep = best_bounds(F, box)
+        assert (sweep.border, sweep.rank, sweep.cactus) == (border, border, cactus)
+        assert sweep.border_at == sweep.rank_at == next(
+            d for d in graded if reports[d].border == border)
+        assert sweep.cactus_at == next(
+            (d for d in graded if cactus and reports[d].cactus == cactus), None)
+        moved += sweep.border_at != next(
+            d for d in weighted if reports[d].border == border)
+    assert moved  # the weight would have put some tie elsewhere

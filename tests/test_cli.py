@@ -20,6 +20,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 F1 = str(FIXTURES / "f1.fan")
 P114 = str(FIXTURES / "p114.fan")
 FAKE = str(FIXTURES / "fake_plane.fan")
+Z2Z4 = str(FIXTURES / "z2z4.fan")
 
 
 def run(capsys, *argv):
@@ -355,6 +356,7 @@ def test_malformed_fan_file_is_a_parse_error(capsys, tmp_path, fields):
 
 RECORD_COMMANDS = {
     "classgroup_fake.jsonl": ("--format", "records", "classgroup", FAKE),
+    "classgroup_z2z4.jsonl": ("--format", "records", "classgroup", Z2Z4),
     "hilbert_f1.jsonl": ("--format", "records", "hilbert", F1,
                          "--form", "x0*x1*y0*y1", "--box", "0..3,0..2"),
     "cat_p114.jsonl": ("--format", "records", "cat", P114,
@@ -403,6 +405,7 @@ sys.exit(main(sys.argv[1:]))
 
 @pytest.mark.parametrize("name", ["hilbert_f1.jsonl", "cat_p114.jsonl",
                                   "classgroup_fake.jsonl",
+                                  "classgroup_z2z4.jsonl",
                                   "length_fake.jsonl"])
 def test_records_match_golden_under_optimize(name):
     # catalecticants gathered through the fan's tables, ranked by the
@@ -472,6 +475,39 @@ def test_complete_fan_lists_a_basis_without_a_weight(tmp_path):
     assert time.perf_counter() - start < 1
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "dim = 1 [exact]\nx0\n"
+
+
+def test_complete_fan_bounds_without_a_weight(tmp_path):
+    # the same complete fan: bounds orders its ties by total free degree,
+    # so it no longer searches for a weight, the nearest of which lies
+    # past radius 1
+    fan_file = tmp_path / "complete.fan"
+    rays = OPEN_FAN["rays"] + [[-1, -1], [0, -1], [1, -1]]
+    fan_file.write_text(json.dumps({
+        "rays": rays, "max_cones": [[i, (i + 1) % 14] for i in range(14)]}))
+    src = str(Path(toric_apolarity.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric_apolarity.cli", "bounds", str(fan_file),
+         "--form", "y0*y1", "--box", ",".join(["0..1"] + ["0..0"] * 11)],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": src})
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("border rank >= 1 at ")
+
+
+def test_bounds_on_a_fan_whose_weights_lie_past_the_search(capsys, tmp_path):
+    # complete, free rank 3, degrees (8,-3,-12) and (-5,2,7) among them:
+    # every weight has a coordinate beyond 16, where the search gave up
+    fan_file = tmp_path / "far.fan"
+    fan_file.write_text(json.dumps({
+        "rays": [[-2, -1], [1, 0], [2, 3], [-1, 2], [-2, 3]],
+        "max_cones": [[i, (i + 1) % 5] for i in range(5)]}))
+    code, out, err = run(capsys, "bounds", str(fan_file), "--form", "y0*y1*y2",
+                         "--box", "0..1,0..1,0..1")
+    assert code == 0, err
+    assert out.startswith("border rank >= 1 at (0,0,0) [exact]\n")
 
 
 def test_oversized_basis_is_refused_while_walked():
