@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import gcd
-from operator import add, sub
+from operator import add, mul, sub
 
 from .errors import GroupMismatch, NotFullRank
 from .linalg import invert_unimodular
@@ -249,12 +249,14 @@ class Projection:
         self.rank = rank
         self._smith = None  # Smith decomposition of the section's system
 
+    def coordinates(self, vector):
+        """Free coordinates and torsion residues of the image of vector."""
+        return (tuple(sum(map(mul, row, vector)) for row in self.free_matrix),
+                tuple(sum(map(mul, row, vector)) % d for row, d in
+                      zip(self.tors_matrix, self.group.torsion_orders)))
+
     def __call__(self, vector) -> DegreeClass:
-        free = tuple(sum(row[i] * vector[i] for i in range(self.rank))
-                     for row in self.free_matrix)
-        tors = tuple(sum(row[i] * vector[i] for i in range(self.rank))
-                     for row in self.tors_matrix)
-        return DegreeClass(self.group, free, tors)
+        return DegreeClass(self.group, *self.coordinates(vector))
 
     def section(self, degree: DegreeClass):
         """An integer preimage of a degree class (deterministic).

@@ -69,6 +69,11 @@ class ApolarForm:
         get = self.scaled_terms.get
         return [get(m, 0) for m in basis(self.fan, self.degree)]
 
+    @cached_property
+    def residues(self):
+        """``basis_values`` mod PRESCREEN_PRIME, for the rank prescreen."""
+        return [x % PRESCREEN_PRIME for x in self.basis_values]
+
 
 def _sum_index_table(fan, degree: DegreeClass, form_degree: DegreeClass):
     """basis(beta), basis(alpha - beta), and per row an ``array("I")`` of
@@ -99,14 +104,19 @@ def catalecticant_entries(form: ApolarForm, degree: DegreeClass):
     return rows, cols, [list(map(values.__getitem__, t)) for t in table]
 
 
-def exact_rank(matrix) -> int:
-    """Exact rank of an integer matrix; a full-rank result mod p certifies
-    it without exact elimination (a modular rank can only drop)."""
-    if not matrix or not matrix[0]:
-        return 0
-    cap = min(len(matrix), len(matrix[0]))
-    if rank_mod(matrix, PRESCREEN_PRIME) == cap:
+def exact_rank(form: ApolarForm, degree: DegreeClass, matrix=None) -> int:
+    """Exact rank of the catalecticant at ``degree``.  A full rank mod p
+    of the rows gathered from ``form.residues`` certifies it (a modular
+    rank can only drop); only otherwise is the integer matrix built, or
+    ``matrix`` taken, and ranked by Bareiss."""
+    rows, cols, table = _sum_index_table(form.fan, degree, form.degree)
+    cap = min(len(rows), len(cols))
+    residues = form.residues
+    if not cap or rank_mod([list(map(residues.__getitem__, t)) for t in table],
+                           PRESCREEN_PRIME) == cap:
         return cap
+    if matrix is None:
+        _, _, matrix = catalecticant_entries(form, degree)
     return rank_bareiss(matrix)
 
 
@@ -126,7 +136,8 @@ def hilbert_value(form: ApolarForm, degree: DegreeClass, *,
     """Dimension of the apolar algebra's graded piece: the rank of the
     contraction matrix at ``degree``, computed once per form and degree.
     A caller that has already built that matrix with
-    ``catalecticant_entries`` passes it as ``matrix``.
+    ``catalecticant_entries`` passes it as ``matrix``, for a prescreen
+    miss to rank.
 
     The memo is keyed by the degree alone, not by the pair {beta,
     alpha - beta}: the two matrices are transposes of each other, and
@@ -134,9 +145,7 @@ def hilbert_value(form: ApolarForm, degree: DegreeClass, *,
     computations."""
     rank = form._ranks.get(degree)
     if rank is None:
-        if matrix is None:
-            _, _, matrix = catalecticant_entries(form, degree)
-        rank = form._ranks[degree] = exact_rank(matrix)
+        rank = form._ranks[degree] = exact_rank(form, degree, matrix)
     return rank
 
 

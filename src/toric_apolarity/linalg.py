@@ -4,8 +4,13 @@ echelonizer for graded ideal pieces, and prime-field elimination."""
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
-from math import gcd
+from functools import partial
+from itertools import chain, repeat
+from math import lcm
+from operator import mod
 
 from .errors import NonSquare
 
@@ -18,13 +23,9 @@ def _clear_denominators(rows):
     out = []
     scale = 1
     for row in rows:
-        lcm = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                d = x.denominator
-                lcm = lcm // gcd(lcm, d) * d
-        scale *= lcm
-        out.append([int(x * lcm) for x in row])
+        d = lcm(*[x.denominator for x in row])
+        scale *= d
+        out.append([int(x * d) for x in row] if d > 1 else list(map(int, row)))
     return out, scale
 
 
@@ -172,57 +173,72 @@ def nullspace(rows, ncols: int):
     return basis
 
 
-def _pack(values, width: int) -> int:
-    """One int holding ``values`` in ``width``-bit slots, lowest column in
-    the lowest slot."""
-    packed = 0
-    for x in reversed(values):
-        packed = packed << width | x
-    return packed
+def _slot_codec(bound: int):
+    """Byte size of the narrowest slot that holds ``bound``, and the pair
+    (encode, decode) between slot values and little-endian bytes: an
+    ``array`` typecode of up to 8 bytes on a little-endian machine, else
+    ``int.to_bytes`` per slot."""
+    for code in "BHIQ" if sys.byteorder == "little" else "":
+        size = array(code).itemsize
+        if bound >> 8 * size == 0:
+            return size, partial(array, code), partial(array, code)
+    size = (bound.bit_length() + 7) // 8
+    return (size, lambda xs: b"".join(x.to_bytes(size, "little") for x in xs),
+            lambda b: [int.from_bytes(b[i:i + size], "little")
+                       for i in range(0, len(b), size)])
 
 
 def _eliminate_mod(rows, p: int):
     """Gaussian elimination over Z/p on packed rows.
 
     Returns the rank and the product of the pivots times the sign of the
-    row swaps, which is the determinant of a square matrix of full rank.
+    row moves, which is the determinant of a square matrix of full rank.
 
-    Each row is one int with a fixed-width slot per column, and a row is
-    eliminated by one multiply-add, ``row += (p - c) * pivot``.  Only the
-    pivot row is unpacked and reduced: every pivot is repacked with a
-    leading 1 and entries below p, so an elimination adds less than p*p
-    to a slot.  A row is eliminated at most m - 1 times before it becomes
-    a pivot, so its slots stay below p*p*(m+1) and never carry into the
-    next slot.
+    Each row is one int with a slot per column not yet done, the current
+    column in the lowest slot.  The pivot row is popped from the rows
+    left (moving row k to the front has sign (-1)^k), unpacked, reduced
+    mod p in one pass and repacked.  Each other row, with c in its
+    current slot, takes one multiply-add, ``row + (p - c/lead) * pivot``
+    with c/lead taken mod p, which leaves a multiple of p in that slot;
+    then every row left drops the finished slot with ``>> width``.
+
+    Slots never carry into their neighbours: entries start below p, an
+    elimination adds at most (p-1)^2 to a slot, and a row is eliminated
+    at most m - 1 times before it becomes a pivot, so a slot stays at
+    most (p-1) + (m-1)(p-1)^2.  The slot is the narrowest ``array``
+    typecode (1, 2, 4 or 8 bytes) that holds this bound, or past 8 bytes
+    as many whole bytes as the bound needs.
     """
     if not rows or not rows[0]:
         return 0, 1
     m, n = len(rows), len(rows[0])
-    width = (p * p * (m + 1)).bit_length() + 1
+    size, encode, decode = _slot_codec(p - 1 + (m - 1) * (p - 1) ** 2)
+    width = 8 * size
     mask = (1 << width) - 1
-    a = [_pack([x % p for x in row], width) for row in rows]
+    data = bytes(encode(map(mod, chain.from_iterable(rows), repeat(p))))
+    step = n * size
+    a = [int.from_bytes(data[i:i + step], "little")
+         for i in range(0, m * step, step)]
     rank, det = 0, 1
     for col in range(n):
-        shift = col * width
-        cs = [(r >> shift & mask) % p for r in a[rank:]]
-        k = next((k for k, c in enumerate(cs) if c), None)
-        if k is None:
-            continue
-        if k:
-            a[rank], a[rank + k] = a[rank + k], a[rank]
-            det = -det
-        det = det * cs[k] % p
-        inv = pow(cs[k], -1, p)
-        r = a[rank] >> shift
-        pivot = a[rank] = _pack([(r >> (j * width) & mask) * inv % p
-                                 for j in range(n - col)], width) << shift
-        # the rows passed over, now at rank + 1 .. rank + k, have c = 0
-        for i, c in enumerate(cs[k + 1:], rank + k + 1):
+        cs = [(r & mask) % p for r in a]
+        for k, c in enumerate(cs):
             if c:
-                a[i] += (p - c) * pivot
+                break
+        else:  # no pivot in this column
+            a = [r >> width for r in a]
+            continue
+        lead = cs.pop(k)
+        pivot = a.pop(k).to_bytes((n - col) * size, "little")
+        det = det * (-lead if k & 1 else lead) % p
         rank += 1
-        if rank == m:
+        if not a:
             break
+        pivot = int.from_bytes(encode(map(mod, decode(pivot), repeat(p))),
+                               "little")
+        inv = pow(lead, -1, p)
+        a = [(r + (p - c * inv % p) * pivot) >> width if c else r >> width
+             for r, c in zip(a, cs)]
     return rank, det
 
 

@@ -127,15 +127,13 @@ class MultiPoly:
 
 
 def homogeneous_degree(fan, poly: MultiPoly) -> DegreeClass | None:
-    """The common degree of all terms, or None if inhomogeneous/zero."""
-    degree = None
-    for m in poly.terms:
-        d = fan.monomial_degree(m)
-        if degree is None:
-            degree = d
-        elif degree != d:
-            return None
-    return degree
+    """The common degree of all terms, or None if inhomogeneous/zero.
+    Terms are compared on their coordinates, so one DegreeClass is built."""
+    keys = map(fan.projection.coordinates, poly.terms)
+    key = next(keys, None)
+    if key is None or any(k != key for k in keys):
+        return None
+    return DegreeClass(fan.projection.group, *key)
 
 
 def tag_degree(fan, poly: MultiPoly) -> MultiPoly:

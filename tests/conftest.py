@@ -55,6 +55,10 @@ def form(fan, text):
 # and a large one.
 PRIMES = (2, 3, 5, 101, 32003)
 
+# Primes whose elimination slots outgrow a machine word: 2^61 - 1 fits 8
+# bytes only in a single row, 10^24 + 7 never does.
+WIDE_PRIMES = (2 ** 61 - 1, 10 ** 24 + 7)
+
 # Denominators of the seeded rational forms; 101 is the prescreen prime.
 DENOMINATORS = (2, 7, 101, 202, 3 * 101 ** 2)
 

@@ -12,6 +12,7 @@ from toric_apolarity import (ApolarForm, CatalecticantTooLarge, DegreeBox,
 from toric_apolarity import apolarity
 from toric_apolarity.abelian import DegreeClass
 from toric_apolarity.apolarity import catalecticant_entries
+from toric_apolarity.linalg import rank_bareiss
 from toric_apolarity.ring import basis
 from toric_apolarity.secant import parametrize
 
@@ -228,7 +229,7 @@ def test_one_rank_per_distinct_degree(f1, p114, fake, cube, monkeypatch):
     calls = []
     rank = apolarity.exact_rank
     monkeypatch.setattr(apolarity, "exact_rank",
-                        lambda matrix: calls.append(matrix) or rank(matrix))
+                        lambda *matrix: calls.append(matrix) or rank(*matrix))
     for F, box in memo_cases(f1, p114, fake, cube):
         calls.clear()
         hilbert_grid(F, box)
@@ -388,6 +389,52 @@ def test_catalecticant_entries_match_sum_lookup(f1, p114, fake, cube):
                 assert (rows, cols, matrix) == oracle_entries(F, beta)
                 checked += len(rows) * len(cols)
         assert checked
+
+
+def prescreen_forms(fan, degree, rng):
+    """Forms whose residues mod the prescreen prime mislead or vanish:
+    every coefficient a multiple of 101, so the prescreen sees a zero
+    matrix; negative coefficients and coefficients of 101 and more;
+    coefficients over 101 next to integers, so the scale D is divisible
+    by 101 and the integer terms vanish mod 101; and point sums, whose
+    catalecticants are rank deficient."""
+    mons = list(basis(fan, degree))
+
+    def coeff():
+        return rng.choice([-1, 1]) * rng.randint(1, 500)
+
+    def sample():
+        return rng.sample(mons, min(5, len(mons)))
+
+    polys = [{m: 101 * coeff() for m in sample()},
+             {m: coeff() for m in mons},
+             {m: Fraction(coeff(), rng.choice([1, 101, 202])) for m in mons},
+             {m: Fraction(coeff(), 101) for m in sample()}]
+    forms = [ApolarForm(fan, MultiPoly(Side.DUAL, terms)) for terms in polys]
+    assert not any(forms[0].residues)
+    assert forms[3].scale % 101 == 0
+    return forms + [point_sum(fan, degree, rng, points=2),
+                    cancelling_point_sum(fan, degree, rng)]
+
+
+def test_residue_prescreen_matches_bareiss(f1, p114, fake, cube):
+    # the prescreen ranks residues and certifies only a full rank; every
+    # other result, the zero matrix mod 101 included, falls back to
+    # Bareiss on the integer matrix
+    rng = random.Random(61)
+    misses = 0
+    for fan, alpha in [(f1, f1.degree((4, 2))), (p114, p114.degree((6,))),
+                       (fake, fake.degree((6,), (1,))),
+                       (cube, cube.degree((2, 2, 1)))]:
+        box = DegreeBox(fan.class_group,
+                        tuple((-1, x + 1) for x in alpha.free))
+        for F in prescreen_forms(fan, alpha, rng):
+            for degree in box:
+                rows, cols, matrix = catalecticant_entries(F, degree)
+                want = rank_bareiss(matrix)
+                assert hilbert_value(F, degree) == want
+                misses += want < min(len(rows), len(cols))
+    assert misses >= 40
 
 
 def test_catalecticant_over_the_cell_cap_is_refused_unbuilt(f1, monkeypatch):

@@ -633,3 +633,41 @@ def test_package_runs_as_a_module():
         for module in ("toric_apolarity", "toric_apolarity.cli")]
     assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
     assert runs[0].stdout == runs[1].stdout != ""
+
+
+TERRACINI_TAIL = ("secant dimension estimate = 6; fills P^6: True\n"
+                  "rank over Z/p lower-bounds rank over Q; assumes the class "
+                  "is basepoint-free (user-asserted)\n")
+WIDE_PRIME_RUNS = [
+    (("terracini", F1, "--degree", "3,1", "-r", "3", "--prime",
+      "2305843009213693951"),
+     "tangent-stack rank = 7 over Z/2305843009213693951 [mod-p lower bound]"
+     " (trials 5, seed 0, pins [0, 3])\n" + TERRACINI_TAIL),
+    (("terracini", F1, "--degree", "3,1", "-r", "3", "--prime",
+      "1000000000000000000000007"),
+     "tangent-stack rank = 7 over Z/1000000000000000000000007 [mod-p lower "
+     "bound] (trials 5, seed 0, pins [0, 3])\n" + TERRACINI_TAIL),
+    ((*DET_CHECK, "--prime", "2305843009213693951"),
+     "determinant over Z/2305843009213693951 = 12688860119040 [exact]\n"),
+    ((*DET_CHECK, "--prime", "1000000000000000000000007"),
+     "determinant over Z/1000000000000000000000007 = 12688860119040 [exact]\n"),
+    (("det-check", F1, "--degree", "5,2", "-r", "5", "--at", RATIONAL_AT,
+      "--prime", "2305843009213693951"),
+     "determinant over Z/2305843009213693951 = 953638168082040146 [exact]\n"),
+    (("det-check", F1, "--degree", "5,2", "-r", "5", "--at", RATIONAL_AT,
+      "--prime", "1000000000000000000000007"),
+     "determinant over Z/1000000000000000000000007 = "
+     "958447294617196547089981 [exact]\n"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", WIDE_PRIME_RUNS)
+def test_prime_field_commands_at_wide_primes(argv, stdout):
+    # slots past 8 bytes: 2^61 - 1 needs them from the second row on,
+    # 10^24 + 7 from the first
+    src = str(Path(toric_apolarity.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric_apolarity", *argv], capture_output=True,
+        text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == stdout

@@ -11,7 +11,7 @@ from toric_apolarity.linalg import (SparseEchelon, det_bareiss, det_mod,
                                     invert_unimodular, nullspace, rank_bareiss,
                                     rank_mod)
 
-from conftest import PRIMES
+from conftest import PRIMES, WIDE_PRIMES
 
 sympy = pytest.importorskip("sympy")
 
@@ -202,15 +202,15 @@ def rowwise_det_mod(rows, p):
     return det % p
 
 
-def modular_matrices(seed, count=600, square=False):
+def modular_matrices(seed, count=600, square=False, primes=PRIMES):
     """Seeded (p, rows) pairs: entries in [-3p, 3p], a third of them zero;
     tall shapes (up to 40 x 4), single rows, whole zero rows and columns,
     and a last row that is a combination of two others mod p half of the
     time, so many squares are singular."""
     rng = random.Random(seed)
     for k in range(count):
-        p = PRIMES[k % len(PRIMES)]
-        shape = k // len(PRIMES) % 4
+        p = primes[k % len(primes)]
+        shape = k // len(primes) % 4
         if square:
             m = n = rng.randint(1, 8)
         elif shape == 0:
@@ -287,3 +287,34 @@ def test_prime_field_elimination_under_worst_slot_growth():
                 assert rank_mod(rows, p) == m - 1 + last
                 square = [row[:m] for row in rows]
                 assert det_mod(square, p) == rowwise_det_mod(square, p) == last
+
+
+def test_prime_field_elimination_at_wide_primes():
+    for p, rows in modular_matrices(11, count=200, primes=WIDE_PRIMES):
+        assert rank_mod(rows, p) == rowwise_rank_mod(rows, p)
+    for p, rows in modular_matrices(12, count=200, square=True,
+                                    primes=WIDE_PRIMES):
+        assert det_mod(rows, p) == rowwise_det_mod(rows, p)
+
+
+def slot_switches(p, largest=300):
+    """Row counts m on each side of every switch of the slot width: the
+    last m whose bound (p-1) + (m-1)(p-1)^2 fits 1, 2, 4 or 8 bytes, and
+    the m after it, for m up to ``largest``."""
+    for size in (1, 2, 4, 8):
+        m = (256 ** size - p) // (p - 1) ** 2 + 1
+        yield from (k for k in (m, m + 1) if m >= 1 and k <= largest)
+
+
+def test_prime_field_elimination_at_every_slot_switch():
+    # the worst-growth matrix on both sides of each switch, so a slot one
+    # width too narrow overflows into its neighbour; small m at the wide
+    # primes cover slots past 8 bytes
+    assert {m for p in PRIMES for m in slot_switches(p)} == {
+        1, 2, 5, 6, 7, 8, 16, 17, 64, 65, 255, 256}
+    for p in PRIMES + WIDE_PRIMES:
+        for m in sorted({1, 2, 3, *slot_switches(p)}):
+            for last in (0, 1):
+                rows = slot_growth_matrix(p, m, m + 2, last)
+                assert rank_mod(rows, p) == m - 1 + last
+                assert det_mod([row[:m] for row in rows], p) == last

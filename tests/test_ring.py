@@ -205,6 +205,21 @@ def test_homogeneity_tagging(f1):
     assert homogeneous_degree(f1, primal(f1, "a0 + b0")) is None
 
 
+def test_homogeneity_compares_torsion_residues(fake):
+    # on Z x Z/3, a0, a1, a2 have degrees (1,0), (1,1), (1,2): terms that
+    # differ only in torsion are inhomogeneous, and residues are compared
+    # after reduction (a2^2 and a0*a1 both have degree (2,1))
+    assert homogeneous_degree(fake, primal(fake, "a0 + a1")) is None
+    assert homogeneous_degree(fake, primal(fake, "a0^2 - a1^2")) is None
+    assert homogeneous_degree(fake, primal(fake, "a0*a1 - a2^2")) == \
+        fake.degree((2,), (1,))
+    assert homogeneous_degree(fake, primal(fake, "a0^3 + a1^3 + a2^3")) == \
+        fake.degree((3,), (0,))
+    assert homogeneous_degree(fake, dual(fake, "x1^2 + x0*x2")) == \
+        fake.degree((2,), (2,))
+    assert homogeneous_degree(fake, MultiPoly(Side.DUAL, {})) is None
+
+
 def test_parse_round_trip_examples(f1, p114):
     for fan, names, text in [
             (f1, f1.var_names, "3/4*a0^2*b1"),
