@@ -9,16 +9,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import prod
 from operator import add
 
 from .abelian import DegreeClass
-from .errors import (CatalecticantTooLarge, GroupMismatch,
+from .errors import (BoxTooLarge, CatalecticantTooLarge, GroupMismatch,
                      NonHomogeneousGenerator, SideMismatch)
 from .linalg import nullspace, rank_bareiss, rank_mod
 from .ring import MultiPoly, Side, basis, homogeneous_degree
 
 PRESCREEN_PRIME = 101
 MAX_CATALECTICANT_CELLS = 4_000_000  # built and ranked at up to 24 bytes each
+MAX_BOX_DEGREES = 10_000  # a box's degrees are built at once, each ranked
 
 
 def contract(g: MultiPoly, form: MultiPoly) -> MultiPoly:
@@ -162,6 +164,11 @@ class DegreeBox:
             raise GroupMismatch(f"box has {len(self.free_ranges)} ranges, "
                                 f"the group has free rank "
                                 f"{self.group.free_rank}")
+        count = prod(hi - lo + 1 for lo, hi in self.free_ranges)
+        count *= prod(self.group.torsion_orders)
+        if count > MAX_BOX_DEGREES:
+            raise BoxTooLarge(f"the box has {count} degrees, more than "
+                              f"{MAX_BOX_DEGREES}")
 
     @cached_property
     def degrees(self):  # built once, in iteration order

@@ -66,7 +66,11 @@ class NoCertificate(Refusal):
 
 
 class BasisTooLarge(Refusal):
-    """A graded piece has more monomials than the enumeration cap."""
+    """A graded piece, or a length estimate's samples, pass a monomial cap."""
+
+
+class BoxTooLarge(Refusal):
+    """A degree box has more degrees than the box cap."""
 
 
 class CatalecticantTooLarge(Refusal):

@@ -11,7 +11,7 @@ from operator import add, ge, sub
 
 from .abelian import DegreeClass
 from .apolarity import ApolarForm, apolar_contains
-from .errors import ContainmentFailed, NonHomogeneousGenerator
+from .errors import BasisTooLarge, ContainmentFailed, NonHomogeneousGenerator
 from .fan import IrrelevantIdeal
 from .linalg import SparseEchelon, nullspace
 from .ring import Side, basis, monomial_key, tag_degree
@@ -21,7 +21,7 @@ class IdealGens:
     """Homogeneous generating set of an ideal in the coordinate ring."""
 
     def __init__(self, fan, generators):
-        gens = []
+        gens, shapes = [], []
         for g in generators:
             if g.side is not Side.PRIMAL:
                 raise NonHomogeneousGenerator("generators must be primal")
@@ -31,8 +31,16 @@ class IdealGens:
             if tagged.degree is None:
                 raise NonHomogeneousGenerator("generator is not homogeneous")
             gens.append(tagged)
+            # in integer coefficients: the largest term's exponent e and
+            # coefficient, and the other terms as (exponent - e, c)
+            _, terms = tagged.integer_terms()
+            e = max(terms, key=monomial_key)
+            lead = terms.pop(e)
+            shapes.append((e, lead, [(tuple(map(sub, mono, e)), c)
+                                     for mono, c in terms.items()]))
         self.fan = fan
         self.generators = tuple(gens)
+        self.shapes = tuple(shapes)
 
 
 def _piece_echelon(ideal: IdealGens, degree: DegreeClass):
@@ -43,21 +51,26 @@ def _piece_echelon(ideal: IdealGens, degree: DegreeClass):
     basis(D): for the largest term e of g they are the m - e with m in
     basis(D) and m >= e, in the same order, and the row of m - e leads at
     m's own column, since the monomial order is translation invariant.
-    Each generator is scaled to integer coefficients; the ideal is the same."""
+    Each generator is scaled to integer coefficients; the ideal is the same.
+
+    A generator of one term spans the unit vectors of its columns m: one
+    set of them over all such generators enters as pivots {m: 1}.  Other
+    rows drop those columns, their reduction by the pivots, so the rank is
+    the number of unit columns plus the rank of the remaining rows."""
     mons = basis(ideal.fan, degree)
+    units = {i for e, _, offsets in ideal.shapes if not offsets
+             for i, m in enumerate(mons) if all(map(ge, m, e))}
+    ech = SparseEchelon(units)
     index = {m: i for i, m in enumerate(mons)}
-    ech = SparseEchelon()
-    for g in ideal.generators:
-        _, terms = g.integer_terms()
-        e = max(terms, key=monomial_key)
-        lead = terms.pop(e)
-        offsets = [(tuple(map(sub, mono, e)), c) for mono, c in terms.items()]
-        for i, m in enumerate(mons):
+    for e, lead, offsets in ideal.shapes:
+        for i, m in enumerate(mons if offsets else ()):
             if all(map(ge, m, e)):
                 row = {index[tuple(map(add, m, off))]: c for off, c in offsets}
                 row[i] = lead
-                ech.add(row)
-    return ech, len(index)
+                row = {j: c for j, c in row.items() if j not in units}
+                if row:
+                    ech.add(row)
+    return ech, len(mons)
 
 
 def ideal_piece_dimension(ideal: IdealGens, degree: DegreeClass) -> int:
@@ -118,14 +131,26 @@ class LengthEstimate:
     window: int
 
 
+# Most monomials the samples k = 1..max_k of a length estimate may have in
+# all, an empty sample counting one; more are refused before any ranking.
+MAX_LENGTH_MONOMIALS = 100_000
+
+
 def length_estimate(ideal: IdealGens, ample: DegreeClass,
                     window: int = 3, max_k: int = 12) -> LengthEstimate:
+    """dim(S/I) at k * ample, k = 1..max_k.  The pieces are enumerated
+    first, largest k first: a section of the ample class embeds each in the
+    next, so an oversized max_k meets the basis cap at its first piece."""
     fan = ideal.fan
-    samples = []
-    for k in range(1, max_k + 1):
-        degree = ample.scale(k)
-        dim = len(basis(fan, degree)) - ideal_piece_dimension(ideal, degree)
-        samples.append((k, dim))
+    sizes, total = {}, 0
+    for k in range(max_k, 0, -1):
+        sizes[k] = len(basis(fan, ample.scale(k)))
+        total += sizes[k] or 1
+        if total > MAX_LENGTH_MONOMIALS:
+            raise BasisTooLarge(f"the samples k = {k}..{max_k} have more "
+                                f"than {MAX_LENGTH_MONOMIALS} monomials")
+    samples = [(k, sizes[k] - ideal_piece_dimension(ideal, ample.scale(k)))
+               for k in range(1, max_k + 1)]
     tail = [d for _, d in samples[-window:]]
     stabilized = len(tail) == window and len(set(tail)) == 1
     return LengthEstimate(value=samples[-1][1], stabilized=stabilized,

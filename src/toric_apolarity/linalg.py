@@ -92,10 +92,11 @@ class SparseEchelon:
     Rows are dicts mapping column index to an int or Fraction; zeros are
     dropped.  Each pivot row has a leading 1, and a row already leading
     with 1 keeps its ints.  Suited to the graded pieces of ideals.
+    ``units`` are columns entered at once as the pivots {c: 1}.
     """
 
-    def __init__(self):
-        self._pivots = {}  # leading column -> normalized sparse row
+    def __init__(self, units=()):
+        self._pivots = {c: {c: 1} for c in units}  # lead column -> row
 
     @property
     def rank(self) -> int:

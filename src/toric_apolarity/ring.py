@@ -17,7 +17,7 @@ from itertools import product
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, mul
 
 from .abelian import DegreeClass
 from .errors import BasisTooLarge, NoCertificate, ParseError, SideMismatch
@@ -218,7 +218,7 @@ def _enumerate_basis(fan, degree: DegreeClass):
     m = [0] * n
 
     def walk(k, e):
-        bounds = [(c[k], b + sum(x * y for x, y in zip(c[:k], m)))
+        bounds = [(c[k], b + sum(map(mul, c[:k], m)))
                   for c, b in systems[k]]
         lo = max(-(rest // ck) for ck, rest in bounds if ck > 0)
         hi = min(rest // -ck for ck, rest in bounds if ck < 0)
@@ -241,7 +241,10 @@ def _enumerate_basis(fan, degree: DegreeClass):
             e = tuple(map(add, e, col))
 
     walk(0, tuple(a))
-    return tuple(sorted(found, key=monomial_key, reverse=True))
+    # monomial_key order: a stable sort keeps lex order within each degree
+    found.sort(reverse=True)
+    found.sort(key=sum, reverse=True)
+    return tuple(found)
 
 
 def monomial_basis(fan, cert: PositivityCertificate, degree: DegreeClass):

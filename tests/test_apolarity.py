@@ -4,7 +4,8 @@ from operator import add
 
 import pytest
 
-from toric_apolarity import (ApolarForm, CatalecticantTooLarge, DegreeBox,
+from toric_apolarity import (ApolarForm, BoxTooLarge, CatalecticantTooLarge,
+                             DegreeBox,
                              MultiPoly, NonHomogeneousGenerator, Side,
                              annihilator_in_degree, apolar_contains, best_bounds,
                              build_fan, check_symmetry, contract, hilbert_grid,
@@ -447,3 +448,24 @@ def test_catalecticant_over_the_cell_cap_is_refused_unbuilt(f1, monkeypatch):
     assert not fan._sum_index_cache
     monkeypatch.setattr(apolarity, "MAX_CATALECTICANT_CELLS", 35)
     assert hilbert_value(F, beta) == 5
+
+
+def test_box_over_the_degree_cap_is_refused_unbuilt(f1, fake, monkeypatch):
+    def unbuilt(*axes):
+        raise AssertionError("the box's degrees were built")
+
+    monkeypatch.setattr(apolarity, "product", unbuilt)
+    # 4 x 10^8 degrees: counted from the ranges, never enumerated
+    with pytest.raises(BoxTooLarge):
+        DegreeBox(f1.class_group, ((0, 3), (0, 99_999_999)))
+    # the largest box of the tests and the benchmark passes the cap
+    DegreeBox(f1.class_group, ((0, 14), (0, 5)))
+    # the count is the product of the range lengths and torsion orders
+    monkeypatch.setattr(apolarity, "MAX_BOX_DEGREES", 90)
+    DegreeBox(f1.class_group, ((0, 14), (0, 5)))
+    DegreeBox(fake.class_group, ((0, 29),))  # 30 x Z/3
+    for group, ranges in [(f1.class_group, ((0, 14), (0, 6))),
+                          (f1.class_group, ((-1, 14), (0, 5))),
+                          (fake.class_group, ((0, 30),))]:
+        with pytest.raises(BoxTooLarge):
+            DegreeBox(group, ranges)

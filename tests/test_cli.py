@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import shlex
+import resource
 import subprocess
 import sys
 import time
@@ -519,6 +520,38 @@ def test_oversized_basis_is_refused_while_walked():
          "--degree", "2000,1000"], capture_output=True, text=True, timeout=20,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 1 and "[BasisTooLarge]" in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+def limit_memory():
+    """Cap the child's address space at 2 GiB, so a refusal that comes too
+    late fails the test instead of filling the machine's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    # |basis(3k;0)| grows as k^2: the samples up to k = 100000 would hang
+    (("length", FAKE, "--ideal", "a1^2, a2^2", "--ample", "3;0",
+      "--max-k", "100000"), "BasisTooLarge"),
+    (("length", F1, "--ideal", "a0^2, b0^2", "--ample", "1,1",
+      "--max-k", "99999999999999999999"), "BasisTooLarge"),
+    (("cactus-cert", P114, "--form", "x^2*y^2", "--ideal", "a^3, b^3",
+      "--ample", "4", "--max-k", "100"), "BasisTooLarge"),
+    # 4 x 10^8 degree classes, each built before the first is ranked
+    (("hilbert", F1, "--form", "x0*x1^2*y0*y1", "--box", "0..3,0..99999999"),
+     "BoxTooLarge"),
+    (("bounds", F1, "--form", "x0*x1^2*y0*y1", "--box", "0..3,0..99999999"),
+     "BoxTooLarge"),
+])
+def test_oversized_request_is_refused_up_front(argv, refusal):
+    src = str(Path(toric_apolarity.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric_apolarity.cli", *argv],
+        capture_output=True, text=True, timeout=20, preexec_fn=limit_memory,
+        env={**os.environ, "PYTHONPATH": src})
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1 and f"[{refusal}]" in proc.stderr
     assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 

@@ -2,13 +2,13 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import prod
-from operator import add
+from operator import add, ge
 
 import pytest
 
-from toric_apolarity import (ContainmentFailed, DegreeBox, IdealGens,
-                             MultiPoly, NonHomogeneousGenerator, Side,
-                             build_fan, cactus_certificate, colon_piece,
+from toric_apolarity import (BasisTooLarge, ContainmentFailed, DegreeBox,
+                             IdealGens, MultiPoly, NonHomogeneousGenerator,
+                             Side, build_fan, cactus_certificate, colon_piece,
                              hilbert_value, ideal_piece, ideal_piece_dimension,
                              length_estimate, load_fan, saturation_gap)
 from toric_apolarity.linalg import SparseEchelon, det_bareiss
@@ -237,31 +237,124 @@ def differential_cases(f1, p114, fake, cube):
     ]
 
 
-def test_piece_from_basis_of_d_matches_multiples_oracle(f1, p114, fake, cube,
-                                                        monkeypatch):
+def piece_results(I, degrees):
+    fan = I.fan
+    return [(ideal_piece(I, d), ideal_piece_dimension(I, d),
+             colon_piece(I, fan.irrelevant, d),
+             saturation_gap(I, fan.irrelevant, d)) for d in degrees]
+
+
+def assert_matches_multiples_oracle(I, degrees, monkeypatch):
+    """ideal_piece, ideal_piece_dimension, colon_piece and saturation_gap
+    agree with the multiples oracle; returns the number of nonzero pieces."""
     from toric_apolarity import ideals as ideals_module
 
+    got = piece_results(I, degrees)
+    with monkeypatch.context() as patch:
+        patch.setattr(ideals_module, "_piece_echelon", multiples_piece_echelon)
+        want = piece_results(I, degrees)
+    assert got == want
+    return sum(1 for piece, *_ in got if piece)
+
+
+def test_piece_from_basis_of_d_matches_multiples_oracle(f1, p114, fake, cube,
+                                                        monkeypatch):
     checked = 0
     for seed, (fan, pool, degrees) in enumerate(
             differential_cases(f1, p114, fake, cube)):
         rng = random.Random(100 + seed)
         for I in seeded_ideals(fan, seed, pool):
             sample = rng.sample(degrees, min(5, len(degrees)))
-
-            def results():
-                return [(ideal_piece(I, d), ideal_piece_dimension(I, d),
-                         colon_piece(I, fan.irrelevant, d),
-                         saturation_gap(I, fan.irrelevant, d))
-                        for d in sample]
-
-            got = results()
-            with monkeypatch.context() as patch:
-                patch.setattr(ideals_module, "_piece_echelon",
-                              multiples_piece_echelon)
-                want = results()
-            assert got == want
-            checked += sum(1 for piece, *_ in got if piece)
+            checked += assert_matches_multiples_oracle(I, sample, monkeypatch)
     assert checked >= 40
+
+
+# --- monomial generators as unit columns ------------------------------
+
+def mixed_ideals(fan, rng, pool):
+    """Ideals mixing monomial generators with binomials: a binomial led by
+    a multiple of a monomial generator, so its rows lose their lead
+    column; a monomial generator with coefficient 3; a repeated one; and
+    the constant 1.  The last three are monomial ideals."""
+    nvars = len(fan.rays)
+    while True:
+        d1, d2 = rng.sample(pool, 2)
+        m = rng.choice(basis(fan, d1))
+        target = basis(fan, d1 + d2)
+        leads = [i for i, t in enumerate(target[:-1]) if all(map(ge, t, m))]
+        if leads:
+            break
+    i = rng.choice(leads)
+    led = MultiPoly(Side.PRIMAL, {target[i]: 1,
+                                  rng.choice(target[i + 1:]): -2})
+    other = seeded_ideal(fan, rng, [rng.choice(pool)], 2).generators[0]
+    m2 = rng.choice(basis(fan, rng.choice(pool)))
+
+    def mono(exponents, coeff=1):
+        return MultiPoly.monomial(Side.PRIMAL, exponents, coeff)
+
+    one = MultiPoly.one(Side.PRIMAL, nvars)
+    mixed = [[mono(m), led, other], [mono(m, 3), mono(m2), led],
+             [mono(m), mono(m), other, led], [one, led]]
+    monomial = [[mono(m, 3), mono(m2)], [mono(m), mono(m), mono(m2)],
+                [one], [mono(m2), one]]
+    return ([IdealGens(fan, gens) for gens in mixed],
+            [IdealGens(fan, gens) for gens in monomial])
+
+
+def standard_monomial_count(I, degree):
+    """Oracle for a monomial ideal: dim(S/I)_D is the number of monomials
+    of basis(D) that no generator divides."""
+    leads = [next(iter(g.terms)) for g in I.generators]
+    return sum(1 for m in basis(I.fan, degree)
+               if not any(all(map(ge, m, e)) for e in leads))
+
+
+def test_mixed_ideals_match_multiples_and_standard_monomial_oracles(
+        f1, p114, fake, cube, monkeypatch):
+    checked = standard = 0
+    for seed, (fan, pool, degrees) in enumerate(
+            differential_cases(f1, p114, fake, cube)):
+        rng = random.Random(300 + seed)
+        pool = [d for d in pool if basis(fan, d)]
+        mixed, monomial = mixed_ideals(fan, rng, pool)
+        for I in mixed + monomial:
+            sample = rng.sample(degrees, min(4, len(degrees)))
+            checked += assert_matches_multiples_oracle(I, sample, monkeypatch)
+        for I in monomial:
+            for d in degrees:
+                quotient = len(basis(fan, d)) - ideal_piece_dimension(I, d)
+                assert quotient == standard_monomial_count(I, d)
+                standard += 0 < quotient < len(basis(fan, d))
+    assert checked >= 40 and standard >= 20
+
+
+def test_rows_of_mixed_ideals_drop_the_unit_columns(f1, p114, fake, cube,
+                                                     monkeypatch):
+    # every row of a generator of two or more terms reaches the echelon
+    # without the columns of monomial generators' multiples; each row of
+    # the binomial led by a multiple of a monomial generator loses its lead
+    added = []
+    add = SparseEchelon.add
+    monkeypatch.setattr(SparseEchelon, "add",
+                        lambda self, row: added.append(row) or add(self, row))
+    rows = 0
+    for seed, (fan, pool, degrees) in enumerate(
+            differential_cases(f1, p114, fake, cube)):
+        rng = random.Random(400 + seed)
+        pool = [d for d in pool if basis(fan, d)]
+        mixed, _ = mixed_ideals(fan, rng, pool)
+        for I in mixed:
+            monos = [next(iter(g.terms)) for g in I.generators
+                     if len(g.terms) == 1]
+            for d in degrees:
+                units = {i for i, m in enumerate(basis(fan, d))
+                         if any(all(map(ge, m, e)) for e in monos)}
+                added.clear()
+                ideal_piece_dimension(I, d)
+                assert not any(units.intersection(row) for row in added)
+                rows += bool(units) and len(added)
+    assert rows >= 20
 
 
 def test_length_samples_enumerate_only_sample_degrees():
@@ -270,6 +363,33 @@ def test_length_samples_enumerate_only_sample_degrees():
     ample = fan.degree((1, 1))
     length_estimate(I, ample, max_k=12)
     assert set(fan._basis_cache) == {ample.scale(k) for k in range(1, 13)}
+
+
+def test_length_samples_over_the_budget_are_refused_unranked(f1, p114,
+                                                            monkeypatch):
+    from toric_apolarity import ideals as ideals_module
+
+    # a class without sections: every piece is empty and counts as one
+    I = ideal(p114, "a^3", "b^3")
+    monkeypatch.setattr(ideals_module, "MAX_LENGTH_MONOMIALS", 30)
+    negative = p114.degree((-1,))
+    assert length_estimate(I, negative, max_k=30).value == 0
+    with pytest.raises(BasisTooLarge):
+        length_estimate(I, negative, max_k=31)
+    # the samples' monomials are counted before any piece is ranked
+    I = ideal(f1, "a0^2", "b0^2")
+    ample = f1.degree((1, 1))
+    total = sum(len(basis(f1, ample.scale(k))) for k in range(1, 9))
+    monkeypatch.setattr(ideals_module, "MAX_LENGTH_MONOMIALS", total)
+    assert length_estimate(I, ample, max_k=8).value == 4
+
+    def unranked(ideal, degree):
+        raise AssertionError("a piece was ranked")
+
+    monkeypatch.setattr(ideals_module, "_piece_echelon", unranked)
+    monkeypatch.setattr(ideals_module, "MAX_LENGTH_MONOMIALS", total - 1)
+    with pytest.raises(BasisTooLarge):
+        length_estimate(I, ample, max_k=8)
 
 
 # --- an independent oracle: Groebner bases ----------------------------
@@ -397,16 +517,15 @@ def test_only_rows_meeting_a_pivot_are_reduced(f1, p114, fake, monkeypatch):
             assert ideal_piece_dimension(I, degree) \
                 == len(basis(fan, degree - I.generators[0].degree))
     assert leads == []
-    # a1^2, a2^2: a row meets a pivot exactly at the monomials of basis(D)
-    # divisible by both generators, and each of them is reduced once
+    # a1^2, a2^2: monomial generators enter their multiples as unit
+    # pivots, one per column, so a monomial divisible by both is counted
+    # once and no row is reduced
     I = ideal(fake, "a1^2", "a2^2")
     for k in range(1, 6):
         degree = fake.degree((3,)).scale(k)
-        leads.clear()
-        ideal_piece_dimension(I, degree)
-        assert leads == [i for i, m in enumerate(basis(fake, degree))
-                         if m[1] >= 2 and m[2] >= 2]
-    assert leads
+        assert ideal_piece_dimension(I, degree) \
+            == sum(1 for m in basis(fake, degree) if m[1] >= 2 or m[2] >= 2)
+    assert leads == []
 
 
 def test_ideal_piece_entries_are_fractions(f1, fake):
