@@ -17,12 +17,11 @@ factors is not attempted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations
 from math import gcd
 from operator import add, mul, sub
 
 from .errors import GroupMismatch, NotFullRank
-from .linalg import invert_unimodular
 
 
 def _identity(n: int):
@@ -295,44 +294,20 @@ def _primitive(vec):
 def _canonical_free_transform(columns, rank: int):
     """Unimodular U adapting the free basis to the cone of the columns.
 
-    Exact for rank 1 and 2 when the cone over the nonzero columns is
-    pointed simplicial with unimodular primitive generators; otherwise
-    falls back to the Hermite form of the column matrix.
+    For rank 1 and 2, the first basis of distinct primitive column
+    directions, in order of first appearance, that is unimodular (its
+    Hermite form is I, so the Hermite transform is its inverse) and puts
+    every column in the nonnegative orthant.  Otherwise, and when no such
+    basis exists, the Hermite transform of the column matrix.
     """
-    nonzero = [c for c in columns if any(c)]
-    if rank == 0 or not nonzero:
-        return _identity(rank)
-    if rank == 1:
-        signs = {1 if c[0] > 0 else -1 for c in nonzero}
-        if len(signs) == 1:
-            return [[signs.pop()]]
-    if rank == 2:
-        dirs = []
-        for c in columns:
-            if any(c):
-                d = _primitive(c)
-                if d not in dirs:
-                    dirs.append(d)
-        for u, v in permutations(dirs, 2):
-            det = u[0] * v[1] - u[1] * v[0]
-            if det in (1, -1):
-                inside = True
-                for c in nonzero:
-                    s = c[0] * v[1] - c[1] * v[0]
-                    t = u[0] * c[1] - u[1] * c[0]
-                    if s * det < 0 or t * det < 0:
-                        inside = False
-                        break
-                if inside:
-                    first_u = next(i for i, c in enumerate(columns)
-                                   if any(c) and _primitive(c) == u)
-                    first_v = next(i for i, c in enumerate(columns)
-                                   if any(c) and _primitive(c) == v)
-                    if first_u > first_v:
-                        u, v = v, u
-                    return invert_unimodular([[u[0], v[0]], [u[1], v[1]]])
-    matrix = [[c[i] for c in columns] for i in range(rank)]
-    _, u = hermite_row_form(matrix)
+    if rank <= 2:
+        dirs = list(dict.fromkeys(_primitive(c) for c in columns if any(c)))
+        for chosen in combinations(dirs, rank):
+            h, u = hermite_row_form(zip(*chosen))
+            if h == _identity(rank) and all(
+                    sum(map(mul, row, c)) >= 0 for row in u for c in columns):
+                return u
+    _, u = hermite_row_form([[c[i] for c in columns] for i in range(rank)])
     return u
 
 

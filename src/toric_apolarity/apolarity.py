@@ -71,11 +71,6 @@ class ApolarForm:
         get = self.scaled_terms.get
         return [get(m, 0) for m in basis(self.fan, self.degree)]
 
-    @cached_property
-    def residues(self):
-        """``basis_values`` mod PRESCREEN_PRIME, for the rank prescreen."""
-        return [x % PRESCREEN_PRIME for x in self.basis_values]
-
 
 def _sum_index_table(fan, degree: DegreeClass, form_degree: DegreeClass):
     """basis(beta), basis(alpha - beta), and per row an ``array("I")`` of
@@ -106,19 +101,15 @@ def catalecticant_entries(form: ApolarForm, degree: DegreeClass):
     return rows, cols, [list(map(values.__getitem__, t)) for t in table]
 
 
-def exact_rank(form: ApolarForm, degree: DegreeClass, matrix=None) -> int:
-    """Exact rank of the catalecticant at ``degree``.  A full rank mod p
-    of the rows gathered from ``form.residues`` certifies it (a modular
-    rank can only drop); only otherwise is the integer matrix built, or
-    ``matrix`` taken, and ranked by Bareiss."""
-    rows, cols, table = _sum_index_table(form.fan, degree, form.degree)
+def exact_rank(form: ApolarForm, degree: DegreeClass) -> int:
+    """Exact rank of the catalecticant at ``degree``, from the one integer
+    matrix ``catalecticant_entries`` gathers.  A full rank mod p certifies
+    it (a modular rank can only drop); only otherwise does Bareiss rank
+    the same rows."""
+    rows, cols, matrix = catalecticant_entries(form, degree)
     cap = min(len(rows), len(cols))
-    residues = form.residues
-    if not cap or rank_mod([list(map(residues.__getitem__, t)) for t in table],
-                           PRESCREEN_PRIME) == cap:
+    if not cap or rank_mod(matrix, PRESCREEN_PRIME) == cap:
         return cap
-    if matrix is None:
-        _, _, matrix = catalecticant_entries(form, degree)
     return rank_bareiss(matrix)
 
 
@@ -133,13 +124,9 @@ def annihilator_in_degree(form: ApolarForm, degree: DegreeClass):
     return [tuple(v) for v in nullspace(transpose, len(rows))]
 
 
-def hilbert_value(form: ApolarForm, degree: DegreeClass, *,
-                  matrix=None) -> int:
+def hilbert_value(form: ApolarForm, degree: DegreeClass) -> int:
     """Dimension of the apolar algebra's graded piece: the rank of the
     contraction matrix at ``degree``, computed once per form and degree.
-    A caller that has already built that matrix with
-    ``catalecticant_entries`` passes it as ``matrix``, for a prescreen
-    miss to rank.
 
     The memo is keyed by the degree alone, not by the pair {beta,
     alpha - beta}: the two matrices are transposes of each other, and
@@ -147,7 +134,7 @@ def hilbert_value(form: ApolarForm, degree: DegreeClass, *,
     computations."""
     rank = form._ranks.get(degree)
     if rank is None:
-        rank = form._ranks[degree] = exact_rank(form, degree, matrix)
+        rank = form._ranks[degree] = exact_rank(form, degree)
     return rank
 
 
@@ -181,12 +168,6 @@ class DegreeBox:
     def __iter__(self):
         return iter(self.degrees)
 
-    def __contains__(self, degree: DegreeClass) -> bool:
-        if degree.group != self.group:
-            return False
-        return all(lo <= x <= hi
-                   for x, (lo, hi) in zip(degree.free, self.free_ranges))
-
 
 @dataclass(frozen=True)
 class HilbertGrid:
@@ -195,9 +176,6 @@ class HilbertGrid:
     form_degree: DegreeClass
     box: DegreeBox
     values: dict
-
-    def value(self, degree: DegreeClass) -> int:
-        return self.values[degree]
 
 
 def hilbert_grid(form: ApolarForm, box: DegreeBox) -> HilbertGrid:

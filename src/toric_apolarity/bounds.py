@@ -43,7 +43,7 @@ class CatMatrix:
 def catalecticant(form: ApolarForm, degree: DegreeClass) -> CatMatrix:
     rows, cols, matrix = catalecticant_entries(form, degree)
     return CatMatrix(form.degree, degree, rows, cols, tuple(map(tuple, matrix)),
-                     form.scale, hilbert_value(form, degree, matrix=matrix))
+                     form.scale, hilbert_value(form, degree))
 
 
 @dataclass(frozen=True)

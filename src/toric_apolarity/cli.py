@@ -20,7 +20,7 @@ from pathlib import Path
 from .abelian import DegreeClass
 from .apolarity import (ApolarForm, DegreeBox, apolar_contains, check_symmetry,
                         hilbert_grid)
-from .bounds import best_bounds, bound_report, catalecticant
+from .bounds import best_bounds, bound_report
 from .errors import InputError, ParseError, Refusal
 from .fan import load_fan
 from .ideals import IdealGens, cactus_certificate, length_estimate
@@ -283,20 +283,21 @@ def _bound_lines(report):
 def cmd_cat(args, fan):
     form = parse_form(args.form, fan)
     degree = parse_degree(args.beta, fan.class_group)
-    matrix = catalecticant(form, degree)
     report = bound_report(form, degree)
+    shape = [len(graded_basis(fan, degree)),
+             len(graded_basis(fan, form.degree - degree))]
     record = {
         "command": "cat",
         "degree": degree_json(degree),
-        "shape": list(matrix.shape),
-        "rank": matrix.rank,
+        "shape": shape,
+        "rank": report.rank_of_matrix,
         "cartier": report.cartier,
         "bounds": {"border": report.border, "rank": report.rank,
                    "cactus": report.cactus},
         "provenance": EXACT,
     }
-    lines = [f"catalecticant is {matrix.shape[0]} x {matrix.shape[1]}, "
-             f"rank {matrix.rank} [{EXACT}]"]
+    lines = [f"catalecticant is {shape[0]} x {shape[1]}, "
+             f"rank {report.rank_of_matrix} [{EXACT}]"]
     lines += _bound_lines(report)
     return record, lines
 

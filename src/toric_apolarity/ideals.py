@@ -140,8 +140,13 @@ def length_estimate(ideal: IdealGens, ample: DegreeClass,
                     window: int = 3, max_k: int = 12) -> LengthEstimate:
     """dim(S/I) at k * ample, k = 1..max_k.  The pieces are enumerated
     first, largest k first: a section of the ample class embeds each in the
-    next, so an oversized max_k meets the basis cap at its first piece."""
+    next, so an oversized max_k meets the basis cap at its first piece.
+    Each sample counts at least one, so a max_k over the budget is refused
+    before any piece is walked."""
     fan = ideal.fan
+    if max_k > MAX_LENGTH_MONOMIALS:
+        raise BasisTooLarge(f"the samples k = 1..{max_k} have more than "
+                            f"{MAX_LENGTH_MONOMIALS} monomials")
     sizes, total = {}, 0
     for k in range(max_k, 0, -1):
         sizes[k] = len(basis(fan, ample.scale(k)))

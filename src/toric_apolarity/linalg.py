@@ -256,21 +256,3 @@ def det_mod(rows, p: int) -> int:
     rank, det = _eliminate_mod(rows, p)
     return det if rank == n else 0
 
-
-def invert_unimodular(rows):
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    n = len(rows)
-    ech = SparseEchelon()
-    for i, row in enumerate(rows):
-        ech.add({**{c: Fraction(v) for c, v in enumerate(row) if v},
-                 n + i: Fraction(1)})
-    pivots = ech.reduced()
-    if list(pivots) != list(range(n)):
-        raise NonSquare("matrix is not invertible")
-    inv = []
-    for row in pivots.values():
-        entries = [row.get(n + j, Fraction(0)) for j in range(n)]
-        if any(x.denominator != 1 for x in entries):
-            raise NonSquare("matrix is not unimodular")
-        inv.append([int(x) for x in entries])
-    return inv

@@ -17,9 +17,9 @@ from toric_apolarity import (DegreeClass, GradedGroup, GroupMismatch,
                              NonSquare, NotFullRank, cokernel, load_fan,
                              smith_normal_form, solve_integer)
 from toric_apolarity.abelian import hermite_row_form
-from toric_apolarity.linalg import det_bareiss, invert_unimodular
+from toric_apolarity.linalg import det_bareiss
 
-from conftest import FIXTURES, assert_fraction_pivots, record_echelons
+from conftest import FIXTURES
 
 
 def matmul(a, b):
@@ -273,6 +273,93 @@ def test_z2z4_fixture_table_ignores_the_lattice_basis():
     assert tables == {(fan.projection.free_matrix, fan.projection.tors_matrix)}
 
 
+def sign_and_pair_transform(columns, rank, adapted):
+    """The free transform as separate rank-1 and rank-2 branches: one
+    common sign, or the first pair of primitive directions of determinant
+    +-1 whose cone holds every column, inverted by the adjugate; else the
+    Hermite transform (an independent oracle, test-only).  Appends the
+    rank to ``adapted`` when a branch decides."""
+    nonzero = [c for c in columns if any(c)]
+    if rank == 0 or not nonzero:
+        return [[int(i == j) for j in range(rank)] for i in range(rank)]
+    if rank == 1:
+        signs = {1 if c[0] > 0 else -1 for c in nonzero}
+        if len(signs) == 1:
+            adapted.append(1)
+            return [[signs.pop()]]
+    if rank == 2:
+        dirs = []
+        for c in nonzero:
+            g = gcd(*c)
+            if (c[0] // g, c[1] // g) not in dirs:
+                dirs.append((c[0] // g, c[1] // g))
+        for u, v in permutations(dirs, 2):
+            det = u[0] * v[1] - u[1] * v[0]
+            if det in (1, -1) and all(
+                    (c[0] * v[1] - c[1] * v[0]) * det >= 0
+                    and (u[0] * c[1] - u[1] * c[0]) * det >= 0
+                    for c in nonzero):
+                if dirs.index(u) > dirs.index(v):
+                    u, v, det = v, u, -det
+                adapted.append(2)
+                return [[det * v[1], -det * v[0]], [-det * u[1], det * u[0]]]
+    return hermite_row_form([[c[i] for c in columns] for i in range(rank)])[1]
+
+
+def free_rank_cokernels(seed, count):
+    """Matrices whose cokernels mostly have free rank 1 or 2, some 3:
+    plain random ones, and kernel bases of random degree matrices, whose
+    columns often lie in one pointed cone."""
+    rng = random.Random(seed)
+    for k in range(count):
+        if k % 2:
+            n = rng.randint(1, 4)
+            yield [[rng.choice([0, rng.randint(-3, 3)]) for _ in range(n)]
+                   for _ in range(n + rng.randint(1, 2))]
+            continue
+        m = rng.randint(2, 6)
+        degrees = [[rng.randint(-1, 3) for _ in range(m)]
+                   for _ in range(rng.randint(1, 3))]
+        h, u = hermite_row_form([list(col) for col in zip(*degrees)])
+        kernel = [row for row, hrow in zip(u, h) if not any(hrow)]
+        if kernel:
+            yield [list(col) for col in zip(*kernel)]
+
+
+def cokernel_records(matrices):
+    out = []
+    for matrix in matrices:
+        try:
+            group, proj = cokernel(matrix)
+        except NotFullRank:
+            out.append(None)
+            continue
+        out.append((group, proj.free_matrix, proj.tors_matrix))
+    return out
+
+
+def test_free_transform_matches_the_sign_and_pair_branches(monkeypatch):
+    # one loop over combinations of primitive directions, each tested by
+    # one Hermite form, gives the old branches' tables exactly; free rank
+    # 3 keeps the Hermite transform
+    from toric_apolarity import abelian
+
+    matrices = list(free_rank_cokernels(48, 3300))
+    matrices += [[list(r) for r in load_fan(path).rays]
+                 for path in [*sorted(FIXTURES.glob("*.fan")),
+                              FIXTURES.parent / "perfbench/fans/p1p1p1.fan"]]
+    got = cokernel_records(matrices)
+    adapted = []
+    monkeypatch.setattr(
+        abelian, "_canonical_free_transform",
+        lambda columns, rank: sign_and_pair_transform(columns, rank, adapted))
+    assert got == cokernel_records(matrices)
+    ranks = [r[0].free_rank for r in got if r is not None]
+    assert sum(1 for r in ranks if r in (1, 2)) >= 2000
+    assert ranks.count(3) >= 200
+    assert adapted.count(1) >= 500 and adapted.count(2) >= 300
+
+
 # the row-and-column sweep let this matrix's entries pass 3.3 million bits
 # (invariant factors 1, ..., 1, 367911)
 SWEEP_GROWTH = [[0, -1, -2, -3, 5, 3, -6], [-1, 4, -2, -5, 5, 6, 3],
@@ -386,7 +473,7 @@ OPTIMIZED_CHECKS = """
 import sys
 from toric_apolarity import DegreeBox, GradedGroup, GroupMismatch, NonSquare
 from toric_apolarity.abelian import Projection
-from toric_apolarity.linalg import invert_unimodular
+from toric_apolarity.linalg import det_bareiss
 
 assert sys.flags.optimize, "asserts are live"
 not_onto = Projection(GradedGroup(1), [[2, 2]], [], 2)
@@ -400,11 +487,11 @@ for attempt in (lambda: not_onto.section(GradedGroup(1).degree((1,))),
         continue
     sys.exit(f"no GroupMismatch from {attempt}")
 try:
-    invert_unimodular([[2]])
+    det_bareiss([[1, 2, 3]])
 except NonSquare:
     pass
 else:
-    sys.exit("no NonSquare from invert_unimodular([[2]])")
+    sys.exit("no NonSquare from det_bareiss([[1, 2, 3]])")
 print("ok")
 """
 
@@ -558,17 +645,15 @@ def test_sections_run_one_smith_form_per_projection(monkeypatch):
     assert len(calls) == len(fans)
 
 
-def test_invert_unimodular_converts_int_rows(monkeypatch):
-    # non-unit leading entries: each pivot is normalized to Fractions, and
-    # the inverse comes back as ints
-    made = record_echelons(monkeypatch)
+def test_invert_unimodular_converts_int_rows():
+    # non-unit leading entries: the Hermite transform of a unimodular
+    # matrix is its inverse, in ints
     for matrix in ([[2, 1], [1, 1]], [[3, 2, 0], [1, 1, 0], [4, 0, 1]],
                    [[-2, 3], [1, -1]]):
-        inverse = invert_unimodular(matrix)
-        assert all(type(x) is int for row in inverse for x in row)
         n = len(matrix)
-        assert matmul(matrix, inverse) == [[int(i == j) for j in range(n)]
-                                           for i in range(n)]
-    assert_fraction_pivots(made)
-    with pytest.raises(NonSquare):
-        invert_unimodular([[2, 1], [0, 1]])
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        h, inverse = hermite_row_form(matrix)
+        assert h == identity
+        assert all(type(x) is int for row in inverse for x in row)
+        assert matmul(matrix, inverse) == identity
+    assert hermite_row_form([[2, 1], [0, 1]])[0] != [[1, 0], [0, 1]]

@@ -13,7 +13,7 @@ from toric_apolarity import (ApolarForm, BoxTooLarge, CatalecticantTooLarge,
 from toric_apolarity import apolarity
 from toric_apolarity.abelian import DegreeClass
 from toric_apolarity.apolarity import catalecticant_entries
-from toric_apolarity.linalg import rank_bareiss
+from toric_apolarity.linalg import rank_bareiss, rank_mod
 from toric_apolarity.ring import basis
 from toric_apolarity.secant import parametrize
 
@@ -412,29 +412,62 @@ def prescreen_forms(fan, degree, rng):
              {m: Fraction(coeff(), rng.choice([1, 101, 202])) for m in mons},
              {m: Fraction(coeff(), 101) for m in sample()}]
     forms = [ApolarForm(fan, MultiPoly(Side.DUAL, terms)) for terms in polys]
-    assert not any(forms[0].residues)
+    assert not any(x % 101 for x in forms[0].basis_values)
     assert forms[3].scale % 101 == 0
     return forms + [point_sum(fan, degree, rng, points=2),
                     cancelling_point_sum(fan, degree, rng)]
 
 
-def test_residue_prescreen_matches_bareiss(f1, p114, fake, cube):
-    # the prescreen ranks residues and certifies only a full rank; every
-    # other result, the zero matrix mod 101 included, falls back to
-    # Bareiss on the integer matrix
+def prescreen_cases(f1, p114, fake, cube):
+    """(form, degree) pairs: the prescreen forms of each fan over a box
+    that reaches past 0 and alpha."""
     rng = random.Random(61)
-    misses = 0
     for fan, alpha in [(f1, f1.degree((4, 2))), (p114, p114.degree((6,))),
                        (fake, fake.degree((6,), (1,))),
                        (cube, cube.degree((2, 2, 1)))]:
         box = DegreeBox(fan.class_group,
                         tuple((-1, x + 1) for x in alpha.free))
         for F in prescreen_forms(fan, alpha, rng):
-            for degree in box:
-                rows, cols, matrix = catalecticant_entries(F, degree)
-                want = rank_bareiss(matrix)
-                assert hilbert_value(F, degree) == want
-                misses += want < min(len(rows), len(cols))
+            yield from ((F, degree) for degree in box)
+
+
+def test_residue_prescreen_matches_bareiss(f1, p114, fake, cube):
+    # the prescreen ranks residues and certifies only a full rank; every
+    # other result, the zero matrix mod 101 included, falls back to
+    # Bareiss on the integer matrix
+    misses = 0
+    for F, degree in prescreen_cases(f1, p114, fake, cube):
+        rows, cols, matrix = catalecticant_entries(F, degree)
+        want = rank_bareiss(matrix)
+        assert hilbert_value(F, degree) == want
+        misses += want < min(len(rows), len(cols))
+    assert misses >= 40
+
+
+def test_each_rank_gathers_once_and_a_miss_ranks_that_matrix(
+        f1, p114, fake, cube, monkeypatch):
+    # the prescreen ranks the gathered integer rows mod 101; on a miss
+    # Bareiss gets the same list, not a second gather
+    gathered, ranked = [], []
+    gather, bareiss = apolarity.catalecticant_entries, apolarity.rank_bareiss
+    monkeypatch.setattr(apolarity, "catalecticant_entries",
+                        lambda *args: gathered.append(gather(*args))
+                        or gathered[-1])
+    monkeypatch.setattr(apolarity, "rank_bareiss",
+                        lambda matrix: ranked.append(matrix)
+                        or bareiss(matrix))
+    misses = 0
+    for F, degree in prescreen_cases(f1, p114, fake, cube):
+        gathered.clear()
+        ranked.clear()
+        rank = apolarity.exact_rank(F, degree)
+        assert len(gathered) == 1
+        rows, cols, matrix = gathered[0]
+        cap = min(len(rows), len(cols))
+        miss = bool(cap) and rank_mod(matrix, 101) < cap
+        assert [id(m) for m in ranked] == [id(matrix)] * miss
+        assert rank == (bareiss(matrix) if miss else cap)
+        misses += miss
     assert misses >= 40
 
 

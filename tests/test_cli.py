@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import shlex
 import resource
 import subprocess
@@ -437,6 +438,48 @@ def test_cat_builds_its_catalecticant_once(capsys, monkeypatch):
     assert len(builds) == 1
 
 
+def test_cat_records_match_the_catalecticant(capsys):
+    # cat ranks through bound_report and reads its shape off the two
+    # bases; the library's CatMatrix, on its own form, must agree
+    from toric_apolarity import (MultiPoly, Side, basis, catalecticant,
+                                 format_poly, load_fan)
+    from toric_apolarity.cli import parse_degree, parse_form
+
+    rng = random.Random(71)
+    checked = deficient = 0
+    for path, alpha, betas in [
+            (F1, "3,2", [f"{a},{b}" for a in range(-1, 5)
+                         for b in range(-1, 4)]),
+            (P114, "6", [str(k) for k in range(-1, 8)]),
+            (FAKE, "6;1", [f"{k};{t}" for k in range(-1, 8)
+                           for t in range(3)])]:
+        fan = load_fan(path)
+        mons = basis(fan, parse_degree(alpha, fan.class_group))
+        coeffs = [1, -3, 202, Fraction(5, 101), Fraction(-7, 2)]
+        for size in (1, 3, len(mons)):
+            terms = {m: rng.choice(coeffs)
+                     for m in rng.sample(list(mons), size)}
+            text = format_poly(MultiPoly(Side.DUAL, terms),
+                               fan.dual_var_names)
+            form = parse_form(text, fan)
+            for beta in betas:
+                code, out, err = run(capsys, "--format", "records", "cat",
+                                     path, f"--form={text}",
+                                     f"--beta={beta}")
+                assert code == 0, err
+                degree = parse_degree(beta, fan.class_group)
+                cat = catalecticant(form, degree)
+                cactus = cat.rank if fan.is_cartier(degree) else None
+                record = json.loads(out)
+                assert (record["shape"], record["rank"], record["bounds"]) \
+                    == (list(cat.shape), cat.rank,
+                        {"border": cat.rank, "rank": cat.rank,
+                         "cactus": cactus})
+                checked += 1
+                deficient += 0 < cat.rank < min(cat.shape)
+    assert checked == 3 * (30 + 9 + 27) and deficient >= 10
+
+
 OPEN_FAN = {"rays": [[1, 0], [3, 1], [2, 1], [1, 1], [1, 2], [1, 3], [0, 1],
                      [-1, 3], [-1, 2], [-1, 1], [-1, 0]],
             "max_cones": [[i, i + 1] for i in range(10)]}
@@ -552,6 +595,22 @@ def test_oversized_request_is_refused_up_front(argv, refusal):
         env={**os.environ, "PYTHONPATH": src})
     assert time.perf_counter() - start < 2
     assert proc.returncode == 1 and f"[{refusal}]" in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+def test_sectionless_length_over_the_budget_is_refused_unwalked():
+    # every sample counts at least one monomial, so a max_k past the
+    # budget is refused before the first empty piece is walked
+    src = str(Path(toric_apolarity.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric_apolarity.cli", "length", P114,
+         "--ideal", "a^3, b^3", "--ample", "-1",
+         "--max-k", "99999999999999999999"], capture_output=True, text=True,
+        timeout=20, preexec_fn=limit_memory,
+        env={**os.environ, "PYTHONPATH": src})
+    assert time.perf_counter() - start < 0.5
+    assert proc.returncode == 1 and "[BasisTooLarge]" in proc.stderr
     assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
