@@ -101,12 +101,13 @@ def catalecticant_entries(form: ApolarForm, degree: DegreeClass):
     return rows, cols, [list(map(values.__getitem__, t)) for t in table]
 
 
-def exact_rank(form: ApolarForm, degree: DegreeClass) -> int:
+def exact_rank(form: ApolarForm, degree: DegreeClass, gathered=None) -> int:
     """Exact rank of the catalecticant at ``degree``, from the one integer
-    matrix ``catalecticant_entries`` gathers.  A full rank mod p certifies
-    it (a modular rank can only drop); only otherwise does Bareiss rank
-    the same rows."""
-    rows, cols, matrix = catalecticant_entries(form, degree)
+    matrix ``catalecticant_entries`` gathers, or from ``gathered``, its
+    result, when the caller holds it.  A full rank mod p certifies it (a
+    modular rank can only drop); only otherwise does Bareiss rank the
+    same rows."""
+    rows, cols, matrix = gathered or catalecticant_entries(form, degree)
     cap = min(len(rows), len(cols))
     if not cap or rank_mod(matrix, PRESCREEN_PRIME) == cap:
         return cap
@@ -124,9 +125,11 @@ def annihilator_in_degree(form: ApolarForm, degree: DegreeClass):
     return [tuple(v) for v in nullspace(transpose, len(rows))]
 
 
-def hilbert_value(form: ApolarForm, degree: DegreeClass) -> int:
+def hilbert_value(form: ApolarForm, degree: DegreeClass,
+                  gathered=None) -> int:
     """Dimension of the apolar algebra's graded piece: the rank of the
-    contraction matrix at ``degree``, computed once per form and degree.
+    contraction matrix at ``degree``, computed once per form and degree
+    (by ``exact_rank``, which ranks ``gathered`` when it is given).
 
     The memo is keyed by the degree alone, not by the pair {beta,
     alpha - beta}: the two matrices are transposes of each other, and
@@ -134,7 +137,7 @@ def hilbert_value(form: ApolarForm, degree: DegreeClass) -> int:
     computations."""
     rank = form._ranks.get(degree)
     if rank is None:
-        rank = form._ranks[degree] = exact_rank(form, degree)
+        rank = form._ranks[degree] = exact_rank(form, degree, gathered)
     return rank
 
 

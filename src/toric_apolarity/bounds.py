@@ -41,9 +41,10 @@ class CatMatrix:
 
 
 def catalecticant(form: ApolarForm, degree: DegreeClass) -> CatMatrix:
-    rows, cols, matrix = catalecticant_entries(form, degree)
+    """One gather, whose matrix is also the one ranked on a first call."""
+    gathered = rows, cols, matrix = catalecticant_entries(form, degree)
     return CatMatrix(form.degree, degree, rows, cols, tuple(map(tuple, matrix)),
-                     form.scale, hilbert_value(form, degree))
+                     form.scale, hilbert_value(form, degree, gathered))
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,7 @@ class FanModel:
         self._cartier_cache = {}
         self._cone_smith = None  # Smith form of each maximal cone's rays
         self._basis_cache = {}  # degree -> monomial tuple
+        self._walk_cache = []  # per outermost coordinate: columns, systems
         self._sum_index_cache = {}  # (beta, alpha) -> rows, cols, indices
 
     # -- degrees ---------------------------------------------------------

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, ge, sub
+from itertools import compress, repeat
+from operator import add, and_, ge, sub
 
 from .abelian import DegreeClass
 from .apolarity import ApolarForm, apolar_contains
@@ -58,18 +59,28 @@ def _piece_echelon(ideal: IdealGens, degree: DegreeClass):
     rows drop those columns, their reduction by the pivots, so the rank is
     the number of unit columns plus the rank of the remaining rows."""
     mons = basis(ideal.fan, degree)
-    units = {i for e, _, offsets in ideal.shapes if not offsets
-             for i, m in enumerate(mons) if all(map(ge, m, e))}
+    columns = tuple(zip(*mons))
+
+    def multiples(e):  # positions of the m >= e, compared on e's support
+        hits = repeat(True)
+        for column, x in zip(columns, e):
+            if x:
+                hits = map(and_, hits, map(ge, column, repeat(x)))
+        return compress(range(len(mons)), hits)
+
+    units = set().union(*(multiples(e) for e, _, offsets in ideal.shapes
+                          if not offsets))
     ech = SparseEchelon(units)
-    index = {m: i for i, m in enumerate(mons)}
+    if any(offsets for _, _, offsets in ideal.shapes):  # rows of 2+ terms
+        index = {m: i for i, m in enumerate(mons)}
     for e, lead, offsets in ideal.shapes:
-        for i, m in enumerate(mons if offsets else ()):
-            if all(map(ge, m, e)):
-                row = {index[tuple(map(add, m, off))]: c for off, c in offsets}
-                row[i] = lead
-                row = {j: c for j, c in row.items() if j not in units}
-                if row:
-                    ech.add(row)
+        for i in multiples(e) if offsets else ():
+            row = {index[tuple(map(add, mons[i], off))]: c
+                   for off, c in offsets}
+            row[i] = lead
+            row = {j: c for j, c in row.items() if j not in units}
+            if row:
+                ech.add(row)
     return ech, len(mons)
 
 
@@ -147,15 +158,16 @@ def length_estimate(ideal: IdealGens, ample: DegreeClass,
     if max_k > MAX_LENGTH_MONOMIALS:
         raise BasisTooLarge(f"the samples k = 1..{max_k} have more than "
                             f"{MAX_LENGTH_MONOMIALS} monomials")
-    sizes, total = {}, 0
+    pieces, total = [], 0
     for k in range(max_k, 0, -1):
-        sizes[k] = len(basis(fan, ample.scale(k)))
-        total += sizes[k] or 1
+        degree = ample.scale(k)
+        pieces.append((k, degree, len(basis(fan, degree))))
+        total += pieces[-1][2] or 1
         if total > MAX_LENGTH_MONOMIALS:
             raise BasisTooLarge(f"the samples k = {k}..{max_k} have more "
                                 f"than {MAX_LENGTH_MONOMIALS} monomials")
-    samples = [(k, sizes[k] - ideal_piece_dimension(ideal, ample.scale(k)))
-               for k in range(1, max_k + 1)]
+    samples = [(k, size - ideal_piece_dimension(ideal, degree))
+               for k, degree, size in reversed(pieces)]
     tail = [d for _, d in samples[-window:]]
     stabilized = len(tail) == window and len(set(tail)) == 1
     return LengthEstimate(value=samples[-1][1], stabilized=stabilized,

@@ -5,15 +5,18 @@ share one term representation: a map from exponent tuples to nonzero
 Fractions.  The monomials of a graded piece S_[D] are the lattice points
 of the divisor polytope P_D (Cox, Little and Schenck, Toric Varieties,
 Prop. 5.4.1), all finite exactly when the rays positively span N_R.
-Bases are ordered by total exponent degree, then lexicographically,
-largest first, which fixes every matrix layout.
+The Fourier–Motzkin systems that bound them belong to the fan, one per
+walk order, since they depend on the rays alone; each degree is walked
+with its shortest axis outermost.  Bases are ordered by total exponent
+degree, then lexicographically, largest first, which fixes every matrix
+layout.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -156,10 +159,9 @@ def find_certificate(fan, bound: int = 16) -> PositivityCertificate:
 
     A weight exists iff the rays positively span N_R (Gordan), that is iff
     the cone {m : <m, u_rho> >= 0} is zero; eliminating every coordinate
-    from its rays decides this exactly before the search begins."""
-    rows = [(ray, 0) for ray in fan.rays]
-    for k in reversed(range(fan.ambient_rank)):
-        rows = _eliminate(rows, k)
+    from its rays, as the fan's walk systems do, decides this exactly
+    before the search begins."""
+    _walk_systems(fan)
     rank = fan.class_group.free_rank
     frees = [d.free for d in fan.var_degrees]
 
@@ -174,19 +176,61 @@ def find_certificate(fan, bound: int = 16) -> PositivityCertificate:
 
 
 def _eliminate(rows, k):
-    """One Fourier–Motzkin step: the rows ``(c, b)``, meaning
-    c·m + b >= 0, with coordinate k projected out."""
+    """One Fourier–Motzkin step: the rows ``(c, lam)``, meaning
+    c·m + lam·a >= 0 for a Weil divisor a, with coordinate k projected
+    out.  The combinations are taken on lam, so they hold for every a."""
     pos = [r for r in rows if r[0][k] > 0]
     neg = [r for r in rows if r[0][k] < 0]
     if not pos or not neg:
         raise NoCertificate(f"P_D is unbounded along coordinate {k}, so "
                             f"graded pieces may be infinite")
     out = [r for r in rows if r[0][k] == 0]
-    for (cp, bp), (cq, bq) in product(pos, neg):
+    for (cp, lp), (cq, lq) in product(pos, neg):
         s, t = -cq[k], cp[k]
         out.append((tuple(s * x + t * y for x, y in zip(cp, cq)),
-                    s * bp + t * bq))
+                    tuple(s * x + t * y for x, y in zip(lp, lq))))
     return out
+
+
+def _walk_systems(fan):
+    """Per coordinate j, the walk order with j outermost and the others in
+    their natural order, as the ray matrix's columns in that order and
+    the order's ray systems; the fan keeps them, since they depend on the
+    rays alone.
+
+    systems[i] bounds the i-th coordinate of the order from the ones
+    before it: the rows (c_k, prefix, lam) of the ray system with the
+    later coordinates projected out whose coefficient c_k on it is
+    nonzero, prefix holding the earlier coordinates' coefficients in walk
+    order.  At a Weil divisor a the row reads c_k*m_k + prefix·m >= -lam·a.
+    The natural order is eliminated first, so an open fan is refused
+    naming, in the fan's own numbering, the first coordinate found open
+    in that order."""
+    if not fan._walk_cache:
+        n, rays = fan.ambient_rank, fan.rays
+        start = [(ray, tuple(int(r == s) for s in range(len(rays))))
+                 for r, ray in enumerate(rays)]
+        walks = []
+        for j in range(n):
+            order = (j, *(k for k in range(n) if k != j))
+            rows, systems = start, [None] * n
+            for i in reversed(range(n)):
+                k = order[i]
+                systems[i] = [(c[k], tuple(c[o] for o in order[:i]), lam)
+                              for c, lam in rows if c[k]]
+                rows = _eliminate(rows, k)
+            walks.append(([tuple(ray[k] for ray in rays) for k in order],
+                          systems))
+        fan._walk_cache.extend(walks)
+    return fan._walk_cache
+
+
+def _span(bounds):
+    """The integer range of a coordinate under the rows ``(c, rest)``,
+    meaning c*x + rest >= 0; empty when lo > hi."""
+    lo = max(-(rest // c) for c, rest in bounds if c > 0)
+    hi = min(rest // -c for c, rest in bounds if c < 0)
+    return lo, hi
 
 
 # Most monomials one graded piece may have; a larger piece is refused with
@@ -199,45 +243,51 @@ def _enumerate_basis(fan, degree: DegreeClass):
     """Monomials of class [D], D = sum a_rho D_rho, as the lattice points m
     of P_D = {m : <m, u_rho> >= -a_rho}, mapped to e_rho = <m, u_rho> + a_rho.
 
-    systems[k] bounds m_0..m_k: it is the ray system with m_(k+1).. projected
-    out, so each coordinate's range follows from the ones fixed before it.
-    The walk carries e = a + sum_(j<k) m_j * col_j, col_j being column j of
-    the ray matrix, and steps it by col_k along coordinate k.
+    The ray systems belong to the fan (``_walk_systems``), so a degree
+    costs dot products lam·a and no elimination.  The coordinate whose
+    own range on P_D is shortest goes outermost, the others follow in
+    their natural order, and each coordinate's range follows from the
+    ones fixed before it.  The walk carries e = a + sum m_j * col_j,
+    col_j being column j of the ray matrix, and emits each innermost run
+    at once, every exponent a ``range`` stepped by col_j (a ``repeat``
+    where the step is 0).  The final sort fixes the order.
     """
     a = fan.weil_representative(degree)
-    n = fan.ambient_rank
-    rows = list(zip(fan.rays, a))
-    systems = [None] * n
-    for k in reversed(range(n)):
-        systems[k] = [r for r in rows if r[0][k]]
-        rows = _eliminate(rows, k)
-    if any(b < 0 for _, b in rows):  # P_D has no rational point
-        return ()
-    cols = list(zip(*fan.rays))
+    walks = _walk_systems(fan)
+    widths = []
+    for _, systems in walks:
+        lo, hi = _span([(ck, sum(map(mul, lam, a)))
+                        for ck, _, lam in systems[0]])
+        if lo > hi:  # P_D has no lattice point
+            return ()
+        widths.append(hi - lo)
+    cols, systems = walks[widths.index(min(widths))]
+    levels = [[(ck, prefix, sum(map(mul, lam, a)))
+               for ck, prefix, lam in system] for system in systems]
+    n = len(cols)
     found = []
-    m = [0] * n
+    m = [0] * n  # the coordinates fixed so far, in walk order
 
-    def walk(k, e):
-        bounds = [(c[k], b + sum(map(mul, c[:k], m)))
-                  for c, b in systems[k]]
-        lo = max(-(rest // ck) for ck, rest in bounds if ck > 0)
-        hi = min(rest // -ck for ck, rest in bounds if ck < 0)
+    def walk(i, e):
+        lo, hi = _span([(ck, b + sum(map(mul, prefix, m)))
+                        for ck, prefix, b in levels[i]])
         if lo > hi:
             return
-        col = cols[k]
-        e = tuple(map(add, e, [lo * u for u in col]))
-        if k + 1 == n:
-            if len(found) + hi - lo + 1 > MAX_BASIS_MONOMIALS:
+        col = cols[i]
+        if i + 1 == n:
+            count = hi - lo + 1
+            if len(found) + count > MAX_BASIS_MONOMIALS:
                 raise BasisTooLarge(
                     f"the graded piece of degree {degree} has more than "
                     f"{MAX_BASIS_MONOMIALS} monomials")
-            for _ in range(lo, hi + 1):
-                found.append(e)
-                e = tuple(map(add, e, col))
+            found.extend(zip(*[range(x + lo * u, x + (hi + 1) * u, u) if u
+                               else repeat(x, count)
+                               for x, u in zip(e, col)]))
             return
+        e = tuple(map(add, e, [lo * u for u in col]))
         for x in range(lo, hi + 1):
-            m[k] = x
-            walk(k + 1, e)
+            m[i] = x
+            walk(i + 1, e)
             e = tuple(map(add, e, col))
 
     walk(0, tuple(a))

@@ -179,3 +179,47 @@ def test_ties_follow_total_free_degree_without_a_weight():
         moved += sweep.border_at != next(
             d for d in weighted if reports[d].border == border)
     assert moved  # the weight would have put some tie elsewhere
+
+
+def test_catalecticant_gathers_once_and_ranks_that_matrix(f1, monkeypatch):
+    # the first call ranks the matrix it gathered, through the prescreen
+    # and, on a miss, Bareiss; a repeat call gathers again but ranks nothing
+    from toric_apolarity import apolarity, bounds
+    from toric_apolarity.ring import basis
+
+    gathered, screened, ranked = [], [], []
+    gather = apolarity.catalecticant_entries
+    rank_mod, bareiss = apolarity.rank_mod, apolarity.rank_bareiss
+
+    def counted(*args):
+        gathered.append(gather(*args))
+        return gathered[-1]
+
+    for module in (apolarity, bounds):
+        monkeypatch.setattr(module, "catalecticant_entries", counted)
+    monkeypatch.setattr(apolarity, "rank_mod", lambda matrix, p:
+                        screened.append(matrix) or rank_mod(matrix, p))
+    monkeypatch.setattr(apolarity, "rank_bareiss", lambda matrix:
+                        ranked.append(matrix) or bareiss(matrix))
+    rng = random.Random(7)
+    dense = " + ".join(f"{rng.randint(1, 9)}*" + "*".join(
+        f"{n}^{e}" for n, e in zip(f1.dual_var_names, m) if e)
+        for m in basis(f1, f1.degree((3, 2))))
+    power = " + ".join("*".join(f"{n}^{e}" for n, e in
+                                zip(f1.dual_var_names, m) if e)
+                       for m in basis(f1, f1.degree((3, 2))))
+    beta = f1.degree((1, 1))
+    for text, miss in [(dense, False), (power, True)]:
+        F = form(f1, text)
+        gathered.clear(), screened.clear(), ranked.clear()
+        cat = catalecticant(F, beta)
+        assert len(gathered) == 1
+        matrix = gathered[0][2]
+        assert [id(m) for m in screened] == [id(matrix)]
+        assert [id(m) for m in ranked] == [id(matrix)] * miss
+        assert cat.matrix == tuple(map(tuple, matrix))
+        assert cat.rank == hilbert_value(F, beta) \
+            == (1 if miss else min(cat.shape))
+        assert cat.rank == rank_bareiss(cat.matrix)
+        catalecticant(F, beta)
+        assert len(gathered) == 2 and len(screened) == 1

@@ -614,6 +614,20 @@ def test_sectionless_length_over_the_budget_is_refused_unwalked():
     assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
+def test_basis_far_along_the_long_axis_is_refused_at_the_first_run():
+    # p114 at 10^6 has about 1.25 * 10^11 monomials; the first run along
+    # its long axis alone is over the cap, so nothing is listed
+    src = str(Path(toric_apolarity.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric_apolarity.cli", "basis", P114,
+         "--degree", "1000000"], capture_output=True, text=True, timeout=20,
+        preexec_fn=limit_memory, env={**os.environ, "PYTHONPATH": src})
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 1 and "[BasisTooLarge]" in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
 def test_closed_stdout_pipe_exits_quietly():
     # the reader closes the pipe before the child writes its 13.9 KB: the
     # work is done, so the exit code is 0 and stderr stays clean

@@ -606,3 +606,43 @@ def test_projective_plane_lengths_match_closed_forms():
         assert reduced.length.stabilized
         assert reduced.rank_bound == (a[1] + 1) * (a[2] + 1)
     assert len(monomials) == 31
+
+
+def test_length_estimate_builds_each_sample_degree_once(fake, monkeypatch):
+    from toric_apolarity.abelian import DegreeClass
+
+    built = []
+    scale = DegreeClass.scale
+    monkeypatch.setattr(DegreeClass, "scale",
+                        lambda self, k: built.append(k) or scale(self, k))
+    I = ideal(fake, "a1^2", "a2^2")
+    estimate = length_estimate(I, fake.degree((3,), (0,)), max_k=12)
+    assert sorted(built) == list(range(1, 13))
+    assert [k for k, _ in estimate.samples] == list(range(1, 13))
+
+
+def test_monomial_ideals_build_no_column_index(f1, p114, fake, monkeypatch):
+    # the multiples of every generator come from the basis columns; the
+    # monomial -> column index is built only for a generator of two terms
+    from toric_apolarity import ideals as ideals_module
+
+    indexed = []
+
+    def counted(items, *args):
+        indexed.append(len(items))
+        return enumerate(items, *args)
+
+    monkeypatch.setattr(ideals_module, "enumerate", counted, raising=False)
+    cases = [(f1, ("a0^2", "b0^3"), "a0^2 - a1^2", (4, 3)),
+             (p114, ("a^5", "c^2"), "a^4 - c", (9,)),
+             (fake, ("a1^2", "a2^2"), "a0^3 - a1^3", (9,))]
+    for fan, gens, binomial, free in cases:
+        degree = fan.degree(free, (0,) * len(fan.class_group.torsion_orders))
+        mons = basis(fan, degree)
+        leads = [next(iter(primal(fan, g).terms)) for g in gens]
+        want = sum(any(all(map(ge, m, e)) for e in leads) for m in mons)
+        indexed.clear()
+        assert ideal_piece_dimension(ideal(fan, *gens), degree) == want > 0
+        assert indexed == []
+        ideal_piece_dimension(ideal(fan, *gens, binomial), degree)
+        assert indexed == [len(mons)]

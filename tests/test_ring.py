@@ -2,8 +2,9 @@ import gc
 import random
 import weakref
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import gcd
+from operator import add, mul
 
 import pytest
 
@@ -351,3 +352,241 @@ def test_basis_cap_lists_a_piece_at_the_cap_and_refuses_one_more(cube,
         assert str(degree) in str(refused.value)
         assert str(size - 1) in str(refused.value)
         assert not fan._basis_cache
+
+
+# --- the walk against the previous single-order walk --------------------
+
+def scalar_eliminate(rows, k):
+    """The previous walk's Fourier–Motzkin step, with a scalar bound b."""
+    pos = [r for r in rows if r[0][k] > 0]
+    neg = [r for r in rows if r[0][k] < 0]
+    if not pos or not neg:
+        raise NoCertificate(f"P_D is unbounded along coordinate {k}, so "
+                            f"graded pieces may be infinite")
+    out = [r for r in rows if r[0][k] == 0]
+    for (cp, bp), (cq, bq) in product(pos, neg):
+        s, t = -cq[k], cp[k]
+        out.append((tuple(s * x + t * y for x, y in zip(cp, cq)),
+                    s * bp + t * bq))
+    return out
+
+
+def natural_order_basis(fan, degree):
+    """Oracle: the previous walk, which eliminated at every degree and
+    walked the coordinates in their natural order, one tuple per step."""
+    a = fan.weil_representative(degree)
+    n = fan.ambient_rank
+    rows = list(zip(fan.rays, a))
+    systems = [None] * n
+    for k in reversed(range(n)):
+        systems[k] = [r for r in rows if r[0][k]]
+        rows = scalar_eliminate(rows, k)
+    if any(b < 0 for _, b in rows):
+        return ()
+    cols = list(zip(*fan.rays))
+    found = []
+    m = [0] * n
+
+    def walk(k, e):
+        bounds = [(c[k], b + sum(map(mul, c[:k], m)))
+                  for c, b in systems[k]]
+        lo = max(-(rest // ck) for ck, rest in bounds if ck > 0)
+        hi = min(rest // -ck for ck, rest in bounds if ck < 0)
+        if lo > hi:
+            return
+        col = cols[k]
+        e = tuple(map(add, e, [lo * u for u in col]))
+        if k + 1 == n:
+            for _ in range(lo, hi + 1):
+                found.append(e)
+                e = tuple(map(add, e, col))
+            return
+        for x in range(lo, hi + 1):
+            m[k] = x
+            walk(k + 1, e)
+            e = tuple(map(add, e, col))
+
+    walk(0, tuple(a))
+    found.sort(reverse=True)
+    found.sort(key=sum, reverse=True)
+    return tuple(found)
+
+
+def record_runs(monkeypatch):
+    """Patch the ring's ``zip`` to list each innermost run the walk emits,
+    as (length, step per exponent); a ``repeat`` steps by 0."""
+    from toric_apolarity import ring
+
+    runs = []
+
+    def recording_zip(*parts):
+        if parts and all(isinstance(p, (range, repeat)) for p in parts):
+            length = len(next(p for p in parts if isinstance(p, range)))
+            runs.append((length, tuple(p.step if isinstance(p, range) else 0
+                                       for p in parts)))
+        return zip(*parts)
+
+    monkeypatch.setattr(ring, "zip", recording_zip, raising=False)
+    return runs
+
+
+def record_outer_axes(monkeypatch):
+    """Patch the ring so each walk lists the coordinate it put outermost:
+    the walk takes its order from the fan's list of walks by that index."""
+    from toric_apolarity import ring
+
+    chosen, systems = [], ring._walk_systems
+
+    class Walks(list):
+        def __getitem__(self, j):
+            chosen.append(j)
+            return super().__getitem__(j)
+
+    monkeypatch.setattr(ring, "_walk_systems", lambda fan: Walks(systems(fan)))
+    return chosen
+
+
+def test_basis_matches_natural_order_walk_on_seeded_degrees(cube, monkeypatch):
+    # fresh fans, so every degree is walked while the walks are recorded
+    f1, p114, fake = (load_fan(FIXTURES / f"{name}.fan")
+                      for name in ("f1", "p114", "fake_plane"))
+    cube = build_fan(cube.rays, cube.max_cones)
+    chosen = record_outer_axes(monkeypatch)
+    runs = record_runs(monkeypatch)
+    rng = random.Random(20)
+    cases = [(f1, f1.degree((2 * k, k))) for k in range(-1, 41)]
+    cases += [(f1, f1.degree((rng.randint(-3, 40), rng.randint(-3, 20))))
+              for _ in range(60)]
+    cases += [(p114, p114.degree((d,))) for d in range(-3, 61)]
+    cases += [(fake, fake.degree((d,), (t,)))
+              for d in range(-3, 31) for t in range(3)]
+    cases += [(cube, cube.degree(tuple(rng.randint(-1, 9) for _ in range(3))))
+              for _ in range(60)]
+    nonempty, axes = 0, {}
+    for fan, degree in cases:
+        want = natural_order_basis(fan, degree)
+        walked = degree not in fan._basis_cache
+        runs.clear()
+        chosen.clear()
+        assert basis(fan, degree) == want, degree
+        assert sum(length for length, _ in runs) == len(want) * walked
+        nonempty += bool(want)
+        axes.setdefault(id(fan), set()).update(chosen)
+        if fan is p114 and degree.free[0] >= 1:
+            # the short axis m_1 of P_D goes outermost; at 0 both ranges
+            # are one point, and the tie goes to m_0
+            assert chosen == [1]
+    assert nonempty >= 250
+    # every walk order is taken on f1 and P1^3
+    assert axes[id(f1)] == {0, 1} and axes[id(cube)] == {0, 1, 2}
+
+
+def test_basis_matches_natural_order_walk_on_random_complete_fans():
+    # the fans and degrees of test_basis_matches_walk_on_random_complete_fans,
+    # drawn from more examples, since this oracle needs no weight
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def angle_key(ray):
+        x, y = ray
+        half = 0 if (y > 0 or (y == 0 and x > 0)) else 1
+        return (half, 0, Fraction(0)) if y == 0 else (half, 1, Fraction(-x, y))
+
+    vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+        lambda v: v != (0, 0) and gcd(*v) == 1)
+    walked = []
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.lists(vectors, min_size=3, max_size=5, unique=True),
+                      st.lists(st.integers(-2, 6), min_size=5, max_size=5))
+    def check(rays, shift):
+        rays = sorted(rays, key=angle_key)
+        k = len(rays)
+        hypothesis.assume(all(rays[i][0] * rays[(i + 1) % k][1]
+                              - rays[i][1] * rays[(i + 1) % k][0] > 0
+                              for i in range(k)))
+        fan = build_fan(rays, [[i, (i + 1) % k] for i in range(k)])
+        degree = fan.monomial_degree([max(x, 0) for x in shift[:k]]) \
+            - fan.monomial_degree([max(-x, 0) for x in shift[:k]])
+        want = natural_order_basis(fan, degree)
+        assert basis(fan, degree) == want
+        walked.append(len(want))
+
+    check()
+    assert len(walked) >= 100 and sum(map(bool, walked)) >= 60
+
+
+def test_walk_systems_are_eliminated_once_per_fan(cube, monkeypatch):
+    from toric_apolarity import ring
+
+    calls = []
+    eliminate = ring._eliminate
+    monkeypatch.setattr(ring, "_eliminate",
+                        lambda rows, k: calls.append(k) or eliminate(rows, k))
+    for fan, first, later in [
+            (load_fan(FIXTURES / "p114.fan"), (9,), [(10,), (-2,), (60,)]),
+            (load_fan(FIXTURES / "fake_plane.fan"), (6,), [(7,), (4,)]),
+            (build_fan(cube.rays, cube.max_cones), (1, 2, 3),
+             [(3, 2, 1), (5, 0, 2), (-1, 0, 0)])]:
+        assert fan._walk_cache == []
+        calls.clear()
+        basis(fan, fan.degree(first, (0,) * len(fan.class_group.torsion_orders)))
+        # one order per coordinate, each eliminating every coordinate
+        n = fan.ambient_rank
+        assert len(fan._walk_cache) == n and len(calls) == n * n
+        calls.clear()
+        for free in later:
+            torsion = (1,) * len(fan.class_group.torsion_orders)
+            basis(fan, fan.degree(free, torsion))
+        find_certificate(fan)
+        assert calls == []
+
+
+def test_open_fan_refusal_names_the_fans_own_coordinate():
+    # the natural order is eliminated first, so the refusal names the
+    # first coordinate, counted from the last, that is open in that order
+    for rays, cones, k in [
+            ([[1, 0], [0, 1], [-1, 0]], [[0, 1], [1, 2]], 1),
+            ([[1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+             [[0, 1, 3], [0, 1, 4], [0, 2, 3], [0, 2, 4]], 0),
+            ([[0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [-1, 0, 0]],
+             [[4, 0, 2], [4, 0, 3], [4, 1, 2], [4, 1, 3]], 0),
+            ([[1, 0, 0], [-1, 0, 0], [0, 0, 1], [0, 0, -1], [0, 1, 0]],
+             [[0, 2, 4], [0, 3, 4], [1, 2, 4], [1, 3, 4]], 1)]:
+        fan = build_fan(rays, cones)
+        message = (f"P_D is unbounded along coordinate {k}, so graded "
+                   f"pieces may be infinite")
+        for refused in (lambda: basis(fan, fan.degree((1,) * (len(rays)
+                                                              - len(rays[0])))),
+                        lambda: find_certificate(fan)):
+            with pytest.raises(NoCertificate) as refusal:
+                refused()
+            assert str(refusal.value) == message
+        assert fan._walk_cache == [] and not fan._basis_cache
+
+
+def test_basis_cap_is_checked_before_each_run_on_the_long_axis(monkeypatch):
+    # p114 at 60: m_1 in 0..15 outermost, each run along m_0 of 61 - 4*m_1
+    # monomials; a cap of 61 + 57 + 53 lets three runs in and refuses the
+    # fourth before it is added
+    from toric_apolarity import ring
+
+    fan = load_fan(FIXTURES / "p114.fan")
+    degree = fan.degree((60,))
+    find_certificate(fan)  # the walk systems, built before zip is watched
+    runs = record_runs(monkeypatch)
+    assert len(basis(load_fan(FIXTURES / "p114.fan"), degree)) == 496
+    assert [length for length, _ in runs] == list(range(61, 0, -4))
+    col = tuple(ray[0] for ray in fan.rays)
+    assert {step for _, step in runs} == {col}
+    for cap, fits in [(61 + 57 + 53, 3), (61 + 57 + 53 - 1, 2), (60, 0)]:
+        monkeypatch.setattr(ring, "MAX_BASIS_MONOMIALS", cap)
+        runs.clear()
+        with pytest.raises(BasisTooLarge) as refused:
+            basis(fan, degree)
+        assert f"more than {cap} monomials" in str(refused.value)
+        assert [length for length, _ in runs] == [61, 57, 53][:fits]
+        assert not fan._basis_cache
+    monkeypatch.setattr(ring, "MAX_BASIS_MONOMIALS", 496)
+    assert len(basis(fan, degree)) == 496
