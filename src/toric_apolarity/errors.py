@@ -77,6 +77,10 @@ class CatalecticantTooLarge(Refusal):
     """A catalecticant has more cells than the matrix cap."""
 
 
+class StackTooLarge(Refusal):
+    """A Terracini probe's tangent stacks have more cells than the matrix cap."""
+
+
 class ContainmentFailed(Refusal):
     """The candidate ideal is not contained in the apolar ideal."""
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
-from operator import getitem, mul
+from itertools import repeat
+from operator import floordiv, mul
 
 from .abelian import DegreeClass
+from .apolarity import MAX_CATALECTICANT_CELLS
 from .errors import (BadPrime, NegativeExponentResidue, NonSquare, ParseError,
-                     PointInIrrelevantLocus)
+                     PointInIrrelevantLocus, StackTooLarge)
 from .linalg import det_bareiss, det_mod, rank_bareiss, rank_mod
 from .ring import MultiPoly, Side, _parse_terms, basis
 
@@ -200,31 +201,59 @@ def _tangent_rows(fan, degree, coords, free_positions=(), prime=None):
     rank_mod and det_mod reduce the entries.  This is the one place a
     monomial meets a point.
 
-    Every entry is a product of one table value per variable:
-    a^e * b^(top-e), or for the variable differentiated,
-    e * a^(e-1) * b^(top-e+1).
+    The value row is built column by column: each entry is a product of
+    one table value a^e * b^(top-e) per variable, e read from that
+    variable's exponent column.  The derivative row at free position j
+    is the value row times e_j * b_j / a_j, one pass over the value row:
+    over Q the quotient (v * e * b) // a is exact, since a^e divides v
+    whenever e >= 1; mod p the factor b * a^-1 is one residue.  Only when
+    a_j is 0 (0 mod p on the prime path) is the row rebuilt as a product
+    of tables, with e * a^(e-1) * b^(top-e+1) in column j.
     """
     mons = basis(fan, degree)
-    tops = list(map(max, zip(*mons))) if mons else [0] * len(coords)
-    powers = []
+    columns = list(zip(*mons)) or [()] * len(coords)
+    tables = []
     scale = 1
-    for c, top in zip(coords, tops):
+    for c, column in zip(coords, columns):
         a, b = c.numerator, c.denominator
         if prime and b % prime == 0:
             raise BadPrime(f"prime {prime} divides the denominator of a "
                            f"coordinate")
+        top = max(column, default=0)
         up = [pow(a, e, prime) for e in range(top + 1)]
         if b != 1:
             down = [pow(b, e, prime) for e in range(top, -1, -1)]
             up = list(map(mul, up, down))
             scale *= down[0]
-        powers.append(up)
-    tables = [powers]
+        tables.append(up)
+    value = _table_product(tables, columns)
+    rows = [value]
     for j in free_positions:
-        slope = [e * x for e, x in enumerate([0] + powers[j][:-1])]
-        tables.append(powers[:j] + [slope] + powers[j + 1:])
-    rows = [[prod(map(getitem, t, m)) for m in mons] for t in tables]
+        a, b = coords[j].numerator, coords[j].denominator
+        column = columns[j]
+        if prime and a % prime:
+            step = b * pow(a, -1, prime) % prime
+            factor = [e * step for e in range(len(tables[j]))]
+            rows.append(list(map(mul, value, map(factor.__getitem__, column))))
+        elif a and not prime:
+            factor = [e * b for e in range(len(tables[j]))]
+            rows.append(list(map(floordiv, map(mul, value,
+                                               map(factor.__getitem__, column)),
+                                 repeat(a))))
+        else:
+            slope = [e * x for e, x in enumerate([0] + tables[j][:-1])]
+            rows.append(_table_product(
+                tables[:j] + [slope] + tables[j + 1:], columns))
     return rows, scale % prime if prime else scale
+
+
+def _table_product(tables, columns):
+    """The row whose entry k is the product over variables i of
+    tables[i][columns[i][k]], built one column at a time."""
+    row = map(tables[0].__getitem__, columns[0])
+    for table, column in zip(tables[1:], columns[1:]):
+        row = map(mul, row, map(table.__getitem__, column))
+    return list(row)
 
 
 @dataclass(frozen=True)
@@ -251,6 +280,10 @@ def terracini_probe(fan, degree: DegreeClass, r: int, prime: int = DEFAULT_PRIME
                     pins=None) -> TerraciniProbe:
     pins, free_positions = _chart(fan, pins)
     mons = basis(fan, degree)
+    cells = trials * r * (len(free_positions) + 1) * len(mons)
+    if cells > MAX_CATALECTICANT_CELLS:
+        raise StackTooLarge(f"{trials} trials of {r} points make {cells} "
+                            f"tangent-stack cells, over the cap")
     rng = random.Random(seed)
     ranks = []
     for _ in range(trials):

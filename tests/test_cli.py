@@ -408,11 +408,14 @@ sys.exit(main(sys.argv[1:]))
 @pytest.mark.parametrize("name", ["hilbert_f1.jsonl", "cat_p114.jsonl",
                                   "classgroup_fake.jsonl",
                                   "classgroup_z2z4.jsonl",
-                                  "length_fake.jsonl"])
+                                  "length_fake.jsonl", "terracini_f1.jsonl",
+                                  "decompose_check_f1.jsonl",
+                                  "limit_cert_f1.jsonl"])
 def test_records_match_golden_under_optimize(name):
     # catalecticants gathered through the fan's tables, ranked by the
-    # prescreen and Bareiss, the completeness test and the ideal pieces'
-    # integer echelon give the same records with asserts stripped
+    # prescreen and Bareiss, the completeness test, the ideal pieces'
+    # integer echelon and the tangent rows of points give the same records
+    # with asserts stripped
     src = str(Path(toric_apolarity.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_RECORDS,
@@ -585,6 +588,11 @@ def limit_memory():
      "BoxTooLarge"),
     (("bounds", F1, "--form", "x0*x1^2*y0*y1", "--box", "0..3,0..99999999"),
      "BoxTooLarge"),
+    # 1.35 * 10^10 and 8.1 * 10^6 tangent-stack cells, sampled and ranked
+    # one trial at a time
+    (("terracini", F1, "--degree", "3,2", "-r", "100000000"), "StackTooLarge"),
+    (("terracini", F1, "--degree", "3,2", "-r", "3", "--trials", "100000"),
+     "StackTooLarge"),
 ])
 def test_oversized_request_is_refused_up_front(argv, refusal):
     src = str(Path(toric_apolarity.__file__).resolve().parents[1])

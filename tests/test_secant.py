@@ -211,6 +211,18 @@ def test_bad_prime_refused(f1):
                                     prime=101)
 
 
+def test_probe_over_the_cell_cap_is_refused_unsampled(f1, monkeypatch):
+    # 5 trials of 3 points, each with a value row and 2 derivative rows
+    # over the 9 monomials of (3,2): 405 cells
+    from toric_apolarity import StackTooLarge, secant
+    monkeypatch.setattr(secant, "MAX_CATALECTICANT_CELLS", 404)
+    with pytest.raises(StackTooLarge) as refused:
+        terracini_probe(f1, f1.degree((3, 2)), 3, seed=0)
+    assert "405" in str(refused.value)
+    monkeypatch.setattr(secant, "MAX_CATALECTICANT_CELLS", 405)
+    assert terracini_probe(f1, f1.degree((3, 2)), 3, seed=0).rank == 9
+
+
 def test_default_pins(f1, p114, fake):
     assert default_pins(f1) == (0, 3)
     assert default_pins(p114) == (0,)
@@ -348,6 +360,63 @@ def test_tangent_rows_mod_p_are_the_rational_rows_reduced(f1, p114, fake,
             coords[free[0]] = Fraction(1, 2 * p)
             with pytest.raises(BadPrime):
                 _tangent_rows(fan, degree, coords, free, prime=p)
+
+
+def test_tangent_rows_at_zero_and_signed_coordinates_match_the_naive_rows(
+        f1, p114, fake, cube):
+    # derivative rows come from the value row times e * b / a, save where
+    # a free coordinate is 0 (0 mod p on the prime path): those fall back
+    # to the table product
+    from toric_apolarity.secant import _tangent_rows
+    rng = random.Random(34)
+    for fan, degree, _ in square_stacks(f1, p114, fake, cube):
+        free = free_positions(fan)
+        mons = basis(fan, degree)
+        for p in PRIMES:
+            dens = [d for d in (1, 2, 5, 9) if d % p]
+            zeros = (0, p, 2 * p) + ((Fraction(p, 3),) if p != 3 else ())
+            for k in range(6):
+                coords = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                   rng.choice(dens)) for _ in fan.rays]
+                if k % 3 == 1:
+                    coords[free[k % len(free)]] = rng.choice(zeros)
+                elif k % 3 == 2:
+                    for j in free:
+                        coords[j] = rng.choice(zeros)
+                want = naive_tangent_rows(mons, coords, free)
+                rows, scale = _tangent_rows(fan, degree, coords, free)
+                assert [[Fraction(x, scale) for x in row]
+                        for row in rows] == want
+                rows, scale = _tangent_rows(fan, degree, coords, free, prime=p)
+                inverse = pow(scale, -1, p)
+                assert [[x * inverse % p for x in row]
+                        for row in rows] == mat_mod(want, p)
+
+
+def test_determinant_with_a_zero_coordinate_matches_sympy(f1, p114, fake,
+                                                          cube):
+    # a 0 in the assignment over Q, and p, 2p or p/3 mod p, take the
+    # table-product fallback for that point's derivative row
+    rng = random.Random(35)
+    nonzero = 0
+    for fan, degree, r in square_stacks(f1, p114, fake, cube):
+        size = r * len(free_positions(fan))
+        for p in (3, 5, 101):
+            assignment = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                   rng.choice((1, 2, 7)))
+                          for _ in range(size)]
+            zero_at = rng.randrange(size)
+            for zero in (0, p, 2 * p) + ((Fraction(p, 3),) if p != 3 else ()):
+                assignment[zero_at] = Fraction(zero)
+                want = sympy_tangent_det(fan, degree, r, assignment)
+                if zero == 0:
+                    assert terracini_determinant_check(fan, degree, r,
+                                                       assignment) == want
+                got = terracini_determinant_check(fan, degree, r, assignment,
+                                                  prime=p)
+                assert got == mat_mod([[want]], p)[0][0]
+                nonzero += got != 0
+    assert nonzero >= 10
 
 
 def test_determinant_mod_p_is_the_rational_determinant_reduced(f1, p114, fake,
