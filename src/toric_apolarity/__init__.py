@@ -18,9 +18,8 @@ from .fan import Completeness, FanModel, IrrelevantIdeal, build_fan, load_fan
 from .ideals import (CactusCertificate, IdealGens, LengthEstimate,
                      cactus_certificate, colon_piece, ideal_piece,
                      ideal_piece_dimension, length_estimate, saturation_gap)
-from .ring import (MultiPoly, PositivityCertificate, Side, basis,
-                   find_certificate, format_poly, homogeneous_degree,
-                   monomial_basis, parse_poly)
+from .ring import (MultiPoly, Side, basis, format_poly, homogeneous_degree,
+                   parse_poly)
 from .secant import (DecompositionCheck, LaurentFamily, LaurentScalar,
                      LimitCertificate, TerraciniProbe, default_pins,
                      limit_certificate, parametrize, parse_laurent,

@@ -62,7 +62,7 @@ class ParseError(InputError):
 # --- mathematical refusals ---------------------------------------------
 
 class NoCertificate(Refusal):
-    """No positivity certificate found; graded pieces may be infinite."""
+    """The rays do not positively span N_R, as the elimination decides."""
 
 
 class BasisTooLarge(Refusal):

@@ -4,18 +4,17 @@ The coordinate ring S (side PRIMAL) and its dual module T (side DUAL)
 share one term representation: a map from exponent tuples to nonzero
 Fractions.  The monomials of a graded piece S_[D] are the lattice points
 of the divisor polytope P_D (Cox, Little and Schenck, Toric Varieties,
-Prop. 5.4.1), all finite exactly when the rays positively span N_R.
-The Fourier–Motzkin systems that bound them belong to the fan, one per
-walk order, since they depend on the rays alone; each degree is walked
-with its shortest axis outermost.  Bases are ordered by total exponent
-degree, then lexicographically, largest first, which fixes every matrix
-layout.
+Prop. 5.4.1), all finite exactly when the rays positively span N_R, as
+the walk's Fourier–Motzkin elimination decides, pruned by Chernikov's
+rule.  Its systems belong to the fan, one per walk order; each degree is
+walked with its shortest axis outermost.  Bases are ordered by total
+exponent degree, then lexicographically, largest first, which fixes
+every matrix layout.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import product, repeat
 from enum import Enum
 from fractions import Fraction
@@ -143,42 +142,13 @@ def tag_degree(fan, poly: MultiPoly) -> MultiPoly:
     return MultiPoly(poly.side, poly.terms, homogeneous_degree(fan, poly))
 
 
-@dataclass(frozen=True)
-class PositivityCertificate:
-    """Weight vector pairing every variable's free degree part to >= 1,
-    which guarantees graded pieces are finite."""
-
-    weight: tuple
-
-    def grade(self, degree: DegreeClass) -> int:
-        return sum(w * x for w, x in zip(self.weight, degree.free))
-
-
-def find_certificate(fan, bound: int = 16) -> PositivityCertificate:
-    """Search |coords| <= bound for a valid weight vector (deterministic).
-
-    A weight exists iff the rays positively span N_R (Gordan), that is iff
-    the cone {m : <m, u_rho> >= 0} is zero; eliminating every coordinate
-    from its rays, as the fan's walk systems do, decides this exactly
-    before the search begins."""
-    _walk_systems(fan)
-    rank = fan.class_group.free_rank
-    frees = [d.free for d in fan.var_degrees]
-
-    def valid(w):
-        return all(sum(a * b for a, b in zip(w, f)) >= 1 for f in frees)
-
-    for radius in range(1, bound + 1):
-        for w in product(range(-radius, radius + 1), repeat=rank):
-            if max(abs(x) for x in w) == radius and valid(w):
-                return PositivityCertificate(tuple(w))
-    raise NoCertificate(f"no weight vector with coordinates up to {bound}")
-
-
-def _eliminate(rows, k):
+def _eliminate(rows, k, done):
     """One Fourier–Motzkin step: the rows ``(c, lam)``, meaning
     c·m + lam·a >= 0 for a Weil divisor a, with coordinate k projected
-    out.  The combinations are taken on lam, so they hold for every a."""
+    out, the done-th eliminated.  The combinations are taken on lam, so
+    they hold for every a; lam >= 0 is nonzero at the rays a row combines,
+    and a row of more than done + 1 rays is implied by the others, so it
+    is skipped (Chernikov's rule)."""
     pos = [r for r in rows if r[0][k] > 0]
     neg = [r for r in rows if r[0][k] < 0]
     if not pos or not neg:
@@ -187,8 +157,9 @@ def _eliminate(rows, k):
     out = [r for r in rows if r[0][k] == 0]
     for (cp, lp), (cq, lq) in product(pos, neg):
         s, t = -cq[k], cp[k]
-        out.append((tuple(s * x + t * y for x, y in zip(cp, cq)),
-                    tuple(s * x + t * y for x, y in zip(lp, lq))))
+        lam = tuple(s * x + t * y for x, y in zip(lp, lq))
+        if len(lam) - lam.count(0) <= done + 1:
+            out.append((tuple(s * x + t * y for x, y in zip(cp, cq)), lam))
     return out
 
 
@@ -218,7 +189,7 @@ def _walk_systems(fan):
                 k = order[i]
                 systems[i] = [(c[k], tuple(c[o] for o in order[:i]), lam)
                               for c, lam in rows if c[k]]
-                rows = _eliminate(rows, k)
+                rows = _eliminate(rows, k, n - i)
             walks.append(([tuple(ray[k] for ray in rays) for k in order],
                           systems))
         fan._walk_cache.extend(walks)
@@ -295,11 +266,6 @@ def _enumerate_basis(fan, degree: DegreeClass):
     found.sort(reverse=True)
     found.sort(key=sum, reverse=True)
     return tuple(found)
-
-
-def monomial_basis(fan, cert: PositivityCertificate, degree: DegreeClass):
-    """``basis(fan, degree)``: the basis does not depend on ``cert``."""
-    return basis(fan, degree)
 
 
 def basis(fan, degree: DegreeClass):

@@ -1,15 +1,20 @@
 import io
 import random
-from contextlib import redirect_stderr, redirect_stdout
+import signal
+import weakref
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
 
-from toric_apolarity import (ApolarForm, DegreeBox, MultiPoly, Side, build_fan,
-                             load_fan, parse_poly)
+from toric_apolarity import (ApolarForm, DegreeBox, MultiPoly, Side,
+                             build_fan, load_fan, parse_poly)
 from toric_apolarity.cli import build_parser, invoked_command
-from toric_apolarity.ring import basis
+from toric_apolarity.linalg import rank_bareiss
+from toric_apolarity.ring import basis, monomial_key
 from toric_apolarity.secant import default_pins, parametrize
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -37,6 +42,90 @@ def cube():
             [0, 0, -1]]
     return build_fan(rays, [[i, j, k] for i in (0, 1) for j in (2, 3)
                             for k in (4, 5)])
+
+
+@contextmanager
+def alarm(seconds):
+    """Raise TimeoutError after ``seconds``: a runaway in-process call
+    fails its test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# The radius of the weight search, and its verdict per fan: the search
+# depends on the fan alone, and one of radius 16 at free rank 3 scans
+# 35,937 vectors.
+WEIGHT_RADIUS = 16
+_WEIGHTS = weakref.WeakKeyDictionary()
+
+
+def search_weight(fan):
+    """Oracle: the radius search alone, without the elimination gate; the
+    first weight pairing every variable's free degree to >= 1, by radius
+    up to WEIGHT_RADIUS, then lexicographically, or None."""
+    if fan not in _WEIGHTS:
+        rank = fan.class_group.free_rank
+        frees = [d.free for d in fan.var_degrees]
+        box = sorted(product(range(-WEIGHT_RADIUS, WEIGHT_RADIUS + 1),
+                             repeat=rank),
+                     key=lambda w: max(map(abs, w), default=0))
+        _WEIGHTS[fan] = next(
+            (w for w in box if all(
+                sum(a * b for a, b in zip(w, f)) >= 1 for f in frees)), None)
+    return _WEIGHTS[fan]
+
+
+def walk_basis(fan, degree, weight=None):
+    """Oracle: every exponent vector under the weight's budget, kept when
+    its class is ``degree``; the weight is the searched one by default."""
+    weight = weight or search_weight(fan)
+
+    def grade(d):
+        return sum(w * x for w, x in zip(weight, d.free))
+
+    weights = [grade(d) for d in fan.var_degrees]
+    assert min(weights) >= 1
+    found = []
+
+    def walk(prefix, left):
+        if len(prefix) == len(weights):
+            if fan.monomial_degree(prefix) == degree:
+                found.append(tuple(prefix))
+            return
+        for e in range(left // weights[len(prefix)] + 1):
+            walk(prefix + [e], left - e * weights[len(prefix)])
+
+    budget = grade(degree)
+    if budget >= 0:
+        walk([], budget)
+    return tuple(sorted(found, key=monomial_key, reverse=True))
+
+
+def spanning_rays(dim, count, seed):
+    """Seeded primitive rays in [-3, 3]^dim, ``count`` of them, that
+    positively span R^dim: the last is the primitive vector along minus
+    the sum of the others, which span R^dim."""
+    rng = random.Random(seed)
+    while True:
+        rays = set()
+        while len(rays) < count - 1:
+            v = tuple(rng.randint(-3, 3) for _ in range(dim))
+            if gcd(*v) == 1:
+                rays.add(v)
+        rays = sorted(rays)
+        last = [-sum(c) for c in zip(*rays)]
+        if any(last) and rank_bareiss(rays) == dim:
+            last = tuple(x // gcd(*last) for x in last)
+            if last not in rays:
+                return rays + [last]
 
 
 def primal(fan, text):

@@ -1,11 +1,9 @@
 import json
 import os
 import random
-import signal
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, gcd, prod
@@ -19,7 +17,7 @@ from toric_apolarity import (DegreeClass, GradedGroup, GroupMismatch,
 from toric_apolarity.abelian import hermite_row_form
 from toric_apolarity.linalg import det_bareiss
 
-from conftest import FIXTURES
+from conftest import FIXTURES, alarm
 
 
 def matmul(a, b):
@@ -366,22 +364,6 @@ SWEEP_GROWTH = [[0, -1, -2, -3, 5, 3, -6], [-1, 4, -2, -5, 5, 6, 3],
                 [3, 6, -4, -5, 1, 6, -6], [1, -1, -2, 0, -4, -6, 5],
                 [2, -4, -4, 0, 5, 5, 5], [6, 5, -3, -2, 3, 2, 3],
                 [-6, -6, -3, -6, 3, 6, 4]]
-
-
-@contextmanager
-def alarm(seconds):
-    """Raise TimeoutError after ``seconds``: a runaway in-process call
-    fails its test instead of stalling the suite."""
-    def expire(signum, frame):
-        raise TimeoutError(f"ran past {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_smith_form_of_a_matrix_that_grew_under_the_sweep():

@@ -10,15 +10,14 @@ from toric_apolarity import (DegreeBox, GradedGroup, IdealGens, LaurentFamily,
                              MultiPoly, NonSimplicialCone, Side,
                              best_bounds, bound_report, build_fan,
                              cactus_certificate, catalecticant, check_symmetry,
-                             colon_piece, contract, find_certificate,
-                             hilbert_value, ideal_piece,
-                             limit_certificate, monomial_basis, parse_laurent,
+                             colon_piece, contract, hilbert_value,
+                             ideal_piece, limit_certificate, parse_laurent,
                              terracini_determinant_check, terracini_probe,
                              verify_decomposition)
 from toric_apolarity.linalg import SparseEchelon
-from toric_apolarity.ring import PositivityCertificate, basis
+from toric_apolarity.ring import basis
 
-from conftest import form, primal
+from conftest import form, primal, search_weight, walk_basis
 
 
 def criterion(number, description, failures):
@@ -242,14 +241,15 @@ def test_criterion_8_property_suites(f1, p114, fake):
               == catalecticant(F, F.degree - degree).rank,
               f"transpose rank at {degree}")
 
-    # basis enumeration is certificate independent
-    for fan, degree, other in [
-            (f1, f1.degree((3, 2)), PositivityCertificate((3, 2))),
-            (p114, p114.degree((8,)), PositivityCertificate((2,)))]:
+    # basis enumeration is weight independent: the walk under a weight
+    # and under the searched one both list the basis
+    for fan, degree, other in [(f1, f1.degree((3, 2)), (3, 2)),
+                               (p114, p114.degree((8,)), (2,))]:
         check(failures,
-              monomial_basis(fan, other, degree)
-              == monomial_basis(fan, find_certificate(fan), degree),
-              f"certificate independence at {degree}")
+              search_weight(fan) not in (None, other)
+              and basis(fan, degree) == walk_basis(fan, degree, other)
+              == walk_basis(fan, degree),
+              f"weight independence at {degree}")
 
     # colon piece contains ideal piece
     samples = [(f1, ["a0^2-a1^2", "b0^2-a1^2*b1^2"],
@@ -268,7 +268,7 @@ def test_criterion_8_property_suites(f1, p114, fake):
                      for v in ideal_piece(ideal, degree))
             check(failures, ok, f"colon contains ideal at {degree}")
     criterion(8, "property suites (duality, module law, symmetry, "
-                 "certificates, colon)", failures)
+                 "weights, colon)", failures)
 
 
 def test_criterion_9_negative_controls(f1, p114):

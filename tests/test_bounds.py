@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -7,7 +8,7 @@ from toric_apolarity import (DegreeBox, best_bounds, bound_report,
                              catalecticant, hilbert_value)
 from toric_apolarity.linalg import rank_bareiss
 
-from conftest import coefficient_matrix, form, rational_cases
+from conftest import coefficient_matrix, form, rational_cases, search_weight
 
 
 def test_catalecticant_f1_two_one(f1):
@@ -153,12 +154,12 @@ def test_ties_follow_total_free_degree_without_a_weight():
     # the smallest weight of this fan is (1, 0), not all-ones (x2 has
     # degree (1, -2)): the three values are those of the old weight order,
     # and each degree is the first in the new order that reaches its value
-    from toric_apolarity import build_fan, find_certificate
+    from toric_apolarity import build_fan
 
     fan = build_fan([[-2, -3], [1, 0], [2, 1], [-3, 2]],
                     [[0, 1], [1, 2], [2, 3], [3, 0]])
-    cert = find_certificate(fan)
-    assert cert.weight == (1, 0)
+    weight = search_weight(fan)
+    assert weight == (1, 0)
     moved = 0
     for text, ranges in [("y2*y3", ((0, 2), (-2, 1))),
                          ("y0^2*y2^2", ((0, 4), (-5, 1))),
@@ -168,7 +169,8 @@ def test_ties_follow_total_free_degree_without_a_weight():
         reports = {d: bound_report(F, d) for d in box}
         border = max(r.border for r in reports.values())
         cactus = max((r.cactus for r in reports.values() if r.cactus), default=0)
-        weighted = sorted(box, key=lambda d: (cert.grade(d), d.free))
+        weighted = sorted(box, key=lambda d: (
+            sum(map(mul, weight, d.free)), d.free))
         graded = sorted(box, key=lambda d: (sum(d.free), d.free))
         sweep = best_bounds(F, box)
         assert (sweep.border, sweep.rank, sweep.cactus) == (border, border, cactus)

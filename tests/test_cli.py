@@ -15,7 +15,8 @@ import pytest
 import toric_apolarity
 from toric_apolarity.cli import COMMANDS, main
 
-from conftest import FIXTURES, parse_outcome, sympy_tangent_det
+from conftest import (FIXTURES, parse_outcome, spanning_rays,
+                      sympy_tangent_det)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -522,6 +523,23 @@ def test_complete_fan_lists_a_basis_without_a_weight(tmp_path):
     assert time.perf_counter() - start < 1
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "dim = 1 [exact]\nx0\n"
+
+
+def test_spanning_5d_fan_lists_its_constant_at_once(tmp_path):
+    # 11 one-ray cones whose rays positively span R^5: without Chernikov's
+    # rule the walk systems fill 2 GB before the constant is listed
+    fan_file = tmp_path / "spanning5.fan"
+    fan_file.write_text(json.dumps({"rays": spanning_rays(5, 11, 5),
+                                    "max_cones": [[i] for i in range(11)]}))
+    src = str(Path(toric_apolarity.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric_apolarity.cli", "basis", str(fan_file),
+         "--degree", ",".join(["0"] * 6)], capture_output=True, text=True,
+        timeout=10, env={**os.environ, "PYTHONPATH": src})
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("dim = 1 [exact]\n")
 
 
 def test_complete_fan_bounds_without_a_weight(tmp_path):

@@ -9,32 +9,39 @@ from operator import add, mul
 import pytest
 
 from toric_apolarity import (BasisTooLarge, Completeness, MultiPoly,
-                             NoCertificate,
-                             ParseError, PositivityCertificate, Side,
-                             TorusFactor, build_fan,
-                             find_certificate, format_poly, homogeneous_degree,
-                             load_fan, monomial_basis, parse_laurent, parse_poly)
+                             NoCertificate, ParseError, Side, TorusFactor,
+                             build_fan, format_poly, homogeneous_degree,
+                             load_fan, parse_laurent, parse_poly)
 from toric_apolarity.ring import basis, monomial_key
 
-from conftest import FIXTURES, dual, primal
+from conftest import (FIXTURES, alarm, dual, primal, search_weight,
+                      spanning_rays, walk_basis)
 
 
 def test_certificates(f1, p114, fake):
-    assert find_certificate(f1).weight == (1, 1)
-    assert find_certificate(p114).weight == (1,)
-    assert find_certificate(fake).weight == (1,)
-    # oracle: the weight pairs to >= 1 with every variable degree
+    # the walk gate passes every fixture, and the search finds all-ones
+    from toric_apolarity import ring
+
+    assert search_weight(f1) == (1, 1)
+    assert search_weight(p114) == (1,)
+    assert search_weight(fake) == (1,)
     for fan in (f1, p114, fake):
-        w = find_certificate(fan).weight
+        assert len(ring._walk_systems(fan)) == fan.ambient_rank
+        # oracle: the weight pairs to >= 1 with every variable degree
+        w = search_weight(fan)
         for d in fan.var_degrees:
             assert sum(a * b for a, b in zip(w, d.free)) >= 1
 
 
 def test_no_certificate_for_affine_grading():
-    # a half-plane fan graded with opposite signs has no positive weight
+    # a half-plane fan graded with opposite signs has no positive weight,
+    # and the walk gate refuses it
+    from toric_apolarity import ring
+
     fan = build_fan([[1, 0], [0, 1], [-1, 0]], [[0, 1], [1, 2]])
+    assert search_weight(fan) is None
     with pytest.raises(NoCertificate):
-        find_certificate(fan)
+        ring._walk_systems(fan)
 
 
 def brute_force_basis(fan, degree, cap):
@@ -70,32 +77,16 @@ def test_empty_piece_is_legal(f1):
 
 
 def test_basis_independent_of_certificate(f1, p114):
-    for fan, degree, other in [
-            (f1, f1.degree((3, 2)), PositivityCertificate((2, 3))),
-            (p114, p114.degree((8,)), PositivityCertificate((3,)))]:
-        default = monomial_basis(fan, find_certificate(fan), degree)
-        assert monomial_basis(fan, other, degree) == default
+    # the gate passes, the search finds a weight, and the walks under it
+    # and under another weight both list the basis
+    from toric_apolarity import ring
 
-
-def walk_basis(fan, degree):
-    """Oracle: every exponent vector under the certificate's weight budget,
-    kept when its class is ``degree``."""
-    cert = find_certificate(fan)
-    weights = [cert.grade(d) for d in fan.var_degrees]
-    found = []
-
-    def walk(prefix, left):
-        if len(prefix) == len(weights):
-            if fan.monomial_degree(prefix) == degree:
-                found.append(tuple(prefix))
-            return
-        for e in range(left // weights[len(prefix)] + 1):
-            walk(prefix + [e], left - e * weights[len(prefix)])
-
-    budget = cert.grade(degree)
-    if budget >= 0:
-        walk([], budget)
-    return tuple(sorted(found, key=monomial_key, reverse=True))
+    for fan, degree, other in [(f1, f1.degree((3, 2)), (2, 3)),
+                               (p114, p114.degree((8,)), (3,))]:
+        assert len(ring._walk_systems(fan)) == fan.ambient_rank
+        assert search_weight(fan) not in (None, other)
+        assert basis(fan, degree) == walk_basis(fan, degree) \
+            == walk_basis(fan, degree, other)
 
 
 def box_degrees(fan, ranges):
@@ -148,25 +139,18 @@ def test_unbounded_polytope_is_refused():
     # no certificate exists here, so the elimination meets an open bound
     fan = build_fan([[1, 0], [0, 1], [-1, 0]], [[0, 1], [1, 2]])
     with pytest.raises(NoCertificate):
-        monomial_basis(fan, PositivityCertificate((1,)), fan.degree((1,)))
+        basis(fan, fan.degree((1,)))
 
 
-def test_basis_searches_no_weight(monkeypatch):
+def test_basis_searches_no_weight():
     # a complete fan of free rank 12 whose nearest weight lies past radius
     # 1, where the next shell alone has 243.6 million vectors
-    from toric_apolarity import ring
-
-    def searched(fan, bound=16):
-        raise AssertionError("a basis searched for a weight")
-
-    monkeypatch.setattr(ring, "find_certificate", searched)
     rays = [[1, 0], [3, 1], [2, 1], [1, 1], [1, 2], [1, 3], [0, 1], [-1, 3],
             [-1, 2], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]]
     fan = build_fan(rays, [[i, (i + 1) % 14] for i in range(14)])
     degree = fan.degree((1,) + (0,) * 11)
     assert basis(fan, degree) == ((1,) + (0,) * 13,)
-    assert monomial_basis(fan, PositivityCertificate((1,) * 12),
-                          degree.scale(2)) == ((2,) + (0,) * 13,)
+    assert basis(fan, degree.scale(2)) == ((2,) + (0,) * 13,)
 
 
 def test_poly_arithmetic(f1):
@@ -282,23 +266,11 @@ def test_fan_is_freed_after_use():
     assert alive() is None
 
 
-def search_weight(fan, bound=16):
-    """Oracle: the radius search alone, without the elimination gate; the
-    first valid weight by radius, then lexicographically, or None."""
-    rank = fan.class_group.free_rank
-    frees = [d.free for d in fan.var_degrees]
-    if rank == 0:
-        return None
-    box = sorted(product(range(-bound, bound + 1), repeat=rank),
-                 key=lambda w: max(map(abs, w)))
-    return next((w for w in box
-                 if all(sum(a * b for a, b in zip(w, f)) >= 1 for f in frees)),
-                None)
-
-
 def test_certificate_gate_agrees_with_the_weight_search():
-    # every fan the search certifies passes the gate with the same weight,
-    # and every fan the gate refuses has no weight within radius 16
+    # every fan the search finds a weight for passes the walk gate, and
+    # every fan the gate refuses has no weight within radius 16
+    from toric_apolarity import ring
+
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     verdicts = []
@@ -315,15 +287,17 @@ def test_certificate_gate_agrees_with_the_weight_search():
             fan = build_fan(rays, [[i] for i in range(len(rays))])
         except TorusFactor:
             hypothesis.assume(False)
-        want = search_weight(fan)
-        if want is not None:
-            assert find_certificate(fan).weight == want
+        if search_weight(fan) is not None:
+            ring._walk_systems(fan)
             verdicts.append("weight")
         else:
-            with pytest.raises(NoCertificate) as refusal:
-                find_certificate(fan)
-            verdicts.append("gate" if "unbounded" in str(refusal.value)
-                            else "search")
+            try:
+                ring._walk_systems(fan)
+            except NoCertificate as refusal:
+                assert "unbounded" in str(refusal)
+                verdicts.append("gate")
+            else:
+                verdicts.append("search")  # a weight past radius 16
 
     check()
     assert verdicts.count("weight") >= 20 and verdicts.count("gate") >= 20
@@ -523,7 +497,8 @@ def test_walk_systems_are_eliminated_once_per_fan(cube, monkeypatch):
     calls = []
     eliminate = ring._eliminate
     monkeypatch.setattr(ring, "_eliminate",
-                        lambda rows, k: calls.append(k) or eliminate(rows, k))
+                        lambda rows, k, *rest: calls.append(k)
+                        or eliminate(rows, k, *rest))
     for fan, first, later in [
             (load_fan(FIXTURES / "p114.fan"), (9,), [(10,), (-2,), (60,)]),
             (load_fan(FIXTURES / "fake_plane.fan"), (6,), [(7,), (4,)]),
@@ -539,13 +514,78 @@ def test_walk_systems_are_eliminated_once_per_fan(cube, monkeypatch):
         for free in later:
             torsion = (1,) * len(fan.class_group.torsion_orders)
             basis(fan, fan.degree(free, torsion))
-        find_certificate(fan)
+        ring._walk_systems(fan)
         assert calls == []
+
+
+def seeded_fans(rng):
+    """Fans of one-ray cones in 2-4 dimensions: per size, two whose rays
+    positively span and two of seeded rays in [-3, 3], most of them
+    open."""
+    fans = []
+    for dim, count in [(2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6),
+                       (4, 5), (4, 6), (4, 7)]:
+        sets = [spanning_rays(dim, count, rng.random()) for _ in range(2)]
+        for _ in range(2):
+            rays = []
+            while len(rays) < count:
+                ray = [rng.randint(-3, 3) for _ in range(dim)]
+                if gcd(*ray) == 1:
+                    rays.append(ray)
+            sets.append(rays)
+        for rays in sets:
+            try:
+                fans.append(build_fan(rays, [[i] for i in range(count)]))
+            except TorusFactor:
+                pass
+    return fans
+
+
+def test_pruned_walk_matches_the_unpruned_walk_on_seeded_fans(cube):
+    # the walk's systems drop rows by Chernikov's rule, the previous walk
+    # eliminated in full at every degree: bases and refusals agree
+    rng = random.Random(22)
+    fans = [load_fan(FIXTURES / f"{name}.fan")
+            for name in ("f1", "p114", "fake_plane")]
+    fans += [build_fan(cube.rays, cube.max_cones)] + seeded_fans(rng)
+    outcomes = []
+    for fan in fans:
+        for _ in range(20):
+            shift = [rng.randint(-1, 3) for _ in fan.rays]
+            degree = fan.monomial_degree([max(x, 0) for x in shift]) \
+                - fan.monomial_degree([max(-x, 0) for x in shift])
+            results = []
+            for walk in (natural_order_basis, basis):
+                try:
+                    results.append(walk(fan, degree))
+                except NoCertificate as refusal:
+                    results.append(str(refusal))
+            assert results[0] == results[1], (fan.rays, degree)
+            outcomes.append(results[0])
+    refused = sum(isinstance(x, str) for x in outcomes)
+    assert refused >= 100 and sum(map(bool, outcomes)) - refused >= 250
+
+
+def test_walk_systems_of_spanning_fans_are_built_in_time():
+    # without Chernikov's rule the systems of the 4-D fan of 9 rays drawn
+    # the same way take 17 s, and those of the 5-D fan fill 2 GB; degree 0
+    # is the constant 1 alone
+    from toric_apolarity import ring
+
+    for dim, count, seconds in [(5, 11, 1), (6, 13, 2)]:
+        fan = build_fan(spanning_rays(dim, count, dim),
+                        [[i] for i in range(count)])
+        with alarm(seconds):
+            assert len(ring._walk_systems(fan)) == dim
+            assert basis(fan, fan.degree((0,) * (count - dim))) \
+                == ((0,) * count,)
 
 
 def test_open_fan_refusal_names_the_fans_own_coordinate():
     # the natural order is eliminated first, so the refusal names the
     # first coordinate, counted from the last, that is open in that order
+    from toric_apolarity import ring
+
     for rays, cones, k in [
             ([[1, 0], [0, 1], [-1, 0]], [[0, 1], [1, 2]], 1),
             ([[1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
@@ -559,7 +599,7 @@ def test_open_fan_refusal_names_the_fans_own_coordinate():
                    f"pieces may be infinite")
         for refused in (lambda: basis(fan, fan.degree((1,) * (len(rays)
                                                               - len(rays[0])))),
-                        lambda: find_certificate(fan)):
+                        lambda: ring._walk_systems(fan)):
             with pytest.raises(NoCertificate) as refusal:
                 refused()
             assert str(refusal.value) == message
@@ -574,7 +614,7 @@ def test_basis_cap_is_checked_before_each_run_on_the_long_axis(monkeypatch):
 
     fan = load_fan(FIXTURES / "p114.fan")
     degree = fan.degree((60,))
-    find_certificate(fan)  # the walk systems, built before zip is watched
+    ring._walk_systems(fan)  # built before zip is watched
     runs = record_runs(monkeypatch)
     assert len(basis(load_fan(FIXTURES / "p114.fan"), degree)) == 496
     assert [length for length, _ in runs] == list(range(61, 0, -4))
