@@ -1,7 +1,9 @@
 """Finitely generated abelian groups presented as cokernels of integer
 matrices: Smith normal form with transform tracking, graded-group and
 degree-class arithmetic, and integer linear solving.  One reduction,
-the Hermite form, serves both normal forms.
+the Hermite form by row insertion with its entries kept reduced, serves
+both normal forms; the Smith form fixes divisibility by column additions
+and more Hermite passes.
 
 The cokernel is computed from the Hermite basis of the column span, so
 every variable degree table is a function of the lattice alone, not of
@@ -17,7 +19,7 @@ factors is not attempted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd
 from operator import add, mul, sub
 
@@ -43,9 +45,10 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     Returns unimodular left (m x m) and right (n x n) with
     left @ matrix @ right diagonal, diagonal entries nonnegative and each
     dividing the next.  Row and column Hermite passes alternate until the
-    matrix is diagonal, then 2 x 2 Bezout steps fix divisibility
-    (Kannan and Bachem, SIAM J. Comput. 8, 1979).  Each pass carries its
-    row operations into ``left``, or into ``right`` transposed.
+    matrix is diagonal.  While some d_i does not divide a later d_j,
+    column j is added to column i and the passes run again: they put
+    gcd(d_i, d_j) at i and the lcm at j.  Each pass carries its row
+    operations into ``left``, or into ``right`` transposed.
     """
     a = [[int(x) for x in row] for row in matrix]
     m = len(a)
@@ -58,26 +61,15 @@ def smith_normal_form(matrix) -> SmithDecomposition:
         _hermite(a, right_t)
         if all(x == 0 for i, row in enumerate(a)
                for j, x in enumerate(row) if i != j):
-            break
+            diag = [a[i][i] for i in range(min(m, n))]
+            apart = [(i, j) for i, j in combinations(range(len(diag)), 2)
+                     if diag[i] and diag[j] % diag[i]]
+            if not apart:
+                break
+            i, j = apart[0]
+            a[i] = list(map(add, a[i], a[j]))
+            right_t[i] = list(map(add, right_t[i], right_t[j]))
         a = [list(col) for col in zip(*a)]
-    diag = [a[i][i] for i in range(min(m, n))]
-    rank = sum(1 for d in diag if d)
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            x, y = diag[i], diag[j]
-            if y % x:
-                # diag(x, y) -> diag(g, xy/g): left [[s, t], [-y/g, x/g]],
-                # right [[1, -ty/g], [1, sx/g]]
-                g = gcd(x, y)
-                s = pow(x // g, -1, y // g)
-                t = (g - s * x) // y
-                li, lj, ri, rj = left[i], left[j], right_t[i], right_t[j]
-                left[i] = [s * p + t * q for p, q in zip(li, lj)]
-                left[j] = [(x * q - y * p) // g for p, q in zip(li, lj)]
-                right_t[i] = [p + q for p, q in zip(ri, rj)]
-                right_t[j] = [(s * x * q - t * y * p) // g
-                              for p, q in zip(ri, rj)]
-                diag[i], diag[j] = g, x * y // g
     return SmithDecomposition(
         left=tuple(tuple(r) for r in left),
         diag=tuple(diag),
@@ -121,43 +113,37 @@ def hermite_row_form(matrix):
 
 def _hermite(a, u):
     """Bring the rows of ``a`` to Hermite form in place, applying each row
-    operation to the rows of ``u`` as well."""
-    m = len(a)
-    rank = 0
-    ncols = len(a[0]) if m else 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, m):
-            if a[i][col] != 0 and (piv is None or abs(a[i][col]) < abs(a[piv][col])):
-                piv = i
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        u[rank], u[piv] = u[piv], u[rank]
-        while True:
-            done = True
-            for i in range(rank + 1, m):
-                if a[i][col]:
-                    q = a[i][col] // a[rank][col]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[rank])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[rank])]
-                    if a[i][col]:
-                        a[rank], a[i] = a[i], a[rank]
-                        u[rank], u[i] = u[i], u[rank]
-                        done = False
-            if done:
-                break
-        if a[rank][col] < 0:
-            a[rank] = [-x for x in a[rank]]
-            u[rank] = [-x for x in u[rank]]
-        for i in range(rank):
-            q = a[i][col] // a[rank][col]
+    operation to the rows of ``u`` as well; zero rows go last.
+
+    Rows of [a | u] enter one at a time (Kannan and Bachem, SIAM J.
+    Comput. 8, 1979).  A row is cleared against the pivot of its leading
+    column by Euclid steps on the two rows, until it leads in a column
+    with no pivot, where it becomes the pivot.  Then every entry above a
+    pivot is reduced into [0, pivot), each row in increasing column
+    order, which keeps the entries bounded."""
+    n = len(a[0]) if a else 0
+    pivots = {}  # leading column -> row of [a | u], the pivot positive
+    zero = []
+    for row in map(add, a, u):
+        c = next(compress(range(n), row), None)
+        while c in pivots:
+            p = pivots[c]
+            while row[c]:
+                q = p[c] // row[c]
+                p, row = row, [x - q * y for x, y in zip(p, row)]
+            pivots[c] = p if p[c] > 0 else [-x for x in p]
+            c = next(compress(range(c + 1, n), row[c + 1:]), None)
+        if c is None:
+            zero.append(row)
+        else:
+            pivots[c] = row if row[c] > 0 else [-x for x in row]
+        for d, c in combinations(sorted(pivots), 2):
+            q = pivots[d][c] // pivots[c][c]
             if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[rank])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[rank])]
-        rank += 1
-        if rank == m:
-            break
+                pivots[d] = [x - q * y for x, y in zip(pivots[d], pivots[c])]
+    rows = [pivots[c] for c in sorted(pivots)] + zero
+    a[:] = [r[:n] for r in rows]
+    u[:] = [r[n:] for r in rows]
 
 
 @dataclass(frozen=True)

@@ -142,18 +142,30 @@ def tag_degree(fan, poly: MultiPoly) -> MultiPoly:
     return MultiPoly(poly.side, poly.terms, homogeneous_degree(fan, poly))
 
 
-def _eliminate(rows, k, done):
+# Most row pairs the Fourier–Motzkin steps of one fan's walk systems may
+# combine; past it the fan is refused with BasisTooLarge before the step.
+# The seeded 7-D fan of 15 rays in the tests combines 381,213 pairs in
+# about 2 s, the 8-D fan of 17 rays 2.9 million.
+MAX_ELIMINATION_PAIRS = 500_000
+
+
+def _eliminate(rows, k, done, pairs):
     """One Fourier–Motzkin step: the rows ``(c, lam)``, meaning
     c·m + lam·a >= 0 for a Weil divisor a, with coordinate k projected
     out, the done-th eliminated.  The combinations are taken on lam, so
     they hold for every a; lam >= 0 is nonzero at the rays a row combines,
     and a row of more than done + 1 rays is implied by the others, so it
-    is skipped (Chernikov's rule)."""
+    is skipped (Chernikov's rule).  ``pairs[0]`` counts the row pairs of
+    the fan's steps so far."""
     pos = [r for r in rows if r[0][k] > 0]
     neg = [r for r in rows if r[0][k] < 0]
     if not pos or not neg:
         raise NoCertificate(f"P_D is unbounded along coordinate {k}, so "
                             f"graded pieces may be infinite")
+    pairs[0] += len(pos) * len(neg)
+    if pairs[0] > MAX_ELIMINATION_PAIRS:
+        raise BasisTooLarge(f"the fan's walk systems combine more than "
+                            f"{MAX_ELIMINATION_PAIRS} row pairs")
     out = [r for r in rows if r[0][k] == 0]
     for (cp, lp), (cq, lq) in product(pos, neg):
         s, t = -cq[k], cp[k]
@@ -176,12 +188,13 @@ def _walk_systems(fan):
     order.  At a Weil divisor a the row reads c_k*m_k + prefix·m >= -lam·a.
     The natural order is eliminated first, so an open fan is refused
     naming, in the fan's own numbering, the first coordinate found open
-    in that order."""
+    in that order.  A fan whose steps combine more than
+    MAX_ELIMINATION_PAIRS row pairs in all is refused with BasisTooLarge."""
     if not fan._walk_cache:
         n, rays = fan.ambient_rank, fan.rays
         start = [(ray, tuple(int(r == s) for s in range(len(rays))))
                  for r, ray in enumerate(rays)]
-        walks = []
+        walks, pairs = [], [0]
         for j in range(n):
             order = (j, *(k for k in range(n) if k != j))
             rows, systems = start, [None] * n
@@ -189,7 +202,7 @@ def _walk_systems(fan):
                 k = order[i]
                 systems[i] = [(c[k], tuple(c[o] for o in order[:i]), lam)
                               for c, lam in rows if c[k]]
-                rows = _eliminate(rows, k, n - i)
+                rows = _eliminate(rows, k, n - i, pairs)
             walks.append(([tuple(ray[k] for ray in rays) for k in order],
                           systems))
         fan._walk_cache.extend(walks)

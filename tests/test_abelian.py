@@ -12,12 +12,12 @@ from pathlib import Path
 import pytest
 
 from toric_apolarity import (DegreeClass, GradedGroup, GroupMismatch,
-                             NonSquare, NotFullRank, cokernel, load_fan,
-                             smith_normal_form, solve_integer)
+                             NonSquare, NotFullRank, build_fan, cokernel,
+                             load_fan, smith_normal_form, solve_integer)
 from toric_apolarity.abelian import hermite_row_form
 from toric_apolarity.linalg import det_bareiss
 
-from conftest import FIXTURES, alarm
+from conftest import FIXTURES, alarm, spanning_rays
 
 
 def matmul(a, b):
@@ -639,3 +639,129 @@ def test_invert_unimodular_converts_int_rows():
         assert all(type(x) is int for row in inverse for x in row)
         assert matmul(matrix, inverse) == identity
     assert hermite_row_form([[2, 1], [0, 1]])[0] != [[1, 0], [0, 1]]
+
+
+# --- the Hermite form by row insertion ---------------------------------
+
+def sweep_hermite(a, u):
+    """Oracle: the column sweep that built Hermite forms before row
+    insertion.  Each column is cleared by Euclid steps over all the rows
+    below the pivot, which are never reduced, so on dense matrices of
+    size 10 and up their entries compound."""
+    m = len(a)
+    rank = 0
+    ncols = len(a[0]) if m else 0
+    for col in range(ncols):
+        piv = None
+        for i in range(rank, m):
+            if a[i][col] != 0 and (piv is None or abs(a[i][col]) < abs(a[piv][col])):
+                piv = i
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        u[rank], u[piv] = u[piv], u[rank]
+        while True:
+            done = True
+            for i in range(rank + 1, m):
+                if a[i][col]:
+                    q = a[i][col] // a[rank][col]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[rank])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[rank])]
+                    if a[i][col]:
+                        a[rank], a[i] = a[i], a[rank]
+                        u[rank], u[i] = u[i], u[rank]
+                        done = False
+            if done:
+                break
+        if a[rank][col] < 0:
+            a[rank] = [-x for x in a[rank]]
+            u[rank] = [-x for x in u[rank]]
+        for i in range(rank):
+            q = a[i][col] // a[rank][col]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[rank])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[rank])]
+        rank += 1
+        if rank == m:
+            break
+
+
+def assert_hermite_transform(matrix):
+    """H = U @ matrix with |det U| = 1; returns H and U."""
+    h, u = hermite_row_form(matrix)
+    assert matmul(u, matrix) == h
+    assert abs(det_bareiss([list(r) for r in u])) == 1
+    return h, u
+
+
+def test_hermite_matches_the_column_sweep():
+    # the Hermite form is unique, so both reductions reach the same H;
+    # the seeded set is rectangular, a third rank-deficient, a tenth zero,
+    # and the larger matrices leave columns without a pivot
+    rng = random.Random(53)
+    matrices = list(seeded_integer_matrices(54, count=200, bound=9))
+    for _ in range(60):
+        m, n = rng.randint(5, 8), rng.randint(5, 8)
+        matrices.append([[rng.choice([0, 0, rng.randint(-5, 5)])
+                          for _ in range(n)] for _ in range(m)])
+    for matrix in matrices:
+        h, _ = assert_hermite_transform(matrix)
+        swept = [list(r) for r in matrix]
+        sweep_hermite(swept, [[int(i == j) for j in range(len(matrix))]
+                              for i in range(len(matrix))])
+        assert h == swept, matrix
+
+
+def dense_matrix(n, seed):
+    rng = random.Random(n * 1000 + seed)
+    return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+
+
+# The bit length every entry of H and U stays under at 20 x 20; the worst
+# of the seeded set has 80 bits
+HERMITE_BITS = 128
+
+
+@pytest.mark.parametrize("n", [10, 12, 14, 20])
+def test_dense_smith_forms_return_at_once(n):
+    # the column sweep ran past 6 s on most dense 12 x 12 matrices
+    for seed in range(3):
+        matrix = dense_matrix(n, seed)
+        with alarm(5):
+            start = time.perf_counter()
+            dec = smith_normal_form(matrix)
+            assert time.perf_counter() - start < 0.1
+            h, u = assert_hermite_transform(matrix)
+        assert dec == assert_decomposition(matrix)
+        assert dec.diag == oracle_diag(matrix)
+        if n == 20:
+            assert max(abs(x).bit_length()
+                       for row in h + u for x in row) < HERMITE_BITS
+
+
+def test_classgroup_of_a_dense_cone_returns_at_once(tmp_path):
+    rows = [[x // gcd(*row) for x in row] for row in dense_matrix(12, 0)]
+    fan_file = tmp_path / "dense12.fan"
+    fan_file.write_text(json.dumps({"rays": rows,
+                                    "max_cones": [list(range(12))]}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "toric_apolarity.cli", "classgroup",
+         str(fan_file)], capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert time.perf_counter() - start < 2
+    assert done.returncode == 0, done.stderr
+    group = GradedGroup(0, tuple(d for d in oracle_diag(rows) if d >= 2))
+    assert done.stdout.startswith(f"Cl = {group};")
+
+
+@pytest.mark.parametrize("dim, count", [(7, 15), (8, 17)])
+def test_spanning_fans_are_built_at_once(dim, count):
+    # the free transform's Hermite form took 47.8 s at 7-D under the sweep
+    rays = spanning_rays(dim, count, dim)
+    with alarm(5):
+        start = time.perf_counter()
+        fan = build_fan(rays, [[i] for i in range(count)])
+        assert time.perf_counter() - start < 0.1
+    assert fan.class_group.free_rank == count - dim

@@ -542,6 +542,24 @@ def test_spanning_5d_fan_lists_its_constant_at_once(tmp_path):
     assert proc.stdout.startswith("dim = 1 [exact]\n")
 
 
+def test_spanning_8d_fan_is_refused_for_its_walk_systems(tmp_path):
+    # 17 one-ray cones whose rays positively span R^8: the walk systems'
+    # eliminations combine 2.9 million row pairs in about 17 s, so the fan
+    # is refused once they pass the cap
+    fan_file = tmp_path / "spanning8.fan"
+    fan_file.write_text(json.dumps({"rays": spanning_rays(8, 17, 8),
+                                    "max_cones": [[i] for i in range(17)]}))
+    src = str(Path(toric_apolarity.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric_apolarity.cli", "basis", str(fan_file),
+         "--degree", ",".join(["0"] * 9)], capture_output=True, text=True,
+        timeout=30, env={**os.environ, "PYTHONPATH": src})
+    assert time.perf_counter() - start < 6
+    assert proc.returncode == 1 and "[BasisTooLarge]" in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
 def test_complete_fan_bounds_without_a_weight(tmp_path):
     # the same complete fan: bounds orders its ties by total free degree,
     # so it no longer searches for a weight, the nearest of which lies

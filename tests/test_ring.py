@@ -581,6 +581,47 @@ def test_walk_systems_of_spanning_fans_are_built_in_time():
                 == ((0,) * count,)
 
 
+def test_walk_systems_of_a_7d_spanning_fan_fit_the_pair_cap():
+    # 381,213 row pairs, about 2 s
+    from toric_apolarity import ring
+
+    fan = build_fan(spanning_rays(7, 15, 7), [[i] for i in range(15)])
+    with alarm(20):
+        assert len(ring._walk_systems(fan)) == 7
+        assert basis(fan, fan.degree((0,) * 8)) == ((0,) * 15,)
+
+
+def test_walk_systems_past_the_pair_cap_are_refused(monkeypatch):
+    # the cap counts the row pairs of every step of one fan's build: a cap
+    # of that count walks, one less refuses at the step that passes it and
+    # leaves the fan's caches empty; an open coordinate is found first
+    from toric_apolarity import ring
+
+    rays, cones = spanning_rays(5, 11, 5), [[i] for i in range(11)]
+    counters = []
+    eliminate = ring._eliminate
+    monkeypatch.setattr(ring, "_eliminate",
+                        lambda rows, k, done, pairs: counters.append(pairs)
+                        or eliminate(rows, k, done, pairs))
+    ring._walk_systems(build_fan(rays, cones))
+    assert len(counters) == 25 and all(c is counters[0] for c in counters)
+    total = counters[0][0]
+    assert total == 11_439
+    monkeypatch.setattr(ring, "MAX_ELIMINATION_PAIRS", total)
+    assert len(ring._walk_systems(build_fan(rays, cones))) == 5
+    monkeypatch.setattr(ring, "MAX_ELIMINATION_PAIRS", total - 1)
+    fan = build_fan(rays, cones)
+    with pytest.raises(BasisTooLarge) as refused:
+        basis(fan, fan.degree((0,) * 6))
+    assert str(refused.value) == (f"the fan's walk systems combine more "
+                                  f"than {total - 1} row pairs")
+    assert fan._walk_cache == [] and not fan._basis_cache
+    monkeypatch.setattr(ring, "MAX_ELIMINATION_PAIRS", 0)
+    with pytest.raises(NoCertificate):
+        ring._walk_systems(build_fan([[1, 0], [0, 1], [-1, 0]],
+                                     [[0, 1], [1, 2]]))
+
+
 def test_open_fan_refusal_names_the_fans_own_coordinate():
     # the natural order is eliminated first, so the refusal names the
     # first coordinate, counted from the last, that is open in that order
