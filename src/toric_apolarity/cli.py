@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from .abelian import DegreeClass
@@ -230,9 +231,11 @@ def cmd_basis(args, fan):
 def _grid_lines(fan, grid, box):
     lines = []
     group = fan.class_group
-    tors_axes = [range(d) for d in group.torsion_orders]
-    from itertools import product as iproduct
-    for tors in iproduct(*tors_axes):
+    by_torsion = {}  # box degrees per torsion class, in box order
+    if group.free_rank != 2:
+        for degree in box:
+            by_torsion.setdefault(degree.torsion, []).append(degree)
+    for tors in product(*[range(d) for d in group.torsion_orders]):
         if group.torsion_orders:
             lines.append(f"torsion class {tors}:")
         if group.free_rank == 2:
@@ -242,9 +245,8 @@ def _grid_lines(fan, grid, box):
                        for a in range(alo, ahi + 1)]
                 lines.append("  " + " ".join(f"{v:3d}" for v in row))
         else:
-            for degree in box:
-                if degree.torsion == tors:
-                    lines.append(f"  h{degree} = {grid.values[degree]}")
+            lines += [f"  h{degree} = {grid.values[degree]}"
+                      for degree in by_torsion.get(tors, ())]
     return lines
 
 

@@ -48,15 +48,18 @@ def _bareiss(rows):
         if piv != rank:
             a[rank], a[piv] = a[piv], a[rank]
             sign = -sign
+        prow = a[rank]
+        pv = prow[col]
         for i in range(rank + 1, m):
+            row = a[i]
+            c = row[col]
             for j in range(col + 1, n):
-                num = a[rank][col] * a[i][j] - a[i][col] * a[rank][j]
-                q, r = divmod(num, prev)
+                q, r = divmod(pv * row[j] - c * prow[j], prev)
                 if r:
                     raise ArithmeticError("Bareiss division must be exact")
-                a[i][j] = q
-            a[i][col] = 0
-        prev = a[rank][col]
+                row[j] = q
+            row[col] = 0
+        prev = pv
         rank += 1
         if rank == m:
             break
@@ -196,12 +199,13 @@ def _eliminate_mod(rows, p: int):
     row moves, which is the determinant of a square matrix of full rank.
 
     Each row is one int with a slot per column not yet done, the current
-    column in the lowest slot.  The pivot row is popped from the rows
-    left (moving row k to the front has sign (-1)^k), unpacked, reduced
-    mod p in one pass and repacked.  Each other row, with c in its
-    current slot, takes one multiply-add, ``row + (p - c/lead) * pivot``
-    with c/lead taken mod p, which leaves a multiple of p in that slot;
-    then every row left drops the finished slot with ``>> width``.
+    column in the lowest slot.  The pivot is the first row whose slot is
+    nonzero mod p; it is popped from the rows left (moving row k to the
+    front has sign (-1)^k), unpacked, reduced mod p in one pass and
+    repacked.  Then each row left, with c in its current slot, takes one
+    multiply-add and a shift, ``(row + (c * neg % p) * pivot) >> width``
+    with neg = -1/lead mod p: the slot becomes a multiple of p and is
+    dropped.  A row with c = 0 mod p adds 0.
 
     Slots never carry into their neighbours: entries start below p, an
     elimination adds at most (p-1)^2 to a slot, and a row is eliminated
@@ -222,29 +226,36 @@ def _eliminate_mod(rows, p: int):
          for i in range(0, m * step, step)]
     rank, det = 0, 1
     for col in range(n):
-        cs = [(r & mask) % p for r in a]
-        for k, c in enumerate(cs):
-            if c:
+        for k, r in enumerate(a):
+            if (r & mask) % p:
                 break
         else:  # no pivot in this column
             a = [r >> width for r in a]
             continue
-        lead = cs.pop(k)
-        pivot = a.pop(k).to_bytes((n - col) * size, "little")
+        pivot = a.pop(k)
+        lead = (pivot & mask) % p
         det = det * (-lead if k & 1 else lead) % p
         rank += 1
         if not a:
             break
-        pivot = int.from_bytes(encode(map(mod, decode(pivot), repeat(p))),
-                               "little")
-        inv = pow(lead, -1, p)
-        a = [(r + (p - c * inv % p) * pivot) >> width if c else r >> width
-             for r, c in zip(a, cs)]
+        pivot = int.from_bytes(encode(map(mod, decode(pivot.to_bytes(
+            (n - col) * size, "little")), repeat(p))), "little")
+        neg = p - pow(lead, -1, p)
+        a = [(r + (r & mask) * neg % p * pivot) >> width for r in a]
     return rank, det
 
 
 def rank_mod(rows, p: int) -> int:
-    """Rank over Z/p of an integer matrix; entries need not be reduced."""
+    """Rank over Z/p of an integer matrix; entries need not be reduced.
+    A tall matrix is ranked as its transpose, a wide m x n one first on
+    its leading m x m block, whose rank m certifies the whole."""
+    if not rows or not rows[0]:
+        return 0
+    if len(rows) > len(rows[0]):
+        rows = list(zip(*rows))
+    m = len(rows)
+    if m < len(rows[0]) and _eliminate_mod([r[:m] for r in rows], p)[0] == m:
+        return m
     return _eliminate_mod(rows, p)[0]
 
 

@@ -263,6 +263,26 @@ def test_symmetry_compares_independent_ranks(f1):
     assert check_symmetry(F, box) == SymmetryVerdict(False, first)
 
 
+def test_symmetry_compares_two_independent_gathers(f1):
+    # rank_mod ranks a tall catalecticant on its transpose, so both sides
+    # of a symmetry pair eliminate the same short-side matrix; the check
+    # still compares two gathers, one per degree, through the fan's table
+    fan = build_fan(f1.rays, f1.max_cones, f1.var_names, f1.dual_var_names)
+    alpha, beta = fan.degree((4, 2)), fan.degree((3, 1))
+    rng = random.Random(24)
+    terms = {m: Fraction(rng.randint(1, 9)) for m in basis(fan, alpha)}
+    box = DegreeBox(fan.class_group, ((3, 3), (1, 1)))
+    G = ApolarForm(fan, MultiPoly(Side.DUAL, terms))
+    assert check_symmetry(G, box).ok and hilbert_value(G, beta) == 3
+    # basis(alpha - beta) has 3 monomials, basis(beta) 7: a repeated row
+    # drops the rank of the 3 x 7 table alone
+    _, _, table = apolarity._sum_index_table(fan, alpha - beta, alpha)
+    table[1] = table[0]
+    F = ApolarForm(fan, MultiPoly(Side.DUAL, terms))
+    assert check_symmetry(F, box) == SymmetryVerdict(False, beta)
+    assert hilbert_value(F, beta) == 3 and hilbert_value(F, alpha - beta) == 2
+
+
 def test_apolar_contains_fixtures(f1, p114):
     F = form(f1, "x0*x1*y0*y1")
     gens = [primal(f1, "a0^2 - a1^2"), primal(f1, "b0^2 - a1^2*b1^2")]

@@ -8,11 +8,15 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import toric_apolarity
+from toric_apolarity import DegreeBox, build_fan, cli, load_fan
+from toric_apolarity.abelian import DegreeClass
+from toric_apolarity.apolarity import HilbertGrid
 from toric_apolarity.cli import COMMANDS, main
 
 from conftest import (FIXTURES, parse_outcome, spanning_rays,
@@ -84,6 +88,68 @@ def test_hilbert_grid_output(capsys):
     assert rows == [["0", "1", "2", "1"], ["1", "3", "3", "1"],
                     ["1", "2", "1", "0"]]
     assert "symmetry: PASS" in out
+
+
+def quadratic_grid_lines(fan, grid, box):
+    """Oracle: the grid lines as listed by walking the whole box once per
+    torsion class."""
+    lines = []
+    group = fan.class_group
+    for tors in product(*[range(d) for d in group.torsion_orders]):
+        if group.torsion_orders:
+            lines.append(f"torsion class {tors}:")
+        if group.free_rank == 2:
+            (alo, ahi), (blo, bhi) = box.free_ranges
+            for b in range(bhi, blo - 1, -1):
+                row = [grid.values[DegreeClass(group, (a, b), tors)]
+                       for a in range(alo, ahi + 1)]
+                lines.append("  " + " ".join(f"{v:3d}" for v in row))
+        else:
+            for degree in box:
+                if degree.torsion == tors:
+                    lines.append(f"  h{degree} = {grid.values[degree]}")
+    return lines
+
+
+def grid_cases():
+    """(fan, box) pairs: the Z/3 and Z/2 x Z/4 fixtures, f1, and a seeded
+    complete plane fan with rays (a, 1), (a - n, 1), (n - 2a, -2) summing
+    to 0, whose class group is Z x Z/n for n odd in the thousands."""
+    rng = random.Random(25)
+    n = rng.randrange(1001, 2000, 2)
+    a = n // 2 + rng.randint(1, 30)
+    plane = build_fan([[a, 1], [a - n, 1], [n - 2 * a, -2]],
+                      [[0, 1], [1, 2], [2, 0]])
+    assert plane.class_group.torsion_orders == (n,)
+    return [(load_fan(FAKE), ((-1, 6),)), (load_fan(Z2Z4), ((-2, 5),)),
+            (load_fan(F1), ((0, 3), (0, 2))), (plane, ((0, 1),))]
+
+
+def test_grid_lines_match_the_per_class_walk(monkeypatch):
+    walked = []
+    monkeypatch.setattr(DegreeBox, "__iter__", lambda self: walked.extend(
+        self.degrees) or iter(self.degrees))
+    rng = random.Random(26)
+    for fan, ranges in grid_cases():
+        box = DegreeBox(fan.class_group, ranges)
+        reads = []
+
+        class Values(dict):
+            def __getitem__(self, degree):
+                reads.append(degree)
+                return dict.__getitem__(self, degree)
+
+        grid = HilbertGrid(box.degrees[0], box, Values(
+            (degree, rng.randint(0, 99)) for degree in box))
+        walked.clear()
+        want = quadratic_grid_lines(fan, grid, box)
+        walked.clear()
+        reads.clear()
+        assert cli._grid_lines(fan, grid, box) == want
+        # each box degree is read once: one walk, or none for a plane grid
+        assert sorted(reads, key=str) == sorted(box.degrees, key=str)
+        assert walked == ([] if fan.class_group.free_rank == 2
+                          else list(box.degrees))
 
 
 def test_cat_suppresses_cactus_for_non_cartier(capsys):

@@ -3,13 +3,16 @@ independent oracle only (the library itself stays stdlib-only)."""
 
 import random
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import mod
 
 import pytest
 
-from toric_apolarity import NonSquare
+from toric_apolarity import NonSquare, linalg
 from toric_apolarity.abelian import hermite_row_form
-from toric_apolarity.linalg import (SparseEchelon, det_bareiss, det_mod,
-                                    nullspace, rank_bareiss, rank_mod)
+from toric_apolarity.linalg import (SparseEchelon, _eliminate_mod, _slot_codec,
+                                    det_bareiss, det_mod, nullspace,
+                                    rank_bareiss, rank_mod)
 
 from conftest import PRIMES, WIDE_PRIMES
 
@@ -288,6 +291,9 @@ def test_prime_field_elimination_under_worst_slot_growth():
             for last in (0, 1):
                 rows = slot_growth_matrix(p, m, m + 2, last)
                 assert rank_mod(rows, p) == m - 1 + last
+                # rank_mod may stop at the square block; the whole width
+                # is eliminated here
+                assert _eliminate_mod(rows, p)[0] == m - 1 + last
                 square = [row[:m] for row in rows]
                 assert det_mod(square, p) == rowwise_det_mod(square, p) == last
 
@@ -320,4 +326,114 @@ def test_prime_field_elimination_at_every_slot_switch():
             for last in (0, 1):
                 rows = slot_growth_matrix(p, m, m + 2, last)
                 assert rank_mod(rows, p) == m - 1 + last
+                assert _eliminate_mod(rows, p)[0] == m - 1 + last
                 assert det_mod([row[:m] for row in rows], p) == last
+
+
+def two_pass_eliminate_mod(rows, p):
+    """Oracle: the packed-row kernel with a list of the column's residues
+    taken before the pivot search, and a branch that only shifts the rows
+    whose residue is 0."""
+    if not rows or not rows[0]:
+        return 0, 1
+    m, n = len(rows), len(rows[0])
+    size, encode, decode = _slot_codec(p - 1 + (m - 1) * (p - 1) ** 2)
+    width = 8 * size
+    mask = (1 << width) - 1
+    data = bytes(encode(map(mod, chain.from_iterable(rows), repeat(p))))
+    step = n * size
+    a = [int.from_bytes(data[i:i + step], "little")
+         for i in range(0, m * step, step)]
+    rank, det = 0, 1
+    for col in range(n):
+        cs = [(r & mask) % p for r in a]
+        for k, c in enumerate(cs):
+            if c:
+                break
+        else:
+            a = [r >> width for r in a]
+            continue
+        lead = cs.pop(k)
+        pivot = a.pop(k).to_bytes((n - col) * size, "little")
+        det = det * (-lead if k & 1 else lead) % p
+        rank += 1
+        if not a:
+            break
+        pivot = int.from_bytes(encode(map(mod, decode(pivot), repeat(p))),
+                               "little")
+        inv = pow(lead, -1, p)
+        a = [(r + (p - c * inv % p) * pivot) >> width if c else r >> width
+             for r, c in zip(a, cs)]
+    return rank, det
+
+
+def test_single_pass_elimination_matches_the_two_pass_kernel():
+    cases = chain(modular_matrices(13), modular_matrices(14, square=True),
+                  modular_matrices(15, count=200, primes=WIDE_PRIMES),
+                  modular_matrices(16, count=200, square=True,
+                                   primes=WIDE_PRIMES))
+    for p, rows in cases:
+        assert _eliminate_mod(rows, p) == two_pass_eliminate_mod(rows, p)
+
+
+def wide_with_singular_block(rng, p, m, n):
+    """An m x n matrix (m < n) of rank m mod p whose leading m x m block
+    has rank m - 1 mod p: the block's last row is a combination of its
+    other rows, and a unit right of the block lifts the whole to rank m."""
+    while True:
+        rows = [[rng.randint(-3 * p, 3 * p) for _ in range(n)]
+                for _ in range(m - 1)]
+        cs = [rng.randint(0, p - 1) for _ in rows]
+        last = [sum(c * r[j] for c, r in zip(cs, rows)) + p * rng.randint(-2, 2)
+                for j in range(m)]
+        last += [rng.randint(-3 * p, 3 * p) for _ in range(n - m)]
+        rows.append(last)
+        if rowwise_rank_mod([r[:m] for r in rows], p) == m - 1 and \
+                rowwise_rank_mod(rows, p) == m:
+            return rows
+
+
+def test_wide_rank_past_a_singular_leading_block():
+    # a singular block does not certify, and the whole matrix is ranked
+    assert rank_mod([[1, 0, 0], [1, 0, 1]], 2) == 2
+    assert rank_mod([[0, 1], [0, 0], [1, 0]], 5) == 2  # tall, transposed
+    assert rank_mod([[1, 2, 3, 4], [2, 4, 6, 9]], 101) == 2
+    rng = random.Random(17)
+    for k in range(150):
+        p = PRIMES[k % len(PRIMES)]
+        m = rng.randint(1, 7)
+        rows = wide_with_singular_block(rng, p, m, rng.randint(m + 1, 12))
+        assert rank_mod(rows, p) == m
+        tall = [list(col) for col in zip(*rows)]
+        assert rank_mod(tall, p) == m
+
+
+def test_rank_mod_eliminates_the_short_side(monkeypatch):
+    packed = []
+    eliminate = linalg._eliminate_mod
+    monkeypatch.setattr(linalg, "_eliminate_mod", lambda rows, p: packed.append(
+        (len(rows), len(rows[0]))) or eliminate(rows, p))
+    rng = random.Random(18)
+    # a tall m x n matrix of full rank: its transpose packs n rows and is
+    # certified by its n x n block
+    tall = [[int(i == j) for j in range(4)] for i in range(4)]
+    tall += [[rng.randint(0, 100) for _ in range(4)] for _ in range(26)]
+    rng.shuffle(tall)
+    assert rank_mod(tall, 101) == 4
+    assert packed == [(4, 4)]
+    # a tall matrix of lower rank packs n rows on both passes
+    packed.clear()
+    assert rank_mod([row[:2] * 2 for row in tall], 101) == 2
+    assert packed == [(4, 4), (4, 30)]
+    # a wide m x n matrix of full rank packs its m x m block alone
+    for m, n in ((1, 9), (3, 7), (5, 40)):
+        packed.clear()
+        rows = [[int(i == j) for j in range(m)]
+                + [rng.randint(0, 100) for _ in range(n - m)]
+                for i in range(m)]
+        assert rank_mod(rows, 101) == m
+        assert packed == [(m, m)]
+    # a square matrix is eliminated once, as it is
+    packed.clear()
+    assert rank_mod([[1, 2], [3, 4]], 101) == 2
+    assert packed == [(2, 2)]
