@@ -271,10 +271,8 @@ class Projection:
 
 
 def _primitive(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in vec) if g else tuple(vec)
+    g = gcd(*vec)
+    return tuple(x // g for x in vec)
 
 
 def _canonical_free_transform(columns, rank: int):

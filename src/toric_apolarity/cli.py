@@ -23,7 +23,7 @@ from .apolarity import (ApolarForm, DegreeBox, apolar_contains, check_symmetry,
                         hilbert_grid)
 from .bounds import best_bounds, bound_report
 from .errors import InputError, ParseError, Refusal
-from .fan import load_fan
+from .fan import _require_names, load_fan
 from .ideals import IdealGens, cactus_certificate, length_estimate
 from .ring import Side, _format_monomial, basis as graded_basis, format_poly, parse_poly
 from .secant import (DEFAULT_PRIME, DEFAULT_TRIALS, LaurentFamily,
@@ -175,6 +175,7 @@ def read_family_file(path, fan) -> LaurentFamily:
     if head.strip() != "params" or not sep:
         raise ParseError("family file must start with 'params: ...'")
     params = tuple(p.strip() for p in rest.split(",") if p.strip())
+    _require_names(params, "family parameters")
     terms = _read_points(path, lines[1:], fan,
                          lambda text: parse_laurent(text, params))
     return LaurentFamily(params, tuple(terms))

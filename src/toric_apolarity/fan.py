@@ -11,9 +11,18 @@ from math import gcd
 from pathlib import Path
 
 from .abelian import DegreeClass, _solve_smith, cokernel, smith_normal_form
-from .errors import (GroupMismatch, NonPrimitiveRay, NonSimplicialCone,
+from .errors import (NonPrimitiveRay, NonSimplicialCone,
                      NotFullRank, ParseError, TorusFactor)
 from .linalg import det_bareiss, rank_bareiss
+from .ring import _NAME
+
+
+def _require_names(names, what: str):
+    """Refuse with ParseError declared names that repeat or that the term
+    syntax cannot read."""
+    if len(set(names)) != len(names) or not all(map(_NAME.fullmatch, names)):
+        raise ParseError(f"{what} {list(names)} are not distinct names "
+                         f"matching {_NAME.pattern}")
 
 
 class Completeness(Enum):
@@ -84,8 +93,7 @@ class FanModel:
         if len(self.var_names) != len(rays) or len(self.dual_var_names) != len(rays):
             raise ParseError("need one variable name per ray")
         for names in (self.var_names, self.dual_var_names):
-            if len(set(names)) != len(names):
-                raise ParseError(f"variable names {list(names)} are not distinct")
+            _require_names(names, "variable names")
         self._cartier_cache = {}
         self._cone_smith = None  # Smith form of each maximal cone's rays
         self._basis_cache = {}  # degree -> monomial tuple
@@ -142,9 +150,8 @@ class FanModel:
     # -- divisors ----------------------------------------------------------
 
     def weil_representative(self, degree: DegreeClass):
-        """Integer coefficients a with sum(a_i * deg x_i) == degree."""
-        if degree.group != self.class_group:
-            raise GroupMismatch("degree belongs to a different class group")
+        """Integer coefficients a with sum(a_i * deg x_i) == degree; a
+        degree of another group is refused with GroupMismatch."""
         return self.projection.section(degree)
 
     def is_cartier(self, degree: DegreeClass) -> bool:

@@ -10,6 +10,14 @@ rule.  Its systems belong to the fan, one per walk order; each degree is
 walked with its shortest axis outermost.  Bases are ordered by total
 exponent degree, then lexicographically, largest first, which fixes
 every matrix layout.
+
+Polynomials and Laurent monomials are read in one regular term syntax.
+Terms are joined by ``+`` or ``-``; only the first may go unsigned, and
+none starts with ``*``.  A term is a ``*``-product of factors: an
+integer with an optional ``/denominator`` other than 0, or a name
+``[A-Za-z_][A-Za-z_0-9]*`` with an optional ``^`` power.  A power may be
+negative (``^-2``) only in a family file's Laurent monomials.  Blanks
+may separate any two symbols, and blank text holds no terms.
 """
 
 from __future__ import annotations
@@ -294,91 +302,47 @@ def basis(fan, degree: DegreeClass):
 
 # --- text syntax --------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-                    r"|(?P<int>\d+)"
-                    r"|(?P<op>[*^/+()-]))")
-
-
-def _tokenize(text: str):
-    text = text.rstrip()
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"bad character at ...{text[pos:pos + 10]!r}")
-        if m.lastgroup == "name":
-            out.append(("name", m.group("name")))
-        elif m.lastgroup == "int":
-            out.append(("int", int(m.group("int"))))
-        else:
-            out.append(("op", m.group("op")))
-        pos = m.end()
-    return out
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_JOIN = re.compile(r"\s*([-+*]?)")  # what comes before a factor, if any
+_FACTOR = re.compile(r"\s*(?:(\d+)(?:\s*/\s*(\d+))?"
+                     rf"|({_NAME.pattern})(?:\s*\^\s*(-?)\s*(\d+))?)")
 
 
 def _parse_terms(text: str, names, allow_negative: bool):
-    """Read the shared term syntax, e.g. ``3/4*a0^2*b1 - a1^3``, into a
-    list of (coefficient, exponent tuple), one per signed term.
-
-    A term is a ``*``-product of rationals and powers of the ``names``;
-    exponents below zero are refused unless ``allow_negative``.
-    """
+    """Read the term syntax, e.g. ``3/4*a0^2*b1 - a1^3``, in one pass into
+    a list of (coefficient, exponent tuple), one per signed term, the
+    exponents those of ``names``; a power below zero is refused unless
+    ``allow_negative``."""
     index = {n: i for i, n in enumerate(names)}
-    tokens = _tokenize(text) + [(None, None)]
-    pos = 0
     terms = []
-
-    def take():
-        nonlocal pos
-        pos += 1
-        return tokens[pos - 1]
-
-    def take_int(what):
-        kind, val = take()
-        if kind != "int":
-            raise ParseError(f"expected {what}")
-        return val
-
-    while tokens[pos][0] is not None:
-        coeff = Fraction(1)
-        if tokens[pos] in (("op", "+"), ("op", "-")):
-            coeff = Fraction(-1 if take()[1] == "-" else 1)
-        elif terms:
-            raise ParseError(f"expected '+' or '-' between terms, "
-                             f"got {tokens[pos][1]!r}")
-        expo = [0] * len(names)
-        while True:
-            kind, val = take()
-            if kind == "int":
-                if tokens[pos] == ("op", "/"):
-                    take()
-                    den = take_int("nonzero integer denominator")
-                    if den == 0:
-                        raise ParseError("expected nonzero integer denominator")
-                    val = Fraction(val, den)
-                coeff *= val
-            elif kind == "name":
-                if val not in index:
-                    raise ParseError(f"unknown variable {val!r}")
-                e = 1
-                if tokens[pos] == ("op", "^"):
-                    take()
-                    sign = -1 if tokens[pos] == ("op", "-") else 1
-                    if sign < 0:
-                        take()
-                    e = sign * take_int("integer exponent")
-                if e < 0 and not allow_negative:
-                    raise ParseError("negative exponents are not allowed here")
-                expo[index[val]] += e
-            else:
-                raise ParseError("expected a number or variable, got "
-                                 + (repr(val) if kind else "end of input"))
-            if tokens[pos] != ("op", "*"):
-                break
-            take()
-        terms.append((coeff, tuple(expo)))
-    return terms
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
+        join = _JOIN.match(text, pos)
+        op, pos = join[1], join.end()
+        # a sign opens a term, and so does nothing before the first one
+        if op in ("+", "-") or not (op or terms):
+            terms.append([Fraction(-1 if op == "-" else 1), [0] * len(names)])
+        elif op != "*" or not terms:
+            raise ParseError(f"expected '+' or '-' before "
+                             f"...{text[join.start(1):][:10]!r}")
+        factor = _FACTOR.match(text, pos)
+        if factor is None:
+            raise ParseError(f"expected a number or variable at "
+                             f"...{text[pos:pos + 10]!r}")
+        num, den, name, minus, power = factor.groups()
+        pos, term = factor.end(), terms[-1]
+        if name is None:
+            if den is not None and int(den) == 0:
+                raise ParseError("expected nonzero integer denominator")
+            term[0] *= Fraction(int(num), int(den or 1))
+        elif name not in index:
+            raise ParseError(f"unknown variable {name!r}")
+        else:
+            e = -int(power) if minus else int(power or 1)
+            if e < 0 and not allow_negative:
+                raise ParseError("negative exponents are not allowed here")
+            term[1][index[name]] += e
+    return [(coeff, tuple(expo)) for coeff, expo in terms]
 
 
 def parse_poly(text: str, names, side: Side, fan=None) -> MultiPoly:

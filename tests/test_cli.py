@@ -330,6 +330,8 @@ POINT_FILES = [
     ("--family", ""),
     ("--family", "params: l, m\n"),              # header only
     ("--family", "1 | 1, 1, 1, 1\n"),            # no 'params:' header
+    ("--family", "params: l, m, l\n1 | l, 1, 1, m\n"),  # repeated parameter
+    ("--family", "params: l, 2m\n1 | l, 1, 1, 1\n"),    # not a name
 ]
 
 
@@ -415,6 +417,8 @@ PLANE = {"rays": [[1, 0], [0, 1], [-1, -1]],
     {"var_names": ["a", "a", "b"]},
     {"dual_var_names": ["x", "y", "x"]},
     {"ambient_rank": "xx"},
+    {"var_names": ["a b", "1", "c^2"]},
+    {"dual_var_names": ["y0", "y1", "y-2"]},
 ])
 def test_malformed_fan_file_is_a_parse_error(capsys, tmp_path, fields):
     fan_file = tmp_path / "bad.fan"

@@ -28,8 +28,9 @@ FANS = {
                        ["a1^2, a2^2", "a0*a1, a2", "a0^3"]),
 }
 BAD_FORMS = ["0", "x0*", "y0^-1", "zz", "1/0*x0", "x0**2", "x0 +", "(x0)",
-             "a0*x0", "x0*x1*y0*y1 + x0"]
-BAD_IDEALS = ["a0 + b0", "q0", "a0^", ",", "a0,,b0", "x0", "a0^-1"]
+             "a0*x0", "x0*x1*y0*y1 + x0", "x0^2^3", "2/3/4*x0", "+-x0"]
+BAD_IDEALS = ["a0 + b0", "q0", "a0^", ",", "a0,,b0", "x0", "a0^-1", "a0^2^3",
+              "2/3/4*a0", "+-a0"]
 
 
 def mixed(good, bad):

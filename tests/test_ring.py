@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import weakref
 from fractions import Fraction
 from itertools import product, repeat
@@ -248,6 +249,10 @@ def test_parse_errors(f1):
     for text in ("-", "l*", "*l", "l - m", ""):
         with pytest.raises(ParseError):
             parse_laurent(text, ("l", "m"))
+    # grammar refusals, not unknown names
+    for text in ("a0^2^3", "2/3/4*a0", "+-a0", "a0*(a1)", "a0 a1^"):
+        with pytest.raises(ParseError):
+            parse_poly(text, f1.var_names, Side.PRIMAL)
 
 
 def test_parse_accepts_surrounding_whitespace(f1):
@@ -255,6 +260,129 @@ def test_parse_accepts_surrounding_whitespace(f1):
         == parse_poly("a0^2 - a1^2", f1.var_names, Side.PRIMAL)
     assert parse_laurent("-1/4*l^-2*m ", ("l", "m")) \
         == parse_laurent("-1/4*l^-2*m", ("l", "m"))
+    assert parse_poly("- 3 / 4 * a0 ^ 2", f1.var_names, Side.PRIMAL) \
+        == parse_poly("-3/4*a0^2", f1.var_names, Side.PRIMAL)
+
+
+ORACLE_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+                          r"|(?P<int>\d+)"
+                          r"|(?P<op>[*^/+()-]))")
+
+
+def oracle_tokenize(text):
+    text = text.rstrip()
+    pos = 0
+    out = []
+    while pos < len(text):
+        m = ORACLE_TOKEN.match(text, pos)
+        if m is None:
+            raise ParseError(f"bad character at ...{text[pos:pos + 10]!r}")
+        if m.lastgroup == "name":
+            out.append(("name", m.group("name")))
+        elif m.lastgroup == "int":
+            out.append(("int", int(m.group("int"))))
+        else:
+            out.append(("op", m.group("op")))
+        pos = m.end()
+    return out
+
+
+def tokenizing_parse_terms(text, names, allow_negative):
+    """Oracle: the term reader as a tokenizer and a cursor over its
+    token list, ended by a (None, None) sentinel."""
+    index = {n: i for i, n in enumerate(names)}
+    tokens = oracle_tokenize(text) + [(None, None)]
+    pos = 0
+    terms = []
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def take_int(what):
+        kind, val = take()
+        if kind != "int":
+            raise ParseError(f"expected {what}")
+        return val
+
+    while tokens[pos][0] is not None:
+        coeff = Fraction(1)
+        if tokens[pos] in (("op", "+"), ("op", "-")):
+            coeff = Fraction(-1 if take()[1] == "-" else 1)
+        elif terms:
+            raise ParseError("expected '+' or '-' between terms")
+        expo = [0] * len(names)
+        while True:
+            kind, val = take()
+            if kind == "int":
+                if tokens[pos] == ("op", "/"):
+                    take()
+                    den = take_int("nonzero integer denominator")
+                    if den == 0:
+                        raise ParseError("expected nonzero integer denominator")
+                    val = Fraction(val, den)
+                coeff *= val
+            elif kind == "name":
+                if val not in index:
+                    raise ParseError(f"unknown variable {val!r}")
+                e = 1
+                if tokens[pos] == ("op", "^"):
+                    take()
+                    sign = -1 if tokens[pos] == ("op", "-") else 1
+                    if sign < 0:
+                        take()
+                    e = sign * take_int("integer exponent")
+                if e < 0 and not allow_negative:
+                    raise ParseError("negative exponents are not allowed here")
+                expo[index[val]] += e
+            else:
+                raise ParseError("expected a number or variable")
+            if tokens[pos] != ("op", "*"):
+                break
+            take()
+        terms.append((coeff, tuple(expo)))
+    return terms
+
+
+def test_term_reader_matches_the_tokenizing_reader():
+    from toric_apolarity.ring import _parse_terms
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    names = ("a0", "a1", "l", "m")
+    symbols = ["a0", "a1", "l", "m", "q3", "a0a1", "_", "0", "1", "12",
+               "\u0663", "+", "-", "*", "/", "^", "(", ")", " ", "\t", "!",
+               "\u00e9"]
+    # in half the strings, factors alternate with joins, so that many parse
+    factor = st.sampled_from(["a0", "l", "m", "q3", "0", "12", "\u0663", "2/3",
+                              "1 / 0", "a1^2", "m ^ \u0663", "l^-1", "l ^ - 0"])
+    join = st.sampled_from(["+", "-", "*", " - ", "\t+ ", " * ", "", "^"])
+    texts = st.one_of(
+        st.lists(st.sampled_from(symbols), max_size=8).map("".join),
+        st.tuples(factor, st.lists(st.tuples(join, factor), max_size=3)).map(
+            lambda t: t[0] + "".join(map("".join, t[1]))))
+    outcomes = {False: [], True: []}
+
+    def read(parse, text, allow_negative):
+        try:
+            return parse(text, names, allow_negative)
+        except ParseError:
+            return ParseError
+
+    @hypothesis.settings(max_examples=2000, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(texts)
+    def check(text):
+        for allow_negative in (False, True):
+            got = read(_parse_terms, text, allow_negative)
+            assert got == read(tokenizing_parse_terms, text, allow_negative)
+            outcomes[allow_negative].append(got is ParseError)
+
+    check()
+    for refused in outcomes.values():
+        assert len(refused) >= 2000
+        assert refused.count(False) >= 300 and refused.count(True) >= 300
 
 
 def test_fan_is_freed_after_use():
