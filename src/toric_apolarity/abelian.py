@@ -87,7 +87,7 @@ def _solve_smith(dec: SmithDecomposition, rhs):
     Smith decomposition ``dec`` of the matrix."""
     m = len(dec.left)
     n = len(dec.right)
-    lb = [sum(dec.left[i][k] * rhs[k] for k in range(m)) for i in range(m)]
+    lb = [sum(map(mul, row, rhs)) for row in dec.left]
     y = [0] * n
     for i in range(m):
         d = dec.diag[i] if i < len(dec.diag) else 0
@@ -100,7 +100,7 @@ def _solve_smith(dec: SmithDecomposition, rhs):
                 return None
             if i < n:
                 y[i] = q
-    return [sum(dec.right[i][k] * y[k] for k in range(n)) for i in range(n)]
+    return [sum(map(mul, row, y)) for row in dec.right]
 
 
 def hermite_row_form(matrix):

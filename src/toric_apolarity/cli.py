@@ -37,16 +37,26 @@ HEURISTIC = "heuristic-stabilized"
 
 # --- shared argument parsing ---------------------------------------------
 
+def _pieces(text: str, what: str, read=str):
+    """The stripped pieces of a comma list, each read by ``read``.  Blank
+    text has none; an empty piece (between commas or at either end) and
+    a ValueError of ``read`` are ParseErrors."""
+    pieces = [p.strip() for p in text.split(",")] if text.strip() else []
+    if "" in pieces:
+        raise ParseError(f"empty piece in {what} {text!r}")
+    try:
+        return [read(p) for p in pieces]
+    except ValueError as exc:
+        raise ParseError(f"bad {what} {text!r}") from exc
+
+
 def parse_degree(text: str, group) -> DegreeClass:
     """Degree syntax: free coordinates comma-separated, torsion residues
     after a semicolon, e.g. ``5,2`` or ``6;0``."""
     text = text.strip()
     free_part, _, tors_part = text.partition(";")
-    try:
-        free = [int(x) for x in free_part.split(",")] if free_part else []
-        tors = [int(x) for x in tors_part.split(",")] if tors_part else []
-    except ValueError as exc:
-        raise ParseError(f"bad degree {text!r}") from exc
+    free = _pieces(free_part, "degree", int)
+    tors = _pieces(tors_part, "degree", int)
     if len(free) != group.free_rank:
         raise ParseError(f"degree {text!r}: expected {group.free_rank} "
                          f"free coordinates")
@@ -61,18 +71,14 @@ def parse_degree(text: str, group) -> DegreeClass:
 def parse_box(text: str, group) -> DegreeBox:
     """Box syntax: one inclusive ``lo..hi`` range per free coordinate,
     comma-separated; torsion residues are enumerated in full."""
-    ranges = []
-    for piece in text.strip().split(","):
+    def span(piece):
         lo, sep, hi = piece.partition("..")
-        if not sep:
-            lo = hi = piece
-        try:
-            lo, hi = int(lo), int(hi)
-        except ValueError as exc:
-            raise ParseError(f"bad box component {piece!r}") from exc
+        lo, hi = int(lo), int(hi if sep else lo)
         if lo > hi:
             raise ParseError(f"box component {piece!r} is empty")
-        ranges.append((lo, hi))
+        return lo, hi
+
+    ranges = _pieces(text, "box", span)
     if len(ranges) != group.free_rank:
         raise ParseError(f"box {text!r}: expected {group.free_rank} ranges")
     return DegreeBox(group, tuple(ranges))
@@ -115,8 +121,8 @@ def checked_prime(value: int) -> int:
 
 
 def parse_ideal(text: str, fan) -> IdealGens:
-    gens = [parse_poly(piece, fan.var_names, Side.PRIMAL, fan)
-            for piece in text.split(",") if piece.strip()]
+    gens = _pieces(text, "ideal", lambda piece: parse_poly(
+        piece, fan.var_names, Side.PRIMAL, fan))
     if not gens:
         raise ParseError("empty ideal generator list")
     return IdealGens(fan, gens)
@@ -153,7 +159,7 @@ def _read_points(path, lines, fan, entry):
         if not sep:
             raise ParseError(f"point line lacks '|': {line!r}")
         coeff = entry(coeff_text)
-        coords = tuple(entry(c) for c in coord_text.split(","))
+        coords = tuple(_pieces(coord_text, "point", entry))
         if len(coords) != len(fan.rays):
             raise ParseError(f"expected {len(fan.rays)} coordinates: {line!r}")
         terms.append((coeff, coords))
@@ -174,7 +180,7 @@ def read_family_file(path, fan) -> LaurentFamily:
     head, sep, rest = (lines[0] if lines else "").partition(":")
     if head.strip() != "params" or not sep:
         raise ParseError("family file must start with 'params: ...'")
-    params = tuple(p.strip() for p in rest.split(",") if p.strip())
+    params = tuple(_pieces(rest, "params"))
     _require_names(params, "family parameters")
     terms = _read_points(path, lines[1:], fan,
                          lambda text: parse_laurent(text, params))
@@ -425,10 +431,7 @@ def _parse_pins(text, fan):
     """Comma-separated distinct variable indices, each naming a ray."""
     if text is None:
         return None
-    try:
-        pins = tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError as exc:
-        raise ParseError(f"bad --pins {text!r}") from exc
+    pins = tuple(_pieces(text, "--pins", int))
     if len(set(pins)) != len(pins):
         raise InputError(f"--pins {text!r} repeats an index")
     if any(not 0 <= i < len(fan.rays) for i in pins):
@@ -474,7 +477,7 @@ def cmd_terracini(args, fan):
 
 def cmd_det_check(args, fan):
     degree = parse_degree(args.degree, fan.class_group)
-    assignment = [_rational(x) for x in args.at.split(",")]
+    assignment = _pieces(args.at, "--at", _rational)
     if args.prime is not None:
         checked_prime(args.prime)
     value = terracini_determinant_check(fan, degree, positive(args.r, "-r"),

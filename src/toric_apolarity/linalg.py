@@ -95,18 +95,20 @@ class SparseEchelon:
     Rows are dicts mapping column index to an int or Fraction; zeros are
     dropped.  Each pivot row has a leading 1, and a row already leading
     with 1 keeps its ints.  Suited to the graded pieces of ideals.
-    ``units`` are columns entered at once as the pivots {c: 1}.
+    ``units`` are columns entered at once as the pivots {c: 1}, kept as
+    one set: rows drop them, and ``reduced`` lists their rows.
     """
 
     def __init__(self, units=()):
-        self._pivots = {c: {c: 1} for c in units}  # lead column -> row
+        self._units = set(units)
+        self._pivots = {}  # lead column -> row, for the other pivots
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
+        return len(self._units) + len(self._pivots)
 
     def reduce(self, row: dict) -> dict:
-        row = {c: v for c, v in row.items() if v}
+        row = {c: v for c, v in row.items() if v and c not in self._units}
         while row:
             lead = min(row)
             piv = self._pivots.get(lead)
@@ -117,8 +119,9 @@ class SparseEchelon:
 
     def add(self, row: dict) -> bool:
         """Insert a row; returns True if it increased the rank.  A row with a
-        fresh lead skips elimination, so the echelon may keep its dict."""
-        lead = min(row) if row and all(row.values()) else None
+        fresh lead and no unit column skips elimination, keeping its dict."""
+        fresh = row and all(row.values()) and self._units.isdisjoint(row)
+        lead = min(row) if fresh else None
         if lead is None or lead in self._pivots:
             row = self.reduce(row)
             if not row:
@@ -136,7 +139,7 @@ class SparseEchelon:
     def reduced(self) -> dict:
         """Reduced row echelon form: pivot column -> row with a leading 1
         and zeros in every other pivot column, in pivot column order."""
-        out = {}
+        out = {c: {c: 1} for c in self._units}
         for lead in sorted(self._pivots, reverse=True):
             row = dict(self._pivots[lead])
             for col in [c for c in row if c in out]:

@@ -23,11 +23,11 @@ may separate any two symbols, and blank text holds no terms.
 from __future__ import annotations
 
 import re
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from operator import add, mul
+from operator import add, floordiv, mul, sub
 
 from .abelian import DegreeClass
 from .errors import BasisTooLarge, NoCertificate, ParseError, SideMismatch
@@ -231,6 +231,12 @@ def _span(bounds):
 MAX_BASIS_MONOMIALS = 200_000
 
 
+def _run(start, step, count):
+    """start, start + step, ...: ``count`` values, a ``repeat`` at step 0."""
+    return (range(start, start + step * count, step) if step
+            else repeat(start, count))
+
+
 def _enumerate_basis(fan, degree: DegreeClass):
     """Monomials of class [D], D = sum a_rho D_rho, as the lattice points m
     of P_D = {m : <m, u_rho> >= -a_rho}, mapped to e_rho = <m, u_rho> + a_rho.
@@ -240,9 +246,12 @@ def _enumerate_basis(fan, degree: DegreeClass):
     own range on P_D is shortest goes outermost, the others follow in
     their natural order, and each coordinate's range follows from the
     ones fixed before it.  The walk carries e = a + sum m_j * col_j,
-    col_j being column j of the ray matrix, and emits each innermost run
-    at once, every exponent a ``range`` stepped by col_j (a ``repeat``
-    where the step is 0).  The final sort fixes the order.
+    col_j being column j of the ray matrix, and lists the last two
+    coordinates x, y as one set of lines along y: each bound on y is
+    affine in x, so all lines' ends are C-level ``map``s over ``range``s,
+    the set is counted against the cap before it is listed, and each
+    exponent is a ``chain`` of per-line ``range``s stepped by col_y
+    (``repeat``s at step 0).  The final sort fixes the order.
     """
     a = fan.weil_representative(degree)
     walks = _walk_systems(fan)
@@ -257,32 +266,61 @@ def _enumerate_basis(fan, degree: DegreeClass):
     levels = [[(ck, prefix, sum(map(mul, lam, a)))
                for ck, prefix, lam in system] for system in systems]
     n = len(cols)
+    col_x, col_y = cols[-2] if n > 1 else repeat(0), cols[-1]
     found = []
     m = [0] * n  # the coordinates fixed so far, in walk order
+
+    def lines(e, x0, x1):  # e is the exponent at x = y = 0
+        points = x1 - x0 + 1
+        lows, stops = [], []  # per row, the lines' lower ends or stops
+        for ck, prefix, b in levels[-1]:
+            *prefix, s = prefix or (0,)  # a 1-D fan's x is 0
+            r = b + sum(map(mul, prefix, m))
+            # ck*y + r + s*x >= 0 is y >= (ck - 1 - r - s*x) // ck when
+            # ck > 0, and y < (r + s*x - ck) // -ck when ck < 0
+            t, dt, d = (ck - 1 - r, -s, ck) if ck > 0 else (r - ck, s, -ck)
+            (lows if ck > 0 else stops).append(
+                map(floordiv, _run(t + dt * x0, dt, points), repeat(d)))
+        lo = list(map(max, *lows) if len(lows) > 1 else lows[0])
+        stop = map(min, *stops) if len(stops) > 1 else stops[0]
+        # P_D has a real point over each x of its range, so stop >= lo,
+        # with stop == lo where the line has no lattice point
+        counts = list(map(sub, stop, lo))
+        if len(found) + sum(counts) > MAX_BASIS_MONOMIALS:
+            raise BasisTooLarge(
+                f"the graded piece of degree {degree} has more than "
+                f"{MAX_BASIS_MONOMIALS} monomials")
+        coords = []
+        for c, p, u in zip(e, col_x, col_y):
+            starts = _run(c + p * x0, p, points)
+            if u:
+                starts = list(map(add, starts, map(mul, lo, repeat(u))))
+                ends = map(add, starts, map(mul, counts, repeat(u)))
+                coords.append(map(range, starts, ends, repeat(u)))
+            else:
+                coords.append(map(repeat, starts, counts))
+        found.extend(zip(*map(chain.from_iterable, coords)))
 
     def walk(i, e):
         lo, hi = _span([(ck, b + sum(map(mul, prefix, m)))
                         for ck, prefix, b in levels[i]])
         if lo > hi:
             return
-        col = cols[i]
-        if i + 1 == n:
-            count = hi - lo + 1
-            if len(found) + count > MAX_BASIS_MONOMIALS:
-                raise BasisTooLarge(
-                    f"the graded piece of degree {degree} has more than "
-                    f"{MAX_BASIS_MONOMIALS} monomials")
-            found.extend(zip(*[range(x + lo * u, x + (hi + 1) * u, u) if u
-                               else repeat(x, count)
-                               for x, u in zip(e, col)]))
+        if i + 2 == n:  # x's range in slices, so the line lists stay bounded
+            for x0 in range(lo, hi + 1, MAX_BASIS_MONOMIALS + 1):
+                lines(e, x0, min(hi, x0 + MAX_BASIS_MONOMIALS))
             return
+        col = cols[i]
         e = tuple(map(add, e, [lo * u for u in col]))
         for x in range(lo, hi + 1):
             m[i] = x
             walk(i + 1, e)
             e = tuple(map(add, e, col))
 
-    walk(0, tuple(a))
+    if n > 1:
+        walk(0, tuple(a))
+    else:  # a 1-D fan: one line
+        lines(tuple(a), 0, 0)
     # monomial_key order: a stable sort keeps lex order within each degree
     found.sort(reverse=True)
     found.sort(key=sum, reverse=True)

@@ -742,6 +742,39 @@ def test_basis_far_along_the_long_axis_is_refused_at_the_first_run():
     assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
+FAMILY = (FIXTURES / "f1_three_point_family.family").read_text()
+
+
+@pytest.mark.parametrize("argv, family", [
+    (("contains", F1, "--form", "x0*x1*y0*y1", "--ideal", "a0^2,,b0^2"), None),
+    (("contains", F1, "--form", "x0*x1*y0*y1", "--ideal", "a0^2, b0^2,"),
+     None),
+    (("contains", F1, "--form", "x0*x1*y0*y1", "--ideal", ", a0^2"), None),
+    (("terracini", F1, "--degree", "3,2", "-r", "3", "--pins", "0,,3"), None),
+    (("terracini", F1, "--degree", "3,2", "-r", "3", "--pins", "0,3,"), None),
+    (("limit-cert", F1, "--form", "x0*x1*y0*y1", "--family"),
+     FAMILY.replace("params: l, m", "params: l,, m")),
+    (("limit-cert", F1, "--form", "x0*x1*y0*y1", "--family"),
+     FAMILY.replace("params: l, m", "params: l, m,")),
+], ids=["ideal-inner", "ideal-trailing", "ideal-leading", "pins-inner",
+        "pins-trailing", "params-inner", "params-trailing"])
+def test_comma_lists_refuse_an_empty_piece(tmp_path, argv, family):
+    # each list was read before without its empty piece: the ideal
+    # (a0^2, b0^2), the pins [0, 3] and the parameters l, m
+    if family is not None:
+        path = tmp_path / "empty_piece.family"
+        path.write_text(family)
+        argv += (str(path),)
+    src = str(Path(toric_apolarity.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric_apolarity.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2 and "[ParseError]" in proc.stderr
+    assert "empty piece" in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
 def test_closed_stdout_pipe_exits_quietly():
     # the reader closes the pipe before the child writes its 13.9 KB: the
     # work is done, so the exit code is 0 and stderr stays clean

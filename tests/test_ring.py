@@ -3,7 +3,7 @@ import random
 import re
 import weakref
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from math import gcd
 from operator import add, mul
 
@@ -514,22 +514,34 @@ def natural_order_basis(fan, degree):
     return tuple(found)
 
 
-def record_runs(monkeypatch):
-    """Patch the ring's ``zip`` to list each innermost run the walk emits,
-    as (length, step per exponent); a ``repeat`` steps by 0."""
+def record_line_sets(monkeypatch):
+    """Patch the ring's ``zip`` to keep the monomials of each line set the
+    walk lists, in the order listed: the walk zips one ``chain`` of lines
+    per exponent, and nothing else it zips is a ``chain``."""
     from toric_apolarity import ring
 
-    runs = []
+    listed = []
 
     def recording_zip(*parts):
-        if parts and all(isinstance(p, (range, repeat)) for p in parts):
-            length = len(next(p for p in parts if isinstance(p, range)))
-            runs.append((length, tuple(p.step if isinstance(p, range) else 0
-                                       for p in parts)))
+        if parts and all(isinstance(p, chain) for p in parts):
+            listed.append(list(zip(*parts)))
+            return iter(listed[-1])
         return zip(*parts)
 
     monkeypatch.setattr(ring, "zip", recording_zip, raising=False)
-    return runs
+    return listed
+
+
+def split_lines(monomials, step):
+    """The lengths of the maximal runs of listed monomials each ``step``
+    after the one before."""
+    lengths = []
+    for before, e in zip([None, *monomials], monomials):
+        if before is not None and tuple(map(add, before, step)) == e:
+            lengths[-1] += 1
+        else:
+            lengths.append(1)
+    return lengths
 
 
 def record_outer_axes(monkeypatch):
@@ -554,7 +566,7 @@ def test_basis_matches_natural_order_walk_on_seeded_degrees(cube, monkeypatch):
                       for name in ("f1", "p114", "fake_plane"))
     cube = build_fan(cube.rays, cube.max_cones)
     chosen = record_outer_axes(monkeypatch)
-    runs = record_runs(monkeypatch)
+    listed = record_line_sets(monkeypatch)
     rng = random.Random(20)
     cases = [(f1, f1.degree((2 * k, k))) for k in range(-1, 41)]
     cases += [(f1, f1.degree((rng.randint(-3, 40), rng.randint(-3, 20))))
@@ -568,10 +580,12 @@ def test_basis_matches_natural_order_walk_on_seeded_degrees(cube, monkeypatch):
     for fan, degree in cases:
         want = natural_order_basis(fan, degree)
         walked = degree not in fan._basis_cache
-        runs.clear()
+        listed.clear()
         chosen.clear()
         assert basis(fan, degree) == want, degree
-        assert sum(length for length, _ in runs) == len(want) * walked
+        # a walk lists each monomial once, a cache hit lists none
+        assert sorted(chain.from_iterable(listed)) \
+            == (sorted(want) if walked else [])
         nonempty += bool(want)
         axes.setdefault(id(fan), set()).update(chosen)
         if fan is p114 and degree.free[0] >= 1:
@@ -775,27 +789,141 @@ def test_open_fan_refusal_names_the_fans_own_coordinate():
         assert fan._walk_cache == [] and not fan._basis_cache
 
 
-def test_basis_cap_is_checked_before_each_run_on_the_long_axis(monkeypatch):
-    # p114 at 60: m_1 in 0..15 outermost, each run along m_0 of 61 - 4*m_1
-    # monomials; a cap of 61 + 57 + 53 lets three runs in and refuses the
-    # fourth before it is added
+def test_basis_cap_is_checked_before_each_line_set_is_listed(monkeypatch):
+    # p114 at 60: m_1 in 0..15 outermost, each line along m_0 of 61 - 4*m_1
+    # monomials, all in one line set; a cap below its 496 monomials lists
+    # none of them
     from toric_apolarity import ring
 
     fan = load_fan(FIXTURES / "p114.fan")
     degree = fan.degree((60,))
     ring._walk_systems(fan)  # built before zip is watched
-    runs = record_runs(monkeypatch)
+    listed = record_line_sets(monkeypatch)
     assert len(basis(load_fan(FIXTURES / "p114.fan"), degree)) == 496
-    assert [length for length, _ in runs] == list(range(61, 0, -4))
     col = tuple(ray[0] for ray in fan.rays)
-    assert {step for _, step in runs} == {col}
-    for cap, fits in [(61 + 57 + 53, 3), (61 + 57 + 53 - 1, 2), (60, 0)]:
+    assert len(listed) == 1
+    assert split_lines(listed[0], col) == list(range(61, 0, -4))
+    for cap in (61 + 57 + 53, 61 + 57 + 53 - 1, 60, 496 - 1):
         monkeypatch.setattr(ring, "MAX_BASIS_MONOMIALS", cap)
-        runs.clear()
+        listed.clear()
         with pytest.raises(BasisTooLarge) as refused:
             basis(fan, degree)
         assert f"more than {cap} monomials" in str(refused.value)
-        assert [length for length, _ in runs] == [61, 57, 53][:fits]
+        assert listed == []
         assert not fan._basis_cache
     monkeypatch.setattr(ring, "MAX_BASIS_MONOMIALS", 496)
     assert len(basis(fan, degree)) == 496
+
+
+def test_basis_of_the_1d_fan_is_one_line(monkeypatch):
+    # P^1, rays +1 and -1: the piece of degree d is the one line of the
+    # d + 1 monomials a^(d-i) b^i, stepped by the ray matrix's column
+    fan = build_fan([[1], [-1]], [[0], [1]])
+    listed = record_line_sets(monkeypatch)
+    for d in range(-3, 30):
+        listed.clear()
+        degree = fan.degree((d,))
+        want = natural_order_basis(fan, degree)
+        assert basis(fan, degree) == want
+        assert len(want) == max(d + 1, 0)
+        assert [split_lines(found, (1, -1)) for found in listed] \
+            == ([[d + 1]] if d >= 0 else [])
+
+
+def real_range(fan, degree, j):
+    """The least and greatest m_j on the real polygon P_D of a 2-D fan, as
+    Fractions, from its vertices: the feasible meets of two ray lines."""
+    a = fan.weil_representative(degree)
+    vertices = []
+    for (u, s), (v, t) in product(zip(fan.rays, a), repeat=2):
+        det = u[0] * v[1] - u[1] * v[0]
+        if det:
+            m = (Fraction(-s * v[1] + t * u[1], det),
+                 Fraction(-t * u[0] + s * v[0], det))
+            if all(w[0] * m[0] + w[1] * m[1] >= -b
+                   for w, b in zip(fan.rays, a)):
+                vertices.append(m[j])
+    return min(vertices), max(vertices)
+
+
+def test_points_with_an_empty_line_list_nothing_on_seeded_2d_fans(
+        monkeypatch):
+    # a thin P_D whose vertices are not lattice points can miss every
+    # lattice point over some integer m_x of its range; the walk lists no
+    # line there, its basis still matches the oracle, and its count is
+    # exact: a cap of the basis size lets the piece in, one less refuses
+    from math import ceil, floor
+
+    from toric_apolarity import ring
+
+    def degree_of(fan, shift):
+        return fan.monomial_degree([max(x, 0) for x in shift]) \
+            - fan.monomial_degree([max(-x, 0) for x in shift])
+
+    rng = random.Random(26)
+    chosen = record_outer_axes(monkeypatch)
+    listed = record_line_sets(monkeypatch)
+    cap, skipped = ring.MAX_BASIS_MONOMIALS, 0
+    for seed in range(40):
+        rays = spanning_rays(2, rng.choice([3, 4, 5]), seed)
+        cones = [[i] for i in range(len(rays))]
+        fan = build_fan(rays, cones)
+        for _ in range(10):
+            shift = [rng.randint(-2, 6) for _ in rays]
+            degree = degree_of(fan, shift)
+            chosen.clear()
+            listed.clear()
+            walked = degree not in fan._basis_cache
+            want = natural_order_basis(fan, degree)
+            assert basis(fan, degree) == want, (rays, degree)
+            if not (want and walked):
+                continue
+            j, = chosen
+            lo, hi = real_range(fan, degree, j)
+            step = tuple(ray[1 - j] for ray in rays)
+            lines = sum((split_lines(found, step) for found in listed), [])
+            assert sum(lines) == len(want)
+            assert len(lines) <= floor(hi) - ceil(lo) + 1
+            if len(lines) < floor(hi) - ceil(lo) + 1:
+                skipped += 1
+                monkeypatch.setattr(ring, "MAX_BASIS_MONOMIALS", len(want))
+                fresh = build_fan(rays, cones)
+                assert basis(fresh, degree_of(fresh, shift)) == want
+                monkeypatch.setattr(ring, "MAX_BASIS_MONOMIALS", len(want) - 1)
+                fresh = build_fan(rays, cones)
+                with pytest.raises(BasisTooLarge):
+                    basis(fresh, degree_of(fresh, shift))
+                monkeypatch.setattr(ring, "MAX_BASIS_MONOMIALS", cap)
+    assert skipped >= 10
+
+
+def test_rows_of_every_slope_sign_bound_the_lines(monkeypatch):
+    # the last coordinate's bounds run down along x where a row's slope and
+    # coefficient share a sign, up where they differ, and stay put at slope
+    # 0: each kind bounds a walked piece that matches the oracle
+    from toric_apolarity import ring
+
+    rng = random.Random(27)
+    chosen = record_outer_axes(monkeypatch)
+    fans = [load_fan(FIXTURES / f"{name}.fan")
+            for name in ("f1", "p114", "fake_plane")]
+    fans += [build_fan(rays, [[i] for i in range(len(rays))])
+             for rays in (spanning_rays(dim, count, seed)
+                          for dim, count in [(2, 4), (2, 5), (3, 5)]
+                          for seed in range(4))]
+    kinds = set()
+    for fan in fans:
+        for _ in range(15):
+            shift = [rng.randint(-1, 4) for _ in fan.rays]
+            degree = fan.monomial_degree([max(x, 0) for x in shift]) \
+                - fan.monomial_degree([max(-x, 0) for x in shift])
+            chosen.clear()
+            walked = degree not in fan._basis_cache
+            want = natural_order_basis(fan, degree)
+            assert basis(fan, degree) == want, (fan.rays, degree)
+            if len(want) > 1 and walked:
+                j, = chosen
+                last = ring._walk_systems(fan)[j][1][-1]
+                kinds.update((ck > 0, (prefix[-1] > 0) - (prefix[-1] < 0))
+                             for ck, prefix, _ in last)
+    assert kinds == set(product((False, True), (-1, 0, 1)))
