@@ -52,11 +52,13 @@ def _pieces(text: str, what: str, read=str):
 
 def parse_degree(text: str, group) -> DegreeClass:
     """Degree syntax: free coordinates comma-separated, torsion residues
-    after a semicolon, e.g. ``5,2`` or ``6;0``."""
+    after a semicolon, e.g. ``5,2`` or ``6;0``; a semicolon needs them."""
     text = text.strip()
-    free_part, _, tors_part = text.partition(";")
+    free_part, semicolon, tors_part = text.partition(";")
     free = _pieces(free_part, "degree", int)
     tors = _pieces(tors_part, "degree", int)
+    if semicolon and not tors:
+        raise ParseError(f"degree {text!r}: no torsion residues after ';'")
     if len(free) != group.free_rank:
         raise ParseError(f"degree {text!r}: expected {group.free_rank} "
                          f"free coordinates")
@@ -268,8 +270,7 @@ def cmd_hilbert(args, fan):
         "form": format_poly(form.poly, fan.dual_var_names),
         "form_degree": degree_json(form.degree),
         "values": [{"degree": degree_json(d), "value": v}
-                   for d, v in sorted(grid.values.items(),
-                                      key=lambda kv: (kv[0].free, kv[0].torsion))],
+                   for d, v in grid.values.items()],
         "symmetry": symmetry,
         "provenance": EXACT,
     }

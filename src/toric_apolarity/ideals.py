@@ -14,7 +14,7 @@ from .abelian import DegreeClass
 from .apolarity import ApolarForm, apolar_contains
 from .errors import BasisTooLarge, ContainmentFailed, NonHomogeneousGenerator
 from .fan import IrrelevantIdeal
-from .linalg import SparseEchelon, nullspace
+from .linalg import SparseEchelon, kernel, nullspace
 from .ring import Side, basis, monomial_key, tag_degree
 
 
@@ -56,7 +56,7 @@ def _piece_echelon(ideal: IdealGens, degree: DegreeClass):
 
     A generator of one term spans the unit vectors of its columns m: one
     set of them over all such generators enters as pivots {m: 1}.  Other
-    rows drop those columns, their reduction by the pivots, so the rank is
+    rows enter ``add`` as built, which drops those columns, so the rank is
     the number of unit columns plus the rank of the remaining rows."""
     mons = basis(ideal.fan, degree)
     columns = tuple(zip(*mons))
@@ -78,9 +78,7 @@ def _piece_echelon(ideal: IdealGens, degree: DegreeClass):
             row = {index[tuple(map(add, mons[i], off))]: c
                    for off, c in offsets}
             row[i] = lead
-            row = {j: c for j, c in row.items() if j not in units}
-            if row:
-                ech.add(row)
+            ech.add(row)
     return ech, len(mons)
 
 
@@ -98,8 +96,9 @@ def ideal_piece(ideal: IdealGens, degree: DegreeClass):
 
 def colon_piece(ideal: IdealGens, irrelevant: IrrelevantIdeal,
                 degree: DegreeClass):
-    """Basis of the colon piece: elements whose product with every
-    irrelevant-ideal generator lands in the ideal (simultaneous preimage)."""
+    """Basis of the colon piece: the elements whose product with each
+    irrelevant-ideal generator m passes every check of I_{D + deg m}, the
+    functionals vanishing exactly on it, read off that piece's echelon."""
     fan = ideal.fan
     domain = basis(fan, degree)
     n = len(domain)
@@ -109,8 +108,7 @@ def colon_piece(ideal: IdealGens, irrelevant: IrrelevantIdeal,
     for expo in irrelevant.generators:
         shift_degree = degree + fan.monomial_degree(expo)
         target_index = {m: i for i, m in enumerate(basis(fan, shift_degree))}
-        # functionals vanishing exactly on the piece's span
-        checks = nullspace(ideal_piece(ideal, shift_degree), len(target_index))
+        checks = kernel(*_piece_echelon(ideal, shift_degree))
         shifted = [target_index[tuple(a + b for a, b in zip(m, expo))]
                    for m in domain]
         for v in checks:

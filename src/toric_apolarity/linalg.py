@@ -96,7 +96,7 @@ class SparseEchelon:
     dropped.  Each pivot row has a leading 1, and a row already leading
     with 1 keeps its ints.  Suited to the graded pieces of ideals.
     ``units`` are columns entered at once as the pivots {c: 1}, kept as
-    one set: rows drop them, and ``reduced`` lists their rows.
+    one set: ``reduce`` drops them, and ``reduced`` lists their rows.
     """
 
     def __init__(self, units=()):
@@ -118,15 +118,12 @@ class SparseEchelon:
         return row
 
     def add(self, row: dict) -> bool:
-        """Insert a row; returns True if it increased the rank.  A row with a
-        fresh lead and no unit column skips elimination, keeping its dict."""
-        fresh = row and all(row.values()) and self._units.isdisjoint(row)
-        lead = min(row) if fresh else None
-        if lead is None or lead in self._pivots:
-            row = self.reduce(row)
-            if not row:
-                return False
-            lead = min(row)
+        """Insert a row, reduced; returns True if it increased the rank.  A
+        row whose lead has no pivot is stored without elimination."""
+        row = self.reduce(row)
+        if not row:
+            return False
+        lead = min(row)
         if row[lead] != 1:
             inv = 1 / Fraction(row[lead])
             row = {c: v * inv for c, v in row.items()}
@@ -159,14 +156,17 @@ def _eliminate(row: dict, c, piv: dict):
 
 
 def nullspace(rows, ncols: int):
-    """Canonical kernel basis of the map v -> A v for A given row-wise.
-
-    One basis vector per free column: entry 1 there, minus the pivot-row
-    coefficients elsewhere.  Ordered by free column index.
-    """
+    """Canonical kernel basis of the map v -> A v for A given row-wise."""
     ech = SparseEchelon()
     for row in rows:
         ech.add({c: Fraction(v) for c, v in enumerate(row) if v})
+    return kernel(ech, ncols)
+
+
+def kernel(ech: SparseEchelon, ncols: int):
+    """Canonical kernel basis of the rows of ``ech`` on ``ncols`` columns,
+    read off its reduced form: one vector per free column, entry 1 there,
+    minus the pivot-row coefficients elsewhere.  By free column index."""
     pivots = ech.reduced()
     basis = []
     for free in range(ncols):

@@ -775,6 +775,25 @@ def test_comma_lists_refuse_an_empty_piece(tmp_path, argv, family):
     assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("fan, degree, code", [
+    (FAKE, "3;", 2), (F1, "1,1;", 2), (FAKE, "3; ", 2),
+    (FAKE, "3;0", 0), (FAKE, "3", 0), (F1, "1,1", 0),
+], ids=["torsion", "free-only", "blank", "residue", "no-residue", "free"])
+def test_degree_refuses_a_semicolon_without_residues(fan, degree, code):
+    # the first three were read before as if the ';' were absent
+    src = str(Path(toric_apolarity.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric_apolarity.cli", "basis", fan,
+         "--degree", degree], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == code and "Traceback" not in proc.stderr
+    if code:
+        assert "[ParseError]" in proc.stderr and proc.stdout == ""
+        assert "no torsion residues after ';'" in proc.stderr
+    else:
+        assert proc.stdout and proc.stderr == ""
+
+
 def test_closed_stdout_pipe_exits_quietly():
     # the reader closes the pipe before the child writes its 13.9 KB: the
     # work is done, so the exit code is 0 and stderr stays clean

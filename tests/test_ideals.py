@@ -11,7 +11,7 @@ from toric_apolarity import (BasisTooLarge, ContainmentFailed, DegreeBox,
                              Side, build_fan, cactus_certificate, colon_piece,
                              hilbert_value, ideal_piece, ideal_piece_dimension,
                              length_estimate, load_fan, saturation_gap)
-from toric_apolarity.linalg import SparseEchelon, det_bareiss
+from toric_apolarity.linalg import SparseEchelon, det_bareiss, nullspace
 from toric_apolarity.ring import basis
 
 from conftest import FIXTURES, form, primal
@@ -331,9 +331,12 @@ def test_mixed_ideals_match_multiples_and_standard_monomial_oracles(
 
 def test_rows_of_mixed_ideals_drop_the_unit_columns(f1, p114, fake, cube,
                                                      monkeypatch):
-    # every row of a generator of two or more terms reaches the echelon
-    # without the columns of monomial generators' multiples; each row of
-    # the binomial led by a multiple of a monomial generator loses its lead
+    # every row of a generator of two or more terms goes to the echelon as
+    # built, and no pivot it stores touches a column of a monomial
+    # generator's multiples; each row of the binomial led by a multiple of
+    # a monomial generator loses its lead there
+    from toric_apolarity.ideals import _piece_echelon
+
     added = []
     add = SparseEchelon.add
     monkeypatch.setattr(SparseEchelon, "add",
@@ -351,9 +354,10 @@ def test_rows_of_mixed_ideals_drop_the_unit_columns(f1, p114, fake, cube,
                 units = {i for i, m in enumerate(basis(fan, d))
                          if any(all(map(ge, m, e)) for e in monos)}
                 added.clear()
-                ideal_piece_dimension(I, d)
-                assert not any(units.intersection(row) for row in added)
-                rows += bool(units) and len(added)
+                ech, _ = _piece_echelon(I, d)
+                assert not any(units.intersection(row)
+                               for row in ech._pivots.values())
+                rows += sum(1 for row in added if units.intersection(row))
     assert rows >= 20
 
 
@@ -487,19 +491,64 @@ def test_colon_pieces_match_groebner_oracle(f1, p114, fake):
     assert compared == 40 and gaps >= 1
 
 
+# --- colon pieces read off the ideal piece's echelon ------------------
+
+def nullspace_colon_piece(ideal, irrelevant, degree):
+    """Oracle: the colon piece with each shift's checks found again as the
+    kernel of the ideal piece's dense vectors."""
+    fan = ideal.fan
+    domain = basis(fan, degree)
+    n = len(domain)
+    if n == 0:
+        return []
+    conditions = []
+    for expo in irrelevant.generators:
+        shift_degree = degree + fan.monomial_degree(expo)
+        target_index = {m: i for i, m in enumerate(basis(fan, shift_degree))}
+        checks = nullspace(ideal_piece(ideal, shift_degree), len(target_index))
+        shifted = [target_index[tuple(a + b for a, b in zip(m, expo))]
+                   for m in domain]
+        for v in checks:
+            conditions.append([v[shifted[i]] for i in range(n)])
+    return [tuple(v) for v in nullspace(conditions, n)]
+
+
+def test_colon_pieces_match_the_dense_nullspace_path(f1, p114, fake, cube):
+    compared = proper = gaps = 0
+    for seed, (fan, pool, degrees) in enumerate(
+            differential_cases(f1, p114, fake, cube)):
+        rng = random.Random(500 + seed)
+        pool = [d for d in pool if basis(fan, d)]
+        mixed, monomial = mixed_ideals(fan, rng, pool)
+        for I in mixed + monomial + seeded_ideals(fan, seed, pool):
+            for d in rng.sample(degrees, min(4, len(degrees))):
+                want = nullspace_colon_piece(I, fan.irrelevant, d)
+                got = colon_piece(I, fan.irrelevant, d)
+                assert got == want
+                assert all(type(x) is Fraction for v in got for x in v)
+                gap = len(want) - ideal_piece_dimension(I, d)
+                assert saturation_gap(I, fan.irrelevant, d) == gap
+                compared += 1
+                proper += 0 < len(want) < len(basis(fan, d))
+                gaps += gap > 0
+    assert compared == 224 and proper >= 80 and gaps >= 10
+
+
 # --- integer rows whose lead column is known --------------------------
 
 def record_reduced_leads(monkeypatch):
-    """Patch ``SparseEchelon.reduce`` to keep the lead column of every row
-    handed to it; returns that list."""
+    """Patch ``linalg._eliminate``, the one row operation of the echelon,
+    to keep the lead column of every row it reduces; returns that list."""
+    from toric_apolarity import linalg
+
     leads = []
-    reduce = SparseEchelon.reduce
+    eliminate = linalg._eliminate
 
-    def recording(self, row):
-        leads.append(min(c for c, v in row.items() if v))
-        return reduce(self, row)
+    def recording(row, c, piv):
+        leads.append(min(row))
+        return eliminate(row, c, piv)
 
-    monkeypatch.setattr(SparseEchelon, "reduce", recording)
+    monkeypatch.setattr(linalg, "_eliminate", recording)
     return leads
 
 
