@@ -191,11 +191,6 @@ class SymmetryVerdict:
     ok: bool
     witness: DegreeClass | None = None
 
-    def __str__(self):
-        if self.ok:
-            return "symmetric"
-        return f"symmetry FAILS at {self.witness}"
-
 
 def check_symmetry(form: ApolarForm, box: DegreeBox) -> SymmetryVerdict:
     """Verify hilbert(beta) == hilbert(alpha - beta) over the box."""

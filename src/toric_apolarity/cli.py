@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -124,14 +123,14 @@ def checked_prime(value: int) -> int:
 
 def parse_ideal(text: str, fan) -> IdealGens:
     gens = _pieces(text, "ideal", lambda piece: parse_poly(
-        piece, fan.var_names, Side.PRIMAL, fan))
+        piece, fan.var_names, Side.PRIMAL))
     if not gens:
         raise ParseError("empty ideal generator list")
     return IdealGens(fan, gens)
 
 
 def parse_form(text: str, fan) -> ApolarForm:
-    return ApolarForm(fan, parse_poly(text, fan.dual_var_names, Side.DUAL, fan))
+    return ApolarForm(fan, parse_poly(text, fan.dual_var_names, Side.DUAL))
 
 
 def _read_lines(path):
@@ -144,12 +143,9 @@ def _read_lines(path):
     return [line for line in lines if line and not line.startswith("#")]
 
 
-def _rational(text: str) -> Fraction:
-    """One rational entry such as ``-3/4``."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text.strip()!r}") from exc
+def _rational(text: str):
+    """One rational entry such as ``-3/4``: a term without names."""
+    return parse_laurent(text, ()).coeff
 
 
 def _read_points(path, lines, fan, entry):

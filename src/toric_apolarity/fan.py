@@ -199,10 +199,12 @@ _FAN_FIELDS = {
 
 def load_fan(path) -> FanModel:
     """Read a fan file: JSON with fields ambient_rank, rays, max_cones,
-    optional var_names, dual_var_names."""
+    optional var_names, dual_var_names.  Text that json cannot read (bad
+    UTF-8 or syntax, an integer past int()'s digit limit, arrays nested
+    too deep) is a ParseError."""
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read fan file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"fan file {path} is not a JSON object")

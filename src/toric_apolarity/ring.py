@@ -369,17 +369,19 @@ def _parse_terms(text: str, names, allow_negative: bool):
                              f"...{text[pos:pos + 10]!r}")
         num, den, name, minus, power = factor.groups()
         pos, term = factor.end(), terms[-1]
-        if name is None:
-            if den is not None and int(den) == 0:
-                raise ParseError("expected nonzero integer denominator")
-            term[0] *= Fraction(int(num), int(den or 1))
-        elif name not in index:
-            raise ParseError(f"unknown variable {name!r}")
-        else:
-            e = -int(power) if minus else int(power or 1)
-            if e < 0 and not allow_negative:
-                raise ParseError("negative exponents are not allowed here")
-            term[1][index[name]] += e
+        try:  # a denominator 0, or a literal past int()'s digit limit
+            if name is None:
+                term[0] *= Fraction(int(num), int(den or 1))
+            elif name not in index:
+                raise ParseError(f"unknown variable {name!r}")
+            else:
+                e = -int(power) if minus else int(power or 1)
+                if e < 0 and not allow_negative:
+                    raise ParseError("negative exponents are not allowed here")
+                term[1][index[name]] += e
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"denominator 0 or too many digits in the "
+                             f"factor {factor[0].strip()[:20]!r}") from exc
     return [(coeff, tuple(expo)) for coeff, expo in terms]
 
 

@@ -1,8 +1,9 @@
 """The exit-code contract on hostile fans: non-complete fans, complete
 plane fans of large free rank, dense cones, positively spanning ray sets
-in high dimension and torsion orders in the thousands.  Each command runs
-as a subprocess under a time limit, and exits 0, 1 or 2 without a
-traceback: an input that would blow up is refused, not left to hang."""
+in high dimension and torsion orders in the thousands, and on hostile
+number literals in every slot that reads one.  Each command runs as a
+subprocess under a time limit, and exits 0, 1 or 2 without a traceback:
+an input that would blow up is refused, not left to hang."""
 
 import json
 import os
@@ -156,3 +157,78 @@ def test_hostile_fans_keep_the_exit_code_contract(kind, tmp_path):
             assert "Traceback" not in err, (argv, rays)
 
     check()
+
+
+# --- one number syntax: hostile literals in every numeric slot ------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+F1 = str(FIXTURES / "f1.fan")
+B = "1" + "0" * 4999  # a 5,000-digit literal, past int()'s default limit
+AT = ",2,3,4,5,6,7,9,0,2"  # the last nine --at values after the first
+DET = ["det-check", F1, "--degree", "5,2", "-r", "5"]
+CHECK = ["decompose-check", F1, "--form", "x0*x1*y0*y1"]
+FAMILY = ["limit-cert", F1, "--form", "x0*x1*y0*y1"]
+# f1's fan with its ambient rank, first ray entry and first cone index
+F1_FAN = ('{"ambient_rank": %s, "rays": [[%s, 0], [-1, -1], [0, 1], [0, -1]], '
+          '"max_cones": [[%s, 2], [1, 2], [1, 3], [0, 3]]}')
+DEEP = "[" * 100_000 + "]" * 100_000
+
+# name -> (argv, the text of the file the last argument names, or None);
+# each of these is a ParseError
+REFUSED = {
+    "form_coefficient": (["hilbert", F1, "--box", "0..1,0..1", "--form",
+                          f"{B}*x0*x1*y0*y1"], None),
+    "form_exponent": (["hilbert", F1, "--box", "0..1,0..1", "--form",
+                       f"x0^{B}*y0"], None),
+    "form_denominator": (["hilbert", F1, "--box", "0..1,0..1", "--form",
+                          f"1/{B}*x0*x1*y0*y1"], None),
+    "cactus_cert_coefficient": (["cactus-cert", F1, "--ideal", "a0^2, b0^2",
+                                 "--ample", "1,1", "--form",
+                                 f"{B}*x0*x1*y0*y1"], None),
+    "family_coefficient": (FAMILY + ["--family"],
+                           f"params: l\n{B} | l, 1, 1, 1\n"),
+    "family_exponent": (FAMILY + ["--family"],
+                        f"params: l\nl^-{B} | l, 1, 1, 1\n"),
+    "fan_ray_entry": (["classgroup"], F1_FAN % (2, B, 0)),
+    "fan_cone_index": (["classgroup"], F1_FAN % (2, 1, B)),
+    "fan_ambient_rank": (["classgroup"], F1_FAN % (B, 1, 0)),
+    "fan_nested_rays": (["classgroup"],
+                        '{"rays": %s, "max_cones": [[0]]}' % DEEP),
+    "at_huge_exponent": (DET + ["--at", "1e100000000" + AT], None),
+    "terms_huge_exponent": (CHECK + ["--terms"], "1 | 1, 1, 1, 1e100000000\n"),
+    "at_decimal": (DET + ["--at", "0.5" + AT], None),
+    "terms_exponent": (CHECK + ["--terms"], "1e1 | 1, 1, 1, 1\n"),
+    "terms_underscore": (CHECK + ["--terms"], "1 | 1_0, 1, 1, 1\n"),
+}
+
+
+def run_cli(argv, text, tmp_path):
+    """argv's exit code, stdout and stderr, the last argument replaced by
+    a file of ``text`` unless that is None; a fan argument comes last."""
+    if text is not None:
+        path = tmp_path / "input"
+        path.write_text(text)
+        argv = argv + [str(path)]
+    proc = subprocess.run([sys.executable, "-m", "toric_apolarity", *argv],
+                          capture_output=True, text=True, timeout=10,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_hostile_literals_are_parse_errors(case, tmp_path):
+    code, out, err = run_cli(*REFUSED[case], tmp_path)
+    assert (code, out) == (2, ""), err
+    assert "[ParseError]" in err and "Traceback" not in err
+
+
+def test_terms_are_read_like_coefficients(tmp_path):
+    """Blanks may separate the symbols of an --at value, as in a form's
+    coefficient, and a terms file's entries read exactly."""
+    code, out, err = run_cli(DET + ["--at", "2 / 3" + AT], None, tmp_path)
+    assert code == 0, err
+    assert out == run_cli(DET + ["--at", "2/3" + AT], None, tmp_path)[1]
+    code, out, err = run_cli(
+        CHECK + ["--terms"], (FIXTURES / "f1_four_points.terms").read_text(),
+        tmp_path)
+    assert (code, out) == (0, "decomposition exact: True [exact]\n"), err
