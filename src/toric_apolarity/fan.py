@@ -39,6 +39,8 @@ class IrrelevantIdeal:
 
     def nonvanishing_at(self, coords) -> bool:
         """True unless every generator vanishes at the coordinates."""
+        if 0 not in coords:  # then no generator vanishes there
+            return bool(self.generators)
         return any(all(coords[i] != 0 for i, e in enumerate(expo) if e)
                    for expo in self.generators)
 

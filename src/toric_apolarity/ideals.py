@@ -14,7 +14,7 @@ from .abelian import DegreeClass
 from .apolarity import ApolarForm, apolar_contains
 from .errors import BasisTooLarge, ContainmentFailed, NonHomogeneousGenerator
 from .fan import IrrelevantIdeal
-from .linalg import SparseEchelon, kernel, nullspace
+from .linalg import SparseEchelon, nullspace
 from .ring import Side, basis, monomial_key, tag_degree
 
 
@@ -98,7 +98,10 @@ def colon_piece(ideal: IdealGens, irrelevant: IrrelevantIdeal,
                 degree: DegreeClass):
     """Basis of the colon piece: the elements whose product with each
     irrelevant-ideal generator m passes every check of I_{D + deg m}, the
-    functionals vanishing exactly on it, read off that piece's echelon."""
+    functionals vanishing exactly on it.  The check of a free column f of
+    that piece's reduced echelon is 1 at f and minus row p's entry in f at
+    each pivot p; only its entries at the shifted domain monomials are
+    read, and the checks that are zero there are left out."""
     fan = ideal.fan
     domain = basis(fan, degree)
     n = len(domain)
@@ -108,11 +111,18 @@ def colon_piece(ideal: IdealGens, irrelevant: IrrelevantIdeal,
     for expo in irrelevant.generators:
         shift_degree = degree + fan.monomial_degree(expo)
         target_index = {m: i for i, m in enumerate(basis(fan, shift_degree))}
-        checks = kernel(*_piece_echelon(ideal, shift_degree))
-        shifted = [target_index[tuple(a + b for a, b in zip(m, expo))]
-                   for m in domain]
-        for v in checks:
-            conditions.append([v[shifted[i]] for i in range(n)])
+        pivots = _piece_echelon(ideal, shift_degree)[0].reduced()
+        checks = {}  # free column -> its check at the shifted monomials
+        for i, m in enumerate(domain):
+            col = target_index[tuple(map(add, m, expo))]
+            row = pivots.get(col)
+            if row is None:
+                checks.setdefault(col, [0] * n)[i] = 1
+                continue
+            for free, v in row.items():
+                if free != col:
+                    checks.setdefault(free, [0] * n)[i] = -v
+        conditions += checks.values()
     return [tuple(v) for v in nullspace(conditions, n)]
 
 

@@ -23,6 +23,7 @@ may separate any two symbols, and blank text holds no terms.
 from __future__ import annotations
 
 import re
+import sys
 from itertools import chain, product, repeat
 from enum import Enum
 from fractions import Fraction
@@ -382,7 +383,19 @@ def _parse_terms(text: str, names, allow_negative: bool):
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"denominator 0 or too many digits in the "
                              f"factor {factor[0].strip()[:20]!r}") from exc
-    return [(coeff, tuple(expo)) for coeff, expo in terms]
+    return [(_printable(coeff, text), tuple(expo)) for coeff, expo in terms]
+
+
+def _printable(coeff: Fraction, text: str) -> Fraction:
+    """The coefficient, or a ParseError if ``str`` could not print it: its
+    numerator or denominator has more digits than int()'s string limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    big = max(abs(coeff.numerator), coeff.denominator)
+    # big < 2^(3 * limit) < 10^limit settles almost every coefficient
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise ParseError(f"a coefficient of {text[:20]!r}... has more than "
+                         f"{limit} digits")
+    return coeff
 
 
 def parse_poly(text: str, names, side: Side, fan=None) -> MultiPoly:
@@ -394,7 +407,7 @@ def parse_poly(text: str, names, side: Side, fan=None) -> MultiPoly:
     terms = {}
     for coeff, expo in _parse_terms(text, names, allow_negative=False):
         terms[expo] = terms.get(expo, Fraction(0)) + coeff
-    poly = MultiPoly(side, terms)
+    poly = MultiPoly(side, {m: _printable(c, text) for m, c in terms.items()})
     if fan is not None:
         poly = tag_degree(fan, poly)
     return poly

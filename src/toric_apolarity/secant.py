@@ -15,7 +15,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import floordiv, mul
+from math import lcm
+from operator import add, floordiv, mul
 
 from .abelian import DegreeClass
 from .apolarity import MAX_CATALECTICANT_CELLS
@@ -31,22 +32,26 @@ DEFAULT_TRIALS = 5
 def parametrize(fan, degree: DegreeClass, coords) -> MultiPoly:
     """Image of a point under the degree's monomial parametrization:
     the sum over the dual basis of (coordinate monomial) * (basis monomial)."""
-    values, scale = _image_row(fan, degree, coords)
-    return MultiPoly(Side.DUAL, {m: Fraction(x, scale) for m, x
-                                 in zip(basis(fan, degree), values) if x},
-                     degree)
+    mons, columns, tops = _basis_columns(fan, degree)
+    values, scale = _image_row(fan, columns, tops, coords)
+    return MultiPoly(Side.DUAL, _over(scale, zip(mons, values)), degree)
 
 
-def _image_row(fan, degree, coords):
-    """The checked point's integer value row over basis(degree), and its
-    scale, from ``_tangent_rows``."""
+def _image_row(fan, columns, tops, coords):
+    """The checked point's integer value row over the basis whose exponent
+    columns are given, and its scale, from ``_tangent_rows``."""
     coords = [Fraction(c) for c in coords]
     if len(coords) != len(fan.rays):
         raise ParseError(f"expected {len(fan.rays)} coordinates")
     if not fan.irrelevant.nonvanishing_at(coords):
         raise PointInIrrelevantLocus(f"coordinates {coords} lie in the cut locus")
-    (values,), scale = _tangent_rows(fan, degree, coords)
+    (values,), scale = _tangent_rows(columns, tops, coords)
     return values, scale
+
+
+def _over(common, scaled):
+    """Fraction(x, common) for each nonzero x, keyed as in ``scaled``."""
+    return {k: Fraction(x, common) for k, x in scaled if x}
 
 
 @dataclass(frozen=True)
@@ -58,17 +63,23 @@ class DecompositionCheck:
 def verify_decomposition(form, terms) -> DecompositionCheck:
     """Exact check that sum(coeff * parametrize(point)) equals the form.
 
-    ``terms`` is a sequence of (coefficient, coordinates) pairs.
+    ``terms`` is a sequence of (coefficient, coordinates) pairs.  Each
+    term is read and checked first; the sum is then taken in integers
+    over one common denominator, the lcm of every term's coefficient
+    denominator times its point scale, and of the form's scale.
     """
-    total = {m: -c for m, c in form.poly.terms.items()}
+    mons, columns, tops = _basis_columns(form.fan, form.degree)
+    scaled = []  # (numerator, denominator, value row), coefficient nonzero
     for coeff, coords in terms:
         coeff = Fraction(coeff)
-        values, scale = _image_row(form.fan, form.degree, coords)
-        factor = coeff / scale
-        for m, x in zip(basis(form.fan, form.degree), values):
-            if x:
-                total[m] = total.get(m, 0) + factor * x
-    residual = MultiPoly(Side.DUAL, total, form.degree)
+        values, scale = _image_row(form.fan, columns, tops, coords)
+        if coeff:
+            scaled.append((coeff.numerator, coeff.denominator * scale, values))
+    common = lcm(form.scale, *(d for _, d, _ in scaled))
+    total = list(map(mul, form.basis_values, repeat(-(common // form.scale))))
+    for n, d, values in scaled:
+        total = list(map(add, total, map(mul, values, repeat(n * (common // d)))))
+    residual = MultiPoly(Side.DUAL, _over(common, zip(mons, total)), form.degree)
     return DecompositionCheck(ok=residual.is_zero(), residual=residual)
 
 
@@ -124,27 +135,37 @@ def limit_certificate(form, family: LaurentFamily) -> LimitCertificate:
     exponent means the family diverges and is refused.
     """
     zero_expo = (0,) * len(family.params)
-    total = {}
-    mons = basis(form.fan, form.degree)
+    mons, columns, tops = _basis_columns(form.fan, form.degree)
+    scaled = []  # (numerator, denominator, value row, exponent rows)
     for coeff, coords in family.terms:
         if len(coords) != len(form.fan.rays):
             raise ParseError(f"expected {len(form.fan.rays)} point coordinates")
         if coeff.coeff == 0:
             continue
-        (values,), scale = _tangent_rows(form.fan, form.degree,
+        (values,), scale = _tangent_rows(columns, tops,
                                          [c.coeff for c in coords])
-        factor = coeff.coeff / scale
-        # the parameter exponents of m: coeff.expo + sum m_i c_i.expo
-        slopes = list(zip(*(c.expo for c in coords)))
-        for mono, x in zip(mons, values):
+        # parameter k's exponent at m: coeff.expo[k] + sum_i m_i c_i.expo[k]
+        expos = []
+        for k, e in enumerate(coeff.expo):
+            row = repeat(e)
+            for c, column in zip(coords, columns):
+                if c.expo[k]:
+                    row = map(add, row, map(mul, column, repeat(c.expo[k])))
+            expos.append(row)
+        scaled.append((coeff.coeff.numerator, coeff.coeff.denominator * scale,
+                       values, zip(*expos) if expos else repeat(())))
+    common = lcm(form.scale, *(d for _, d, _, _ in scaled))
+    total = {}
+    for n, d, values, expos in scaled:
+        factor = n * (common // d)
+        for key, x in zip(zip(expos, mons), values):
             if x:
-                key = (tuple(e + sum(map(mul, slope, mono))
-                             for e, slope in zip(coeff.expo, slopes)), mono)
                 total[key] = total.get(key, 0) + factor * x
-    for mono, c in form.poly.terms.items():
+    factor = common // form.scale
+    for mono, c in form.scaled_terms.items():
         key = (zero_expo, mono)
-        total[key] = total.get(key, Fraction(0)) - c
-    total = {k: v for k, v in total.items() if v != 0}
+        total[key] = total.get(key, 0) - factor * c
+    total = _over(common, total.items())
 
     defect = tuple(sorted((mono, c) for (expo, mono), c in total.items()
                           if expo == zero_expo))
@@ -192,14 +213,22 @@ def _chart(fan, pins):
     return pins, [i for i in range(len(fan.rays)) if i not in pins]
 
 
-def _tangent_rows(fan, degree, coords, free_positions=(), prime=None):
+def _basis_columns(fan, degree):
+    """basis(degree), its exponent columns, one per variable, and each
+    column's largest entry: what ``_tangent_rows`` reads at every point."""
+    mons = basis(fan, degree)
+    columns = list(zip(*mons)) or [()] * len(fan.rays)
+    return mons, columns, [max(column, default=0) for column in columns]
+
+
+def _tangent_rows(columns, tops, coords, free_positions=(), prime=None):
     """Value row plus one exponent-drop derivative row per free position,
-    as Python ints, and the scale they carry: for coordinates a_i/b_i the
-    rows are scale = prod b_i^top_i times the true rows, top_i the largest
-    exponent of variable i in the basis.  Given a prime, tables and scale
-    are reduced mod prime (BadPrime when it divides some b_i), and
-    rank_mod and det_mod reduce the entries.  This is the one place a
-    monomial meets a point.
+    as Python ints, over the basis with the given exponent columns and
+    column maxima (``_basis_columns``), and the scale they carry: for
+    coordinates a_i/b_i the rows are scale = prod b_i^top_i times the true
+    rows.  Given a prime, tables and scale are reduced mod prime (BadPrime
+    when it divides some b_i), and rank_mod and det_mod reduce the
+    entries.  This is the one place a monomial meets a point.
 
     The value row is built column by column: each entry is a product of
     one table value a^e * b^(top-e) per variable, e read from that
@@ -210,16 +239,13 @@ def _tangent_rows(fan, degree, coords, free_positions=(), prime=None):
     a_j is 0 (0 mod p on the prime path) is the row rebuilt as a product
     of tables, with e * a^(e-1) * b^(top-e+1) in column j.
     """
-    mons = basis(fan, degree)
-    columns = list(zip(*mons)) or [()] * len(coords)
     tables = []
     scale = 1
-    for c, column in zip(coords, columns):
+    for c, top in zip(coords, tops):
         a, b = c.numerator, c.denominator
         if prime and b % prime == 0:
             raise BadPrime(f"prime {prime} divides the denominator of a "
                            f"coordinate")
-        top = max(column, default=0)
         up = [pow(a, e, prime) for e in range(top + 1)]
         if b != 1:
             down = [pow(b, e, prime) for e in range(top, -1, -1)]
@@ -279,15 +305,24 @@ def terracini_probe(fan, degree: DegreeClass, r: int, prime: int = DEFAULT_PRIME
                     trials: int = DEFAULT_TRIALS, seed: int = 0,
                     pins=None) -> TerraciniProbe:
     pins, free_positions = _chart(fan, pins)
-    mons = basis(fan, degree)
+    mons, columns, tops = _basis_columns(fan, degree)
     cells = trials * r * (len(free_positions) + 1) * len(mons)
     if cells > MAX_CATALECTICANT_CELLS:
         raise StackTooLarge(f"{trials} trials of {r} points make {cells} "
                             f"tangent-stack cells, over the cap")
+
+    def stack(points):
+        return [row for coords in points for row in
+                _tangent_rows(columns, tops, coords, free_positions, prime)[0]]
+
+    # the first `enough` points may already reach rank dim, which no
+    # larger stack passes; every point is drawn all the same, so the
+    # random stream does not depend on it
+    enough = -(-len(mons) // (len(free_positions) + 1))
     rng = random.Random(seed)
     ranks = []
     for _ in range(trials):
-        rows = []
+        points = []
         for _ in range(r):
             for _ in range(50):
                 coords = [1 if i in pins else rng.randrange(prime)
@@ -296,9 +331,12 @@ def terracini_probe(fan, degree: DegreeClass, r: int, prime: int = DEFAULT_PRIME
                     break
             else:
                 raise PointInIrrelevantLocus("sampling kept hitting the cut locus")
-            rows.extend(_tangent_rows(fan, degree, coords, free_positions,
-                                      prime)[0])
-        ranks.append(rank_mod(rows, prime))
+            points.append(coords)
+        rows = stack(points[:enough])
+        rank = rank_mod(rows, prime)
+        if rank < len(mons) and r > enough:
+            rank = rank_mod(rows + stack(points[enough:]), prime)
+        ranks.append(rank)
     best = max(ranks)
     cap = min(len(mons), r * (len(free_positions) + 1))
     return TerraciniProbe(degree=degree, points=r, prime=prime, seed=seed,
@@ -314,7 +352,7 @@ def terracini_determinant_check(fan, degree: DegreeClass, r: int, assignment,
     """Exact determinant of the stacked tangent matrix at an explicit
     parameter assignment, over Q or over Z/prime."""
     _, free_positions = _chart(fan, pins)
-    mons = basis(fan, degree)
+    mons, columns, tops = _basis_columns(fan, degree)
     per_point = len(free_positions)
     if len(assignment) != r * per_point:
         raise ParseError(f"need {r * per_point} assignment values, "
@@ -328,7 +366,7 @@ def terracini_determinant_check(fan, degree: DegreeClass, r: int, assignment,
         coords = [1] * len(fan.rays)
         for pos, val in zip(free_positions, values[k * per_point:]):
             coords[pos] = val
-        point_rows, point_scale = _tangent_rows(fan, degree, coords,
+        point_rows, point_scale = _tangent_rows(columns, tops, coords,
                                                 free_positions, prime)
         rows += point_rows
         scale *= point_scale ** len(point_rows)

@@ -164,6 +164,9 @@ def test_hostile_fans_keep_the_exit_code_contract(kind, tmp_path):
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 F1 = str(FIXTURES / "f1.fan")
 B = "1" + "0" * 4999  # a 5,000-digit literal, past int()'s default limit
+# 3,001-digit literals: each is readable, but not their product, nor the
+# denominator of their sum
+B3, B3_PLUS_1 = "1" + "0" * 3000, "1" + "0" * 2999 + "1"
 AT = ",2,3,4,5,6,7,9,0,2"  # the last nine --at values after the first
 DET = ["det-check", F1, "--degree", "5,2", "-r", "5"]
 CHECK = ["decompose-check", F1, "--form", "x0*x1*y0*y1"]
@@ -182,6 +185,13 @@ REFUSED = {
                        f"x0^{B}*y0"], None),
     "form_denominator": (["hilbert", F1, "--box", "0..1,0..1", "--form",
                           f"1/{B}*x0*x1*y0*y1"], None),
+    "form_coefficient_product": (["hilbert", F1, "--box", "0..1,0..1",
+                                  "--form", f"{B3}*{B3}*x0*x1*y0*y1"], None),
+    "form_combined_coefficient": (["hilbert", F1, "--box", "0..1,0..1",
+                                   "--form", f"1/{B3}*x0*x1*y0*y1 + "
+                                   f"1/{B3_PLUS_1}*x0*x1*y0*y1"], None),
+    "family_coefficient_product": (FAMILY + ["--family"],
+                                   f"params: l\n{B3}*{B3} | l, 1, 1, 1\n"),
     "cactus_cert_coefficient": (["cactus-cert", F1, "--ideal", "a0^2, b0^2",
                                  "--ample", "1,1", "--form",
                                  f"{B}*x0*x1*y0*y1"], None),

@@ -337,21 +337,22 @@ def naive_tangent_rows(mons, coords, free):
 def test_tangent_rows_mod_p_are_the_rational_rows_reduced(f1, p114, fake,
                                                          cube):
     from toric_apolarity import BadPrime
-    from toric_apolarity.secant import _tangent_rows
+    from toric_apolarity.secant import _basis_columns, _tangent_rows
     rng = random.Random(31)
     for fan, degree, _ in square_stacks(f1, p114, fake, cube):
         free = free_positions(fan)
         mons = basis(fan, degree)
+        columns = _basis_columns(fan, degree)[1:]
         for p in PRIMES:
             for _ in range(3):
                 coords = [rational(rng, p) for _ in fan.rays]
                 want = naive_tangent_rows(mons, coords, free)
-                rows, scale = _tangent_rows(fan, degree, coords, free)
+                rows, scale = _tangent_rows(*columns, coords, free)
                 assert all(type(x) is int for row in rows + [[scale]]
                            for x in row)
                 assert [[Fraction(x, scale) for x in row]
                         for row in rows] == want
-                rows, scale = _tangent_rows(fan, degree, coords, free, prime=p)
+                rows, scale = _tangent_rows(*columns, coords, free, prime=p)
                 assert all(type(x) is int for row in rows + [[scale]]
                            for x in row)
                 inverse = pow(scale, -1, p)
@@ -359,7 +360,7 @@ def test_tangent_rows_mod_p_are_the_rational_rows_reduced(f1, p114, fake,
                         for row in rows] == mat_mod(want, p)
             coords[free[0]] = Fraction(1, 2 * p)
             with pytest.raises(BadPrime):
-                _tangent_rows(fan, degree, coords, free, prime=p)
+                _tangent_rows(*columns, coords, free, prime=p)
 
 
 def test_tangent_rows_at_zero_and_signed_coordinates_match_the_naive_rows(
@@ -367,11 +368,12 @@ def test_tangent_rows_at_zero_and_signed_coordinates_match_the_naive_rows(
     # derivative rows come from the value row times e * b / a, save where
     # a free coordinate is 0 (0 mod p on the prime path): those fall back
     # to the table product
-    from toric_apolarity.secant import _tangent_rows
+    from toric_apolarity.secant import _basis_columns, _tangent_rows
     rng = random.Random(34)
     for fan, degree, _ in square_stacks(f1, p114, fake, cube):
         free = free_positions(fan)
         mons = basis(fan, degree)
+        columns = _basis_columns(fan, degree)[1:]
         for p in PRIMES:
             dens = [d for d in (1, 2, 5, 9) if d % p]
             zeros = (0, p, 2 * p) + ((Fraction(p, 3),) if p != 3 else ())
@@ -384,10 +386,10 @@ def test_tangent_rows_at_zero_and_signed_coordinates_match_the_naive_rows(
                     for j in free:
                         coords[j] = rng.choice(zeros)
                 want = naive_tangent_rows(mons, coords, free)
-                rows, scale = _tangent_rows(fan, degree, coords, free)
+                rows, scale = _tangent_rows(*columns, coords, free)
                 assert [[Fraction(x, scale) for x in row]
                         for row in rows] == want
-                rows, scale = _tangent_rows(fan, degree, coords, free, prime=p)
+                rows, scale = _tangent_rows(*columns, coords, free, prime=p)
                 inverse = pow(scale, -1, p)
                 assert [[x * inverse % p for x in row]
                         for row in rows] == mat_mod(want, p)
@@ -669,11 +671,12 @@ def test_limit_certificate_fixed_families_match_sympy(f1):
     assert check_limit_against_sympy(F, diverging) == "DIVERGES"
 
 
-def tangent_families(fan, degree, rng, nparams):
+def tangent_families(fan, degree, rng, nparams, dens=(1, 2, 5)):
     """Seeded families whose l -> 0 limit is a tangent vector at a point
     (coordinate k moves as b_k*l), plus fixed points; with two parameters
     coordinate j carries m, and the coefficient sometimes m^-1.  Each comes
-    with its expected limit and with that limit nudged."""
+    with its expected limit and with that limit nudged.  Every nonzero
+    rational is over one of ``dens``."""
     from toric_apolarity.secant import LaurentScalar
     names = PARAMS[:nparams]
     mons = basis(fan, degree)
@@ -683,7 +686,7 @@ def tangent_families(fan, degree, rng, nparams):
         return LaurentScalar(Fraction(c), tuple(expo) + (0,) * (nparams - len(expo)))
 
     def nonzero():
-        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 5]))
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice(dens))
 
     out = []
     for _ in range(8):
@@ -739,3 +742,143 @@ def test_limit_certificate_tangent_families_match_sympy(f1, cube):
         assert sum(v == (nparams, "VALID") for v in verdicts) >= 10
         assert sum(v == (nparams, "INVALID") for v in verdicts) >= 10
     assert (2, "DIVERGES") in verdicts
+
+
+# --- one common denominator per check ----------------------------------------
+
+# pairwise coprime denominators, so that each term of a check brings its own
+# factor to the common denominator
+COPRIME = (7, 101, 3 * 101 ** 2)
+
+
+def coprime_rational(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                    rng.choice((1,) + COPRIME))
+
+
+def coprime_decompositions(f1, p114, fake, cube):
+    """Seeded (form, terms): terms over coprime denominators (a zero
+    coefficient among them), against their exact sum, that sum nudged by a
+    coefficient over 11, a form over 13 alone, and an empty term list."""
+    rng = random.Random(45)
+    cases = []
+    for fan, degree in [(f1, f1.degree((3, 2))), (f1, f1.degree((4, 2))),
+                        (p114, p114.degree((6,))),
+                        (fake, fake.degree((6,), (1,))),
+                        (cube, cube.degree((2, 1, 1)))]:
+        mons = basis(fan, degree)
+        for _ in range(4):
+            terms = [(coprime_rational(rng),
+                      [coprime_rational(rng) for _ in fan.rays])
+                     for _ in range(rng.randint(1, 4))]
+            terms.append((Fraction(0), [coprime_rational(rng) for _ in fan.rays]))
+            target = MultiPoly.zero(Side.DUAL)
+            for coeff, coords in terms:
+                target = target + loop_parametrize(fan, degree, coords).scale(coeff)
+            nudge = MultiPoly(Side.DUAL, {rng.choice(mons): Fraction(
+                rng.randint(1, 9), 11)}, degree)
+            alone = MultiPoly(Side.DUAL, {rng.choice(mons): Fraction(
+                rng.randint(1, 9), 13)}, degree)
+            for poly in (target, target + nudge, alone):
+                if not poly.is_zero():
+                    cases.append((ApolarForm(fan, poly), terms))
+            cases.append((ApolarForm(fan, alone), []))
+    return cases
+
+
+def test_coprime_decompositions_match_the_chain_oracle(f1, p114, fake, cube):
+    # the common denominator is the lcm of coefficient denominators times
+    # point scales and of the form's scale; a residual read over any other
+    # denominator, or a form not brought to it, differs from the oracle's
+    exact = inexact = empty = 0
+    for F, terms in coprime_decompositions(f1, p114, fake, cube):
+        assert F.scale > 1
+        ok, residual = chain_verify(F, terms)
+        check = verify_decomposition(F, terms)
+        assert check.ok == ok
+        assert check.residual.terms == residual.terms
+        assert all(type(c) is Fraction for c in check.residual.terms.values())
+        assert check.residual.degree == F.degree
+        exact += ok
+        inexact += not ok
+        empty += not terms
+    assert exact >= 15 and inexact >= 30 and empty >= 15
+
+
+def test_coprime_limit_families_match_sympy(f1, cube):
+    # each family also carries a term of coefficient 0; the nudged limits
+    # are INVALID with a nonzero parameter-free defect
+    from toric_apolarity.secant import LaurentScalar
+    rng = random.Random(46)
+    verdicts = []
+    for fan, degree in [(f1, f1.degree((3, 2))), (cube, cube.degree((2, 1, 1)))]:
+        for nparams in (1, 2):
+            zero = LaurentScalar(Fraction(0), (-1,) * nparams)
+            for F, family in tangent_families(fan, degree, rng, nparams,
+                                              dens=(1,) + COPRIME):
+                point = tuple(LaurentScalar(coprime_rational(rng), (1,) * nparams)
+                              for _ in fan.rays)
+                family = LaurentFamily(family.params,
+                                       family.terms + ((zero, point),))
+                verdicts.append(check_limit_against_sympy(F, family))
+    assert verdicts.count("VALID") >= 10 and verdicts.count("INVALID") >= 10
+
+
+def full_stack_probe(fan, degree, r, prime, seed):
+    """Oracle: the probe with every trial's whole stack ranked, its rows
+    evaluated term by term."""
+    from toric_apolarity.linalg import rank_mod
+    from toric_apolarity.secant import DEFAULT_TRIALS, TerraciniProbe
+    pins, free = default_pins(fan), free_positions(fan)
+    mons = basis(fan, degree)
+    rng = random.Random(seed)
+    ranks = []
+    for _ in range(DEFAULT_TRIALS):
+        rows = []
+        for _ in range(r):
+            for _ in range(50):
+                coords = [1 if i in pins else rng.randrange(prime)
+                          for i in range(len(fan.rays))]
+                if fan.irrelevant.nonvanishing_at(coords):
+                    break
+            rows += naive_tangent_rows(mons, coords, free)
+        ranks.append(rank_mod(rows, prime))
+    best = max(ranks)
+    return TerraciniProbe(
+        degree=degree, points=r, prime=prime, seed=seed,
+        trials=DEFAULT_TRIALS, pins=pins, ranks=tuple(ranks), rank=best,
+        ambient_dim=len(mons), dim_estimate=best - 1,
+        fills_space=best == len(mons),
+        degenerate=best < min(len(mons), r * (len(free) + 1)))
+
+
+def test_probes_past_the_prefix_match_the_full_stack_oracle(f1, p114, fake,
+                                                            cube, monkeypatch):
+    # r exceeds ceil(dim / (free + 1)) in each case: a trial ranks that
+    # prefix of points first, and the rest only when the prefix falls short
+    from toric_apolarity import secant
+    from toric_apolarity.linalg import rank_mod
+    calls = []
+
+    def spy(rows, p):
+        calls.append(len(rows))
+        return rank_mod(rows, p)
+
+    monkeypatch.setattr(secant, "rank_mod", spy)
+    prefix_only = rechecked = 0
+    for fan, degree, r in [(f1, f1.degree((3, 2)), 5), (f1, f1.degree((5, 2)), 7),
+                           (p114, p114.degree((7,)), 6),
+                           (fake, fake.degree((6,), (1,)), 5),
+                           (cube, cube.degree((1, 1, 1)), 3),
+                           (cube, cube.degree((2, 2, 1)), 7)]:
+        per_point = len(free_positions(fan)) + 1
+        enough = -(-len(basis(fan, degree)) // per_point)
+        assert r > enough
+        for prime, seed in [(2, 0), (3, 1), (101, 2)]:
+            calls.clear()
+            probe = terracini_probe(fan, degree, r, prime=prime, seed=seed)
+            assert probe == full_stack_probe(fan, degree, r, prime, seed)
+            assert calls.count(enough * per_point) == probe.trials
+            prefix_only += 2 * probe.trials - len(calls)
+            rechecked += calls.count(r * per_point)
+    assert prefix_only >= 20 and rechecked >= 10
