@@ -405,7 +405,7 @@ def cmd_limit_cert(args, fan):
     cert = limit_certificate(form, family)
     residue = [residue_string(c, expo, mono, family.params, fan.dual_var_names)
                for expo, mono, c in cert.residue]
-    defect = [f"{c}*{_format_monomial(m, fan.dual_var_names)}"
+    defect = [residue_string(c, (), m, (), fan.dual_var_names)
               for m, c in cert.constant_defect]
     record = {
         "command": "limit-cert",
@@ -418,7 +418,7 @@ def cmd_limit_cert(args, fan):
     lines = [f"certificate: {cert.status} [{EXACT}]"]
     if cert.valid:
         lines.append(f"border rank <= {cert.term_count}")
-        lines.append("residue: " + " + ".join(residue))
+        lines.append("residue: " + (" + ".join(residue) or "0"))
     else:
         lines.append("parameter-free defect: " + " + ".join(defect))
     return record, lines

@@ -156,17 +156,13 @@ def _eliminate(row: dict, c, piv: dict):
 
 
 def nullspace(rows, ncols: int):
-    """Canonical kernel basis of the map v -> A v for A given row-wise."""
+    """Canonical kernel basis of the map v -> A v for A given row-wise,
+    read off the reduced echelon form: one vector per free column, entry 1
+    there, minus the pivot-row coefficients elsewhere.  By free column
+    index."""
     ech = SparseEchelon()
     for row in rows:
         ech.add({c: Fraction(v) for c, v in enumerate(row) if v})
-    return kernel(ech, ncols)
-
-
-def kernel(ech: SparseEchelon, ncols: int):
-    """Canonical kernel basis of the rows of ``ech`` on ``ncols`` columns,
-    read off its reduced form: one vector per free column, entry 1 there,
-    minus the pivot-row coefficients elsewhere.  By free column index."""
     pivots = ech.reduced()
     basis = []
     for free in range(ncols):

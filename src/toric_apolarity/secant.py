@@ -1,6 +1,7 @@
-"""Monomial parametrization of the embedding, exact decomposition checks,
-symbolic limit certificates for border-rank upper bounds, and randomized
-Terracini tangent-rank probes over a prime field.
+"""Monomial parametrization of the embedding, exact decomposition checks
+(each the limit check of its terms without parameters), symbolic limit
+certificates for border-rank upper bounds, and randomized Terracini
+tangent-rank probes over a prime field.
 
 Tangent matrices stack, per sampled point, its coordinate row followed by
 one symbolic derivative row per free chart parameter; derivatives use the
@@ -29,29 +30,24 @@ DEFAULT_PRIME = 101
 DEFAULT_TRIALS = 5
 
 
-def parametrize(fan, degree: DegreeClass, coords) -> MultiPoly:
-    """Image of a point under the degree's monomial parametrization:
-    the sum over the dual basis of (coordinate monomial) * (basis monomial)."""
-    mons, columns, tops = _basis_columns(fan, degree)
-    values, scale = _image_row(fan, columns, tops, coords)
-    return MultiPoly(Side.DUAL, _over(scale, zip(mons, values)), degree)
-
-
-def _image_row(fan, columns, tops, coords):
-    """The checked point's integer value row over the basis whose exponent
-    columns are given, and its scale, from ``_tangent_rows``."""
+def _point(fan, coords):
+    """The point's coordinates as Fractions: one per ray (else ParseError)
+    and off the cut locus (else PointInIrrelevantLocus)."""
     coords = [Fraction(c) for c in coords]
     if len(coords) != len(fan.rays):
         raise ParseError(f"expected {len(fan.rays)} coordinates")
     if not fan.irrelevant.nonvanishing_at(coords):
         raise PointInIrrelevantLocus(f"coordinates {coords} lie in the cut locus")
-    (values,), scale = _tangent_rows(columns, tops, coords)
-    return values, scale
+    return coords
 
 
-def _over(common, scaled):
-    """Fraction(x, common) for each nonzero x, keyed as in ``scaled``."""
-    return {k: Fraction(x, common) for k, x in scaled if x}
+def parametrize(fan, degree: DegreeClass, coords) -> MultiPoly:
+    """Image of a point under the degree's monomial parametrization:
+    the sum over the dual basis of (coordinate monomial) * (basis monomial)."""
+    mons, columns, tops = _basis_columns(fan, degree)
+    (values,), scale = _tangent_rows(columns, tops, _point(fan, coords))
+    return MultiPoly(Side.DUAL, {m: Fraction(x, scale)
+                                 for m, x in zip(mons, values) if x}, degree)
 
 
 @dataclass(frozen=True)
@@ -61,26 +57,17 @@ class DecompositionCheck:
 
 
 def verify_decomposition(form, terms) -> DecompositionCheck:
-    """Exact check that sum(coeff * parametrize(point)) equals the form.
-
-    ``terms`` is a sequence of (coefficient, coordinates) pairs.  Each
-    term is read and checked first; the sum is then taken in integers
-    over one common denominator, the lcm of every term's coefficient
-    denominator times its point scale, and of the form's scale.
-    """
-    mons, columns, tops = _basis_columns(form.fan, form.degree)
-    scaled = []  # (numerator, denominator, value row), coefficient nonzero
-    for coeff, coords in terms:
-        coeff = Fraction(coeff)
-        values, scale = _image_row(form.fan, columns, tops, coords)
-        if coeff:
-            scaled.append((coeff.numerator, coeff.denominator * scale, values))
-    common = lcm(form.scale, *(d for _, d, _ in scaled))
-    total = list(map(mul, form.basis_values, repeat(-(common // form.scale))))
-    for n, d, values in scaled:
-        total = list(map(add, total, map(mul, values, repeat(n * (common // d)))))
-    residual = MultiPoly(Side.DUAL, _over(common, zip(mons, total)), form.degree)
-    return DecompositionCheck(ok=residual.is_zero(), residual=residual)
+    """Exact check that sum(coeff * parametrize(point)) equals the form,
+    for (coefficient, coordinates) pairs: every point is checked first, in
+    order, zero coefficients included; the terms are then a family without
+    parameters, whose limit check's parameter-free defect is the residual."""
+    family = LaurentFamily((), tuple(
+        (LaurentScalar(Fraction(coeff), ()),
+         tuple(LaurentScalar(c, ()) for c in _point(form.fan, coords)))
+        for coeff, coords in terms))
+    cert = limit_certificate(form, family)
+    return DecompositionCheck(cert.valid, MultiPoly(Side.DUAL, cert.constant_defect,
+                                                    form.degree))
 
 
 # --- symbolic limit families ---------------------------------------------
@@ -165,7 +152,7 @@ def limit_certificate(form, family: LaurentFamily) -> LimitCertificate:
     for mono, c in form.scaled_terms.items():
         key = (zero_expo, mono)
         total[key] = total.get(key, 0) - factor * c
-    total = _over(common, total.items())
+    total = {key: Fraction(x, common) for key, x in total.items() if x}
 
     defect = tuple(sorted((mono, c) for (expo, mono), c in total.items()
                           if expo == zero_expo))

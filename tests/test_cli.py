@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import os
 import random
@@ -14,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import toric_apolarity
-from toric_apolarity import DegreeBox, build_fan, cli, load_fan
+from toric_apolarity import (DegreeBox, Side, build_fan, cli, limit_certificate,
+                             load_fan, parse_poly)
 from toric_apolarity.abelian import DegreeClass
 from toric_apolarity.apolarity import HilbertGrid
 from toric_apolarity.cli import COMMANDS, main
@@ -234,6 +236,44 @@ def test_limit_cert_divergent_family(capsys, tmp_path):
     code, _, err = run(capsys, "limit-cert", F1, "--form", "x0*x1*y0*y1",
                        "--family", str(family))
     assert code == 1 and "NegativeExponentResidue" in err
+
+
+FOUR_POINTS = (FIXTURES / "f1_four_points.terms").read_text()
+
+
+def test_limit_cert_without_parameters_is_a_decomposition(capsys, tmp_path):
+    family = tmp_path / "exact.family"
+    family.write_text("params:\n" + FOUR_POINTS)
+    code, out, _ = run(capsys, "limit-cert", F1, "--form", "x0*x1*y0*y1",
+                       "--family", str(family))
+    assert code == 0
+    assert "certificate: VALID" in out and "border rank <= 4" in out
+    assert "residue: 0" in out
+
+
+@pytest.mark.parametrize("form, family", [
+    ("1", "params: l\n2 | l, 1, 1, 1\n"),     # the constant monomial
+    ("x0*x1*y0*y1", "params: l, m\n-1*l^-1*m^-1 | l, 1, 1, m\n"
+                    "-1*l^-1*m^-1 | 0, 1, 1, m\n-1*m^-1 | 1, 0, 1, 0\n"),
+    ("3*x0*x1*y0*y1 - x0^2*y0*y1", "params:\n" + FOUR_POINTS),
+    ("x0*x1*y0*y1 + x0^2*y0*y1", "params:\n" + FOUR_POINTS),
+    ("x0*x1*y0*y1 + 1/3*x0^2*y0*y1", "params:\n" + FOUR_POINTS),
+], ids=["constant", "sign_flipped", "unit_coefficient", "minus_one",
+        "fraction"])
+def test_limit_cert_defects_parse_back(capsys, tmp_path, form, family):
+    path = tmp_path / "invalid.family"
+    path.write_text(family)
+    code, out, _ = run(capsys, "--format", "records", "limit-cert", F1,
+                       "--form", form, "--family", str(path))
+    assert code == 0
+    record = json.loads(out)
+    fan = load_fan(F1)
+    cert = limit_certificate(cli.parse_form(form, fan),
+                             cli.read_family_file(path, fan))
+    assert record["status"] == "INVALID" and cert.constant_defect
+    assert ([parse_poly(text, fan.dual_var_names, Side.DUAL, fan).terms
+             for text in record["defect"]]
+            == [{m: c} for m, c in cert.constant_defect])
 
 
 def test_terracini_command(capsys):
@@ -817,6 +857,27 @@ def readme_examples():
     text = README.read_text().replace("\\\n", " ")
     return [shlex.split(line)[1:] for line in text.splitlines()
             if line.startswith("toric-apolarity ")]
+
+
+def test_readme_library_snippet_gives_its_commented_values(monkeypatch):
+    # each expression statement of the snippet ends in a comment that
+    # opens with its value
+    monkeypatch.chdir(README.parent)
+    text = README.read_text()
+    block = text.split("## Library in one minute", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    scope, seen = {}, []
+    for node in ast.parse(block).body:
+        code = ast.Module([node], type_ignores=[])
+        if not isinstance(node, ast.Expr):
+            exec(compile(code, "README", "exec"), scope)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README", "eval"), scope)
+        comment = lines[node.end_lineno - 1].split("#", 1)[1]
+        seen.append(comment.split(",")[0].strip())
+        assert repr(value) == seen[-1]
+    assert seen == ["3", "3", "True"]
 
 
 @pytest.mark.parametrize("fmt", ["table", "records"])

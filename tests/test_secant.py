@@ -607,7 +607,7 @@ def sympy_expansion(F, family):
     """Oracle: sum(coeff * prod coord^m * X^m) - F expanded with sympy, as
     {(parameter exponents, monomial): coefficient} over its nonzero terms."""
     sympy = pytest.importorskip("sympy")
-    params = sympy.symbols(" ".join(family.params), seq=True)
+    params = [sympy.Symbol(name) for name in family.params]
     xs = sympy.symbols(f"X:{len(F.fan.rays)}", seq=True)
 
     def scalar(s):
@@ -742,6 +742,24 @@ def test_limit_certificate_tangent_families_match_sympy(f1, cube):
         assert sum(v == (nparams, "VALID") for v in verdicts) >= 10
         assert sum(v == (nparams, "INVALID") for v in verdicts) >= 10
     assert (2, "DIVERGES") in verdicts
+
+
+def test_zero_parameter_families_are_decompositions(f1, p114, fake, cube):
+    # a decomposition is the family without parameters: its limit check
+    # agrees with sympy, and its defect is the decomposition's residual
+    from toric_apolarity.secant import LaurentScalar
+    verdicts = []
+    for F, terms in point_sum_cases(f1, p114, fake, cube):
+        family = LaurentFamily((), tuple(
+            (LaurentScalar(coeff, ()), tuple(LaurentScalar(c, ()) for c in coords))
+            for coeff, coords in terms))
+        verdict = check_limit_against_sympy(F, family)
+        ok, residual = chain_verify(F, terms)
+        cert = limit_certificate(F, family)
+        assert verdict == ("VALID" if ok else "INVALID") == cert.status
+        assert dict(cert.constant_defect) == residual.terms
+        verdicts.append(verdict)
+    assert verdicts.count("VALID") >= 20 and verdicts.count("INVALID") >= 20
 
 
 # --- one common denominator per check ----------------------------------------
