@@ -24,7 +24,8 @@ from .bounds import best_bounds, bound_report
 from .errors import InputError, ParseError, Refusal
 from .fan import _require_names, load_fan
 from .ideals import IdealGens, cactus_certificate, length_estimate
-from .ring import Side, _format_monomial, basis as graded_basis, format_poly, parse_poly
+from .ring import (Side, _format_monomial, basis as graded_basis, format_poly,
+                   parse_integer, parse_poly)
 from .secant import (DEFAULT_PRIME, DEFAULT_TRIALS, LaurentFamily,
                      limit_certificate, parse_laurent, terracini_determinant_check,
                      terracini_probe, verify_decomposition)
@@ -38,15 +39,12 @@ HEURISTIC = "heuristic-stabilized"
 
 def _pieces(text: str, what: str, read=str):
     """The stripped pieces of a comma list, each read by ``read``.  Blank
-    text has none; an empty piece (between commas or at either end) and
-    a ValueError of ``read`` are ParseErrors."""
+    text has none; an empty piece (between commas or at either end) is a
+    ParseError."""
     pieces = [p.strip() for p in text.split(",")] if text.strip() else []
     if "" in pieces:
         raise ParseError(f"empty piece in {what} {text!r}")
-    try:
-        return [read(p) for p in pieces]
-    except ValueError as exc:
-        raise ParseError(f"bad {what} {text!r}") from exc
+    return [read(p) for p in pieces]
 
 
 def parse_degree(text: str, group) -> DegreeClass:
@@ -54,8 +52,8 @@ def parse_degree(text: str, group) -> DegreeClass:
     after a semicolon, e.g. ``5,2`` or ``6;0``; a semicolon needs them."""
     text = text.strip()
     free_part, semicolon, tors_part = text.partition(";")
-    free = _pieces(free_part, "degree", int)
-    tors = _pieces(tors_part, "degree", int)
+    free = _pieces(free_part, "degree", parse_integer)
+    tors = _pieces(tors_part, "degree", parse_integer)
     if semicolon and not tors:
         raise ParseError(f"degree {text!r}: no torsion residues after ';'")
     if len(free) != group.free_rank:
@@ -74,7 +72,7 @@ def parse_box(text: str, group) -> DegreeBox:
     comma-separated; torsion residues are enumerated in full."""
     def span(piece):
         lo, sep, hi = piece.partition("..")
-        lo, hi = int(lo), int(hi if sep else lo)
+        lo, hi = parse_integer(lo), parse_integer(hi if sep else lo)
         if lo > hi:
             raise ParseError(f"box component {piece!r} is empty")
         return lo, hi
@@ -428,7 +426,7 @@ def _parse_pins(text, fan):
     """Comma-separated distinct variable indices, each naming a ray."""
     if text is None:
         return None
-    pins = tuple(_pieces(text, "--pins", int))
+    pins = tuple(_pieces(text, "--pins", parse_integer))
     if len(set(pins)) != len(pins):
         raise InputError(f"--pins {text!r} repeats an index")
     if any(not 0 <= i < len(fan.rays) for i in pins):
@@ -491,9 +489,9 @@ def cmd_det_check(args, fan):
 
 # name -> (help, required string options, other options' add_argument keywords);
 # each build looks up the handler cmd_<name> (a tracer may have rebound it)
-COUNTS = {"--window": {"type": int, "default": 3},
-          "--max-k": {"type": int, "default": 12}}
-INT_R = {"-r": {"type": int, "required": True}}
+COUNTS = {"--window": {"type": parse_integer, "default": 3},
+          "--max-k": {"type": parse_integer, "default": 12}}
+INT_R = {"-r": {"type": parse_integer, "required": True}}
 COMMANDS = {
     "classgroup": ("class group and variable degree table", "", {}),
     "basis": ("monomial basis of a graded piece", "--degree", {
@@ -513,14 +511,14 @@ COMMANDS = {
     "limit-cert": ("symbolic limit certificate for a border-rank bound", "--form", {
         "--family": {"required": True, "help": "family file"}}),
     "terracini": ("randomized secant-dimension probe", "--degree", {
-        **INT_R, "--prime": {"type": int, "default": DEFAULT_PRIME},
-        "--trials": {"type": int, "default": DEFAULT_TRIALS},
-        "--seed": {"type": int, "default": 0},
+        **INT_R, "--prime": {"type": parse_integer, "default": DEFAULT_PRIME},
+        "--trials": {"type": parse_integer, "default": DEFAULT_TRIALS},
+        "--seed": {"type": parse_integer, "default": 0},
         "--pins": {"help": "comma-separated pinned variable indices"}}),
     "det-check": ("tangent-stack determinant at an explicit assignment", "--degree", {
         **INT_R, "--at": {"required": True, "help": "comma-separated values "
                                                    "for the free chart parameters"},
-        "--prime": {"type": int}, "--pins": {}}),
+        "--prime": {"type": parse_integer}, "--pins": {}}),
 }
 
 
@@ -561,8 +559,8 @@ def invoked_command(argv):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(invoked_command(argv)).parse_args(argv)
-    try:
+    try:  # an integer option parse_integer refuses is a ParseError
+        args = build_parser(invoked_command(argv)).parse_args(argv)
         record, lines = args.fn(args, load_fan(args.fan))
     except Refusal as exc:
         print(f"refused [{exc.name}]: {exc}", file=sys.stderr)

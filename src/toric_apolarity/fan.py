@@ -1,19 +1,20 @@
 """Fan input model for simplicial toric varieties: class group and variable
-degrees from the ray matrix, irrelevant ideal, completeness verdicts, and
-the per-cone integral test for Cartier classes."""
+degrees from the ray matrix, irrelevant ideal, and each maximal cone's
+Smith form, which decides completeness and which classes are Cartier."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from math import gcd
 from pathlib import Path
 
 from .abelian import DegreeClass, _solve_smith, cokernel, smith_normal_form
 from .errors import (NonPrimitiveRay, NonSimplicialCone,
                      NotFullRank, ParseError, TorusFactor)
-from .linalg import det_bareiss, rank_bareiss
+from .linalg import rank_bareiss
 from .ring import _NAME
 
 
@@ -50,9 +51,10 @@ class FanModel:
 
     Attributes: ambient_rank, rays, max_cones, class_group, projection,
     var_degrees, irrelevant, var_names, dual_var_names.  The fan also owns
-    the caches derived from it: Cartier verdicts and cone Smith forms
-    here, graded bases filled in by ``ring``, and the sum-index tables of
-    catalecticants filled in by ``apolarity``.
+    the caches derived from it: each maximal cone's Smith form, built on
+    first use and read by both ``check_complete`` and ``is_cartier``, and
+    Cartier verdicts here, graded bases filled in by ``ring``, and the
+    sum-index tables of catalecticants filled in by ``apolarity``.
     """
 
     def __init__(self, rays, max_cones, var_names=None, dual_var_names=None):
@@ -97,7 +99,6 @@ class FanModel:
         for names in (self.var_names, self.dual_var_names):
             _require_names(names, "variable names")
         self._cartier_cache = {}
-        self._cone_smith = None  # Smith form of each maximal cone's rays
         self._basis_cache = {}  # degree -> monomial tuple
         self._walk_cache = []  # per outermost coordinate: columns, systems
         self._sum_index_cache = {}  # (beta, alpha) -> rows, cols, indices
@@ -115,38 +116,45 @@ class FanModel:
 
     # -- completeness ------------------------------------------------------
 
+    @cached_property
+    def _cone_smith(self):
+        """Smith form of each maximal cone's matrix, its rays as rows."""
+        return tuple(smith_normal_form([self.rays[i] for i in cone])
+                     for cone in self.max_cones)
+
     def check_complete(self) -> Completeness:
         """Wall-crossing test on the distinct maximal cones (Cox, Little,
         Schenck, Toric Varieties, 3.4): every cone has n rays, every ray is
         used, each facet lies in exactly two cones, on opposite sides, and
         v = (1, t, ..., t^(n-1)) off every facet hyperplane lies in exactly
-        one cone.  Each hyperplane meets that curve at most n - 1 times,
-        so the search for t finishes."""
-        n = self.ambient_rank
-        cones = set(self.max_cones)
+        one cone.  Sides are signs of coordinates in a cone's rays, times its
+        last invariant factor d, so integral.  Each hyperplane meets that
+        curve at most n - 1 times, so the search for t finishes."""
+        n, cones = self.ambient_rank, self.max_cones
         if (any(len(c) != n for c in cones)
                 or set().union(*cones) != set(range(len(self.rays)))):
             return Completeness.NOT_COMPLETE
+        # rays are A's rows: solve A^T x = d * v by A's Smith form transposed
+        frames = [replace(s, left=tuple(zip(*s.right)),
+                          right=tuple(zip(*s.left))) for s in self._cone_smith]
 
-        def side(facet, v):  # sign of v against the hyperplane of facet
-            d = det_bareiss([self.rays[i] for i in facet] + [v])
-            return (d > 0) - (d < 0)
+        def coordinates(k, v):
+            return _solve_smith(frames[k], [frames[k].diag[-1] * x for x in v])
 
-        walls = {}  # facet -> (cone, side of the ray opposite it) pairs
-        for cone in cones:
-            for i in cone:
-                facet = tuple(j for j in cone if j != i)
-                walls.setdefault(facet, []).append(
-                    (cone, side(facet, self.rays[i])))
-        if any(sorted(s for _, s in w) != [-1, 1] for w in walls.values()):
+        walls = {}  # facet -> (cone, position of the ray opposite it) pairs
+        for k, cone in enumerate(cones):
+            for p in range(n):
+                walls.setdefault(cone[:p] + cone[p + 1:], []).append((k, p))
+        if any(len(w) != 2 for w in walls.values()) or any(
+                coordinates(k, self.rays[cones[f][q]])[p] >= 0  # same side
+                for (k, p), (f, q) in walls.values()):
             return Completeness.NOT_COMPLETE
-        t = 1
-        while not all(side(f, [t ** k for k in range(n)]) for f in walls):
+        t, lam = 0, [[0]]
+        while not all(map(all, lam)):  # v lies on a facet hyperplane
             t += 1
-        v = [t ** k for k in range(n)]
-        outside = {cone for f, w in walls.items() for cone, s in w
-                   if side(f, v) != s}
-        return (Completeness.COMPLETE if len(cones - outside) == 1
+            lam = [coordinates(k, [t ** i for i in range(n)])
+                   for k in range(len(cones))]
+        return (Completeness.COMPLETE if sum(min(x) > 0 for x in lam) == 1
                 else Completeness.NOT_COMPLETE)
 
     # -- divisors ----------------------------------------------------------
@@ -158,15 +166,10 @@ class FanModel:
 
     def is_cartier(self, degree: DegreeClass) -> bool:
         """True iff every maximal cone admits an integral trivializing
-        character: <m, u_rho> = -a_rho for all rays of the cone.  The
-        Smith form of each cone's ray system is computed on first use and
-        kept, so each later degree is one Smith solve per cone."""
+        character: <m, u_rho> = -a_rho for all rays of the cone: one
+        solve per cone in its kept Smith form."""
         if degree in self._cartier_cache:
             return self._cartier_cache[degree]
-        if self._cone_smith is None:
-            self._cone_smith = tuple(
-                smith_normal_form([self.rays[i] for i in cone])
-                for cone in self.max_cones)
         coeffs = self.weil_representative(degree)
         result = all(_solve_smith(dec, [-coeffs[i] for i in cone]) is not None
                      for cone, dec in zip(self.max_cones, self._cone_smith))

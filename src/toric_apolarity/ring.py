@@ -13,8 +13,8 @@ every matrix layout.
 
 Polynomials and Laurent monomials are read in one regular term syntax.
 Terms are joined by ``+`` or ``-``; only the first may go unsigned, and
-none starts with ``*``.  A term is a ``*``-product of factors: an
-integer with an optional ``/denominator`` other than 0, or a name
+none starts with ``*``.  A term is a ``*``-product of factors: ASCII
+digits with an optional ``/denominator`` other than 0, or a name
 ``[A-Za-z_][A-Za-z_0-9]*`` with an optional ``^`` power.  A power may be
 negative (``^-2``) only in a family file's Laurent monomials.  Blanks
 may separate any two symbols, and blank text holds no terms.
@@ -343,8 +343,17 @@ def basis(fan, degree: DegreeClass):
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _JOIN = re.compile(r"\s*([-+*]?)")  # what comes before a factor, if any
-_FACTOR = re.compile(r"\s*(?:(\d+)(?:\s*/\s*(\d+))?"
-                     rf"|({_NAME.pattern})(?:\s*\^\s*(-?)\s*(\d+))?)")
+_DIGITS = "([0-9]+)"  # ASCII only: \d also takes the digits of other scripts
+_FACTOR = re.compile(rf"\s*(?:{_DIGITS}(?:\s*/\s*{_DIGITS})?"
+                     rf"|({_NAME.pattern})(?:\s*\^\s*(-?)\s*{_DIGITS})?)")
+
+
+def parse_integer(text: str) -> int:
+    """An integer written as an optional sign and ASCII digits, with blanks
+    around it, read by the term grammar; other text is a ParseError."""
+    if not re.fullmatch(f"[-+]?{_DIGITS}", text.strip()):
+        raise ParseError(f"expected an integer, got {text!r}")
+    return int(_parse_terms(text, (), allow_negative=False)[0][0])
 
 
 def _parse_terms(text: str, names, allow_negative: bool):

@@ -516,12 +516,7 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("name", ["hilbert_f1.jsonl", "cat_p114.jsonl",
-                                  "classgroup_fake.jsonl",
-                                  "classgroup_z2z4.jsonl",
-                                  "length_fake.jsonl", "terracini_f1.jsonl",
-                                  "decompose_check_f1.jsonl",
-                                  "limit_cert_f1.jsonl"])
+@pytest.mark.parametrize("name", sorted(RECORD_COMMANDS))
 def test_records_match_golden_under_optimize(name):
     # catalecticants gathered through the fan's tables, ranked by the
     # prescreen and Bareiss, the completeness test, the ideal pieces'

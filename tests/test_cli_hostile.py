@@ -171,6 +171,9 @@ AT = ",2,3,4,5,6,7,9,0,2"  # the last nine --at values after the first
 DET = ["det-check", F1, "--degree", "5,2", "-r", "5"]
 CHECK = ["decompose-check", F1, "--form", "x0*x1*y0*y1"]
 FAMILY = ["limit-cert", F1, "--form", "x0*x1*y0*y1"]
+HILBERT = ["hilbert", F1, "--form", "x0*x1*y0*y1"]
+TERRACINI = ["terracini", F1, "--degree", "3,2", "-r", "3"]
+LENGTH = ["length", F1, "--ideal", "a0^2, b0^2", "--ample", "2,1"]
 # f1's fan with its ambient rank, first ray entry and first cone index
 F1_FAN = ('{"ambient_rank": %s, "rays": [[%s, 0], [-1, -1], [0, 1], [0, -1]], '
           '"max_cones": [[%s, 2], [1, 2], [1, 3], [0, 3]]}')
@@ -209,6 +212,26 @@ REFUSED = {
     "at_decimal": (DET + ["--at", "0.5" + AT], None),
     "terms_exponent": (CHECK + ["--terms"], "1e1 | 1, 1, 1, 1\n"),
     "terms_underscore": (CHECK + ["--terms"], "1 | 1_0, 1, 1, 1\n"),
+    # integers are a sign and ASCII digits: int() would read each of these
+    "box_underscore": (HILBERT + ["--box", "1_0,0..2"], None),
+    "box_arabic_indic": (HILBERT + ["--box", "\u0663,0..2"], None),
+    "degree_devanagari": (["basis", F1, "--degree", "\u0967,1"], None),
+    "pins_arabic_indic": (TERRACINI + ["--pins", "\u0660"], None),
+    "form_arabic_indic": (["hilbert", F1, "--box", "0..2,0..2", "--form",
+                           "\u0662*x0*x1*y0*y1"], None),
+    "family_exponent_arabic_indic": (FAMILY + ["--family"],
+                                     "params: l\nl^-\u0662 | l, 1, 1, 1\n"),
+    "terms_arabic_indic": (CHECK + ["--terms"], "\u0662 | 1, 1, 1, 1\n"),
+    "r_underscore": (["terracini", F1, "--degree", "3,2", "-r", "1_0"], None),
+    "r_arabic_indic": (["terracini", F1, "--degree", "3,2", "-r", "\u0663"],
+                       None),
+    "prime_underscore": (TERRACINI + ["--prime", "1_01"], None),
+    "trials_underscore": (TERRACINI + ["--trials", "1_0"], None),
+    "seed_arabic_indic": (TERRACINI + ["--seed", "\u0661"], None),
+    "window_underscore": (LENGTH + ["--window", "1_0"], None),
+    "max_k_arabic_indic": (LENGTH + ["--max-k", "\u0663"], None),
+    "degree_huge": (["basis", F1, "--degree", f"{B},1"], None),
+    "r_huge": (["terracini", F1, "--degree", "3,2", "-r", B], None),
 }
 
 

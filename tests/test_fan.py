@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -10,6 +11,9 @@ from toric_apolarity import (Completeness, GradedGroup, IdealGens,
                              NonPrimitiveRay, NonSimplicialCone, ParseError,
                              Side, TorusFactor, build_fan, colon_piece,
                              parse_poly, solve_integer)
+from toric_apolarity.linalg import det_bareiss
+
+from conftest import alarm
 
 
 def generator_names(fan):
@@ -188,6 +192,146 @@ def test_completeness_matches_angular_sort_in_2d():
     for key in product(Completeness, (False, True), (False, True)):
         if key[0] is Completeness.NOT_COMPLETE or not key[1]:
             assert seen[key] >= 40, seen
+
+
+def determinant_verdict(fan):
+    """Oracle: the wall-crossing test with one n x n determinant per
+    (facet, vector) pair, as the sign of a vector against the facet's
+    hyperplane."""
+    n = fan.ambient_rank
+    cones = set(fan.max_cones)
+    if (any(len(c) != n for c in cones)
+            or set().union(*cones) != set(range(len(fan.rays)))):
+        return Completeness.NOT_COMPLETE
+
+    def side(facet, v):
+        d = det_bareiss([fan.rays[i] for i in facet] + [v])
+        return (d > 0) - (d < 0)
+
+    walls = {}  # facet -> (cone, side of the ray opposite it) pairs
+    for cone in cones:
+        for i in cone:
+            facet = tuple(j for j in cone if j != i)
+            walls.setdefault(facet, []).append((cone, side(facet, fan.rays[i])))
+    if any(sorted(s for _, s in w) != [-1, 1] for w in walls.values()):
+        return Completeness.NOT_COMPLETE
+    t = 1
+    while not all(side(f, [t ** k for k in range(n)]) for f in walls):
+        t += 1
+    v = [t ** k for k in range(n)]
+    outside = {cone for f, w in walls.items() for cone, s in w
+               if side(f, v) != s}
+    return (Completeness.COMPLETE if len(cones - outside) == 1
+            else Completeness.NOT_COMPLETE)
+
+
+def projective_space(n):
+    rays = [[int(i == j) for j in range(n)] for i in range(n)] + [[-1] * n]
+    return rays, [[i for i in range(n + 1) if i != k] for k in range(n + 1)]
+
+
+def primitive_vector(v):
+    g = gcd(*v)
+    return [x // g for x in v]
+
+
+def subdivided_fan(rng, n, steps):
+    """A complete fan: the cross-polytope's fan in dimension n, each step
+    a stellar subdivision of a random maximal cone (or, for n > 2, of a
+    random wall) at a random interior ray, then a random unimodular change
+    of basis."""
+    rays = [[s * int(i == j) for j in range(n)] for i in range(n)
+            for s in (1, -1)]
+    cones = [[2 * i + s for i, s in enumerate(signs)]
+             for signs in product((0, 1), repeat=n)]
+    for _ in range(steps):
+        cone = rng.choice(cones)
+        if n == 2 or rng.random() < 0.5:
+            face = cone
+        else:  # a wall, which lies in exactly two cones
+            face = rng.sample(cone, n - 1)
+        weights = [rng.randint(1, 3) for _ in face]
+        rays.append(primitive_vector(
+            [sum(w * rays[i][j] for w, i in zip(weights, face))
+             for j in range(n)]))
+        new = len(rays) - 1
+        cones = [c for c in cones if not set(face) <= set(c)] + [
+            [new if i == j else i for i in c]
+            for c in cones if set(face) <= set(c) for j in face]
+    for _ in range(2 * n):  # add a multiple of one coordinate to another
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        for r in rays:
+            r[i] += c * r[j]
+    return rays, cones
+
+
+def differential_fans():
+    """(label, rays, cones) triples: the fixtures' rays and cones are
+    added by the test.  Each seeded fan comes as built, with a cone
+    dropped and with a cone listed twice; in dimension 2 its rays are
+    joined in a random cycle too, which folds or winds around the origin,
+    and in dimension 3 one ray is moved, which may fold a wall."""
+    for n in range(1, 9):
+        yield ("P", *projective_space(n))
+    rng = random.Random(31)
+    for index in range(300):
+        n = 2 if index < 200 else 3
+        rays, cones = subdivided_fan(rng, n, rng.randint(0, 6 if n == 2 else 4))
+        yield ("complete", rays, cones)
+        yield ("dropped", rays, cones[:-1])
+        yield ("repeated", rays, cones + [cones[0][::-1]])
+        if n == 2:
+            order = rng.sample(range(len(rays)), len(rays))
+            yield ("cycle", rays, [[order[a], order[a - 1]]
+                                   for a in range(len(order))])
+        else:
+            moved = [list(r) for r in rays]
+            moved[rng.randrange(len(rays))] = primitive_vector(
+                [rng.randint(-3, 3) for _ in range(n - 1)]
+                + [rng.choice((-2, -1, 1, 2))])
+            yield ("moved", moved, cones)
+
+
+def test_completeness_matches_the_determinant_oracle(f1, p114, fake, cube):
+    seen = Counter()
+    inputs = [("fixture", fan.rays, fan.max_cones)
+              for fan in (f1, p114, fake, cube)]
+    for label, rays, cones in inputs + list(differential_fans()):
+        try:
+            fan = build_fan(rays, cones)
+        except (NonSimplicialCone, TorusFactor, NonPrimitiveRay):
+            seen[label, "refused"] += 1
+            continue
+        verdict = fan.check_complete()
+        assert verdict is determinant_verdict(fan), (label, rays, cones)
+        seen[label, verdict] += 1
+    # every kind of input reaches the verdicts it can; cycled and moved
+    # fans pass the first tests by construction, so the wall and inside
+    # tests decide them, both ways
+    for label in ("P", "fixture", "complete", "repeated"):
+        assert seen[label, Completeness.COMPLETE] >= 4, seen
+    for label in ("dropped", "cycle", "moved"):
+        assert seen[label, Completeness.NOT_COMPLETE] >= 20, seen
+    assert seen["cycle", Completeness.COMPLETE] >= 10, seen
+    assert seen["moved", Completeness.COMPLETE] >= 10, seen
+
+
+def test_completeness_refuses_a_folded_cycle():
+    # every ray lies in two cones, and v = (1, 1) lies in one cone, but the
+    # cones on both sides of the ray (-1, 2) lie on one side of it
+    rays = [[1, 0], [-1, 2], [1, 2], [-1, 1], [-1, -2]]
+    fan = build_fan(rays, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]])
+    assert fan.check_complete() is Completeness.NOT_COMPLETE
+    assert determinant_verdict(fan) is Completeness.NOT_COMPLETE
+
+
+def test_completeness_of_projective_25_space_in_time():
+    with alarm(10):
+        start = time.perf_counter()
+        fan = build_fan(*projective_space(25))
+        assert fan.check_complete() is Completeness.COMPLETE
+        assert time.perf_counter() - start < 1
 
 
 def test_build_fan_rejections():
