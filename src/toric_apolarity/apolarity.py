@@ -63,6 +63,7 @@ class ApolarForm:
         self.degree = degree
         self.scale, self.scaled_terms = self.poly.integer_terms()
         self._ranks = {}  # degree -> rank of the catalecticant at it
+        self._prescreens = {}  # (short side, residue bytes) -> rank mod p
 
     @cached_property
     def basis_values(self):
@@ -106,12 +107,18 @@ def exact_rank(form: ApolarForm, degree: DegreeClass, gathered=None) -> int:
     matrix ``catalecticant_entries`` gathers, or from ``gathered``, its
     result, when the caller holds it.  A full rank mod p certifies it (a
     modular rank can only drop); only otherwise does Bareiss rank the
-    same rows."""
+    same rows.  The form keeps each rank mod p, keyed by the short side's
+    residues, for the transpose to read; it never keeps a Bareiss rank."""
     rows, cols, matrix = gathered or catalecticant_entries(form, degree)
     cap = min(len(rows), len(cols))
-    if not cap or rank_mod(matrix, PRESCREEN_PRIME) == cap:
-        return cap
-    return rank_bareiss(matrix)
+    if not cap:
+        return 0
+    short = matrix if len(rows) == cap else zip(*matrix)
+    key = (cap, bytes(v % PRESCREEN_PRIME for row in short for v in row))
+    residue_rank = form._prescreens.get(key)
+    if residue_rank is None:
+        residue_rank = form._prescreens[key] = rank_mod(matrix, PRESCREEN_PRIME)
+    return cap if residue_rank == cap else rank_bareiss(matrix)
 
 
 def annihilator_in_degree(form: ApolarForm, degree: DegreeClass):
@@ -132,9 +139,10 @@ def hilbert_value(form: ApolarForm, degree: DegreeClass,
     (by ``exact_rank``, which ranks ``gathered`` when it is given).
 
     The memo is keyed by the degree alone, not by the pair {beta,
-    alpha - beta}: the two matrices are transposes of each other, and
-    ranking both keeps ``check_symmetry`` a comparison of two independent
-    computations."""
+    alpha - beta}: each degree gathers its own matrix.  The partner of a
+    ranked degree reuses only its prescreen, after a byte-for-byte match
+    of the residues, and a prescreen below the cap sends each of the two
+    gathers to Bareiss, so ``check_symmetry`` compares two gathers."""
     rank = form._ranks.get(degree)
     if rank is None:
         rank = form._ranks[degree] = exact_rank(form, degree, gathered)

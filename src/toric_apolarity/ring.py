@@ -379,7 +379,7 @@ def _parse_terms(text: str, names, allow_negative: bool):
                              f"...{text[pos:pos + 10]!r}")
         num, den, name, minus, power = factor.groups()
         pos, term = factor.end(), terms[-1]
-        try:  # a denominator 0, or a literal past int()'s digit limit
+        try:
             if name is None:
                 term[0] *= Fraction(int(num), int(den or 1))
             elif name not in index:
@@ -389,9 +389,13 @@ def _parse_terms(text: str, names, allow_negative: bool):
                 if e < 0 and not allow_negative:
                     raise ParseError("negative exponents are not allowed here")
                 term[1][index[name]] += e
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"denominator 0 or too many digits in the "
-                             f"factor {factor[0].strip()[:20]!r}") from exc
+        except ZeroDivisionError as exc:
+            raise ParseError(f"denominator 0 in the factor "
+                             f"{factor[0].strip()[:20]!r}") from exc
+        except ValueError as exc:  # a literal past int()'s digit limit
+            raise ParseError(f"the factor {factor[0].strip()[:20]!r}... has "
+                             f"more than {sys.get_int_max_str_digits()} "
+                             f"digits") from exc
     return [(_printable(coeff, text), tuple(expo)) for coeff, expo in terms]
 
 

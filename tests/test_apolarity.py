@@ -491,6 +491,110 @@ def test_each_rank_gathers_once_and_a_miss_ranks_that_matrix(
     assert misses >= 40
 
 
+def self_complementary_cases(f1, p114, fake, cube):
+    """(form, box) pairs whose boxes equal alpha - box: seeded dense,
+    point-sum, monomial and rational forms (denominators 7, 101, 202) on
+    each fixture, over a box reaching past 0 and alpha on every axis."""
+    rng = random.Random(71)
+    for fan, alpha in [(f1, f1.degree((4, 2))), (p114, p114.degree((6,))),
+                       (fake, fake.degree((6,), (1,))),
+                       (cube, cube.degree((2, 2, 1)))]:
+        mons = list(basis(fan, alpha))
+        box = DegreeBox(fan.class_group,
+                        tuple((-1, x + 1) for x in alpha.free))
+        assert set(box) == {alpha - degree for degree in box}
+        polys = [MultiPoly(Side.DUAL, {m: Fraction(rng.randint(-9, 9) or 1)
+                                       for m in mons}),
+                 MultiPoly.monomial(Side.DUAL, rng.choice(mons)),
+                 MultiPoly(Side.DUAL, {
+                     m: Fraction(rng.randint(-300, 300) or 1,
+                                 rng.choice([7, 101, 202])) for m in mons})]
+        yield from ((ApolarForm(fan, poly), box) for poly in polys)
+        yield point_sum(fan, alpha, rng, points=2), box
+
+
+def test_prescreen_memo_matches_bareiss_on_each_gather(f1, p114, fake, cube):
+    # a degree whose partner's residues were ranked reads the rank mod p
+    # from the form's memo; every value is still the rank of its own
+    # gather
+    hits = 0
+    for F, box in self_complementary_cases(f1, p114, fake, cube):
+        grid = hilbert_grid(F, box)
+        ranked = 0
+        for degree in box:
+            rows, cols, matrix = catalecticant_entries(F, degree)
+            assert grid.values[degree] == rank_bareiss(matrix)
+            ranked += bool(rows and cols)
+        hits += ranked - len(F._prescreens)
+    assert hits >= 100
+
+
+def test_a_pair_is_prescreened_once_unless_square(f1, cube, monkeypatch):
+    # a rectangular pair shares its short-side residues, so one prescreen
+    # serves both degrees; a square matrix and its transpose differ byte
+    # for byte and get one each; a deficient pair sends each degree's own
+    # matrix to Bareiss
+    screened, ranked = [], []
+    screen, bareiss = apolarity.rank_mod, apolarity.rank_bareiss
+    monkeypatch.setattr(apolarity, "rank_mod", lambda matrix, p:
+                        screened.append(matrix) or screen(matrix, p))
+    monkeypatch.setattr(apolarity, "rank_bareiss", lambda matrix:
+                        ranked.append(matrix) or bareiss(matrix))
+    rng = random.Random(72)
+    seen = set()
+    for fan, alpha in [(f1, f1.degree((4, 2))), (cube, cube.degree((2, 2, 2)))]:
+        dense = MultiPoly(Side.DUAL, {m: Fraction(rng.randint(1, 99))
+                                      for m in basis(fan, alpha)})
+        points = point_sum(fan, alpha, rng, points=2).poly
+        box = DegreeBox(fan.class_group, tuple((0, x) for x in alpha.free))
+        for poly in (dense, points):
+            for beta in box:
+                F = ApolarForm(fan, poly)
+                pair = [beta, alpha - beta]
+                matrices = [catalecticant_entries(F, d)[2] for d in pair]
+                rows, cols = len(matrices[0]), len(matrices[1])
+                if beta == alpha - beta or not rows * cols:
+                    continue
+                if rows == cols:  # a symmetric one would share its bytes
+                    assert matrices[0] != matrices[1]
+                screened.clear()
+                ranked.clear()
+                ranks = [hilbert_value(F, d) for d in pair]
+                deficient = ranks[0] < min(rows, cols)
+                assert ranks[0] == ranks[1]
+                assert len(screened) == 1 + (rows == cols)
+                assert ranked == matrices * deficient
+                seen.add((rows == cols, deficient))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_residues_share_prescreens_but_not_exact_ranks(cube):
+    # every catalecticant of 101*F is 0 mod 101, so degrees of one shape
+    # share a prescreen whose rank is below the cap, and F + 101*G has the
+    # residues of F: each still gets the Bareiss rank of its own integers
+    box = DegreeBox(cube.class_group, ((0, 1), (0, 1), (0, 1)))
+    x, y, z = (cube.degree(d) for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    forms = [form(cube, text) for text in (
+        "y0*y2*y4 + y1*y2*y5", "101*y0*y2*y4 + 101*y1*y2*y5",
+        "y0*y2*y4 + y1*y2*y5 + 101*y1*y3*y5",
+        "1/101*y0*y2*y4 + 1/101*y1*y2*y5 + y1*y3*y5")]
+
+    def residues(H):
+        return [v % 101 for v in H.basis_values]
+
+    F, F101, FG, FG101 = forms
+    assert not any(residues(F101))
+    assert residues(FG) == residues(FG101) == residues(F)
+    assert FG.basis_values == FG101.basis_values != F.basis_values
+    want, full = {x: 2, y: 1, z: 2}, {x: 2, y: 2, z: 2}
+    for H, ranks in zip(forms, [want, want, full, full]):
+        grid = hilbert_grid(H, box)
+        assert {d: grid.values[d] for d in ranks} == ranks
+        for degree in box:
+            assert grid.values[degree] == rank_bareiss(
+                catalecticant_entries(H, degree)[2])
+
+
 def test_catalecticant_over_the_cell_cap_is_refused_unbuilt(f1, monkeypatch):
     fan = build_fan(f1.rays, f1.max_cones, f1.var_names, f1.dual_var_names)
     F = form(fan, "x0^2*x1^2*y0*y1")

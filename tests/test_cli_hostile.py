@@ -255,6 +255,26 @@ def test_hostile_literals_are_parse_errors(case, tmp_path):
     assert "[ParseError]" in err and "Traceback" not in err
 
 
+# name -> (argv, the whole stderr): a refused factor names its one fault
+FAULTS = {
+    "degree_too_many_digits": (
+        ["basis", F1, "--degree", f"1,{B}"],
+        f"the factor {B[:20]!r}... has more than "
+        f"{sys.get_int_max_str_digits()} digits"),
+    "form_zero_denominator": (
+        ["hilbert", F1, "--box", "0..1,0..1", "--form", "1/0*x0*x1*y0*y1"],
+        "denominator 0 in the factor '1/0'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAULTS))
+def test_refused_factors_name_their_fault(case, tmp_path):
+    argv, message = FAULTS[case]
+    code, out, err = run_cli(argv, None, tmp_path)
+    assert (code, out) == (2, "")
+    assert err == f"input error [ParseError]: {message}\n"
+
+
 def test_terms_are_read_like_coefficients(tmp_path):
     """Blanks may separate the symbols of an --at value, as in a form's
     coefficient, and a terms file's entries read exactly."""
