@@ -19,6 +19,7 @@ factors is not attempted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, compress
 from math import gcd
 from operator import add, mul, sub
@@ -232,7 +233,6 @@ class Projection:
         self.free_matrix = tuple(tuple(r) for r in free_matrix)
         self.tors_matrix = tuple(tuple(r) for r in tors_matrix)
         self.rank = rank
-        self._smith = None  # Smith decomposition of the section's system
 
     def coordinates(self, vector):
         """Free coordinates and torsion residues of the image of vector."""
@@ -242,6 +242,17 @@ class Projection:
 
     def __call__(self, vector) -> DegreeClass:
         return DegreeClass(self.group, *self.coordinates(vector))
+
+    @cached_property
+    def _smith(self):
+        """Smith decomposition of the system ``section`` solves."""
+        orders = self.group.torsion_orders
+        k = len(orders)
+        rows = [list(r) + [0] * k for r in self.free_matrix]
+        for j, r in enumerate(self.tors_matrix):
+            rows.append(list(r) + [-orders[j] if j == i else 0
+                                   for i in range(k)])
+        return smith_normal_form(rows)
 
     def section(self, degree: DegreeClass):
         """An integer preimage of a degree class (deterministic).
@@ -254,14 +265,6 @@ class Projection:
             raise GroupMismatch("degree does not belong to this projection")
         if not self.free_matrix and not self.tors_matrix:
             return [0] * self.rank  # trivial group: every vector maps to 0
-        if self._smith is None:
-            orders = self.group.torsion_orders
-            k = len(orders)
-            rows = [list(r) + [0] * k for r in self.free_matrix]
-            for j, r in enumerate(self.tors_matrix):
-                rows.append(list(r) + [-orders[j] if j == i else 0
-                                       for i in range(k)])
-            self._smith = smith_normal_form(rows)
         sol = _solve_smith(self._smith,
                            list(degree.free) + list(degree.torsion))
         if sol is None:

@@ -124,12 +124,8 @@ def exact_rank(form: ApolarForm, degree: DegreeClass, gathered=None) -> int:
 def annihilator_in_degree(form: ApolarForm, degree: DegreeClass):
     """Basis of the annihilator's graded piece, as coefficient vectors over
     the monomial basis at ``degree`` (canonical echelon kernel)."""
-    rows, cols, matrix = catalecticant_entries(form, degree)
-    if not rows:
-        return []
-    transpose = [[matrix[i][j] for i in range(len(rows))]
-                 for j in range(len(cols))]
-    return [tuple(v) for v in nullspace(transpose, len(rows))]
+    rows, _, matrix = catalecticant_entries(form, degree)
+    return [tuple(v) for v in nullspace(zip(*matrix), len(rows))]
 
 
 def hilbert_value(form: ApolarForm, degree: DegreeClass,

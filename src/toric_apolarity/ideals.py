@@ -44,15 +44,26 @@ class IdealGens:
         self.shapes = tuple(shapes)
 
 
+def _multiples(columns, count: int, e):
+    """Positions, among ``count`` monomials given by their exponent
+    columns, of the m >= e, compared on e's support, in order."""
+    hits = repeat(True)
+    for column, x in zip(columns, e):
+        if x:
+            hits = map(and_, hits, map(ge, column, repeat(x)))
+    return compress(range(count), hits)
+
+
 def _piece_echelon(ideal: IdealGens, degree: DegreeClass):
     """Echelon of the graded piece, spanned by every monomial multiple of
     every generator landing in ``degree``; also returns the column count.
 
     The multipliers basis(D - deg g) of a generator g are read off
     basis(D): for the largest term e of g they are the m - e with m in
-    basis(D) and m >= e, in the same order, and the row of m - e leads at
-    m's own column, since the monomial order is translation invariant.
-    Each generator is scaled to integer coefficients; the ideal is the same.
+    basis(D) and m >= e (``_multiples``), in the same order, and the row
+    of m - e leads at m's own column, since the monomial order is
+    translation invariant.  Each generator is scaled to integer
+    coefficients; the ideal is the same.
 
     A generator of one term spans the unit vectors of its columns m: one
     set of them over all such generators enters as pivots {m: 1}.  Other
@@ -60,21 +71,13 @@ def _piece_echelon(ideal: IdealGens, degree: DegreeClass):
     the number of unit columns plus the rank of the remaining rows."""
     mons = basis(ideal.fan, degree)
     columns = tuple(zip(*mons))
-
-    def multiples(e):  # positions of the m >= e, compared on e's support
-        hits = repeat(True)
-        for column, x in zip(columns, e):
-            if x:
-                hits = map(and_, hits, map(ge, column, repeat(x)))
-        return compress(range(len(mons)), hits)
-
-    units = set().union(*(multiples(e) for e, _, offsets in ideal.shapes
-                          if not offsets))
+    units = set().union(*(_multiples(columns, len(mons), e)
+                          for e, _, offsets in ideal.shapes if not offsets))
     ech = SparseEchelon(units)
     if any(offsets for _, _, offsets in ideal.shapes):  # rows of 2+ terms
         index = {m: i for i, m in enumerate(mons)}
     for e, lead, offsets in ideal.shapes:
-        for i in multiples(e) if offsets else ():
+        for i in _multiples(columns, len(mons), e) if offsets else ():
             row = {index[tuple(map(add, mons[i], off))]: c
                    for off, c in offsets}
             row[i] = lead
@@ -98,31 +101,19 @@ def colon_piece(ideal: IdealGens, irrelevant: IrrelevantIdeal,
                 degree: DegreeClass):
     """Basis of the colon piece: the elements whose product with each
     irrelevant-ideal generator m passes every check of I_{D + deg m}, the
-    functionals vanishing exactly on it.  The check of a free column f of
-    that piece's reduced echelon is 1 at f and minus row p's entry in f at
-    each pivot p; only its entries at the shifted domain monomials are
-    read, and the checks that are zero there are left out."""
+    functionals vanishing exactly on it.  They are that piece's
+    ``SparseEchelon.kernel`` read at the shifted domain monomials: the
+    m' >= m of basis(D + deg m) (``_multiples``), in basis(D)'s order."""
     fan = ideal.fan
-    domain = basis(fan, degree)
-    n = len(domain)
+    n = len(basis(fan, degree))
     if n == 0:
         return []
     conditions = []
     for expo in irrelevant.generators:
         shift_degree = degree + fan.monomial_degree(expo)
-        target_index = {m: i for i, m in enumerate(basis(fan, shift_degree))}
-        pivots = _piece_echelon(ideal, shift_degree)[0].reduced()
-        checks = {}  # free column -> its check at the shifted monomials
-        for i, m in enumerate(domain):
-            col = target_index[tuple(map(add, m, expo))]
-            row = pivots.get(col)
-            if row is None:
-                checks.setdefault(col, [0] * n)[i] = 1
-                continue
-            for free, v in row.items():
-                if free != col:
-                    checks.setdefault(free, [0] * n)[i] = -v
-        conditions += checks.values()
+        mons = basis(fan, shift_degree)
+        shifted = _multiples(tuple(zip(*mons)), len(mons), expo)
+        conditions += _piece_echelon(ideal, shift_degree)[0].kernel(shifted)
     return [tuple(v) for v in nullspace(conditions, n)]
 
 

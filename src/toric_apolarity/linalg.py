@@ -1,6 +1,7 @@
-"""Exact linear algebra kernels: fraction-free rank/determinant over the
-integers, rational echelon forms for kernels, a sparse incremental
-echelonizer for graded ideal pieces, and prime-field elimination."""
+"""Exact linear algebra kernels: Bareiss rank and determinant over the
+integers (catalecticant fallback, determinants over Q, simplicial cones),
+a sparse incremental echelonizer over Q (ideal pieces, every kernel
+vector, the fallback Terracini chart) and prime-field elimination."""
 
 from __future__ import annotations
 
@@ -144,6 +145,25 @@ class SparseEchelon:
             out[lead] = row
         return dict(sorted(out.items()))
 
+    def kernel(self, columns):
+        """Kernel vectors of the rows entered, as Fractions: for each free
+        column f, in order, the vector 1 at f and minus pivot row p's entry
+        in f at each pivot p, read at ``columns`` in their order, unless it
+        is zero there."""
+        columns = tuple(columns)
+        n = len(columns)
+        vectors = {}  # free column -> its vector at the columns
+        pivots = self.reduced()
+        for i, col in enumerate(columns):
+            row = pivots.get(col)
+            if row is None:
+                vectors.setdefault(col, [Fraction(0)] * n)[i] = Fraction(1)
+                continue
+            for f, v in row.items():
+                if f != col:
+                    vectors.setdefault(f, [Fraction(0)] * n)[i] = -Fraction(v)
+        return [vectors[f] for f in sorted(vectors)]
+
 
 def _eliminate(row: dict, c, piv: dict):
     """row -= c * piv in place, dropping entries that cancel."""
@@ -156,24 +176,13 @@ def _eliminate(row: dict, c, piv: dict):
 
 
 def nullspace(rows, ncols: int):
-    """Canonical kernel basis of the map v -> A v for A given row-wise,
-    read off the reduced echelon form: one vector per free column, entry 1
-    there, minus the pivot-row coefficients elsewhere.  By free column
-    index."""
+    """Canonical kernel basis of the map v -> A v for A given row-wise:
+    ``SparseEchelon.kernel`` read at every column, one vector per free
+    column, by free column index."""
     ech = SparseEchelon()
     for row in rows:
         ech.add({c: Fraction(v) for c, v in enumerate(row) if v})
-    pivots = ech.reduced()
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for pcol, row in pivots.items():
-            vec[pcol] = -row.get(free, Fraction(0))
-        basis.append(vec)
-    return basis
+    return ech.kernel(range(ncols))
 
 
 def _slot_codec(bound: int):

@@ -23,7 +23,7 @@ from .abelian import DegreeClass
 from .apolarity import MAX_CATALECTICANT_CELLS
 from .errors import (BadPrime, NegativeExponentResidue, NonSquare, ParseError,
                      PointInIrrelevantLocus, StackTooLarge)
-from .linalg import det_bareiss, det_mod, rank_bareiss, rank_mod
+from .linalg import SparseEchelon, det_bareiss, det_mod, rank_mod
 from .ring import MultiPoly, Side, _parse_terms, basis
 
 DEFAULT_PRIME = 101
@@ -173,7 +173,9 @@ def limit_certificate(form, family: LaurentFamily) -> LimitCertificate:
 
 def default_pins(fan):
     """Default chart: pin to 1 the first variable on each free generator's
-    ray; greedy rank-increasing fallback when degrees are not axis-aligned."""
+    ray.  When the degrees are not axis-aligned, pin instead each variable
+    whose free degree raises the rank of a ``SparseEchelon`` of the free
+    degrees before it."""
     rank = fan.class_group.free_rank
     pins = []
     for k in range(rank):
@@ -186,12 +188,9 @@ def default_pins(fan):
         pins.append(hit)
     if len(pins) == rank:
         return tuple(sorted(pins))
-    pins, chosen = [], []
-    for i, d in enumerate(fan.var_degrees):
-        if rank_bareiss(chosen + [list(d.free)]) > len(chosen):
-            chosen.append(list(d.free))
-            pins.append(i)
-    return tuple(pins)
+    chosen = SparseEchelon()
+    return tuple(i for i, d in enumerate(fan.var_degrees)
+                 if chosen.add(dict(enumerate(d.free))))
 
 
 def _chart(fan, pins):

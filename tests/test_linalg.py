@@ -121,6 +121,28 @@ def test_nullspace_matches_sympy():
         assert got == want
 
 
+def test_kernel_read_at_shuffled_columns_matches_sympy():
+    # each vector read is sympy's canonical kernel vector of its free
+    # column restricted to the columns, in their order; exactly the ones
+    # nonzero there are read, by free column
+    rng = random.Random(33)
+    dropped = 0
+    for rows, ncols in matrices(33, count=120):
+        ech = SparseEchelon()
+        for row in rows:
+            ech.add(dict(enumerate(row)))
+        canonical = [[to_fraction(x) for x in v]
+                     for v in oracle(rows, ncols).nullspace()]
+        for _ in range(3):
+            columns = rng.sample(range(ncols), rng.randint(0, ncols))
+            want = [[v[c] for c in columns] for v in canonical]
+            got = ech.kernel(columns)
+            assert got == [w for w in want if any(w)]
+            assert all(type(x) is Fraction for v in got for x in v)
+            dropped += len(want) - len(got)
+    assert dropped >= 50
+
+
 def test_rank_bareiss_matches_sympy():
     for rows, ncols in matrices(3):
         assert rank_bareiss(rows) == oracle(rows, ncols).rank()

@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
-from math import prod
+from math import atan2, gcd, prod
 
 import pytest
 
 from toric_apolarity import (ApolarForm, LaurentFamily, MultiPoly,
                              NegativeExponentResidue, NonSquare, ParseError,
-                             PointInIrrelevantLocus, Side,
+                             PointInIrrelevantLocus, Side, build_fan,
                              default_pins, limit_certificate, parametrize,
                              parse_laurent, terracini_determinant_check,
                              terracini_probe, verify_decomposition)
@@ -227,6 +227,80 @@ def test_default_pins(f1, p114, fake):
     assert default_pins(f1) == (0, 3)
     assert default_pins(p114) == (0,)
     assert default_pins(fake) == (0,)
+
+
+def bareiss_pins(fan):
+    """Oracle: the axis rule, else the greedy rule that re-ranks the
+    chosen free degrees plus each next one with Bareiss.  Also says
+    whether the greedy rule ran."""
+    rank = fan.class_group.free_rank
+    pins = []
+    for k in range(rank):
+        hit = next((i for i, d in enumerate(fan.var_degrees)
+                    if d.free[k] > 0
+                    and all(d.free[j] == 0 for j in range(rank) if j != k)
+                    and i not in pins), None)
+        if hit is None:
+            break
+        pins.append(hit)
+    if len(pins) == rank:
+        return tuple(sorted(pins)), False
+    pins, chosen = [], []
+    for i, d in enumerate(fan.var_degrees):
+        if rank_bareiss(chosen + [list(d.free)]) > len(chosen):
+            chosen.append(list(d.free))
+            pins.append(i)
+    return tuple(pins), True
+
+
+def complete_plane_fans(seed, count):
+    """Seeded complete 2-D fans: 3 to 7 primitive rays in angular order,
+    each turning less than a half turn from the one before, with the
+    cones of consecutive rays."""
+    rng = random.Random(seed)
+    while count:
+        dirs = set()
+        for _ in range(rng.randint(3, 7)):
+            v = (rng.randint(-4, 4), rng.randint(-4, 4))
+            if any(v):
+                dirs.add(tuple(x // gcd(*v) for x in v))
+        rays = sorted(dirs, key=lambda v: atan2(v[1], v[0]))
+        if len(rays) < 3 or any(a[0] * b[1] - a[1] * b[0] <= 0
+                                for a, b in zip(rays, rays[1:] + rays[:1])):
+            continue
+        count -= 1
+        yield build_fan(rays, [[i, (i + 1) % len(rays)]
+                               for i in range(len(rays))])
+
+
+def test_default_pins_fallback_chart():
+    # degrees (1,0), (3,8), (-4,-13), (3,7): no variable lies on the
+    # second axis, so the pins come from the rank-raising fallback
+    fan = build_fan([[2, -3], [1, 4], [-1, 3], [-3, 1]],
+                    [[0, 1], [1, 2], [2, 3], [3, 0]])
+    assert [d.free for d in fan.var_degrees] == [(1, 0), (3, 8),
+                                                 (-4, -13), (3, 7)]
+    pins = default_pins(fan)
+    assert pins == (0, 1)
+    assert rank_bareiss([fan.var_degrees[i].free for i in pins]) == 2
+    degree = fan.degree((8, 1))  # 6 monomials, 2 free chart parameters
+    probe = terracini_probe(fan, degree, 2, seed=0)
+    assert probe.rank == 6 and probe.fills_space
+    assignment = [1, 2, 3, 5]
+    want = sympy_tangent_det(fan, degree, 2, assignment)
+    assert want and terracini_determinant_check(
+        fan, degree, 2, assignment) == want
+    assert terracini_determinant_check(
+        fan, degree, 2, assignment, prime=101) == Fraction(want) % 101
+
+
+def test_default_pins_match_the_bareiss_greedy_rule():
+    fallbacks = 0
+    for fan in complete_plane_fans(33, 400):
+        want, fell_back = bareiss_pins(fan)
+        assert default_pins(fan) == want
+        fallbacks += fell_back
+    assert fallbacks >= 100
 
 
 def test_terracini_fills_for_cubic_embedding(f1):
