@@ -189,6 +189,10 @@ def degree_json(degree: DegreeClass):
     return {"free": list(degree.free), "torsion": list(degree.torsion)}
 
 
+def bound_json(value, at):
+    return {"value": value, "at": degree_json(at) if at else None}
+
+
 def residue_string(coeff, expo, mono, params, names) -> str:
     pieces = []
     if coeff != 1:
@@ -201,13 +205,12 @@ def residue_string(coeff, expo, mono, params, names) -> str:
 
 # --- subcommands ------------------------------------------------------------
 # Each takes (args, fan) and returns (JSON record, table lines); ``main``
-# loads the fan and prints one of the two.
+# loads the fan, names the command in the record and prints one of the two.
 
 def cmd_classgroup(args, fan):
     table = " ".join(f"{n}={d}" for n, d in zip(fan.var_names, fan.var_degrees))
     completeness = fan.check_complete().value
     record = {
-        "command": "classgroup",
         "class_group": {"free_rank": fan.class_group.free_rank,
                         "torsion_orders": list(fan.class_group.torsion_orders)},
         "degrees": {n: degree_json(d)
@@ -224,10 +227,9 @@ def cmd_basis(args, fan):
     mons = graded_basis(fan, degree)
     names = fan.dual_var_names if args.dual else fan.var_names
     strings = [_format_monomial(m, names) or "1" for m in mons]
-    record = {"command": "basis", "degree": degree_json(degree),
+    record = {"degree": degree_json(degree),
               "side": "dual" if args.dual else "primal",
-              "dimension": len(mons), "monomials": strings,
-              "provenance": EXACT}
+              "dimension": len(mons), "monomials": strings, "provenance": EXACT}
     return record, [f"dim = {len(mons)} [{EXACT}]", " ".join(strings)]
 
 
@@ -260,7 +262,6 @@ def cmd_hilbert(args, fan):
     verdict = check_symmetry(form, box)
     symmetry = "PASS" if verdict.ok else f"FAIL at {verdict.witness}"
     record = {
-        "command": "hilbert",
         "form": format_poly(form.poly, fan.dual_var_names),
         "form_degree": degree_json(form.degree),
         "values": [{"degree": degree_json(d), "value": v}
@@ -291,7 +292,6 @@ def cmd_cat(args, fan):
     shape = [len(graded_basis(fan, degree)),
              len(graded_basis(fan, form.degree - degree))]
     record = {
-        "command": "cat",
         "degree": degree_json(degree),
         "shape": shape,
         "rank": report.rank_of_matrix,
@@ -310,16 +310,10 @@ def cmd_bounds(args, fan):
     form = parse_form(args.form, fan)
     box = parse_box(args.box, fan.class_group)
     sweep = best_bounds(form, box)
-    record = {
-        "command": "bounds",
-        "border": {"value": sweep.border,
-                   "at": degree_json(sweep.border_at) if sweep.border_at else None},
-        "rank": {"value": sweep.rank,
-                 "at": degree_json(sweep.rank_at) if sweep.rank_at else None},
-        "cactus": {"value": sweep.cactus,
-                   "at": degree_json(sweep.cactus_at) if sweep.cactus_at else None},
-        "provenance": EXACT,
-    }
+    record = {"border": bound_json(sweep.border, sweep.border_at),
+              "rank": bound_json(sweep.rank, sweep.rank_at),
+              "cactus": bound_json(sweep.cactus, sweep.cactus_at),
+              "provenance": EXACT}
     lines = [f"border rank >= {sweep.border} at {sweep.border_at} [{EXACT}]",
              f"rank >= {sweep.rank} at {sweep.rank_at} [{EXACT}]",
              f"cactus rank >= {sweep.cactus} at {sweep.cactus_at} "
@@ -331,7 +325,7 @@ def cmd_contains(args, fan):
     form = parse_form(args.form, fan)
     ideal = parse_ideal(args.ideal, fan)
     ok = apolar_contains(ideal, form)
-    record = {"command": "contains", "contained": ok, "provenance": EXACT}
+    record = {"contained": ok, "provenance": EXACT}
     return record, [f"ideal contained in the annihilator: {ok} [{EXACT}]"]
 
 
@@ -341,7 +335,6 @@ def cmd_length(args, fan):
     est = length_estimate(ideal, ample, window=positive(args.window, "--window"),
                           max_k=positive(args.max_k, "--max-k"))
     record = {
-        "command": "length",
         "value": est.value,
         "stabilized": est.stabilized,
         "samples": [list(s) for s in est.samples],
@@ -365,7 +358,6 @@ def cmd_cactus_cert(args, fan):
                               max_k=positive(args.max_k, "--max-k"),
                               reduced_asserted=args.assert_reduced)
     record = {
-        "command": "cactus-cert",
         "contained": True,
         "cactus_bound": cert.cactus_bound,
         "rank_bound": cert.rank_bound,
@@ -389,8 +381,7 @@ def cmd_decompose_check(args, fan):
     terms = read_terms_file(args.terms, fan)
     chk = verify_decomposition(form, terms)
     residual = format_poly(chk.residual, fan.dual_var_names)
-    record = {"command": "decompose-check", "exact": chk.ok,
-              "residual": residual, "provenance": EXACT}
+    record = {"exact": chk.ok, "residual": residual, "provenance": EXACT}
     lines = [f"decomposition exact: {chk.ok} [{EXACT}]"]
     if not chk.ok:
         lines.append(f"residual: {residual}")
@@ -406,7 +397,6 @@ def cmd_limit_cert(args, fan):
     defect = [residue_string(c, (), m, (), fan.dual_var_names)
               for m, c in cert.constant_defect]
     record = {
-        "command": "limit-cert",
         "status": cert.status,
         "terms": cert.term_count,
         "residue": residue,
@@ -442,7 +432,6 @@ def cmd_terracini(args, fan):
                             trials=positive(args.trials, "--trials"),
                             seed=args.seed, pins=_parse_pins(args.pins, fan))
     record = {
-        "command": "terracini",
         "degree": degree_json(degree),
         "points": probe.points,
         "prime": probe.prime,
@@ -479,9 +468,8 @@ def cmd_det_check(args, fan):
                                         assignment, prime=args.prime,
                                         pins=_parse_pins(args.pins, fan))
     field = f"Z/{args.prime}" if args.prime else "Q"
-    record = {"command": "det-check", "degree": degree_json(degree),
-              "points": args.r, "field": field, "determinant": str(value),
-              "provenance": EXACT}
+    record = {"degree": degree_json(degree), "points": args.r, "field": field,
+              "determinant": str(value), "provenance": EXACT}
     return record, [f"determinant over {field} = {value} [{EXACT}]"]
 
 
@@ -568,6 +556,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error [{exc.name}]: {exc}", file=sys.stderr)
         return 2
+    record["command"] = args.cmd
     text = (json.dumps(record, sort_keys=True, separators=(",", ":"))
             if args.format == "records" else "\n".join(lines))
     try:

@@ -44,19 +44,20 @@ class IdealGens:
         self.shapes = tuple(shapes)
 
 
-def _multiples(columns, count: int, e):
-    """Positions, among ``count`` monomials given by their exponent
-    columns, of the m >= e, compared on e's support, in order."""
+def _multiples(columns, e):
+    """Positions, among the monomials given by their exponent columns, of
+    the m >= e, compared on e's support, in order."""
     hits = repeat(True)
     for column, x in zip(columns, e):
         if x:
             hits = map(and_, hits, map(ge, column, repeat(x)))
-    return compress(range(count), hits)
+    return compress(range(len(columns[0]) if columns else 0), hits)
 
 
 def _piece_echelon(ideal: IdealGens, degree: DegreeClass):
     """Echelon of the graded piece, spanned by every monomial multiple of
-    every generator landing in ``degree``; also returns the column count.
+    every generator landing in ``degree``; also returns the exponent
+    columns of basis(D), one tuple per variable.
 
     The multipliers basis(D - deg g) of a generator g are read off
     basis(D): for the largest term e of g they are the m - e with m in
@@ -71,18 +72,18 @@ def _piece_echelon(ideal: IdealGens, degree: DegreeClass):
     the number of unit columns plus the rank of the remaining rows."""
     mons = basis(ideal.fan, degree)
     columns = tuple(zip(*mons))
-    units = set().union(*(_multiples(columns, len(mons), e)
+    units = set().union(*(_multiples(columns, e)
                           for e, _, offsets in ideal.shapes if not offsets))
     ech = SparseEchelon(units)
     if any(offsets for _, _, offsets in ideal.shapes):  # rows of 2+ terms
         index = {m: i for i, m in enumerate(mons)}
     for e, lead, offsets in ideal.shapes:
-        for i in _multiples(columns, len(mons), e) if offsets else ():
+        for i in _multiples(columns, e) if offsets else ():
             row = {index[tuple(map(add, mons[i], off))]: c
                    for off, c in offsets}
             row[i] = lead
             ech.add(row)
-    return ech, len(mons)
+    return ech, columns
 
 
 def ideal_piece_dimension(ideal: IdealGens, degree: DegreeClass) -> int:
@@ -92,9 +93,9 @@ def ideal_piece_dimension(ideal: IdealGens, degree: DegreeClass) -> int:
 def ideal_piece(ideal: IdealGens, degree: DegreeClass):
     """Canonical basis (coefficient vectors over the monomial basis) of the
     ideal's graded piece."""
-    ech, ncols = _piece_echelon(ideal, degree)
+    ncols = len(basis(ideal.fan, degree))
     return [tuple(Fraction(row.get(c, 0)) for c in range(ncols))
-            for row in ech.reduced().values()]
+            for row in _piece_echelon(ideal, degree)[0].reduced().values()]
 
 
 def colon_piece(ideal: IdealGens, irrelevant: IrrelevantIdeal,
@@ -110,10 +111,9 @@ def colon_piece(ideal: IdealGens, irrelevant: IrrelevantIdeal,
         return []
     conditions = []
     for expo in irrelevant.generators:
-        shift_degree = degree + fan.monomial_degree(expo)
-        mons = basis(fan, shift_degree)
-        shifted = _multiples(tuple(zip(*mons)), len(mons), expo)
-        conditions += _piece_echelon(ideal, shift_degree)[0].kernel(shifted)
+        ech, columns = _piece_echelon(ideal,
+                                      degree + fan.monomial_degree(expo))
+        conditions += ech.kernel(_multiples(columns, expo))
     return [tuple(v) for v in nullspace(conditions, n)]
 
 

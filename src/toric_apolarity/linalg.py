@@ -1,7 +1,8 @@
-"""Exact linear algebra kernels: Bareiss rank and determinant over the
-integers (catalecticant fallback, determinants over Q, simplicial cones),
-a sparse incremental echelonizer over Q (ideal pieces, every kernel
-vector, the fallback Terracini chart) and prime-field elimination."""
+"""Exact linear algebra kernels: Bareiss rank and determinant of integer
+matrices (the catalecticant fallback, tangent determinants over Q on
+their integer numerators, simplicial cones), a sparse incremental
+echelonizer over Q (ideal pieces, every kernel vector, the fallback
+Terracini chart) and prime-field elimination."""
 
 from __future__ import annotations
 
@@ -10,34 +11,18 @@ from array import array
 from fractions import Fraction
 from functools import partial
 from itertools import chain, repeat
-from math import lcm
 from operator import mod
 
 from .errors import NonSquare
 
 
-def _clear_denominators(rows):
-    """Scale each row by the lcm of its denominators; rank is unchanged.
-
-    Returns the integer rows and the product of the row scales.
-    """
-    out = []
-    scale = 1
-    for row in rows:
-        d = lcm(*[x.denominator for x in row])
-        scale *= d
-        out.append([int(x * d) for x in row] if d > 1 else list(map(int, row)))
-    return out, scale
-
-
 def _bareiss(rows):
-    """Fraction-free (Bareiss) elimination of a nonempty matrix.
+    """Fraction-free (Bareiss) elimination of a nonempty integer matrix.
 
-    Returns (rank, sign of the row swaps, last pivot, denominator scale).
-    For a square matrix of full rank, sign * last pivot / scale is its
-    determinant.
+    Returns (rank, sign of the row swaps, last pivot).  For a square
+    matrix of full rank, sign * last pivot is its determinant.
     """
-    a, scale = _clear_denominators(rows)
+    a = [list(row) for row in rows]
     m, n = len(a), len(a[0])
     rank = 0
     sign = 1
@@ -64,30 +49,26 @@ def _bareiss(rows):
         rank += 1
         if rank == m:
             break
-    return rank, sign, prev, scale
+    return rank, sign, prev
 
 
 def rank_bareiss(rows) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination.
-
-    Accepts integer or Fraction entries; rectangular matrices allowed.
-    """
+    """Exact rank of an integer matrix via fraction-free (Bareiss)
+    elimination; rectangular matrices allowed."""
     if not rows or not rows[0]:
         return 0
     return _bareiss(rows)[0]
 
 
-def det_bareiss(rows):
-    """Exact determinant (Fraction) of a square matrix via Bareiss."""
+def det_bareiss(rows) -> int:
+    """Exact determinant of a square integer matrix via Bareiss."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise NonSquare(f"matrix is {len(rows)}x{len(rows[0]) if rows else 0}")
     if n == 0:
-        return Fraction(1)
-    rank, sign, last, scale = _bareiss(rows)
-    if rank < n:
-        return Fraction(0)
-    return Fraction(sign * last, scale)
+        return 1
+    rank, sign, last = _bareiss(rows)
+    return sign * last if rank == n else 0
 
 
 class SparseEchelon:

@@ -357,5 +357,5 @@ def terracini_determinant_check(fan, degree: DegreeClass, r: int, assignment,
         rows += point_rows
         scale *= point_scale ** len(point_rows)
     if prime is None:
-        return det_bareiss(rows) / scale
+        return Fraction(det_bareiss(rows), scale)
     return det_mod(rows, prime) * pow(scale, -1, prime) % prime

@@ -531,6 +531,37 @@ def test_records_match_golden_under_optimize(name):
     assert proc.stdout == (GOLDEN / name).read_text()
 
 
+def test_bareiss_receives_only_integer_rows(capsys, monkeypatch, f1):
+    # every Bareiss caller hands it integers: the fan's simplicial check,
+    # det-check over Q and the catalecticant fallback; a Fraction could
+    # raise an ArithmeticError past the exit-code contract
+    from toric_apolarity import MultiPoly, basis, format_poly, linalg
+
+    kinds = []  # the entry types of each call
+    bareiss = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda rows: kinds.append(
+        {type(x) for row in rows for x in row}) or bareiss(rows))
+
+    def calls(*argv):
+        before = len(kinds)
+        assert run(capsys, *argv)[0] == 0
+        return len(kinds) - before
+
+    load = calls("classgroup", F1)  # the simplicial check alone
+    assert load and all(calls(*argv) for argv in RECORD_COMMANDS.values())
+    for at in ("1,2,3,4,5,6,7,9,0,2", RATIONAL_AT):
+        assert calls("det-check", F1, "--degree", "5,2", "-r", "5",
+                     "--at", at) == load + 1
+    rng = random.Random(34)
+    form = MultiPoly(Side.DUAL, {
+        m: Fraction(rng.choice([-7, -2, 1, 3, 5]), rng.randint(2, 9))
+        for m in rng.sample(basis(f1, f1.degree((4, 2))), 5)})
+    rational = format_poly(form, f1.dual_var_names)
+    assert "/" in rational
+    assert calls("bounds", F1, "--form", rational, "--box", "0..4,0..2") > load
+    assert set().union(*kinds) == {int}
+
+
 def test_cat_builds_its_catalecticant_once(capsys, monkeypatch):
     from toric_apolarity import apolarity, bounds
     builds = []

@@ -177,13 +177,14 @@ def multiples_piece_echelon(ideal, degree):
     basis(D - deg g), enumerated as a piece of its own for each
     generator g."""
     fan = ideal.fan
-    index = {m: i for i, m in enumerate(basis(fan, degree))}
+    mons = basis(fan, degree)
+    index = {m: i for i, m in enumerate(mons)}
     ech = SparseEchelon()
     for g in ideal.generators:
         for mult in basis(fan, degree - g.degree):
             ech.add({index[tuple(a + b for a, b in zip(mult, mono))]: coeff
                      for mono, coeff in g.terms.items()})
-    return ech, len(index)
+    return ech, tuple(zip(*mons))
 
 
 def seeded_ideal(fan, rng, gen_degrees, nterms):

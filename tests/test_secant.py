@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import atan2, gcd, prod
+from math import atan2, gcd, lcm, prod
 
 import pytest
 
@@ -165,10 +165,12 @@ def test_limit_points_do_not_span_at_parameter_zero(f1):
     mons = basis(f1, degree)
     images = [parametrize(f1, degree, coords)
               for coords in ((0, 1, 1, 0), (1, 0, 1, 0))]
-    rows = [[img.terms.get(m, Fraction(0)) for m in mons] for img in images]
-    base_rank = rank_bareiss(rows)
-    rows.append([F.poly.terms.get(m, Fraction(0)) for m in mons])
-    assert rank_bareiss(rows) == base_rank + 1
+    rows = [[p.terms.get(m, Fraction(0)) for m in mons]
+            for p in images + [F.poly]]
+    # each row scaled by the lcm of its denominators keeps the rank
+    rows = [[int(x * lcm(*(y.denominator for y in row))) for x in row]
+            for row in rows]
+    assert rank_bareiss(rows) == rank_bareiss(rows[:-1]) + 1
 
 
 def test_verified_decomposition_cross_checks_containment(f1):
