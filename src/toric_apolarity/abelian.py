@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress
 from math import gcd
-from operator import add, mul, sub
+from operator import add, mod, mul, sub
 
 from .errors import GroupMismatch, NotFullRank
 
@@ -184,11 +184,12 @@ class DegreeClass:
         if len(self.free) != self.group.free_rank or \
            len(self.torsion) != len(self.group.torsion_orders):
             raise GroupMismatch("component counts do not match the group")
-        object.__setattr__(self, "free", tuple(int(x) for x in self.free))
-        object.__setattr__(
-            self, "torsion",
-            tuple(int(t) % d for t, d in zip(self.torsion,
-                                             self.group.torsion_orders)))
+        free, torsion = tuple(map(int, self.free)), tuple(map(int, self.torsion))
+        if (free, torsion) != (tuple(self.free), tuple(self.torsion)):
+            raise GroupMismatch("degree coordinates must be integers")
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "torsion", tuple(
+            map(mod, torsion, self.group.torsion_orders)))
         # degrees key the fan's caches: hash once, not on every lookup
         object.__setattr__(self, "_hash",
                            hash((self.group, self.free, self.torsion)))

@@ -36,10 +36,7 @@ def contract(g: MultiPoly, form: MultiPoly) -> MultiPoly:
             if all(bi >= ai for ai, bi in zip(a, b)):
                 m = tuple(bi - ai for ai, bi in zip(a, b))
                 terms[m] = terms.get(m, Fraction(0)) + ca * cb
-    degree = None
-    if g.degree is not None and form.degree is not None:
-        degree = form.degree - g.degree
-    return MultiPoly(Side.DUAL, terms, degree)
+    return MultiPoly(Side.DUAL, terms)
 
 
 class ApolarForm:
@@ -59,9 +56,9 @@ class ApolarForm:
         if degree is None:
             raise NonHomogeneousGenerator("form is not homogeneous")
         self.fan = fan
-        self.poly = MultiPoly(Side.DUAL, poly.terms, degree)
+        self.poly = poly
         self.degree = degree
-        self.scale, self.scaled_terms = self.poly.integer_terms()
+        self.scale, self.scaled_terms = poly.integer_terms()
         self._ranks = {}  # degree -> rank of the catalecticant at it
         self._prescreens = {}  # (short side, residue bytes) -> rank mod p
 
@@ -180,14 +177,11 @@ class DegreeBox:
 class HilbertGrid:
     """Hilbert function values of an apolar algebra over a degree box."""
 
-    form_degree: DegreeClass
-    box: DegreeBox
     values: dict
 
 
 def hilbert_grid(form: ApolarForm, box: DegreeBox) -> HilbertGrid:
-    values = {degree: hilbert_value(form, degree) for degree in box}
-    return HilbertGrid(form.degree, box, values)
+    return HilbertGrid({degree: hilbert_value(form, degree) for degree in box})
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ class CatMatrix:
     domain monomial acting on the form): times ``scale`` in ``matrix``, and in
     ``entries`` as a Fraction, made when first read."""
 
-    form_degree: DegreeClass
     degree: DegreeClass
     rows: tuple
     cols: tuple
@@ -43,8 +42,8 @@ class CatMatrix:
 def catalecticant(form: ApolarForm, degree: DegreeClass) -> CatMatrix:
     """One gather, whose matrix is also the one ranked on a first call."""
     gathered = rows, cols, matrix = catalecticant_entries(form, degree)
-    return CatMatrix(form.degree, degree, rows, cols, tuple(map(tuple, matrix)),
-                     form.scale, hilbert_value(form, degree, gathered))
+    return CatMatrix(degree, rows, cols, tuple(map(tuple, matrix)), form.scale,
+                     hilbert_value(form, degree, gathered))
 
 
 @dataclass(frozen=True)

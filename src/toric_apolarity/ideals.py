@@ -13,9 +13,8 @@ from operator import add, and_, ge, sub
 from .abelian import DegreeClass
 from .apolarity import ApolarForm, apolar_contains
 from .errors import BasisTooLarge, ContainmentFailed, NonHomogeneousGenerator
-from .fan import IrrelevantIdeal
 from .linalg import SparseEchelon, nullspace
-from .ring import Side, basis, monomial_key, tag_degree
+from .ring import Side, basis, homogeneous_degree, monomial_key
 
 
 class IdealGens:
@@ -28,13 +27,12 @@ class IdealGens:
                 raise NonHomogeneousGenerator("generators must be primal")
             if g.is_zero():
                 raise NonHomogeneousGenerator("zero generator")
-            tagged = tag_degree(fan, g)
-            if tagged.degree is None:
+            if homogeneous_degree(fan, g) is None:
                 raise NonHomogeneousGenerator("generator is not homogeneous")
-            gens.append(tagged)
+            gens.append(g)
             # in integer coefficients: the largest term's exponent e and
             # coefficient, and the other terms as (exponent - e, c)
-            _, terms = tagged.integer_terms()
+            _, terms = g.integer_terms()
             e = max(terms, key=monomial_key)
             lead = terms.pop(e)
             shapes.append((e, lead, [(tuple(map(sub, mono, e)), c)
@@ -98,31 +96,30 @@ def ideal_piece(ideal: IdealGens, degree: DegreeClass):
             for row in _piece_echelon(ideal, degree)[0].reduced().values()]
 
 
-def colon_piece(ideal: IdealGens, irrelevant: IrrelevantIdeal,
-                degree: DegreeClass):
-    """Basis of the colon piece: the elements whose product with each
-    irrelevant-ideal generator m passes every check of I_{D + deg m}, the
-    functionals vanishing exactly on it.  They are that piece's
-    ``SparseEchelon.kernel`` read at the shifted domain monomials: the
-    m' >= m of basis(D + deg m) (``_multiples``), in basis(D)'s order."""
+def colon_piece(ideal: IdealGens, degree: DegreeClass):
+    """Basis of the colon piece against the fan's irrelevant ideal: the
+    elements whose product with each of its generators m passes every
+    check of I_{D + deg m}, the functionals vanishing exactly on it.  They
+    are that piece's ``SparseEchelon.kernel`` read at the shifted domain
+    monomials: the m' >= m of basis(D + deg m) (``_multiples``), in
+    basis(D)'s order."""
     fan = ideal.fan
     n = len(basis(fan, degree))
     if n == 0:
         return []
     conditions = []
-    for expo in irrelevant.generators:
+    for expo in fan.irrelevant.generators:
         ech, columns = _piece_echelon(ideal,
                                       degree + fan.monomial_degree(expo))
         conditions += ech.kernel(_multiples(columns, expo))
     return [tuple(v) for v in nullspace(conditions, n)]
 
 
-def saturation_gap(ideal: IdealGens, irrelevant: IrrelevantIdeal,
-                   degree: DegreeClass) -> int:
+def saturation_gap(ideal: IdealGens, degree: DegreeClass) -> int:
     """dim(colon piece) - dim(ideal piece); zero means the ideal already
     agrees with its saturation in this degree.  The agreement theorem only
     covers Cartier degrees; elsewhere the number is informational."""
-    return (len(colon_piece(ideal, irrelevant, degree))
+    return (len(colon_piece(ideal, degree))
             - ideal_piece_dimension(ideal, degree))
 
 
@@ -178,7 +175,6 @@ class CactusCertificate:
     """Containment plus a length estimate: an upper bound for cactus rank,
     and for rank too when the scheme is asserted reduced."""
 
-    form_degree: DegreeClass
     length: LengthEstimate
     reduced_asserted: bool
 
@@ -199,5 +195,4 @@ def cactus_certificate(form: ApolarForm, ideal: IdealGens,
     if not apolar_contains(ideal, form):
         raise ContainmentFailed("ideal is not contained in the annihilator")
     estimate = length_estimate(ideal, ample, window=window, max_k=max_k)
-    return CactusCertificate(form_degree=form.degree, length=estimate,
-                             reduced_asserted=reduced_asserted)
+    return CactusCertificate(length=estimate, reduced_asserted=reduced_asserted)

@@ -45,15 +45,15 @@ def monomial_key(exponents):
 
 
 class MultiPoly:
-    """Immutable sparse polynomial; ``degree`` is set when homogeneous."""
+    """Immutable sparse polynomial; its degree, when homogeneous, is read
+    off its exponents by ``homogeneous_degree``."""
 
-    __slots__ = ("side", "terms", "degree")
+    __slots__ = ("side", "terms")
 
-    def __init__(self, side: Side, terms, degree: DegreeClass | None = None):
+    def __init__(self, side: Side, terms):
         self.side = side
         self.terms = {tuple(m): Fraction(c) for m, c in dict(terms).items()
                       if c != 0}
-        self.degree = degree
 
     @classmethod
     def zero(cls, side: Side) -> "MultiPoly":
@@ -64,9 +64,8 @@ class MultiPoly:
         return cls(side, {(0,) * nvars: Fraction(1)})
 
     @classmethod
-    def monomial(cls, side: Side, exponents, coeff=1,
-                 degree: DegreeClass | None = None) -> "MultiPoly":
-        return cls(side, {tuple(exponents): Fraction(coeff)}, degree)
+    def monomial(cls, side: Side, exponents, coeff=1) -> "MultiPoly":
+        return cls(side, {tuple(exponents): Fraction(coeff)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -88,16 +87,10 @@ class MultiPoly:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, Fraction(0)) + c
-        degree = self.degree if self.degree == other.degree else None
-        if self.is_zero():
-            degree = other.degree
-        elif other.is_zero():
-            degree = self.degree
-        return MultiPoly(self.side, terms, degree)
+        return MultiPoly(self.side, terms)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.side, {m: -c for m, c in self.terms.items()},
-                         self.degree)
+        return MultiPoly(self.side, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -106,8 +99,7 @@ class MultiPoly:
         c = Fraction(c)
         if c == 0:
             return MultiPoly.zero(self.side)
-        return MultiPoly(self.side, {m: c * v for m, v in self.terms.items()},
-                         self.degree)
+        return MultiPoly(self.side, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         if self.side is not Side.PRIMAL or other.side is not Side.PRIMAL:
@@ -117,10 +109,7 @@ class MultiPoly:
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
                 terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        degree = None
-        if self.degree is not None and other.degree is not None:
-            degree = self.degree + other.degree
-        return MultiPoly(Side.PRIMAL, terms, degree)
+        return MultiPoly(Side.PRIMAL, terms)
 
     def integer_terms(self):
         """The lcm D of the coefficient denominators, and the integer
@@ -145,10 +134,6 @@ def homogeneous_degree(fan, poly: MultiPoly) -> DegreeClass | None:
     if key is None or any(k != key for k in keys):
         return None
     return DegreeClass(fan.projection.group, *key)
-
-
-def tag_degree(fan, poly: MultiPoly) -> MultiPoly:
-    return MultiPoly(poly.side, poly.terms, homogeneous_degree(fan, poly))
 
 
 # Most row pairs the Fourier–Motzkin steps of one fan's walk systems may
@@ -411,19 +396,13 @@ def _printable(coeff: Fraction, text: str) -> Fraction:
     return coeff
 
 
-def parse_poly(text: str, names, side: Side, fan=None) -> MultiPoly:
-    """Parse the shared polynomial syntax, e.g. ``3/4*a0^2*b1 - a1^3``.
-
-    Variables must come from ``names``; when ``fan`` is given the result
-    carries its degree tag if homogeneous.
-    """
+def parse_poly(text: str, names, side: Side) -> MultiPoly:
+    """Parse the shared polynomial syntax, e.g. ``3/4*a0^2*b1 - a1^3``;
+    variables must come from ``names``."""
     terms = {}
     for coeff, expo in _parse_terms(text, names, allow_negative=False):
         terms[expo] = terms.get(expo, Fraction(0)) + coeff
-    poly = MultiPoly(side, {m: _printable(c, text) for m, c in terms.items()})
-    if fan is not None:
-        poly = tag_degree(fan, poly)
-    return poly
+    return MultiPoly(side, {m: _printable(c, text) for m, c in terms.items()})
 
 
 def _format_monomial(exponents, names) -> str:

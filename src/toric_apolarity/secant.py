@@ -47,7 +47,7 @@ def parametrize(fan, degree: DegreeClass, coords) -> MultiPoly:
     mons, columns, tops = _basis_columns(fan, degree)
     (values,), scale = _tangent_rows(columns, tops, _point(fan, coords))
     return MultiPoly(Side.DUAL, {m: Fraction(x, scale)
-                                 for m, x in zip(mons, values) if x}, degree)
+                                 for m, x in zip(mons, values) if x})
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ def verify_decomposition(form, terms) -> DecompositionCheck:
          tuple(LaurentScalar(c, ()) for c in _point(form.fan, coords)))
         for coeff, coords in terms))
     cert = limit_certificate(form, family)
-    return DecompositionCheck(cert.valid, MultiPoly(Side.DUAL, cert.constant_defect,
-                                                    form.degree))
+    return DecompositionCheck(cert.valid,
+                              MultiPoly(Side.DUAL, cert.constant_defect))
 
 
 # --- symbolic limit families ---------------------------------------------

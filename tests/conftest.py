@@ -129,11 +129,11 @@ def spanning_rays(dim, count, seed):
 
 
 def primal(fan, text):
-    return parse_poly(text, fan.var_names, Side.PRIMAL, fan)
+    return parse_poly(text, fan.var_names, Side.PRIMAL)
 
 
 def dual(fan, text):
-    return parse_poly(text, fan.dual_var_names, Side.DUAL, fan)
+    return parse_poly(text, fan.dual_var_names, Side.DUAL)
 
 
 def form(fan, text):

@@ -451,6 +451,18 @@ def test_degree_fractions_rejected_by_projection_arithmetic():
     assert degree.free == (2,)
 
 
+@pytest.mark.parametrize("bad", [Fraction(5, 2), 2.7])
+def test_degree_refuses_a_coordinate_that_is_not_an_integer(bad):
+    # int() would read either as 2: a degree nobody asked for
+    group = GradedGroup(2, (3,))
+    with pytest.raises(GroupMismatch, match="must be integers"):
+        group.degree((bad, 1), (0,))
+    with pytest.raises(GroupMismatch, match="must be integers"):
+        group.degree((2, 1), (bad,))
+    assert group.degree((2.0, Fraction(1, 1)), (Fraction(5, 1),)) \
+        == group.degree((2, 1), (2,))
+
+
 OPTIMIZED_CHECKS = """
 import sys
 from toric_apolarity import DegreeBox, GradedGroup, GroupMismatch, NonSquare

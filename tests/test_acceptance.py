@@ -260,7 +260,7 @@ def test_criterion_8_property_suites(f1, p114, fake):
     for fan, gens, degrees in samples:
         ideal = IdealGens(fan, [primal(fan, g) for g in gens])
         for degree in degrees:
-            colon = colon_piece(ideal, fan.irrelevant, degree)
+            colon = colon_piece(ideal, degree)
             ech = SparseEchelon()
             for v in colon:
                 ech.add({i: c for i, c in enumerate(v) if c})

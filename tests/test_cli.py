@@ -141,7 +141,7 @@ def test_grid_lines_match_the_per_class_walk(monkeypatch):
                 reads.append(degree)
                 return dict.__getitem__(self, degree)
 
-        grid = HilbertGrid(box.degrees[0], box, Values(
+        grid = HilbertGrid(Values(
             (degree, rng.randint(0, 99)) for degree in box))
         walked.clear()
         want = quadratic_grid_lines(fan, grid, box)
@@ -197,6 +197,13 @@ def test_cactus_cert_command(capsys):
                        "--ideal", "a^3, b^3", "--ample", "4")
     assert code == 0
     assert "cactus rank <= 2" in out
+    assert "asserted reduced" not in out
+
+    code, out, _ = run(capsys, "cactus-cert", P114, "--form", "x^2*y^2",
+                       "--ideal", "a^3, b^3", "--ample", "4",
+                       "--assert-reduced")
+    assert code == 0
+    assert "rank <= 2 (scheme asserted reduced)" in out.splitlines()
 
     code, _, err = run(capsys, "cactus-cert", F1, "--form", "x0*x1*y0*y1",
                        "--ideal", "a0", "--ample", "1,1")
@@ -271,7 +278,7 @@ def test_limit_cert_defects_parse_back(capsys, tmp_path, form, family):
     cert = limit_certificate(cli.parse_form(form, fan),
                              cli.read_family_file(path, fan))
     assert record["status"] == "INVALID" and cert.constant_defect
-    assert ([parse_poly(text, fan.dual_var_names, Side.DUAL, fan).terms
+    assert ([parse_poly(text, fan.dual_var_names, Side.DUAL).terms
              for text in record["defect"]]
             == [{m: c} for m, c in cert.constant_defect])
 
@@ -440,8 +447,37 @@ def test_bad_pins_are_an_input_error(capsys, argv, pins, error):
     assert code == 2 and f"[{error}]" in err and out == ""
 
 
+def test_blank_ideal_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "contains", F1, "--form", "x0*x1*y0*y1",
+                         "--ideal", " ")
+    assert code == 2 and "[ParseError]" in err and out == ""
+    assert "empty ideal generator list" in err
+
+
+@pytest.mark.parametrize("past", [0, 2])
+def test_prime_past_the_exact_test_is_an_input_error(capsys, past):
+    # Miller-Rabin on the fixed bases decides primality only below the limit
+    code, out, err = run(capsys, "terracini", F1, "--degree", "3,2", "-r", "3",
+                         "--prime", str(cli._MR_LIMIT + past))
+    assert code == 2 and "[InputError]" in err and out == ""
+    assert "is too large to be checked" in err
+
+
 PLANE = {"rays": [[1, 0], [0, 1], [-1, -1]],
          "max_cones": [[0, 1], [0, 2], [1, 2]]}
+
+
+def test_terracini_warns_when_every_trial_is_degenerate(capsys, tmp_path):
+    # five general points of the quartic Veronese surface span a tangent
+    # stack of rank 14, one below the expected 15 (Alexander-Hirschowitz)
+    plane = tmp_path / "plane.fan"
+    plane.write_text(json.dumps(PLANE))
+    code, out, _ = run(capsys, "terracini", str(plane), "--degree", "4",
+                       "-r", "5")
+    assert code == 0 and out.splitlines()[0].startswith(
+        "tangent-stack rank = 14 over Z/101")
+    assert out.splitlines()[-1] == ("warning: all trials stayed below the "
+                                    "expected cap (degenerate samples)")
 
 
 @pytest.mark.parametrize("fields", [
@@ -992,6 +1028,37 @@ def test_package_runs_as_a_module():
         for module in ("toric_apolarity", "toric_apolarity.cli")]
     assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
     assert runs[0].stdout == runs[1].stdout != ""
+
+
+TRACER_INSTALL = """
+import importlib, sys
+sys.path.insert(0, sys.argv[1])
+from tracer import METHODS, Tracer
+
+def module(layer):
+    return importlib.import_module("toric_apolarity." + layer)
+
+for layer, cls, meth in METHODS + (("fan", "FanModel", "monomial_degree"),):
+    assert meth in vars(getattr(module(layer), cls)), (layer, cls, meth)
+Tracer().install()
+for layer, name in [("ring", "basis"), ("ring", "parse_poly"),
+                    ("apolarity", "contract"), ("apolarity", "exact_rank"),
+                    ("apolarity", "catalecticant_entries"),
+                    ("linalg", "rank_bareiss"), ("fan", "load_fan")]:
+    assert hasattr(getattr(module(layer), name), "__wrapped__"), name
+"""
+
+
+def test_benchmark_tracer_installs_on_the_package():
+    # in a subprocess, so the tracer's wrappers stay out of the other tests;
+    # a method it wraps that was renamed away would crash a traced run
+    src = str(Path(toric_apolarity.__file__).resolve().parents[1])
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACER_INSTALL, str(perfbench)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
 
 
 TERRACINI_TAIL = ("secant dimension estimate = 6; fills P^6: True\n"

@@ -7,10 +7,10 @@ from math import gcd
 
 import pytest
 
-from toric_apolarity import (Completeness, GradedGroup, IdealGens,
-                             NonPrimitiveRay, NonSimplicialCone, ParseError,
-                             Side, TorusFactor, build_fan, colon_piece,
-                             parse_poly, solve_integer)
+from toric_apolarity import (Completeness, GradedGroup, GroupMismatch,
+                             IdealGens, NonPrimitiveRay, NonSimplicialCone,
+                             ParseError, Side, TorusFactor, build_fan,
+                             colon_piece, parse_poly, solve_integer)
 from toric_apolarity.linalg import det_bareiss
 
 from conftest import alarm
@@ -59,11 +59,11 @@ def test_repeated_maximal_cone_counts_once():
     assert generator_names(twice) == ["x0", "x1", "x2"]
 
     def results(fan):
-        ideal = IdealGens(fan, [parse_poly(t, names, Side.PRIMAL, fan)
+        ideal = IdealGens(fan, [parse_poly(t, names, Side.PRIMAL)
                                 for t in ("x0^2", "x1*x2")])
         degrees = [fan.degree((k,)) for k in range(-2, 6)]
         return ([fan.is_cartier(d) for d in degrees],
-                [colon_piece(ideal, fan.irrelevant, d) for d in degrees])
+                [colon_piece(ideal, d) for d in degrees])
 
     cartier, pieces = results(twice)
     assert (cartier, pieces) == results(once)
@@ -366,6 +366,12 @@ def test_weil_representative_round_trip(f1, p114, fake):
     assert fake.projection(fake.weil_representative(degree)) == degree
     zero = f1.zero_degree()
     assert f1.projection(f1.weil_representative(zero)) == zero
+
+
+def test_weil_representative_refuses_a_degree_of_another_group(f1, p114):
+    with pytest.raises(GroupMismatch,
+                       match="degree does not belong to this projection"):
+        f1.weil_representative(p114.degree((1,)))
 
 
 def test_cartier_weighted_projective(p114):

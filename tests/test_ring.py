@@ -10,9 +10,10 @@ from operator import add, mul
 import pytest
 
 from toric_apolarity import (BasisTooLarge, Completeness, MultiPoly,
-                             NoCertificate, ParseError, Side, TorusFactor,
-                             build_fan, format_poly, homogeneous_degree,
-                             load_fan, parse_laurent, parse_poly)
+                             NoCertificate, ParseError, Side, SideMismatch,
+                             TorusFactor, build_fan, format_poly,
+                             homogeneous_degree, load_fan, parse_laurent,
+                             parse_poly)
 from toric_apolarity.ring import basis, monomial_key
 
 from conftest import (FIXTURES, alarm, dual, primal, search_weight,
@@ -161,7 +162,13 @@ def test_poly_arithmetic(f1):
     lhs = primal(f1, "a0 + a1") * primal(f1, "a0 - a1")
     assert lhs == primal(f1, "a0^2 - a1^2")
     prod = primal(f1, "a0^2*b1") * primal(f1, "b0")
-    assert prod.degree == f1.degree((3, 2))
+    assert homogeneous_degree(f1, prod) == f1.degree((3, 2))
+
+
+def test_adding_across_sides_is_refused(f1):
+    for combine in (lambda p, q: p + q, lambda p, q: p - q):
+        with pytest.raises(SideMismatch, match="cannot combine PRIMAL with DUAL"):
+            combine(primal(f1, "a0"), dual(f1, "x0"))
 
 
 def test_dual_multiplication_rejected(f1):
@@ -214,9 +221,9 @@ def test_parse_round_trip_examples(f1, p114):
             (p114, p114.var_names, "a^3 - b^3"),
             (p114, p114.var_names, "2*a*b - 5/7*c")]:
         side = Side.PRIMAL if names is fan.var_names else Side.DUAL
-        poly = parse_poly(text, names, side, fan)
+        poly = parse_poly(text, names, side)
         printed = format_poly(poly, names)
-        assert parse_poly(printed, names, side, fan) == poly
+        assert parse_poly(printed, names, side) == poly
         assert format_poly(parse_poly(printed, names, side), names) == printed
 
 

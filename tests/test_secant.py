@@ -7,7 +7,8 @@ import pytest
 from toric_apolarity import (ApolarForm, LaurentFamily, MultiPoly,
                              NegativeExponentResidue, NonSquare, ParseError,
                              PointInIrrelevantLocus, Side, build_fan,
-                             default_pins, limit_certificate, parametrize,
+                             default_pins, homogeneous_degree,
+                             limit_certificate, parametrize,
                              parse_laurent, terracini_determinant_check,
                              terracini_probe, verify_decomposition)
 from toric_apolarity.linalg import rank_bareiss
@@ -146,6 +147,17 @@ def test_limit_certificate_divergent_family_refused(f1):
                               + ((L("m^-1"), fam.terms[2][1]),))
     with pytest.raises(NegativeExponentResidue):
         limit_certificate(F, diverging)
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_limit_certificate_refuses_a_point_of_the_wrong_length(f1, count):
+    # zip would otherwise drop or ignore coordinates of the point
+    F = form(f1, "x0*x1*y0*y1")
+    (coeff, point), *rest = golden_family().terms
+    point = (point + point)[:count]
+    family = LaurentFamily(PARAMS, ((coeff, point), *rest))
+    with pytest.raises(ParseError, match="expected 4 point coordinates"):
+        limit_certificate(F, family)
 
 
 def test_limit_certificate_one_term_family(f1):
@@ -589,7 +601,7 @@ def loop_parametrize(fan, degree, coords):
                 value *= c ** e
         if value:
             terms[mono] = value
-    return MultiPoly(Side.DUAL, terms, degree)
+    return MultiPoly(Side.DUAL, terms)
 
 
 def chain_verify(form, terms):
@@ -635,7 +647,7 @@ def point_sum_cases(f1, p114, fake, cube):
             if not target.is_zero():
                 cases.append((ApolarForm(fan, target), terms))   # exact sum
             mono = rng.choice(basis(fan, degree))
-            nudged = target + MultiPoly(Side.DUAL, {mono: q() or 1}, degree)
+            nudged = target + MultiPoly(Side.DUAL, {mono: q() or 1})
             if not nudged.is_zero():
                 cases.append((ApolarForm(fan, nudged), terms))   # inexact sum
             one_point = loop_parametrize(fan, degree, pts[0])
@@ -649,12 +661,14 @@ def test_point_sums_match_the_term_by_term_oracle(f1, p114, fake, cube):
         for _, coords in terms:
             got = parametrize(F.fan, F.degree, coords)
             want = loop_parametrize(F.fan, F.degree, coords)
-            assert got.terms == want.terms and got.degree == want.degree
+            assert got.terms == want.terms
+            assert homogeneous_degree(F.fan, got) == F.degree
         ok, residual = chain_verify(F, terms)
         check = verify_decomposition(F, terms)
         assert check.ok == ok
         assert check.residual.terms == residual.terms
-        assert check.residual.degree == residual.degree == F.degree
+        assert (check.residual.is_zero()
+                or homogeneous_degree(F.fan, check.residual) == F.degree)
         exact += ok
         inexact += not ok
     assert exact >= 20 and inexact >= 20
@@ -796,8 +810,8 @@ def tangent_families(fan, degree, rng, nparams, dens=(1, 2, 5)):
             for mono, v in loop_parametrize(fan, degree, pt).terms.items():
                 target[mono] = target.get(mono, 0) + mu * v
         family = LaurentFamily(names, tuple(terms))
-        limit = MultiPoly(Side.DUAL, target, degree)
-        nudge = MultiPoly(Side.DUAL, {rng.choice(mons): nonzero()}, degree)
+        limit = MultiPoly(Side.DUAL, target)
+        nudge = MultiPoly(Side.DUAL, {rng.choice(mons): nonzero()})
         for poly in (limit, limit + nudge):
             if not poly.is_zero():
                 out.append((ApolarForm(fan, poly), family))
@@ -870,9 +884,9 @@ def coprime_decompositions(f1, p114, fake, cube):
             for coeff, coords in terms:
                 target = target + loop_parametrize(fan, degree, coords).scale(coeff)
             nudge = MultiPoly(Side.DUAL, {rng.choice(mons): Fraction(
-                rng.randint(1, 9), 11)}, degree)
+                rng.randint(1, 9), 11)})
             alone = MultiPoly(Side.DUAL, {rng.choice(mons): Fraction(
-                rng.randint(1, 9), 13)}, degree)
+                rng.randint(1, 9), 13)})
             for poly in (target, target + nudge, alone):
                 if not poly.is_zero():
                     cases.append((ApolarForm(fan, poly), terms))
@@ -892,7 +906,8 @@ def test_coprime_decompositions_match_the_chain_oracle(f1, p114, fake, cube):
         assert check.ok == ok
         assert check.residual.terms == residual.terms
         assert all(type(c) is Fraction for c in check.residual.terms.values())
-        assert check.residual.degree == F.degree
+        assert (check.residual.is_zero()
+                or homogeneous_degree(F.fan, check.residual) == F.degree)
         exact += ok
         inexact += not ok
         empty += not terms
