@@ -52,7 +52,6 @@ class BoundReport:
     None exactly when the domain degree is not Cartier."""
 
     degree: DegreeClass
-    rank_of_matrix: int
     border: int
     rank: int
     cactus: int | None
@@ -62,10 +61,8 @@ class BoundReport:
 def bound_report(form: ApolarForm, degree: DegreeClass) -> BoundReport:
     value = hilbert_value(form, degree)
     cartier = form.fan.is_cartier(degree)
-    return BoundReport(degree=degree, rank_of_matrix=value,
-                       border=value, rank=value,
-                       cactus=value if cartier else None,
-                       cartier=cartier)
+    return BoundReport(degree=degree, border=value, rank=value,
+                       cactus=value if cartier else None, cartier=cartier)
 
 
 @dataclass(frozen=True)

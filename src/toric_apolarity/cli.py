@@ -1,4 +1,4 @@
-"""Batch command-line front end.
+"""Batch command-line front end: it parses and prints.
 
 One job per invocation; human-readable tables by default, one
 self-contained JSON record per result with ``--format records``.  Every
@@ -62,9 +62,7 @@ def parse_degree(text: str, group) -> DegreeClass:
     if tors and len(tors) != len(group.torsion_orders):
         raise ParseError(f"degree {text!r}: expected "
                          f"{len(group.torsion_orders)} torsion residues")
-    if not tors:
-        tors = [0] * len(group.torsion_orders)
-    return DegreeClass(group, tuple(free), tuple(tors))
+    return group.degree(free, tors)
 
 
 def parse_box(text: str, group) -> DegreeBox:
@@ -81,42 +79,6 @@ def parse_box(text: str, group) -> DegreeBox:
     if len(ranges) != group.free_rank:
         raise ParseError(f"box {text!r}: expected {group.free_rank} ranges")
     return DegreeBox(group, tuple(ranges))
-
-
-def positive(value: int, flag: str) -> int:
-    if value < 1:
-        raise InputError(f"{flag} must be at least 1, got {value}")
-    return value
-
-
-# Miller-Rabin with the first 13 prime bases decides primality exactly below
-# this bound (Sorenson and Webster, 2015).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
-
-
-def checked_prime(value: int) -> int:
-    """``value`` if it is a prime, decided exactly; else an InputError."""
-    if value >= _MR_LIMIT:
-        raise InputError(f"--prime {value} is too large to be checked")
-    if value in _MR_BASES:
-        return value
-    if value < 2 or any(value % p == 0 for p in _MR_BASES):
-        raise InputError(f"--prime {value} is not a prime")
-    d, s = value - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for base in _MR_BASES:
-        x = pow(base, d, value)
-        if x in (1, value - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % value
-            if x == value - 1:
-                break
-        else:
-            raise InputError(f"--prime {value} is not a prime")
-    return value
 
 
 def parse_ideal(text: str, fan) -> IdealGens:
@@ -294,14 +256,14 @@ def cmd_cat(args, fan):
     record = {
         "degree": degree_json(degree),
         "shape": shape,
-        "rank": report.rank_of_matrix,
+        "rank": report.rank,
         "cartier": report.cartier,
         "bounds": {"border": report.border, "rank": report.rank,
                    "cactus": report.cactus},
         "provenance": EXACT,
     }
     lines = [f"catalecticant is {shape[0]} x {shape[1]}, "
-             f"rank {report.rank_of_matrix} [{EXACT}]"]
+             f"rank {report.rank} [{EXACT}]"]
     lines += _bound_lines(report)
     return record, lines
 
@@ -329,23 +291,25 @@ def cmd_contains(args, fan):
     return record, [f"ideal contained in the annihilator: {ok} [{EXACT}]"]
 
 
+LENGTH_CAVEAT = ("valid if the scheme is zero-dimensional and the ideal is "
+                 "saturated in high degrees")
+
+
 def cmd_length(args, fan):
     ideal = parse_ideal(args.ideal, fan)
     ample = parse_degree(args.ample, fan.class_group)
-    est = length_estimate(ideal, ample, window=positive(args.window, "--window"),
-                          max_k=positive(args.max_k, "--max-k"))
+    est = length_estimate(ideal, ample, window=args.window, max_k=args.max_k)
     record = {
         "value": est.value,
         "stabilized": est.stabilized,
         "samples": [list(s) for s in est.samples],
-        "window": est.window,
+        "window": args.window,
         "provenance": HEURISTIC,
     }
     lines = [f"length estimate = {est.value} [{HEURISTIC}] "
-             f"(stabilized: {est.stabilized}, window {est.window})",
+             f"(stabilized: {est.stabilized}, window {args.window})",
              "samples: " + " ".join(f"k={k}:{d}" for k, d in est.samples),
-             "valid if the scheme is zero-dimensional and the ideal is "
-             "saturated in high degrees"]
+             LENGTH_CAVEAT]
     return record, lines
 
 
@@ -353,9 +317,8 @@ def cmd_cactus_cert(args, fan):
     form = parse_form(args.form, fan)
     ideal = parse_ideal(args.ideal, fan)
     ample = parse_degree(args.ample, fan.class_group)
-    cert = cactus_certificate(form, ideal, ample,
-                              window=positive(args.window, "--window"),
-                              max_k=positive(args.max_k, "--max-k"),
+    cert = cactus_certificate(form, ideal, ample, window=args.window,
+                              max_k=args.max_k,
                               reduced_asserted=args.assert_reduced)
     record = {
         "contained": True,
@@ -371,8 +334,7 @@ def cmd_cactus_cert(args, fan):
              f"cactus rank <= {cert.cactus_bound}"]
     if cert.rank_bound is not None:
         lines.append(f"rank <= {cert.rank_bound} (scheme asserted reduced)")
-    lines.append("valid if the scheme is zero-dimensional and the ideal is "
-                 "saturated in high degrees")
+    lines.append(LENGTH_CAVEAT)
     return record, lines
 
 
@@ -412,25 +374,16 @@ def cmd_limit_cert(args, fan):
     return record, lines
 
 
-def _parse_pins(text, fan):
-    """Comma-separated distinct variable indices, each naming a ray."""
-    if text is None:
-        return None
-    pins = tuple(_pieces(text, "--pins", parse_integer))
-    if len(set(pins)) != len(pins):
-        raise InputError(f"--pins {text!r} repeats an index")
-    if any(not 0 <= i < len(fan.rays) for i in pins):
-        raise InputError(f"--pins {text!r}: indices must lie in "
-                         f"0..{len(fan.rays) - 1}")
-    return pins
+def _parse_pins(text):
+    """Comma-separated variable indices; None when ``--pins`` is absent."""
+    return None if text is None else tuple(_pieces(text, "--pins", parse_integer))
 
 
 def cmd_terracini(args, fan):
     degree = parse_degree(args.degree, fan.class_group)
-    probe = terracini_probe(fan, degree, positive(args.r, "-r"),
-                            prime=checked_prime(args.prime),
-                            trials=positive(args.trials, "--trials"),
-                            seed=args.seed, pins=_parse_pins(args.pins, fan))
+    probe = terracini_probe(fan, degree, args.r, prime=args.prime,
+                            trials=args.trials, seed=args.seed,
+                            pins=_parse_pins(args.pins))
     record = {
         "degree": degree_json(degree),
         "points": probe.points,
@@ -462,11 +415,9 @@ def cmd_terracini(args, fan):
 def cmd_det_check(args, fan):
     degree = parse_degree(args.degree, fan.class_group)
     assignment = _pieces(args.at, "--at", _rational)
-    if args.prime is not None:
-        checked_prime(args.prime)
-    value = terracini_determinant_check(fan, degree, positive(args.r, "-r"),
-                                        assignment, prime=args.prime,
-                                        pins=_parse_pins(args.pins, fan))
+    value = terracini_determinant_check(fan, degree, args.r, assignment,
+                                        prime=args.prime,
+                                        pins=_parse_pins(args.pins))
     field = f"Z/{args.prime}" if args.prime else "Q"
     record = {"degree": degree_json(degree), "points": args.r, "field": field,
               "determinant": str(value), "provenance": EXACT}

@@ -21,6 +21,13 @@ class Refusal(ToricApolarityError):
     """A computation refused on mathematical grounds."""
 
 
+def _require_counts(**values):
+    """An InputError naming the first of ``values`` below 1."""
+    for name, value in values.items():
+        if value < 1:
+            raise InputError(f"{name} must be at least 1, got {value}")
+
+
 # --- input-side errors -------------------------------------------------
 
 class NotFullRank(InputError):

@@ -12,7 +12,8 @@ from operator import add, and_, ge, sub
 
 from .abelian import DegreeClass
 from .apolarity import ApolarForm, apolar_contains
-from .errors import BasisTooLarge, ContainmentFailed, NonHomogeneousGenerator
+from .errors import (BasisTooLarge, ContainmentFailed, NonHomogeneousGenerator,
+                     _require_counts)
 from .linalg import SparseEchelon, nullspace
 from .ring import Side, basis, homogeneous_degree, monomial_key
 
@@ -135,7 +136,6 @@ class LengthEstimate:
     value: int
     stabilized: bool
     samples: tuple  # ((k, dim) ...)
-    window: int
 
 
 # Most monomials the samples k = 1..max_k of a length estimate may have in
@@ -149,8 +149,9 @@ def length_estimate(ideal: IdealGens, ample: DegreeClass,
     first, largest k first: a section of the ample class embeds each in the
     next, so an oversized max_k meets the basis cap at its first piece.
     Each sample counts at least one, so a max_k over the budget is refused
-    before any piece is walked."""
+    before any piece is walked; window and max_k below 1 are InputErrors."""
     fan = ideal.fan
+    _require_counts(window=window, max_k=max_k)
     if max_k > MAX_LENGTH_MONOMIALS:
         raise BasisTooLarge(f"the samples k = 1..{max_k} have more than "
                             f"{MAX_LENGTH_MONOMIALS} monomials")
@@ -167,7 +168,7 @@ def length_estimate(ideal: IdealGens, ample: DegreeClass,
     tail = [d for _, d in samples[-window:]]
     stabilized = len(tail) == window and len(set(tail)) == 1
     return LengthEstimate(value=samples[-1][1], stabilized=stabilized,
-                          samples=tuple(samples), window=window)
+                          samples=tuple(samples))
 
 
 @dataclass(frozen=True)
@@ -190,8 +191,9 @@ class CactusCertificate:
 def cactus_certificate(form: ApolarForm, ideal: IdealGens,
                        ample: DegreeClass, window: int = 3, max_k: int = 12,
                        reduced_asserted: bool = False) -> CactusCertificate:
-    """Verify the ideal annihilates the form, then estimate the length of
-    the scheme it cuts out.  Refuses when containment fails."""
+    """Check the counts and that the ideal annihilates the form (refused
+    if not), then estimate the length of the scheme it cuts out."""
+    _require_counts(window=window, max_k=max_k)
     if not apolar_contains(ideal, form):
         raise ContainmentFailed("ideal is not contained in the annihilator")
     estimate = length_estimate(ideal, ample, window=window, max_k=max_k)

@@ -21,13 +21,43 @@ from operator import add, floordiv, mul
 
 from .abelian import DegreeClass
 from .apolarity import MAX_CATALECTICANT_CELLS
-from .errors import (BadPrime, NegativeExponentResidue, NonSquare, ParseError,
-                     PointInIrrelevantLocus, StackTooLarge)
+from .errors import (BadPrime, InputError, NegativeExponentResidue, NonSquare,
+                     ParseError, PointInIrrelevantLocus, StackTooLarge,
+                     _require_counts)
 from .linalg import SparseEchelon, det_bareiss, det_mod, rank_mod
 from .ring import MultiPoly, Side, _parse_terms, basis
 
 DEFAULT_PRIME = 101
 DEFAULT_TRIALS = 5
+
+# Miller-Rabin with the first 13 prime bases decides primality exactly below
+# this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def checked_prime(value: int) -> int:
+    """``value`` if it is a prime, decided exactly; else an InputError."""
+    if value >= _MR_LIMIT:
+        raise InputError(f"prime {value} is too large to be checked")
+    if value in _MR_BASES:
+        return value
+    if value < 2 or any(value % p == 0 for p in _MR_BASES):
+        raise InputError(f"prime {value} is not a prime")
+    d, s = value - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in _MR_BASES:
+        x = pow(base, d, value)
+        if x in (1, value - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % value
+            if x == value - 1:
+                break
+        else:
+            raise InputError(f"prime {value} is not a prime")
+    return value
 
 
 def _point(fan, coords):
@@ -194,8 +224,14 @@ def default_pins(fan):
 
 
 def _chart(fan, pins):
-    """The pinned positions (``default_pins`` when None) and the free ones."""
+    """The pinned positions (``default_pins`` when None) and the free ones;
+    an InputError unless the pins are distinct ray indices."""
     pins = default_pins(fan) if pins is None else tuple(pins)
+    if len(set(pins)) != len(pins):
+        raise InputError(f"pins {list(pins)} repeat an index")
+    if any(not 0 <= i < len(fan.rays) for i in pins):
+        raise InputError(f"pins {list(pins)}: indices must lie in "
+                         f"0..{len(fan.rays) - 1}")
     return pins, [i for i in range(len(fan.rays)) if i not in pins]
 
 
@@ -290,6 +326,8 @@ class TerraciniProbe:
 def terracini_probe(fan, degree: DegreeClass, r: int, prime: int = DEFAULT_PRIME,
                     trials: int = DEFAULT_TRIALS, seed: int = 0,
                     pins=None) -> TerraciniProbe:
+    _require_counts(r=r, trials=trials)
+    checked_prime(prime)
     pins, free_positions = _chart(fan, pins)
     mons, columns, tops = _basis_columns(fan, degree)
     cells = trials * r * (len(free_positions) + 1) * len(mons)
@@ -337,6 +375,9 @@ def terracini_determinant_check(fan, degree: DegreeClass, r: int, assignment,
                                 prime: int | None = None, pins=None):
     """Exact determinant of the stacked tangent matrix at an explicit
     parameter assignment, over Q or over Z/prime."""
+    _require_counts(r=r)
+    if prime is not None:
+        checked_prime(prime)
     _, free_positions = _chart(fan, pins)
     mons, columns, tops = _basis_columns(fan, degree)
     per_point = len(free_positions)

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from toric_apolarity import (DegreeClass, GradedGroup, GroupMismatch,
-                             NonSquare, NotFullRank, build_fan, cokernel,
-                             load_fan, smith_normal_form, solve_integer)
+                             NotFullRank, build_fan, cokernel, load_fan,
+                             smith_normal_form, solve_integer)
 from toric_apolarity.abelian import hermite_row_form
 from toric_apolarity.linalg import det_bareiss
 
@@ -444,7 +444,7 @@ def test_degree_group_mismatch():
         DegreeClass(GradedGroup(1), (1, 2), ())
 
 
-def test_degree_fractions_rejected_by_projection_arithmetic():
+def test_degree_accepts_an_integral_fraction():
     # projections and degrees are integer-only by construction
     group = GradedGroup(1)
     degree = group.degree((Fraction(2, 1),))

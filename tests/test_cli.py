@@ -16,7 +16,7 @@ import pytest
 
 import toric_apolarity
 from toric_apolarity import (DegreeBox, Side, build_fan, cli, limit_certificate,
-                             load_fan, parse_poly)
+                             load_fan, parse_poly, secant)
 from toric_apolarity.abelian import DegreeClass
 from toric_apolarity.apolarity import HilbertGrid
 from toric_apolarity.cli import COMMANDS, main
@@ -427,6 +427,9 @@ def test_non_prime_is_an_input_error(capsys, argv, value):
      "--ample", "4", "--window", "0"),
     ("cactus-cert", P114, "--form", "x^2*y^2", "--ideal", "a^3, b^3",
      "--ample", "4", "--max-k", "0"),
+    # the counts are checked before containment, which fails here
+    ("cactus-cert", P114, "--form", "x^2*y^2", "--ideal", "a, b",
+     "--ample", "4", "--window", "0"),
     ("terracini", F1, "--degree", "3,2", "-r", "0"),
     DET_CHECK[:4] + ("-r", "0") + DET_CHECK[6:],
     ("terracini", F1, "--degree", "3,2", "-r", "3", "--trials", "0"),
@@ -458,7 +461,7 @@ def test_blank_ideal_is_a_parse_error(capsys):
 def test_prime_past_the_exact_test_is_an_input_error(capsys, past):
     # Miller-Rabin on the fixed bases decides primality only below the limit
     code, out, err = run(capsys, "terracini", F1, "--degree", "3,2", "-r", "3",
-                         "--prime", str(cli._MR_LIMIT + past))
+                         "--prime", str(secant._MR_LIMIT + past))
     assert code == 2 and "[InputError]" in err and out == ""
     assert "is too large to be checked" in err
 

@@ -7,7 +7,8 @@ from operator import add, ge
 import pytest
 
 from toric_apolarity import (BasisTooLarge, ContainmentFailed, DegreeBox,
-                             IdealGens, MultiPoly, NonHomogeneousGenerator,
+                             IdealGens, InputError, MultiPoly,
+                             NonHomogeneousGenerator,
                              Side, build_fan, cactus_certificate, colon_piece,
                              hilbert_value, homogeneous_degree, ideal_piece,
                              ideal_piece_dimension, length_estimate, load_fan,
@@ -140,6 +141,24 @@ def test_length_estimate_window_and_max_k(f1):
     assert len(estimate.samples) == 4
     narrow = length_estimate(I, f1.degree((1, 1)), window=3, max_k=2)
     assert not narrow.stabilized
+
+
+@pytest.mark.parametrize("counts", [{"window": 0}, {"max_k": 0},
+                                    {"window": -1, "max_k": 0}],
+                         ids=["window-0", "max-k-0", "both"])
+def test_length_estimate_refuses_a_count_below_one(fake, counts):
+    with pytest.raises(InputError, match="must be at least 1"):
+        length_estimate(ideal(fake, "a1^2", "a2^2"), fake.degree((3,)),
+                        **counts)
+
+
+def test_cactus_certificate_checks_its_counts_before_containment(p114):
+    # (a, b) does not annihilate x^2*y^2: the count is the first fault
+    G, I = form(p114, "x^2*y^2"), ideal(p114, "a", "b")
+    with pytest.raises(ContainmentFailed):
+        cactus_certificate(G, I, p114.degree((4,)))
+    with pytest.raises(InputError, match="window must be at least 1"):
+        cactus_certificate(G, I, p114.degree((4,)), window=0)
 
 
 def test_cactus_certificates(fake, p114):

@@ -3,7 +3,7 @@ import random
 import re
 import weakref
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import chain, product
 from math import gcd
 from operator import add, mul
 

@@ -4,7 +4,7 @@ from math import atan2, gcd, lcm, prod
 
 import pytest
 
-from toric_apolarity import (ApolarForm, LaurentFamily, MultiPoly,
+from toric_apolarity import (ApolarForm, InputError, LaurentFamily, MultiPoly,
                              NegativeExponentResidue, NonSquare, ParseError,
                              PointInIrrelevantLocus, Side, build_fan,
                              default_pins, homogeneous_degree,
@@ -223,6 +223,42 @@ def test_bad_prime_refused(f1):
     with pytest.raises(BadPrime):
         terracini_determinant_check(f1, f1.degree((5, 2)), 5, assignment,
                                     prime=101)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": 0}, "trials must be at least 1"),
+    ({"r": 0}, "r must be at least 1"),
+    ({"prime": 4}, "not a prime"), ({"prime": 1}, "not a prime"),
+    ({"pins": (9,)}, "must lie in 0..3"), ({"pins": (0, 0)}, "repeat"),
+    ({"pins": (-1,)}, "must lie in 0..3")],
+    ids=["trials-0", "r-0", "prime-4", "prime-1", "pins-9", "pins-0-0",
+         "pins-minus-1"])
+def test_probe_refuses_bad_arguments(f1, kwargs, message):
+    # each once gave a traceback, a BadPrime or a record naming no ray
+    kwargs = {"r": 3, **kwargs}
+    with pytest.raises(InputError, match=message) as refused:
+        terracini_probe(f1, f1.degree((3, 2)), **kwargs)
+    assert refused.type is InputError
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"prime": 4}, "not a prime"), ({"pins": (9,)}, "must lie in 0..3")],
+    ids=["prime-4", "pins-9"])
+def test_determinant_check_refuses_bad_arguments(f1, kwargs, message):
+    with pytest.raises(InputError, match=message) as refused:
+        terracini_determinant_check(f1, f1.degree((5, 2)), 5,
+                                    [1, 2, 3, 4, 5, 6, 7, 9, 0, 2], **kwargs)
+    assert refused.type is InputError
+
+
+def test_prime_check_matches_trial_division():
+    from toric_apolarity.secant import checked_prime
+    for n in range(-2, 2000):
+        if n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1)):
+            assert checked_prime(n) == n
+        else:
+            with pytest.raises(InputError, match="not a prime"):
+                checked_prime(n)
 
 
 def test_probe_over_the_cell_cap_is_refused_unsampled(f1, monkeypatch):
