@@ -4,13 +4,14 @@ One job per invocation; human-readable tables by default, one
 self-contained JSON record per result with ``--format records``.  Every
 numeric claim carries its provenance: exact, mod-p lower bound, or
 heuristic-stabilized.  Exit codes: 0 success, 1 mathematical refusal,
-2 input error.  A run builds the parser of its own command alone; help,
-errors and any argv that does not start with a command build them all.
+2 input error.  The parser is built once per process, with every
+command, and reused by each call of ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -426,8 +427,7 @@ def cmd_det_check(args, fan):
 
 # --- driver -----------------------------------------------------------------
 
-# name -> (help, required string options, other options' add_argument keywords);
-# each build looks up the handler cmd_<name> (a tracer may have rebound it)
+# name -> (help, required string options, other options' add_argument keywords)
 COUNTS = {"--window": {"type": parse_integer, "default": 3},
           "--max-k": {"type": parse_integer, "default": 12}}
 INT_R = {"-r": {"type": parse_integer, "required": True}}
@@ -461,46 +461,32 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with ``command``'s alone.  A
-    narrowed parser's metavar keeps every name in the usage line; the full
-    one has none, as a metavar would also rename the argument in errors."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand; it reads only ``COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="toric-apolarity",
         description="Exact apolarity, catalecticant bounds, and secant "
                     "probes on simplicial toric varieties.")
     parser.add_argument("--format", choices=("table", "records"), default="table")
-    sub = parser.add_subparsers(
-        dest="cmd", required=True,
-        metavar=None if command is None else "{%s}" % ",".join(COMMANDS))
-    for name in COMMANDS if command is None else (command,):
-        help_text, required, options = COMMANDS[name]
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for name, (help_text, required, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("fan", help="fan file (JSON)")
         for flag in required.split():
             p.add_argument(flag, required=True)
         for flag, kwargs in options.items():
             p.add_argument(flag, **kwargs)
-        p.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])
     return parser
-
-
-def invoked_command(argv):
-    """The command ``argv`` runs if a parser narrowed to it parses ``argv``
-    as the full one does: if argv starts with it, after ``--format table``
-    or ``--format records`` at most.  Else None, as for help and errors."""
-    if argv[:2] in (["--format", "table"], ["--format", "records"]):
-        argv = argv[2:]
-    elif argv[:1] in (["--format=table"], ["--format=records"]):
-        argv = argv[1:]
-    return argv[0] if argv[:1] and argv[0] in COMMANDS else None
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:  # an integer option parse_integer refuses is a ParseError
-        args = build_parser(invoked_command(argv)).parse_args(argv)
-        record, lines = args.fn(args, load_fan(args.fan))
+        args = build_parser().parse_args(argv)
+        # looked up per call, so a handler rebound after the build runs
+        handler = globals()["cmd_" + args.cmd.replace("-", "_")]
+        record, lines = handler(args, load_fan(args.fan))
     except Refusal as exc:
         print(f"refused [{exc.name}]: {exc}", file=sys.stderr)
         return 1

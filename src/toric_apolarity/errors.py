@@ -22,8 +22,11 @@ class Refusal(ToricApolarityError):
 
 
 def _require_counts(**values):
-    """An InputError naming the first of ``values`` below 1."""
+    """An InputError naming the first of ``values`` that is not an int or
+    is below 1; ``type(v) is int`` refuses booleans, floats and strings."""
     for name, value in values.items():
+        if type(value) is not int:
+            raise InputError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise InputError(f"{name} must be at least 1, got {value}")
 

@@ -38,6 +38,8 @@ _MR_LIMIT = 3317044064679887385961981
 
 def checked_prime(value: int) -> int:
     """``value`` if it is a prime, decided exactly; else an InputError."""
+    if type(value) is not int:
+        raise InputError(f"prime {value!r} is not an integer")
     if value >= _MR_LIMIT:
         raise InputError(f"prime {value} is too large to be checked")
     if value in _MR_BASES:
@@ -227,6 +229,8 @@ def _chart(fan, pins):
     """The pinned positions (``default_pins`` when None) and the free ones;
     an InputError unless the pins are distinct ray indices."""
     pins = default_pins(fan) if pins is None else tuple(pins)
+    if any(type(i) is not int for i in pins):
+        raise InputError(f"pins {list(pins)}: indices must be integers")
     if len(set(pins)) != len(pins):
         raise InputError(f"pins {list(pins)} repeat an index")
     if any(not 0 <= i < len(fan.rays) for i in pins):

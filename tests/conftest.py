@@ -12,7 +12,6 @@ import pytest
 
 from toric_apolarity import (ApolarForm, DegreeBox, MultiPoly, Side,
                              build_fan, load_fan, parse_poly)
-from toric_apolarity.cli import build_parser, invoked_command
 from toric_apolarity.linalg import rank_bareiss
 from toric_apolarity.ring import basis, monomial_key
 from toric_apolarity.secant import default_pins, parametrize
@@ -256,11 +255,9 @@ def assert_fraction_pivots(made):
     assert any(row[min(row)] != 1 for ech in made for row in ech.inputs if row)
 
 
-def parse_outcome(argv, narrowed):
-    """Exit code (None when parsed), stdout, stderr and Namespace of parsing
-    ``argv`` with the full CLI parser, or with the one narrowed to the
-    command that ``argv`` invokes."""
-    parser = build_parser(invoked_command(argv) if narrowed else None)
+def parse_outcome(argv, parser):
+    """Exit code (None when parsed), stdout, stderr and Namespace of
+    parsing ``argv`` with ``parser``."""
     out, err = io.StringIO(), io.StringIO()
     code = namespace = None
     with redirect_stdout(out), redirect_stderr(err):

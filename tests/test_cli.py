@@ -959,9 +959,7 @@ def test_readme_examples_run(capsys, monkeypatch, fmt):
 
 
 LENGTH = ["length", FAKE, "--ideal", "a1^2, a2^2", "--ample", "3;0"]
-
-
-@pytest.mark.parametrize("argv", [
+EDGE_ARGVS = [
     ["-h"], ["-h", "length"], [], ["bogus", FAKE], ["fan.fan", *LENGTH],
     ["--format", "records", "fan.fan", *LENGTH],
     ["--format", "bogus", *LENGTH], ["--format=records", *LENGTH],
@@ -971,14 +969,23 @@ LENGTH = ["length", FAKE, "--ideal", "a1^2, a2^2", "--ample", "3;0"]
      "--ideal", "a^3, b^3", "--ample", "4", "--extra"],
     LENGTH[:4], ["length", "--format", "records", FAKE],
     ["--format", "records", "--format", "table", *LENGTH],
-] + [[name, "--help"] for name in COMMANDS])
+] + [[name, "--help"] for name in COMMANDS]
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGVS)
 def test_narrowed_parser_matches_the_full_one_on_edge_cases(monkeypatch, argv):
-    # exit code, both streams and the Namespace: narrowing must not show
+    # after every other edge argv, the parser main reuses gives the exit
+    # code, both streams and the Namespace of a fresh build: a parse
+    # leaves no state behind for the next
     monkeypatch.setenv("COLUMNS", "80")
-    assert parse_outcome(argv, True) == parse_outcome(argv, False)
+    for other in EDGE_ARGVS:
+        if other is not argv:
+            parse_outcome(other, cli.build_parser())
+    assert (parse_outcome(argv, cli.build_parser())
+            == parse_outcome(argv, cli.build_parser.__wrapped__()))
 
 
-def test_main_builds_only_the_invoked_subparser(capsys, monkeypatch):
+def test_main_builds_the_parser_once_and_dispatches_by_name(capsys, monkeypatch):
     names = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -987,14 +994,26 @@ def test_main_builds_only_the_invoked_subparser(capsys, monkeypatch):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    cli.build_parser.cache_clear()
     code, out, _ = run(capsys, "--format", "records", *LENGTH)
     assert code == 0 and out == (GOLDEN / "length_fake.jsonl").read_text()
-    assert names == ["length"]
     for argv in (["-h"], ["bogus", FAKE]):
-        names.clear()
         with pytest.raises(SystemExit):
             main(argv)
-        assert len(names) == 12
+    capsys.readouterr()
+    assert names == list(COMMANDS)
+    # a handler rebound after the build is the one that runs
+    seen = []
+
+    def fake_length(args, fan):
+        seen.append((args.ideal, fan.var_names))
+        return {"value": 0}, ["rebound"]
+
+    monkeypatch.setattr(cli, "cmd_length", fake_length)
+    code, out, _ = run(capsys, *LENGTH)
+    assert code == 0 and out == "rebound\n"
+    assert seen == [("a1^2, a2^2", ("a0", "a1", "a2"))]
+    assert names == list(COMMANDS)
 
 
 def test_cat_never_builds_the_fraction_entries(capsys, monkeypatch):

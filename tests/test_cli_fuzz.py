@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from toric_apolarity.cli import main
+from toric_apolarity.cli import build_parser, main
 
 from conftest import FIXTURES, parse_outcome
 
@@ -173,14 +173,17 @@ def test_cli_never_raises(paths):
     check()
 
 
-def test_narrowed_parser_parses_as_the_full_one(paths, monkeypatch):
-    # the help layout follows the terminal width
+def test_reused_parser_parses_as_a_fresh_one(paths, monkeypatch):
+    # the parser main reuses has parsed every earlier argv; it must give
+    # the exit code, both streams and the Namespace of a fresh build.
+    # The help layout follows the terminal width.
     monkeypatch.setenv("COLUMNS", "80")
 
     @hypothesis.settings(max_examples=400, deadline=None, derandomize=True,
                          database=None)
     @hypothesis.given(command_lines(paths))
     def check(argv):
-        assert parse_outcome(argv, True) == parse_outcome(argv, False), argv
+        assert (parse_outcome(argv, build_parser())
+                == parse_outcome(argv, build_parser.__wrapped__())), argv
 
     check()

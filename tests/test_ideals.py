@@ -152,6 +152,16 @@ def test_length_estimate_refuses_a_count_below_one(fake, counts):
                         **counts)
 
 
+@pytest.mark.parametrize("counts", [{"window": 2.5}, {"max_k": "12"},
+                                    {"window": True}],
+                         ids=["window-float", "max-k-str", "window-bool"])
+def test_length_estimate_refuses_a_count_that_is_not_an_int(fake, counts):
+    name, = counts
+    with pytest.raises(InputError, match=f"{name} must be an integer"):
+        length_estimate(ideal(fake, "a1^2", "a2^2"), fake.degree((3,)),
+                        **counts)
+
+
 def test_cactus_certificate_checks_its_counts_before_containment(p114):
     # (a, b) does not annihilate x^2*y^2: the count is the first fault
     G, I = form(p114, "x^2*y^2"), ideal(p114, "a", "b")

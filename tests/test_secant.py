@@ -230,9 +230,14 @@ def test_bad_prime_refused(f1):
     ({"r": 0}, "r must be at least 1"),
     ({"prime": 4}, "not a prime"), ({"prime": 1}, "not a prime"),
     ({"pins": (9,)}, "must lie in 0..3"), ({"pins": (0, 0)}, "repeat"),
-    ({"pins": (-1,)}, "must lie in 0..3")],
+    ({"pins": (-1,)}, "must lie in 0..3"),
+    ({"trials": 2.5}, "trials must be an integer"),
+    ({"r": True}, "r must be an integer"),
+    ({"prime": 101.0}, "not an integer"),
+    ({"pins": (0.0, 3)}, "indices must be integers")],
     ids=["trials-0", "r-0", "prime-4", "prime-1", "pins-9", "pins-0-0",
-         "pins-minus-1"])
+         "pins-minus-1", "trials-float", "r-bool", "prime-float",
+         "pins-float"])
 def test_probe_refuses_bad_arguments(f1, kwargs, message):
     # each once gave a traceback, a BadPrime or a record naming no ray
     kwargs = {"r": 3, **kwargs}
@@ -242,8 +247,10 @@ def test_probe_refuses_bad_arguments(f1, kwargs, message):
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"prime": 4}, "not a prime"), ({"pins": (9,)}, "must lie in 0..3")],
-    ids=["prime-4", "pins-9"])
+    ({"prime": 4}, "not a prime"), ({"pins": (9,)}, "must lie in 0..3"),
+    ({"prime": 101.0}, "not an integer"),
+    ({"pins": (0, 3.0)}, "indices must be integers")],
+    ids=["prime-4", "pins-9", "prime-float", "pins-float"])
 def test_determinant_check_refuses_bad_arguments(f1, kwargs, message):
     with pytest.raises(InputError, match=message) as refused:
         terracini_determinant_check(f1, f1.degree((5, 2)), 5,
