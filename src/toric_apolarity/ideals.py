@@ -1,7 +1,14 @@
 """Degreewise linear algebra on homogeneous ideals: graded pieces spanned
 by monomial multiples of the generators, colon pieces against the
 irrelevant ideal, and zero-dimensional length estimation by Hilbert
-function stabilization along multiples of an ample class."""
+function stabilization along multiples of an ample class.
+
+When every generator is a monomial, dim I_D is the number of monomials of
+basis(D) that some generator divides; ``ideal_piece_dimension`` and
+``length_estimate`` count them along the walk's lines
+(``ring.BasisLines.standard``), with no basis listed and no echelon.  An
+ideal with a generator of two or more terms is ranked by ``SparseEchelon``.
+"""
 
 from __future__ import annotations
 
@@ -15,11 +22,13 @@ from .apolarity import ApolarForm, apolar_contains
 from .errors import (BasisTooLarge, ContainmentFailed, NonHomogeneousGenerator,
                      _require_counts)
 from .linalg import SparseEchelon, nullspace
-from .ring import Side, basis, homogeneous_degree, monomial_key
+from .ring import BasisLines, Side, basis, homogeneous_degree, monomial_key
 
 
 class IdealGens:
-    """Homogeneous generating set of an ideal in the coordinate ring."""
+    """Homogeneous generating set of an ideal in the coordinate ring;
+    ``monomials`` holds the generators' exponents when each is a monomial,
+    and is None otherwise."""
 
     def __init__(self, fan, generators):
         gens, shapes = [], []
@@ -41,6 +50,8 @@ class IdealGens:
         self.fan = fan
         self.generators = tuple(gens)
         self.shapes = tuple(shapes)
+        self.monomials = (None if any(offsets for _, _, offsets in shapes)
+                          else tuple(e for e, _, _ in shapes))
 
 
 def _multiples(columns, e):
@@ -86,7 +97,13 @@ def _piece_echelon(ideal: IdealGens, degree: DegreeClass):
 
 
 def ideal_piece_dimension(ideal: IdealGens, degree: DegreeClass) -> int:
-    return _piece_echelon(ideal, degree)[0].rank
+    """dim I_D: for a monomial ideal the monomials of basis(D) that a
+    generator divides, counted along the walk's lines; otherwise the rank of
+    the piece's echelon."""
+    if ideal.monomials is None:
+        return _piece_echelon(ideal, degree)[0].rank
+    lines = BasisLines(ideal.fan, degree)
+    return lines.size - lines.standard(ideal.monomials)
 
 
 def ideal_piece(ideal: IdealGens, degree: DegreeClass):
@@ -145,12 +162,15 @@ MAX_LENGTH_MONOMIALS = 100_000
 
 def length_estimate(ideal: IdealGens, ample: DegreeClass,
                     window: int = 3, max_k: int = 12) -> LengthEstimate:
-    """dim(S/I) at k * ample, k = 1..max_k.  The pieces are enumerated
-    first, largest k first: a section of the ample class embeds each in the
-    next, so an oversized max_k meets the basis cap at its first piece.
-    Each sample counts at least one, so a max_k over the budget is refused
-    before any piece is walked; window and max_k below 1 are InputErrors."""
-    fan = ideal.fan
+    """dim(S/I) at k * ample, k = 1..max_k.  The pieces are walked first,
+    largest k first: a section of the ample class embeds each in the next,
+    so an oversized max_k meets the basis cap at its first piece.  Each
+    sample counts at least one, so a max_k over the budget is refused
+    before any piece is walked; window and max_k below 1 are InputErrors.
+    Only then is each sample taken: for a monomial ideal, the standard
+    monomials counted on the piece's lines (one walk per k, no basis
+    listed); otherwise |basis| minus the rank of the piece's echelon."""
+    fan, monomials = ideal.fan, ideal.monomials
     _require_counts(window=window, max_k=max_k)
     if max_k > MAX_LENGTH_MONOMIALS:
         raise BasisTooLarge(f"the samples k = 1..{max_k} have more than "
@@ -158,13 +178,16 @@ def length_estimate(ideal: IdealGens, ample: DegreeClass,
     pieces, total = [], 0
     for k in range(max_k, 0, -1):
         degree = ample.scale(k)
-        pieces.append((k, degree, len(basis(fan, degree))))
-        total += pieces[-1][2] or 1
+        lines = None if monomials is None else BasisLines(fan, degree)
+        size = len(basis(fan, degree)) if lines is None else lines.size
+        pieces.append((k, degree, size, lines))
+        total += size or 1
         if total > MAX_LENGTH_MONOMIALS:
             raise BasisTooLarge(f"the samples k = {k}..{max_k} have more "
                                 f"than {MAX_LENGTH_MONOMIALS} monomials")
-    samples = [(k, size - ideal_piece_dimension(ideal, degree))
-               for k, degree, size in reversed(pieces)]
+    samples = [(k, size - ideal_piece_dimension(ideal, degree)
+                if lines is None else lines.standard(monomials))
+               for k, degree, size, lines in reversed(pieces)]
     tail = [d for _, d in samples[-window:]]
     stabilized = len(tail) == window and len(set(tail)) == 1
     return LengthEstimate(value=samples[-1][1], stabilized=stabilized,

@@ -7,8 +7,12 @@ of the divisor polytope P_D (Cox, Little and Schenck, Toric Varieties,
 Prop. 5.4.1), all finite exactly when the rays positively span N_R, as
 the walk's Fourier–Motzkin elimination decides, pruned by Chernikov's
 rule.  Its systems belong to the fan, one per walk order; each degree is
-walked with its shortest axis outermost.  Bases are ordered by total
-exponent degree, then lexicographically, largest first, which fixes
+walked with its shortest axis outermost, as lines along its last axis
+(``BasisLines``).  The walk has two consumers: ``basis`` lists the
+monomials, and ``BasisLines.standard`` counts those that no given
+exponent vector divides, which is how a monomial ideal's quotient
+dimensions are sampled, with no monomial built.  Bases are ordered by
+total exponent degree, then lexicographically, largest first, which fixes
 every matrix layout.
 
 Polynomials and Laurent monomials are read in one regular term syntax.
@@ -28,7 +32,7 @@ from itertools import chain, product, repeat
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from operator import add, floordiv, mul, sub
+from operator import add, floordiv, ge, mul, neg, sub
 
 from .abelian import DegreeClass
 from .errors import BasisTooLarge, NoCertificate, ParseError, SideMismatch
@@ -223,90 +227,162 @@ def _run(start, step, count):
             else repeat(start, count))
 
 
-def _enumerate_basis(fan, degree: DegreeClass):
-    """Monomials of class [D], D = sum a_rho D_rho, as the lattice points m
-    of P_D = {m : <m, u_rho> >= -a_rho}, mapped to e_rho = <m, u_rho> + a_rho.
+def _each(op, runs):
+    """``op`` taken position by position over the runs; one run as it is."""
+    return map(op, *runs) if len(runs) > 1 else runs[0]
 
-    The ray systems belong to the fan (``_walk_systems``), so a degree
-    costs dot products lam·a and no elimination.  The coordinate whose
-    own range on P_D is shortest goes outermost, the others follow in
-    their natural order, and each coordinate's range follows from the
-    ones fixed before it.  The walk carries e = a + sum m_j * col_j,
-    col_j being column j of the ray matrix, and lists the last two
-    coordinates x, y as one set of lines along y: each bound on y is
-    affine in x, so all lines' ends are C-level ``map``s over ``range``s,
-    the set is counted against the cap before it is listed, and each
-    exponent is a ``chain`` of per-line ``range``s stepped by col_y
-    (``repeat``s at step 0).  The final sort fixes the order.
+
+def _line_starts(c, p, u, x0, lo):
+    """One coordinate at the first monomial of each line of a group: c at
+    x = y = 0, stepped by p along x and by u along y (``BasisLines``)."""
+    starts = _run(c + p * x0, p, len(lo))
+    return map(add, starts, map(mul, lo, repeat(u))) if u else starts
+
+
+class BasisLines:
+    """The monomials of class [D], D = sum a_rho D_rho, as the lines of one
+    walk, with no monomial built.  ``size`` is their number, ``standard``
+    counts those that no given exponent vector divides, and
+    ``_enumerate_basis`` lists them.
+
+    They are the lattice points m of P_D = {m : <m, u_rho> >= -a_rho},
+    mapped to e_rho = <m, u_rho> + a_rho.  The ray systems belong to the
+    fan (``_walk_systems``), so a degree costs dot products lam·a and no
+    elimination.  The coordinate whose own range on P_D is shortest goes
+    outermost, the others follow in their natural order, and each
+    coordinate's range follows from the ones fixed before it.  The walk
+    carries e = a + sum m_j * col_j, col_j being column j of the ray
+    matrix, and takes the last two coordinates x, y as groups of lines
+    along y: each bound on y is affine in x, so all lines' ends are C-level
+    ``map``s over ``range``s, and each group is counted against the cap as
+    it is walked.  ``groups`` holds each group that has a monomial as
+    (e, x0, lo, counts): e the exponent at x = y = 0, and for the lines
+    x = x0, x0 + 1, ... the first y of each and its number of monomials.
+    ``cols`` is (col_x, col_y), so the t-th monomial of a line is
+    e + x * col_x + (lo + t) * col_y.
     """
-    a = fan.weil_representative(degree)
-    walks = _walk_systems(fan)
-    widths = []
-    for _, systems in walks:
-        lo, hi = _span([(ck, sum(map(mul, lam, a)))
-                        for ck, _, lam in systems[0]])
-        if lo > hi:  # P_D has no lattice point
-            return ()
-        widths.append(hi - lo)
-    cols, systems = walks[widths.index(min(widths))]
-    levels = [[(ck, prefix, sum(map(mul, lam, a)))
-               for ck, prefix, lam in system] for system in systems]
-    n = len(cols)
-    col_x, col_y = cols[-2] if n > 1 else repeat(0), cols[-1]
-    found = []
-    m = [0] * n  # the coordinates fixed so far, in walk order
 
-    def lines(e, x0, x1):  # e is the exponent at x = y = 0
-        points = x1 - x0 + 1
-        lows, stops = [], []  # per row, the lines' lower ends or stops
-        for ck, prefix, b in levels[-1]:
-            *prefix, s = prefix or (0,)  # a 1-D fan's x is 0
-            r = b + sum(map(mul, prefix, m))
-            # ck*y + r + s*x >= 0 is y >= (ck - 1 - r - s*x) // ck when
-            # ck > 0, and y < (r + s*x - ck) // -ck when ck < 0
-            t, dt, d = (ck - 1 - r, -s, ck) if ck > 0 else (r - ck, s, -ck)
-            (lows if ck > 0 else stops).append(
-                map(floordiv, _run(t + dt * x0, dt, points), repeat(d)))
-        lo = list(map(max, *lows) if len(lows) > 1 else lows[0])
-        stop = map(min, *stops) if len(stops) > 1 else stops[0]
-        # P_D has a real point over each x of its range, so stop >= lo,
-        # with stop == lo where the line has no lattice point
-        counts = list(map(sub, stop, lo))
-        if len(found) + sum(counts) > MAX_BASIS_MONOMIALS:
-            raise BasisTooLarge(
-                f"the graded piece of degree {degree} has more than "
-                f"{MAX_BASIS_MONOMIALS} monomials")
+    __slots__ = ("size", "cols", "groups")
+
+    def __init__(self, fan, degree: DegreeClass):
+        self.size, self.cols, self.groups = 0, ((), ()), []
+        a = fan.weil_representative(degree)
+        walks = _walk_systems(fan)
+        widths = []
+        for _, systems in walks:
+            lo, hi = _span([(ck, sum(map(mul, lam, a)))
+                            for ck, _, lam in systems[0]])
+            if lo > hi:  # P_D has no lattice point
+                return
+            widths.append(hi - lo)
+        cols, systems = walks[widths.index(min(widths))]
+        levels = [[(ck, prefix, sum(map(mul, lam, a)))
+                   for ck, prefix, lam in system] for system in systems]
+        n = len(cols)
+        self.cols = (cols[-2] if n > 1 else (0,) * len(a), cols[-1])
+        m = [0] * n  # the coordinates fixed so far, in walk order
+
+        def lines(e, x0, x1):  # e is the exponent at x = y = 0
+            lows, stops = [], []  # per row, the lines' lower ends or stops
+            for ck, prefix, b in levels[-1]:
+                *prefix, s = prefix or (0,)  # a 1-D fan's x is 0
+                r = b + sum(map(mul, prefix, m))
+                # ck*y + r + s*x >= 0 is y >= (ck - 1 - r - s*x) // ck when
+                # ck > 0, and y < (r + s*x - ck) // -ck when ck < 0
+                t, dt, d = (ck - 1 - r, -s, ck) if ck > 0 else (r - ck, s, -ck)
+                (lows if ck > 0 else stops).append(
+                    map(floordiv, _run(t + dt * x0, dt, x1 - x0 + 1),
+                        repeat(d)))
+            lo = list(_each(max, lows))
+            # P_D has a real point over each x of its range, so stop >= lo,
+            # with stop == lo where the line has no lattice point
+            counts = list(map(sub, _each(min, stops), lo))
+            count = sum(counts)
+            self.size += count
+            if self.size > MAX_BASIS_MONOMIALS:
+                raise BasisTooLarge(
+                    f"the graded piece of degree {degree} has more than "
+                    f"{MAX_BASIS_MONOMIALS} monomials")
+            if count:
+                self.groups.append((e, x0, lo, counts))
+
+        def walk(i, e):
+            lo, hi = _span([(ck, b + sum(map(mul, prefix, m)))
+                            for ck, prefix, b in levels[i]])
+            if lo > hi:
+                return
+            if i + 2 == n:  # x's range in slices, so the line lists stay bounded
+                for x0 in range(lo, hi + 1, MAX_BASIS_MONOMIALS + 1):
+                    lines(e, x0, min(hi, x0 + MAX_BASIS_MONOMIALS))
+                return
+            col = cols[i]
+            e = tuple(map(add, e, [lo * u for u in col]))
+            for x in range(lo, hi + 1):
+                m[i] = x
+                walk(i + 1, e)
+                e = tuple(map(add, e, col))
+
+        if n > 1:
+            walk(0, tuple(a))
+        else:  # a 1-D fan: one line
+            lines(tuple(a), 0, 0)
+
+    def standard(self, exponents) -> int:
+        """How many of the monomials no vector of ``exponents`` divides.
+
+        Coordinate r of a line's t-th monomial is s_r + u_r*t, s being the
+        line's first monomial and u = col_y.  So a vector g divides it iff
+        t >= ceil((g_r - s_r) / u_r) wherever u_r > 0, t <= floor((s_r -
+        g_r) / -u_r) wherever u_r < 0, and s_r >= g_r wherever u_r = 0: g's
+        multiples on a line are one interval of t, found for all lines of a
+        group by C-level ``map``s.  The vectors' intervals are merged line
+        by line, and what they cover is divided."""
+        col_x, col_y = self.cols
+        divided = 0
+        for e, x0, lo, counts in self.groups:
+            intervals = []  # per vector, each line's (first t, stop t)
+            for g in exponents:
+                firsts, stops = [repeat(0)], [counts]
+                for gr, c, p, u in zip(g, e, col_x, col_y):
+                    if not gr:  # every exponent is at least 0
+                        continue
+                    d = _line_starts(c - gr, p, u, x0, lo)  # s_r - g_r
+                    if u > 0:
+                        firsts.append(map(neg, map(floordiv, d, repeat(u))))
+                    elif u < 0:
+                        stops.append(map(add, map(floordiv, d, repeat(-u)),
+                                         repeat(1)))
+                    else:
+                        stops.append(map(mul, map(ge, d, repeat(0)), counts))
+                intervals.append(zip(_each(max, firsts), _each(min, stops)))
+            for line in zip(*intervals):
+                reach = 0  # the t before which every monomial is divided
+                for first, stop in sorted(line):
+                    first = max(first, reach)
+                    if stop > first:
+                        divided += stop - first
+                        reach = stop
+        return self.size - divided
+
+
+def _enumerate_basis(fan, degree: DegreeClass):
+    """basis(D) listed from its lines (``BasisLines``): each exponent is a
+    ``chain`` of per-line ``range``s stepped by col_y (``repeat``s at step
+    0).  The final sort fixes the order."""
+    lines = BasisLines(fan, degree)
+    col_x, col_y = lines.cols
+    found = []
+    for e, x0, lo, counts in lines.groups:
         coords = []
         for c, p, u in zip(e, col_x, col_y):
-            starts = _run(c + p * x0, p, points)
+            starts = _line_starts(c, p, u, x0, lo)
             if u:
-                starts = list(map(add, starts, map(mul, lo, repeat(u))))
+                starts = list(starts)
                 ends = map(add, starts, map(mul, counts, repeat(u)))
                 coords.append(map(range, starts, ends, repeat(u)))
             else:
                 coords.append(map(repeat, starts, counts))
         found.extend(zip(*map(chain.from_iterable, coords)))
-
-    def walk(i, e):
-        lo, hi = _span([(ck, b + sum(map(mul, prefix, m)))
-                        for ck, prefix, b in levels[i]])
-        if lo > hi:
-            return
-        if i + 2 == n:  # x's range in slices, so the line lists stay bounded
-            for x0 in range(lo, hi + 1, MAX_BASIS_MONOMIALS + 1):
-                lines(e, x0, min(hi, x0 + MAX_BASIS_MONOMIALS))
-            return
-        col = cols[i]
-        e = tuple(map(add, e, [lo * u for u in col]))
-        for x in range(lo, hi + 1):
-            m[i] = x
-            walk(i + 1, e)
-            e = tuple(map(add, e, col))
-
-    if n > 1:
-        walk(0, tuple(a))
-    else:  # a 1-D fan: one line
-        lines(tuple(a), 0, 0)
     # monomial_key order: a stable sort keeps lex order within each degree
     found.sort(reverse=True)
     found.sort(key=sum, reverse=True)

@@ -13,6 +13,7 @@ bounds.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -227,8 +228,13 @@ def default_pins(fan):
 
 def _chart(fan, pins):
     """The pinned positions (``default_pins`` when None) and the free ones;
-    an InputError unless the pins are distinct ray indices."""
-    pins = default_pins(fan) if pins is None else tuple(pins)
+    an InputError unless the pins are an iterable of distinct ray indices."""
+    if pins is None:
+        pins = default_pins(fan)
+    elif isinstance(pins, Iterable):
+        pins = tuple(pins)
+    else:
+        raise InputError(f"pins {pins!r}: expected a sequence of indices")
     if any(type(i) is not int for i in pins):
         raise InputError(f"pins {list(pins)}: indices must be integers")
     if len(set(pins)) != len(pins):
@@ -332,6 +338,8 @@ def terracini_probe(fan, degree: DegreeClass, r: int, prime: int = DEFAULT_PRIME
                     pins=None) -> TerraciniProbe:
     _require_counts(r=r, trials=trials)
     checked_prime(prime)
+    if type(seed) is not int:  # any other value, None too, is not replayable
+        raise InputError(f"seed must be an integer, got {seed!r}")
     pins, free_positions = _chart(fan, pins)
     mons, columns, tops = _basis_columns(fan, degree)
     cells = trials * r * (len(free_positions) + 1) * len(mons)

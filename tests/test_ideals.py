@@ -14,7 +14,7 @@ from toric_apolarity import (BasisTooLarge, ContainmentFailed, DegreeBox,
                              ideal_piece_dimension, length_estimate, load_fan,
                              saturation_gap)
 from toric_apolarity.linalg import SparseEchelon, det_bareiss, nullspace
-from toric_apolarity.ring import basis
+from toric_apolarity.ring import BasisLines, basis
 
 from conftest import FIXTURES, form, primal
 
@@ -391,6 +391,81 @@ def test_rows_of_mixed_ideals_drop_the_unit_columns(f1, p114, fake, cube,
     assert rows >= 20
 
 
+# --- standard monomials counted along the walk's lines ------------------
+
+def seeded_monomial_ideal(fan, rng, pool):
+    """A monomial ideal of 1-4 generators drawn from the pieces of ``pool``,
+    now and then with a constant generator, a repeated one, a multiple of
+    another, or a coefficient other than 1."""
+    exponents = [rng.choice(basis(fan, rng.choice(pool)))
+                 for _ in range(rng.randint(1, 3))]
+    shape = rng.randrange(5)
+    if shape == 0:
+        exponents.append((0,) * len(fan.rays))
+    elif shape == 1:
+        exponents.append(exponents[0])
+    elif shape == 2:
+        extra = rng.choice(basis(fan, rng.choice(pool)))
+        exponents.append(tuple(map(add, exponents[0], extra)))
+    coeffs = [Fraction(-5, 3) if shape == 3 and i == 0 else 1
+              for i in range(len(exponents))]
+    return IdealGens(fan, [MultiPoly.monomial(Side.PRIMAL, e, c)
+                           for e, c in zip(exponents, coeffs)])
+
+
+def test_standard_monomial_counts_match_brute_force_and_echelon(
+        f1, p114, fake, cube):
+    from toric_apolarity.ideals import _piece_echelon
+
+    line = build_fan([[1], [-1]], [[0], [1]])
+    cases = differential_cases(f1, p114, fake, cube) + [
+        (line, degree_box(line, (range(1, 4),)), degree_box(line, (range(9),)))]
+    checked = strict = 0
+    for seed, (fan, pool, degrees) in enumerate(cases):
+        rng = random.Random(500 + seed)
+        pool = [d for d in pool if basis(fan, d)]
+        for _ in range(40):
+            I = seeded_monomial_ideal(fan, rng, pool)
+            for d in rng.sample(degrees, min(6, len(degrees))):
+                lines, mons = BasisLines(fan, d), basis(fan, d)
+                standard = lines.standard(I.monomials)
+                assert lines.size == len(mons)
+                assert standard == standard_monomial_count(I, d)
+                assert len(mons) - standard == _piece_echelon(I, d)[0].rank
+                assert len(mons) - standard == ideal_piece_dimension(I, d)
+                checked += 1
+                strict += 0 < standard < len(mons)
+    assert checked >= 1000 and strict >= 300
+
+
+def test_monomial_length_estimates_list_no_basis_and_build_no_echelon(
+        f1, p114, fake, monkeypatch):
+    from toric_apolarity import ideals as ideals_module, ring
+
+    cases = [(f1, ("a0^2", "b0^3", "a1*b1^2"), (2, 1)),
+             (p114, ("a^3", "b^3", "a*c"), (4,)),
+             (fake, ("a1^2", "a2^2", "a0^2*a1"), (3,))]
+    wants = []
+    for fan, gens, free in cases:
+        I = ideal(fan, *gens)
+        ample = fan.degree(free, (0,) * len(fan.class_group.torsion_orders))
+        wants.append([(k, standard_monomial_count(I, ample.scale(k)))
+                      for k in range(1, 9)])
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a basis was listed or an echelon built")
+
+    monkeypatch.setattr(ring, "_enumerate_basis", refused)
+    monkeypatch.setattr(ideals_module, "basis", refused)
+    monkeypatch.setattr(ideals_module, "SparseEchelon", refused)
+    for (fan, gens, free), want in zip(cases, wants):
+        I = ideal(fan, *gens)
+        ample = fan.degree(free, (0,) * len(fan.class_group.torsion_orders))
+        cached = set(fan._basis_cache)
+        assert list(length_estimate(I, ample, max_k=8).samples) == want
+        assert set(fan._basis_cache) == cached
+
+
 def test_length_samples_enumerate_only_sample_degrees():
     fan = load_fan(FIXTURES / "f1.fan")
     I = ideal(fan, "a0^2-a1^2", "b0^2-a1^2*b1^2", "a0*b0 - a1^2*b1")
@@ -417,13 +492,17 @@ def test_length_samples_over_the_budget_are_refused_unranked(f1, p114,
     monkeypatch.setattr(ideals_module, "MAX_LENGTH_MONOMIALS", total)
     assert length_estimate(I, ample, max_k=8).value == 4
 
-    def unranked(ideal, degree):
+    def unranked(*args):
         raise AssertionError("a piece was ranked")
 
+    # neither the echelon nor the standard monomial counter ranks a piece,
+    # for a monomial ideal or for one with a binomial
     monkeypatch.setattr(ideals_module, "_piece_echelon", unranked)
+    monkeypatch.setattr(BasisLines, "standard", unranked)
     monkeypatch.setattr(ideals_module, "MAX_LENGTH_MONOMIALS", total - 1)
-    with pytest.raises(BasisTooLarge):
-        length_estimate(I, ample, max_k=8)
+    for I in (I, ideal(f1, "a0^2 - a1^2", "b0^2")):
+        with pytest.raises(BasisTooLarge):
+            length_estimate(I, ample, max_k=8)
 
 
 # --- an independent oracle: Groebner bases ----------------------------

@@ -234,10 +234,16 @@ def test_bad_prime_refused(f1):
     ({"trials": 2.5}, "trials must be an integer"),
     ({"r": True}, "r must be an integer"),
     ({"prime": 101.0}, "not an integer"),
-    ({"pins": (0.0, 3)}, "indices must be integers")],
+    ({"pins": (0.0, 3)}, "indices must be integers"),
+    ({"pins": 3}, "expected a sequence of indices"),
+    ({"seed": 2.5}, "seed must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"seed": "7"}, "seed must be an integer"),
+    ({"seed": None}, "seed must be an integer")],
     ids=["trials-0", "r-0", "prime-4", "prime-1", "pins-9", "pins-0-0",
          "pins-minus-1", "trials-float", "r-bool", "prime-float",
-         "pins-float"])
+         "pins-float", "pins-int", "seed-float", "seed-bool", "seed-str",
+         "seed-none"])
 def test_probe_refuses_bad_arguments(f1, kwargs, message):
     # each once gave a traceback, a BadPrime or a record naming no ray
     kwargs = {"r": 3, **kwargs}
@@ -249,8 +255,9 @@ def test_probe_refuses_bad_arguments(f1, kwargs, message):
 @pytest.mark.parametrize("kwargs, message", [
     ({"prime": 4}, "not a prime"), ({"pins": (9,)}, "must lie in 0..3"),
     ({"prime": 101.0}, "not an integer"),
-    ({"pins": (0, 3.0)}, "indices must be integers")],
-    ids=["prime-4", "pins-9", "prime-float", "pins-float"])
+    ({"pins": (0, 3.0)}, "indices must be integers"),
+    ({"pins": 3}, "expected a sequence of indices")],
+    ids=["prime-4", "pins-9", "prime-float", "pins-float", "pins-int"])
 def test_determinant_check_refuses_bad_arguments(f1, kwargs, message):
     with pytest.raises(InputError, match=message) as refused:
         terracini_determinant_check(f1, f1.degree((5, 2)), 5,
