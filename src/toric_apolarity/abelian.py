@@ -155,10 +155,13 @@ class GradedGroup:
     torsion_orders: tuple = ()
 
     def __post_init__(self):
-        orders = list(self.torsion_orders)
-        if orders != sorted(orders) or any(d < 2 for d in orders):
-            raise GroupMismatch(f"torsion orders {orders} must be sorted "
-                                f"and at least 2")
+        orders = list(self.torsion_orders)  # ``type(d) is int`` refuses 2.5
+        if (type(self.free_rank) is not int or self.free_rank < 0
+                or not all(type(d) is int and d >= 2 for d in orders)
+                or orders != sorted(orders)):
+            raise GroupMismatch(
+                f"need an integer free rank >= 0, not {self.free_rank!r}, and "
+                f"sorted integer torsion orders >= 2, not {orders}")
 
     def zero(self) -> "DegreeClass":
         return self.degree((0,) * self.free_rank)
@@ -184,7 +187,10 @@ class DegreeClass:
         if len(self.free) != self.group.free_rank or \
            len(self.torsion) != len(self.group.torsion_orders):
             raise GroupMismatch("component counts do not match the group")
-        free, torsion = tuple(map(int, self.free)), tuple(map(int, self.torsion))
+        try:  # int() reads 2.7 as 2 and refuses nan, inf and None
+            free, torsion = tuple(map(int, self.free)), tuple(map(int, self.torsion))
+        except (TypeError, ValueError, OverflowError):
+            free = torsion = None
         if (free, torsion) != (tuple(self.free), tuple(self.torsion)):
             raise GroupMismatch("degree coordinates must be integers")
         object.__setattr__(self, "free", free)

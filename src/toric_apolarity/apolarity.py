@@ -14,9 +14,9 @@ from operator import add
 
 from .abelian import DegreeClass
 from .errors import (BoxTooLarge, CatalecticantTooLarge, GroupMismatch,
-                     NonHomogeneousGenerator, SideMismatch)
+                     SideMismatch)
 from .linalg import nullspace, rank_bareiss, rank_mod
-from .ring import MultiPoly, Side, basis, homogeneous_degree
+from .ring import MultiPoly, Side, basis, checked_degree
 
 PRESCREEN_PRIME = 101
 MAX_CATALECTICANT_CELLS = 4_000_000  # built and ranked at up to 24 bytes each
@@ -48,16 +48,9 @@ class ApolarForm:
     ``basis_values`` lists them in basis(alpha) order, zeros included."""
 
     def __init__(self, fan, poly: MultiPoly):
-        if poly.side is not Side.DUAL:
-            raise SideMismatch("an apolar form lives on the dual side")
-        if poly.is_zero():
-            raise NonHomogeneousGenerator("the zero form has no apolar theory")
-        degree = homogeneous_degree(fan, poly)
-        if degree is None:
-            raise NonHomogeneousGenerator("form is not homogeneous")
         self.fan = fan
         self.poly = poly
-        self.degree = degree
+        self.degree = checked_degree(fan, poly, Side.DUAL, "an apolar form")
         self.scale, self.scaled_terms = poly.integer_terms()
         self._ranks = {}  # degree -> rank of the catalecticant at it
         self._prescreens = {}  # (short side, residue bytes) -> rank mod p
@@ -207,8 +200,7 @@ def apolar_contains(generators, form: ApolarForm) -> bool:
     """
     gens = getattr(generators, "generators", generators)
     for g in gens:
-        if homogeneous_degree(form.fan, g) is None:
-            raise NonHomogeneousGenerator("ideal generators must be homogeneous")
+        checked_degree(form.fan, g, Side.PRIMAL, "an ideal generator")
         if not contract(g, form.poly).is_zero():
             return False
     return True

@@ -5,6 +5,7 @@ Smith form, which decides completeness and which classes are Cartier."""
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -18,11 +19,23 @@ from .linalg import rank_bareiss
 from .ring import _NAME
 
 
+def _sequence(value, valid) -> bool:
+    """True if ``value`` is a sequence other than a string and ``valid``
+    holds for each of its items."""
+    return (isinstance(value, Sequence) and not isinstance(value, str)
+            and all(map(valid, value)))
+
+
+def _int_row(value) -> bool:  # ``type(x) is int`` refuses bools, floats, strs
+    return _sequence(value, lambda x: type(x) is int)
+
+
 def _require_names(names, what: str):
-    """Refuse with ParseError declared names that repeat or that the term
-    syntax cannot read."""
-    if len(set(names)) != len(names) or not all(map(_NAME.fullmatch, names)):
-        raise ParseError(f"{what} {list(names)} are not distinct names "
+    """Refuse with ParseError declared names that are not a sequence of
+    distinct names the term syntax can read."""
+    if not (_sequence(names, lambda n: isinstance(n, str) and _NAME.fullmatch(n))
+            and len(set(names)) == len(names)):
+        raise ParseError(f"{what} {names!r} are not distinct names "
                          f"matching {_NAME.pattern}")
 
 
@@ -58,7 +71,16 @@ class FanModel:
     """
 
     def __init__(self, rays, max_cones, var_names=None, dual_var_names=None):
-        rays = tuple(tuple(int(x) for x in r) for r in rays)
+        for table, field in ((rays, "rays"), (max_cones, "max_cones")):
+            if not _sequence(table, _int_row):
+                raise ParseError(f"'{field}' must be a list of lists of integers")
+        rays = tuple(map(tuple, rays))
+        names = [[f"{c}{i}" for i in range(len(rays))] if given is None else given
+                 for given, c in ((var_names, "x"), (dual_var_names, "y"))]
+        for given in names:
+            _require_names(given, "variable names")
+            if len(given) != len(rays):
+                raise ParseError("need one variable name per ray")
         if not rays:
             raise TorusFactor("a fan needs at least one ray")
         n = len(rays[0])
@@ -69,8 +91,8 @@ class FanModel:
                 raise NonPrimitiveRay(f"ray {list(r)} is not primitive")
         cones = []
         for cone in max_cones:
-            idx = tuple(sorted(set(int(i) for i in cone)))
-            if len(idx) != len(tuple(cone)) or not idx or idx[0] < 0 or idx[-1] >= len(rays):
+            idx = tuple(sorted(set(cone)))
+            if len(idx) != len(cone) or not idx or idx[0] < 0 or idx[-1] >= len(rays):
                 raise ParseError(f"bad cone index set {list(cone)}")
             if rank_bareiss([rays[i] for i in idx]) != len(idx):
                 raise NonSimplicialCone(
@@ -90,14 +112,7 @@ class FanModel:
         self.irrelevant = IrrelevantIdeal(tuple(
             tuple(int(i not in cone) for i in range(len(rays)))
             for cone in self.max_cones))
-        self.var_names = tuple(var_names) if var_names else tuple(
-            f"x{i}" for i in range(len(rays)))
-        self.dual_var_names = tuple(dual_var_names) if dual_var_names else tuple(
-            f"y{i}" for i in range(len(rays)))
-        if len(self.var_names) != len(rays) or len(self.dual_var_names) != len(rays):
-            raise ParseError("need one variable name per ray")
-        for names in (self.var_names, self.dual_var_names):
-            _require_names(names, "variable names")
+        self.var_names, self.dual_var_names = map(tuple, names)
         self._cartier_cache = {}
         self._basis_cache = {}  # degree -> monomial tuple
         self._walk_cache = []  # per outermost coordinate: columns, systems
@@ -181,51 +196,27 @@ def build_fan(rays, max_cones, var_names=None, dual_var_names=None) -> FanModel:
     return FanModel(rays, max_cones, var_names, dual_var_names)
 
 
-def _int_table(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(row, list) and all(type(x) is int for x in row)
-        for row in value)
-
-
-def _str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
-
-
-# field -> (required, type check, what the field must be); JSON null counts
-# as absent.  ``type(x) is int`` refuses booleans, floats and strings.
-_FAN_FIELDS = {
-    "rays": (True, _int_table, "a list of lists of integers"),
-    "max_cones": (True, _int_table, "a list of lists of integers"),
-    "var_names": (False, _str_list, "a list of strings"),
-    "dual_var_names": (False, _str_list, "a list of strings"),
-    "ambient_rank": (False, lambda v: type(v) is int, "an integer"),
-}
-
-
 def load_fan(path) -> FanModel:
     """Read a fan file: JSON with fields ambient_rank, rays, max_cones,
-    optional var_names, dual_var_names.  Text that json cannot read (bad
-    UTF-8 or syntax, an integer past int()'s digit limit, arrays nested
-    too deep) is a ParseError."""
+    optional var_names, dual_var_names; ``FanModel`` checks the fields
+    the fan is built from, and JSON null counts as absent.  Text that
+    json cannot read (bad UTF-8 or syntax, an integer past int()'s digit
+    limit, arrays nested too deep) is a ParseError."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read fan file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"fan file {path} is not a JSON object")
-    for field, (required, valid, kind) in _FAN_FIELDS.items():
-        value = data.get(field)
-        if value is None:
-            if required:
-                raise ParseError(
-                    f"fan file {path} lacks required field '{field}'")
-        elif not valid(value):
-            raise ParseError(f"fan file {path}: '{field}' must be {kind}")
+    for field in ("rays", "max_cones"):
+        if data.get(field) is None:
+            raise ParseError(f"fan file {path} lacks required field '{field}'")
     fan = build_fan(data["rays"], data["max_cones"],
                     var_names=data.get("var_names"),
                     dual_var_names=data.get("dual_var_names"))
     declared = data.get("ambient_rank")
-    if declared is not None and declared != fan.ambient_rank:
-        raise ParseError(
-            f"fan file declares ambient_rank {declared}, rays have {fan.ambient_rank}")
+    if declared is not None and (type(declared) is not int
+                                 or declared != fan.ambient_rank):
+        raise ParseError(f"fan file declares ambient_rank {declared!r}, "
+                         f"its rays the integer {fan.ambient_rank}")
     return fan

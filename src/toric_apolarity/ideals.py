@@ -19,10 +19,9 @@ from operator import add, and_, ge, sub
 
 from .abelian import DegreeClass
 from .apolarity import ApolarForm, apolar_contains
-from .errors import (BasisTooLarge, ContainmentFailed, NonHomogeneousGenerator,
-                     _require_counts)
+from .errors import BasisTooLarge, ContainmentFailed, _require_counts
 from .linalg import SparseEchelon, nullspace
-from .ring import BasisLines, Side, basis, homogeneous_degree, monomial_key
+from .ring import BasisLines, Side, basis, checked_degree, monomial_key
 
 
 class IdealGens:
@@ -31,15 +30,11 @@ class IdealGens:
     and is None otherwise."""
 
     def __init__(self, fan, generators):
-        gens, shapes = [], []
-        for g in generators:
-            if g.side is not Side.PRIMAL:
-                raise NonHomogeneousGenerator("generators must be primal")
-            if g.is_zero():
-                raise NonHomogeneousGenerator("zero generator")
-            if homogeneous_degree(fan, g) is None:
-                raise NonHomogeneousGenerator("generator is not homogeneous")
-            gens.append(g)
+        self.fan = fan
+        self.generators = tuple(generators)
+        shapes = []
+        for g in self.generators:
+            checked_degree(fan, g, Side.PRIMAL, "an ideal generator")
             # in integer coefficients: the largest term's exponent e and
             # coefficient, and the other terms as (exponent - e, c)
             _, terms = g.integer_terms()
@@ -47,8 +42,6 @@ class IdealGens:
             lead = terms.pop(e)
             shapes.append((e, lead, [(tuple(map(sub, mono, e)), c)
                                      for mono, c in terms.items()]))
-        self.fan = fan
-        self.generators = tuple(gens)
         self.shapes = tuple(shapes)
         self.monomials = (None if any(offsets for _, _, offsets in shapes)
                           else tuple(e for e, _, _ in shapes))

@@ -35,7 +35,8 @@ from math import lcm
 from operator import add, floordiv, ge, mul, neg, sub
 
 from .abelian import DegreeClass
-from .errors import BasisTooLarge, NoCertificate, ParseError, SideMismatch
+from .errors import (BasisTooLarge, NoCertificate, NonHomogeneousGenerator,
+                     ParseError, SideMismatch)
 
 
 class Side(Enum):
@@ -131,13 +132,29 @@ class MultiPoly:
 
 
 def homogeneous_degree(fan, poly: MultiPoly) -> DegreeClass | None:
-    """The common degree of all terms, or None if inhomogeneous/zero.
-    Terms are compared on their coordinates, so one DegreeClass is built."""
-    keys = map(fan.projection.coordinates, poly.terms)
-    key = next(keys, None)
-    if key is None or any(k != key for k in keys):
-        return None
-    return DegreeClass(fan.projection.group, *key)
+    """The common degree of all terms, or None if inhomogeneous/zero, read
+    off their coordinates, so one DegreeClass is built; the same pass
+    refuses exponents not one nonnegative int per ray with ParseError."""
+    group, keys, nvars = fan.projection.group, set(), len(fan.rays)
+    for m in poly.terms:
+        if len(m) != nvars or not all(type(e) is int and e >= 0 for e in m):
+            raise ParseError(f"exponents {m} are not one nonnegative integer "
+                             f"per ray")
+        keys.add(fan.projection.coordinates(m))
+    return DegreeClass(group, *keys.pop()) if len(keys) == 1 else None
+
+
+def checked_degree(fan, poly: MultiPoly, side: Side, what: str) -> DegreeClass:
+    """The degree of ``poly``, named ``what``: the one intake of forms and
+    ideal generators.  SideMismatch off ``side``, ParseError as in
+    ``homogeneous_degree``, NonHomogeneousGenerator if zero or inhomogeneous."""
+    if poly.side is not side:
+        raise SideMismatch(f"{what} must be {side.name.lower()}")
+    degree = homogeneous_degree(fan, poly)
+    if degree is None:
+        raise NonHomogeneousGenerator(
+            f"{what} is {'not homogeneous' if poly.terms else 'zero'}")
+    return degree
 
 
 # Most row pairs the Fourier–Motzkin steps of one fan's walk systems may

@@ -451,9 +451,11 @@ def test_degree_accepts_an_integral_fraction():
     assert degree.free == (2,)
 
 
-@pytest.mark.parametrize("bad", [Fraction(5, 2), 2.7])
+@pytest.mark.parametrize("bad", [Fraction(5, 2), 2.7, float("nan"),
+                                 float("inf"), -float("inf"), None, "3"])
 def test_degree_refuses_a_coordinate_that_is_not_an_integer(bad):
-    # int() would read either as 2: a degree nobody asked for
+    # int() would read the first two as 2, a degree nobody asked for, and
+    # raise ValueError at nan, OverflowError at inf and TypeError at None
     group = GradedGroup(2, (3,))
     with pytest.raises(GroupMismatch, match="must be integers"):
         group.degree((bad, 1), (0,))
@@ -463,23 +465,44 @@ def test_degree_refuses_a_coordinate_that_is_not_an_integer(bad):
         == group.degree((2, 1), (2,))
 
 
+@pytest.mark.parametrize("free_rank, orders", [
+    (1, (2.5,)), (1, (float("nan"),)), (1, ("3",)), (1, (None,)),
+    (1, (3.0,)), (1, (True,)), (1, (2, 4.0)), (1.5, ()), ("1", ()),
+    (None, ()), (-1, ()), (True, ())],
+    ids=["order-2.5", "order-nan", "order-str", "order-None", "order-3.0",
+         "order-bool", "second-order-float", "rank-1.5", "rank-str",
+         "rank-None", "rank-negative", "rank-bool"])
+def test_group_refuses_every_non_integer_with_group_mismatch(free_rank, orders):
+    with pytest.raises(GroupMismatch):
+        GradedGroup(free_rank, orders)
+
+
 OPTIMIZED_CHECKS = """
 import sys
-from toric_apolarity import DegreeBox, GradedGroup, GroupMismatch, NonSquare
+from toric_apolarity import (ApolarForm, DegreeBox, DegreeClass, GradedGroup,
+                             GroupMismatch, MultiPoly, NonSquare, ParseError,
+                             Side, build_fan)
 from toric_apolarity.abelian import Projection
 from toric_apolarity.linalg import det_bareiss
 
 assert sys.flags.optimize, "asserts are live"
 not_onto = Projection(GradedGroup(1), [[2, 2]], [], 2)
-for attempt in (lambda: not_onto.section(GradedGroup(1).degree((1,))),
-                lambda: DegreeBox(GradedGroup(2), ((0, 1),)),
-                lambda: GradedGroup(1, (3, 2)),
-                lambda: GradedGroup(0, (1,))):
+plane = build_fan([[1, 0], [0, 1], [-1, -1]], [[0, 1], [0, 2], [1, 2]])
+for error, attempt in (
+        (GroupMismatch, lambda: not_onto.section(GradedGroup(1).degree((1,)))),
+        (GroupMismatch, lambda: DegreeBox(GradedGroup(2), ((0, 1),))),
+        (GroupMismatch, lambda: GradedGroup(1, (3, 2))),
+        (GroupMismatch, lambda: GradedGroup(0, (1,))),
+        (GroupMismatch, lambda: GradedGroup(1, (2.5,))),
+        (GroupMismatch, lambda: DegreeClass(GradedGroup(1), (float("nan"),), ())),
+        (ParseError, lambda: build_fan([[1.7, 0], [0, 1], [-1, -1]],
+                                       [[0, 1], [0, 2], [1, 2]])),
+        (ParseError, lambda: ApolarForm(plane, MultiPoly(Side.DUAL, {(1, 1): 1})))):
     try:
         attempt()
-    except GroupMismatch:
+    except error:
         continue
-    sys.exit(f"no GroupMismatch from {attempt}")
+    sys.exit(f"no {error.__name__} from {attempt}")
 try:
     det_bareiss([[1, 2, 3]])
 except NonSquare:

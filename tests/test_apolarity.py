@@ -5,8 +5,9 @@ from operator import add
 import pytest
 
 from toric_apolarity import (ApolarForm, BoxTooLarge, CatalecticantTooLarge,
-                             DegreeBox,
-                             MultiPoly, NonHomogeneousGenerator, Side,
+                             DegreeBox, IdealGens,
+                             MultiPoly, NonHomogeneousGenerator, ParseError,
+                             Side, SideMismatch,
                              annihilator_in_degree, apolar_contains, best_bounds,
                              build_fan, check_symmetry, contract, hilbert_grid,
                              SymmetryVerdict, hilbert_value, homogeneous_degree)
@@ -27,6 +28,39 @@ def test_contract_monomial_pairing(f1):
         F = MultiPoly.monomial(Side.DUAL, mono)
         result = contract(g, F)
         assert result.terms == {(0, 0, 0, 0): Fraction(1)}
+
+
+def test_contract_refuses_swapped_sides(f1):
+    g, F = primal(f1, "a0"), dual(f1, "x0*x1*y0*y1")
+    with pytest.raises(SideMismatch, match="left factor"):
+        contract(F, F)
+    with pytest.raises(SideMismatch, match="left factor"):
+        contract(F, g)
+    with pytest.raises(SideMismatch, match="right factor"):
+        contract(g, g)
+
+
+def test_forms_and_generators_share_one_intake(f1):
+    # ApolarForm, IdealGens and apolar_contains read a polynomial's degree
+    # through one intake, so they refuse the same inputs with the same
+    # classes; zip would read (1, 1) as (1, 1, 0, 0), of degree (2, 0)
+    F, square = form(f1, "x0*x1*y0*y1"), primal(f1, "a0^2")
+    takers = [(Side.DUAL, lambda p: ApolarForm(f1, p)),
+              (Side.PRIMAL, lambda p: IdealGens(f1, [square, p])),
+              (Side.PRIMAL, lambda p: apolar_contains([square, p], F))]
+    cases = [({(1, 1): 1}, ParseError),
+             ({(1, 1, 1, 1, 1): 1}, ParseError),
+             ({(-1, 2, 0, 0): 1}, ParseError),
+             ({(1, 1, 0, 0): 1, (0, 1, -1, 0): 1}, ParseError),
+             ({}, NonHomogeneousGenerator),
+             ({(1, 0, 0, 0): 1, (0, 0, 1, 0): 1}, NonHomogeneousGenerator)]
+    for side, take in takers:
+        for terms, error in cases:
+            with pytest.raises(error):
+                take(MultiPoly(side, terms))
+        other = Side.DUAL if side is Side.PRIMAL else Side.PRIMAL
+        with pytest.raises(SideMismatch):
+            take(MultiPoly(other, {(1, 0, 0, 0): 1}))
 
 
 def test_contract_linear_action_example(f1):

@@ -498,6 +498,11 @@ def test_terracini_warns_when_every_trial_is_degenerate(capsys, tmp_path):
     {"ambient_rank": "xx"},
     {"var_names": ["a b", "1", "c^2"]},
     {"dual_var_names": ["y0", "y1", "y-2"]},
+    {"ambient_rank": 2.0},
+    {"ambient_rank": True},
+    {"rays": [[1, 0], [0, 1], 5]},
+    {"max_cones": [[0, 1], 2, [1, 2]]},
+    {"var_names": []},
 ])
 def test_malformed_fan_file_is_a_parse_error(capsys, tmp_path, fields):
     fan_file = tmp_path / "bad.fan"

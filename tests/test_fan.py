@@ -345,6 +345,55 @@ def test_build_fan_rejections():
         build_fan([[1, 0], [0, 1]], [[0, 7]])
 
 
+PLANE_RAYS = [[1, 0], [0, 1], [-1, -1]]
+PLANE_CONES = [[0, 1], [0, 2], [1, 2]]
+
+
+@pytest.mark.parametrize("rays, cones", [
+    ([[1.7, 0], [0, 1], [-1, -1]], PLANE_CONES),  # int() would read 1
+    ([[True, 0], [0, 1], [-1, -1]], PLANE_CONES),
+    ([["1", 0], [0, 1], [-1, -1]], PLANE_CONES),
+    (PLANE_RAYS, [[0, 1.9], [0, 2], [1, 2]]),
+    (PLANE_RAYS, [[0, "1"], [0, 2], [1, 2]]),
+    (PLANE_RAYS, [[0, 1], [0, 2], [1, False]]),
+    (PLANE_RAYS, [[0, 1], 2, [1, 2]]),
+    ([[1, 0], "01", [-1, -1]], PLANE_CONES),
+    ("xx", PLANE_CONES),
+    (5, PLANE_CONES),
+    (PLANE_RAYS, "01"),
+    (PLANE_RAYS, None),
+], ids=["ray-float", "ray-bool", "ray-str", "cone-float", "cone-str",
+        "cone-bool", "cone-int", "ray-str-row", "rays-str", "rays-int",
+        "cones-str", "cones-none"])
+def test_build_fan_refuses_entries_that_are_not_integers(rays, cones):
+    # the constructor checks the fields itself: entries are refused, not
+    # converted, whether or not a fan file supplied them
+    with pytest.raises(ParseError):
+        build_fan(rays, cones)
+
+
+@pytest.mark.parametrize("names", [
+    "abc", ["a", 1, "c"], ["a", "a", "b"], ["a b", "c", "d"], ["a", "c^2", "d"],
+    ["a", "b"], [], 5], ids=["str", "int-name", "repeat", "blank", "power",
+                            "short", "empty", "int"])
+@pytest.mark.parametrize("side", ["var_names", "dual_var_names"])
+def test_build_fan_refuses_names_that_are_not_distinct_term_names(side, names):
+    with pytest.raises(ParseError):
+        build_fan(PLANE_RAYS, PLANE_CONES, **{side: names})
+
+
+def test_build_fan_accepts_tuples_and_names_in_any_sequence():
+    fan = build_fan(tuple(map(tuple, PLANE_RAYS)), (range(2), (0, 2), [1, 2]),
+                    var_names=("a", "b", "c"), dual_var_names=["x", "y", "z"])
+    assert fan.rays == ((1, 0), (0, 1), (-1, -1))
+    assert fan.max_cones == ((0, 1), (0, 2), (1, 2))
+    assert (fan.var_names, fan.dual_var_names) == (("a", "b", "c"),
+                                                   ("x", "y", "z"))
+    default = build_fan(PLANE_RAYS, PLANE_CONES)
+    assert (default.var_names, default.dual_var_names) == (("x0", "x1", "x2"),
+                                                           ("y0", "y1", "y2"))
+
+
 def test_trivial_class_group_fan():
     fan = build_fan([[1, 0], [0, 1]], [[0, 1]])
     assert fan.class_group == GradedGroup(0)

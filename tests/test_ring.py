@@ -213,13 +213,35 @@ def test_homogeneity_compares_torsion_residues(fake):
     assert homogeneous_degree(fake, MultiPoly(Side.DUAL, {})) is None
 
 
+@pytest.mark.parametrize("exponents", [
+    (1, 1), (1, 0, 0, 0, 0), (-1, 2, 0, 0), (1, 1, -1, 0), (),
+    (1.5, 0.5, 1, 1), ("1", 1, 1, 1), (True, 1, 1, 1)],
+    ids=["short", "long", "negative", "negative-late", "empty", "float",
+         "str", "bool"])
+@pytest.mark.parametrize("side", [Side.PRIMAL, Side.DUAL])
+def test_homogeneous_degree_refuses_malformed_exponents(f1, side, exponents):
+    # zip would read a short tuple as padded with zeros and a long one as
+    # cut, a negative exponent has no monomial, and 1.5 + 0.5 would give
+    # an integral degree: each is refused, also after a well-formed term
+    # and in a sum whose terms differ in degree
+    for terms in ({exponents: 1}, {(1, 0, 0, 0): 1, exponents: 1},
+                  {(0, 0, 1, 0): 2, exponents: 1, (1, 1, 0, 0): 1}):
+        with pytest.raises(ParseError, match="one nonnegative integer per ray"):
+            homogeneous_degree(f1, MultiPoly(side, terms))
+
+
 def test_parse_round_trip_examples(f1, p114):
     for fan, names, text in [
             (f1, f1.var_names, "3/4*a0^2*b1"),
             (f1, f1.var_names, "a0^2 - a1^2"),
             (f1, f1.dual_var_names, "x0*x1*y0*y1"),
             (p114, p114.var_names, "a^3 - b^3"),
-            (p114, p114.var_names, "2*a*b - 5/7*c")]:
+            (p114, p114.var_names, "2*a*b - 5/7*c"),
+            # constant terms, printed as bare coefficients
+            (f1, f1.var_names, "3/4*a0 - 5/2"),
+            (f1, f1.var_names, "1 + a0*b1"),
+            (p114, p114.var_names, "-7/3"),
+            (p114, p114.var_names, "1")]:
         side = Side.PRIMAL if names is fan.var_names else Side.DUAL
         poly = parse_poly(text, names, side)
         printed = format_poly(poly, names)
