@@ -155,10 +155,12 @@ class GradedGroup:
     torsion_orders: tuple = ()
 
     def __post_init__(self):
-        orders = list(self.torsion_orders)  # ``type(d) is int`` refuses 2.5
+        # a tuple: [3] and (3,) give one group; ``type(d) is int`` refuses 2.5
+        orders = tuple(self.torsion_orders)
+        object.__setattr__(self, "torsion_orders", orders)
         if (type(self.free_rank) is not int or self.free_rank < 0
                 or not all(type(d) is int and d >= 2 for d in orders)
-                or orders != sorted(orders)):
+                or orders != tuple(sorted(orders))):
             raise GroupMismatch(
                 f"need an integer free rank >= 0, not {self.free_rank!r}, and "
                 f"sorted integer torsion orders >= 2, not {orders}")

@@ -14,7 +14,7 @@ from operator import add
 
 from .abelian import DegreeClass
 from .errors import (BoxTooLarge, CatalecticantTooLarge, GroupMismatch,
-                     SideMismatch)
+                     ParseError, SideMismatch)
 from .linalg import nullspace, rank_bareiss, rank_mod
 from .ring import MultiPoly, Side, basis, checked_degree
 
@@ -137,8 +137,9 @@ def hilbert_value(form: ApolarForm, degree: DegreeClass,
 
 @dataclass(frozen=True)
 class DegreeBox:
-    """Product of inclusive free-coordinate ranges; torsion residues are
-    enumerated in full."""
+    """Product of inclusive free-coordinate ranges, each lo <= hi (a
+    reversed range is a ParseError); torsion residues are enumerated in
+    full."""
 
     group: object
     free_ranges: tuple  # tuple of (lo, hi) pairs
@@ -148,6 +149,9 @@ class DegreeBox:
             raise GroupMismatch(f"box has {len(self.free_ranges)} ranges, "
                                 f"the group has free rank "
                                 f"{self.group.free_rank}")
+        for lo, hi in self.free_ranges:
+            if lo > hi:
+                raise ParseError(f"box range {lo}..{hi} is empty")
         count = prod(hi - lo + 1 for lo, hi in self.free_ranges)
         count *= prod(self.group.torsion_orders)
         if count > MAX_BOX_DEGREES:

@@ -48,21 +48,27 @@ def catalecticant(form: ApolarForm, degree: DegreeClass) -> CatMatrix:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Lower bounds certified by one catalecticant rank.  ``cactus`` is
-    None exactly when the domain degree is not Cartier."""
+    """Lower bounds certified by one catalecticant rank: the rank bound is
+    the border bound, and ``cactus`` is None exactly when the domain
+    degree is not Cartier."""
 
     degree: DegreeClass
     border: int
-    rank: int
     cactus: int | None
-    cartier: bool
+
+    @property
+    def rank(self) -> int:
+        return self.border
+
+    @property
+    def cartier(self) -> bool:
+        return self.cactus is not None
 
 
 def bound_report(form: ApolarForm, degree: DegreeClass) -> BoundReport:
     value = hilbert_value(form, degree)
-    cartier = form.fan.is_cartier(degree)
-    return BoundReport(degree=degree, border=value, rank=value,
-                       cactus=value if cartier else None, cartier=cartier)
+    cactus = value if form.fan.is_cartier(degree) else None
+    return BoundReport(degree=degree, border=value, cactus=cactus)
 
 
 @dataclass(frozen=True)

@@ -71,10 +71,7 @@ def parse_box(text: str, group) -> DegreeBox:
     comma-separated; torsion residues are enumerated in full."""
     def span(piece):
         lo, sep, hi = piece.partition("..")
-        lo, hi = parse_integer(lo), parse_integer(hi if sep else lo)
-        if lo > hi:
-            raise ParseError(f"box component {piece!r} is empty")
-        return lo, hi
+        return parse_integer(lo), parse_integer(hi if sep else lo)
 
     ranges = _pieces(text, "box", span)
     if len(ranges) != group.free_rank:
@@ -109,7 +106,7 @@ def _rational(text: str):
     return parse_laurent(text, ()).coeff
 
 
-def _read_points(path, lines, fan, entry):
+def _read_points(path, lines, entry):
     """(coefficient, coordinates) pairs from ``coefficient | c1, c2, ...``
     lines, each entry read by ``entry``; refuses a file without any."""
     terms = []
@@ -119,20 +116,18 @@ def _read_points(path, lines, fan, entry):
             raise ParseError(f"point line lacks '|': {line!r}")
         coeff = entry(coeff_text)
         coords = tuple(_pieces(coord_text, "point", entry))
-        if len(coords) != len(fan.rays):
-            raise ParseError(f"expected {len(fan.rays)} coordinates: {line!r}")
         terms.append((coeff, coords))
     if not terms:
         raise ParseError(f"no point terms in {path}")
     return terms
 
 
-def read_terms_file(path, fan):
+def read_terms_file(path):
     """Lines of ``coefficient | c1, c2, ...`` with rational entries."""
-    return _read_points(path, _read_lines(path), fan, _rational)
+    return _read_points(path, _read_lines(path), _rational)
 
 
-def read_family_file(path, fan) -> LaurentFamily:
+def read_family_file(path) -> LaurentFamily:
     """Like a terms file, after a ``params: l, m`` header; entries are
     Laurent monomials in the parameters (``l^-1*m^-1`` style)."""
     lines = _read_lines(path)
@@ -141,7 +136,7 @@ def read_family_file(path, fan) -> LaurentFamily:
         raise ParseError("family file must start with 'params: ...'")
     params = tuple(_pieces(rest, "params"))
     _require_names(params, "family parameters")
-    terms = _read_points(path, lines[1:], fan,
+    terms = _read_points(path, lines[1:],
                          lambda text: parse_laurent(text, params))
     return LaurentFamily(params, tuple(terms))
 
@@ -341,7 +336,7 @@ def cmd_cactus_cert(args, fan):
 
 def cmd_decompose_check(args, fan):
     form = parse_form(args.form, fan)
-    terms = read_terms_file(args.terms, fan)
+    terms = read_terms_file(args.terms)
     chk = verify_decomposition(form, terms)
     residual = format_poly(chk.residual, fan.dual_var_names)
     record = {"exact": chk.ok, "residual": residual, "provenance": EXACT}
@@ -353,7 +348,7 @@ def cmd_decompose_check(args, fan):
 
 def cmd_limit_cert(args, fan):
     form = parse_form(args.form, fan)
-    family = read_family_file(args.family, fan)
+    family = read_family_file(args.family)
     cert = limit_certificate(form, family)
     residue = [residue_string(c, expo, mono, family.params, fan.dual_var_names)
                for expo, mono, c in cert.residue]

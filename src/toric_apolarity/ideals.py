@@ -26,8 +26,9 @@ from .ring import BasisLines, Side, basis, checked_degree, monomial_key
 
 class IdealGens:
     """Homogeneous generating set of an ideal in the coordinate ring;
-    ``monomials`` holds the generators' exponents when each is a monomial,
-    and is None otherwise."""
+    ``shapes`` lists the generators' rows by their number of terms, so a
+    monomial's rows are pivots before another row meets them, and
+    ``monomials`` holds the exponents when each is a monomial, else None."""
 
     def __init__(self, fan, generators):
         self.fan = fan
@@ -42,7 +43,7 @@ class IdealGens:
             lead = terms.pop(e)
             shapes.append((e, lead, [(tuple(map(sub, mono, e)), c)
                                      for mono, c in terms.items()]))
-        self.shapes = tuple(shapes)
+        self.shapes = tuple(sorted(shapes, key=lambda shape: len(shape[2])))
         self.monomials = (None if any(offsets for _, _, offsets in shapes)
                           else tuple(e for e, _, _ in shapes))
 
@@ -67,21 +68,13 @@ def _piece_echelon(ideal: IdealGens, degree: DegreeClass):
     basis(D) and m >= e (``_multiples``), in the same order, and the row
     of m - e leads at m's own column, since the monomial order is
     translation invariant.  Each generator is scaled to integer
-    coefficients; the ideal is the same.
-
-    A generator of one term spans the unit vectors of its columns m: one
-    set of them over all such generators enters as pivots {m: 1}.  Other
-    rows enter ``add`` as built, which drops those columns, so the rank is
-    the number of unit columns plus the rank of the remaining rows."""
+    coefficients; the ideal is the same.  A monomial's row is {m: lead}."""
     mons = basis(ideal.fan, degree)
     columns = tuple(zip(*mons))
-    units = set().union(*(_multiples(columns, e)
-                          for e, _, offsets in ideal.shapes if not offsets))
-    ech = SparseEchelon(units)
-    if any(offsets for _, _, offsets in ideal.shapes):  # rows of 2+ terms
-        index = {m: i for i, m in enumerate(mons)}
+    index = {m: i for i, m in enumerate(mons)}
+    ech = SparseEchelon()
     for e, lead, offsets in ideal.shapes:
-        for i in _multiples(columns, e) if offsets else ():
+        for i in _multiples(columns, e):
             row = {index[tuple(map(add, mons[i], off))]: c
                    for off, c in offsets}
             row[i] = lead

@@ -77,20 +77,17 @@ class SparseEchelon:
     Rows are dicts mapping column index to an int or Fraction; zeros are
     dropped.  Each pivot row has a leading 1, and a row already leading
     with 1 keeps its ints.  Suited to the graded pieces of ideals.
-    ``units`` are columns entered at once as the pivots {c: 1}, kept as
-    one set: ``reduce`` drops them, and ``reduced`` lists their rows.
     """
 
-    def __init__(self, units=()):
-        self._units = set(units)
-        self._pivots = {}  # lead column -> row, for the other pivots
+    def __init__(self):
+        self._pivots = {}  # lead column -> row
 
     @property
     def rank(self) -> int:
-        return len(self._units) + len(self._pivots)
+        return len(self._pivots)
 
     def reduce(self, row: dict) -> dict:
-        row = {c: v for c, v in row.items() if v and c not in self._units}
+        row = {c: v for c, v in row.items() if v}
         while row:
             lead = min(row)
             piv = self._pivots.get(lead)
@@ -118,7 +115,7 @@ class SparseEchelon:
     def reduced(self) -> dict:
         """Reduced row echelon form: pivot column -> row with a leading 1
         and zeros in every other pivot column, in pivot column order."""
-        out = {c: {c: 1} for c in self._units}
+        out = {}
         for lead in sorted(self._pivots, reverse=True):
             row = dict(self._pivots[lead])
             for col in [c for c in row if c in out]:

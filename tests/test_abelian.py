@@ -477,6 +477,20 @@ def test_group_refuses_every_non_integer_with_group_mismatch(free_rank, orders):
         GradedGroup(free_rank, orders)
 
 
+def test_group_holds_its_torsion_orders_as_a_tuple():
+    # a list or a generator of orders gives the group the tuple gives,
+    # equal, hashable and with working degrees
+    group = GradedGroup(1, (3,))
+    for orders in ([3], (d for d in [3])):
+        same = GradedGroup(1, orders)
+        assert same == group and hash(same) == hash(group)
+        assert same.torsion_orders == (3,)
+        assert same.degree((2,), (4,)) == group.degree((2,), (1,))
+    assert GradedGroup(0, [2, 4]) == GradedGroup(0, (2, 4))
+    with pytest.raises(GroupMismatch):
+        GradedGroup(0, [4, 2])
+
+
 OPTIMIZED_CHECKS = """
 import sys
 from toric_apolarity import (ApolarForm, DegreeBox, DegreeClass, GradedGroup,
@@ -491,6 +505,7 @@ plane = build_fan([[1, 0], [0, 1], [-1, -1]], [[0, 1], [0, 2], [1, 2]])
 for error, attempt in (
         (GroupMismatch, lambda: not_onto.section(GradedGroup(1).degree((1,)))),
         (GroupMismatch, lambda: DegreeBox(GradedGroup(2), ((0, 1),))),
+        (ParseError, lambda: DegreeBox(GradedGroup(1), ((1, 0),))),
         (GroupMismatch, lambda: GradedGroup(1, (3, 2))),
         (GroupMismatch, lambda: GradedGroup(0, (1,))),
         (GroupMismatch, lambda: GradedGroup(1, (2.5,))),

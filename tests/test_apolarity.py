@@ -660,3 +660,18 @@ def test_box_over_the_degree_cap_is_refused_unbuilt(f1, fake, monkeypatch):
                           (fake.class_group, ((0, 30),))]:
         with pytest.raises(BoxTooLarge):
             DegreeBox(group, ranges)
+
+
+@pytest.mark.parametrize("ranges, empty", [
+    (((3, 1), (3, 1)), "3..1"),
+    (((0, 3), (2, 0)), "2..0"),
+    # refused as empty before it is counted, not as 998,001 degrees
+    (((1000, 0), (1000, 0)), "1000..0"),
+])
+def test_box_refuses_a_reversed_range(f1, fake, ranges, empty):
+    with pytest.raises(ParseError, match=empty):
+        DegreeBox(f1.class_group, ranges)
+    with pytest.raises(ParseError, match=empty):
+        DegreeBox(fake.class_group, ranges[-1:])
+    # a range of one value is a box of one degree per torsion class
+    assert len(DegreeBox(fake.class_group, ((3, 3),)).degrees) == 3

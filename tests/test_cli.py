@@ -276,7 +276,7 @@ def test_limit_cert_defects_parse_back(capsys, tmp_path, form, family):
     record = json.loads(out)
     fan = load_fan(F1)
     cert = limit_certificate(cli.parse_form(form, fan),
-                             cli.read_family_file(path, fan))
+                             cli.read_family_file(path))
     assert record["status"] == "INVALID" and cert.constant_defect
     assert ([parse_poly(text, fan.dual_var_names, Side.DUAL).terms
              for text in record["defect"]]

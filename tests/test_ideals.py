@@ -299,12 +299,12 @@ def test_piece_from_basis_of_d_matches_multiples_oracle(f1, p114, fake, cube,
     assert checked >= 40
 
 
-# --- monomial generators as unit columns ------------------------------
+# --- ideals mixing monomial generators with others --------------------
 
 def mixed_ideals(fan, rng, pool):
     """Ideals mixing monomial generators with binomials: a binomial led by
-    a multiple of a monomial generator, so its rows lose their lead
-    column; a monomial generator with coefficient 3; a repeated one; and
+    a multiple of a monomial generator, so its rows meet that generator's
+    pivots; a monomial generator with coefficient 3; a repeated one; and
     the constant 1.  The last three are monomial ideals."""
     nvars = len(fan.rays)
     while True:
@@ -357,38 +357,6 @@ def test_mixed_ideals_match_multiples_and_standard_monomial_oracles(
                 assert quotient == standard_monomial_count(I, d)
                 standard += 0 < quotient < len(basis(fan, d))
     assert checked >= 40 and standard >= 20
-
-
-def test_rows_of_mixed_ideals_drop_the_unit_columns(f1, p114, fake, cube,
-                                                     monkeypatch):
-    # every row of a generator of two or more terms goes to the echelon as
-    # built, and no pivot it stores touches a column of a monomial
-    # generator's multiples; each row of the binomial led by a multiple of
-    # a monomial generator loses its lead there
-    from toric_apolarity.ideals import _piece_echelon
-
-    added = []
-    add = SparseEchelon.add
-    monkeypatch.setattr(SparseEchelon, "add",
-                        lambda self, row: added.append(row) or add(self, row))
-    rows = 0
-    for seed, (fan, pool, degrees) in enumerate(
-            differential_cases(f1, p114, fake, cube)):
-        rng = random.Random(400 + seed)
-        pool = [d for d in pool if basis(fan, d)]
-        mixed, _ = mixed_ideals(fan, rng, pool)
-        for I in mixed:
-            monos = [next(iter(g.terms)) for g in I.generators
-                     if len(g.terms) == 1]
-            for d in degrees:
-                units = {i for i, m in enumerate(basis(fan, d))
-                         if any(all(map(ge, m, e)) for e in monos)}
-                added.clear()
-                ech, _ = _piece_echelon(I, d)
-                assert not any(units.intersection(row)
-                               for row in ech._pivots.values())
-                rows += sum(1 for row in added if units.intersection(row))
-    assert rows >= 20
 
 
 # --- standard monomials counted along the walk's lines ------------------
@@ -676,9 +644,9 @@ def test_only_rows_meeting_a_pivot_are_reduced(f1, p114, fake, monkeypatch):
                 == len(basis(fan, degree - homogeneous_degree(
                     fan, I.generators[0])))
     assert leads == []
-    # a1^2, a2^2: monomial generators enter their multiples as unit
-    # pivots, one per column, so a monomial divisible by both is counted
-    # once and no row is reduced
+    # a1^2, a2^2: a monomial ideal is counted along the walk's lines, so a
+    # monomial divisible by both generators is counted once and no row is
+    # reduced
     I = ideal(fake, "a1^2", "a2^2")
     for k in range(1, 6):
         degree = fake.degree((3,)).scale(k)

@@ -90,38 +90,6 @@ def test_sparse_echelon_normalizes_fresh_leads_and_drops_zeros():
     assert ech.reduced() == pivots
 
 
-def test_unit_columns_match_the_echelon_of_unit_rows():
-    # units held as a set against the same units entered as rows {c: 1}
-    # of a plain echelon: ranks, memberships and reduced forms agree, and a
-    # reduction agrees off the unit columns, which the set drops
-    rng = random.Random(26)
-    touched, verdicts = 0, [0, 0]
-    for rows, ncols in matrices(26, count=120):
-        if not ncols:
-            continue
-        units = set(rng.sample(range(ncols), rng.randint(1, ncols)))
-        ech, plain = SparseEchelon(units), SparseEchelon()
-        for c in units:
-            plain.add({c: 1})
-        for row in rows:
-            row = dict(enumerate(row))
-            touched += any(row[c] for c in units)
-            assert ech.add(dict(row)) == plain.add(dict(row))
-            assert ech.rank == plain.rank
-        assert ech.reduced() == plain.reduced()
-        assert all(units.isdisjoint(row) for row in ech._pivots.values())
-        probes = [dict(enumerate(row)) for row in rows]
-        probes += [{c: rng.randint(-3, 3) for c in range(ncols)}
-                   for _ in range(3)]
-        for row in probes:
-            held = ech.contains(row)
-            assert held == plain.contains(row)
-            assert ech.reduce(row) == {c: v for c, v in plain.reduce(row).items()
-                                       if c not in units}
-            verdicts[held] += 1
-    assert touched >= 100 and min(verdicts) >= 50
-
-
 def test_nullspace_matches_sympy():
     for rows, ncols in matrices(2):
         got = nullspace(rows, ncols)
