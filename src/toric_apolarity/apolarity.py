@@ -8,7 +8,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from math import prod
 from operator import add
 
@@ -45,7 +45,8 @@ class ApolarForm:
 
     ``scale`` is the lcm D of the coefficient denominators and
     ``scaled_terms`` holds the integer coefficients of D times the form;
-    ``basis_values`` lists them in basis(alpha) order, zeros included."""
+    ``basis_values`` lists them in basis(alpha) order, zeros included,
+    and ``residues`` lists those mod ``PRESCREEN_PRIME``."""
 
     def __init__(self, fan, poly: MultiPoly):
         self.fan = fan
@@ -62,11 +63,16 @@ class ApolarForm:
         get = self.scaled_terms.get
         return [get(m, 0) for m in basis(self.fan, self.degree)]
 
+    @cached_property
+    def residues(self):
+        return [v % PRESCREEN_PRIME for v in self.basis_values]
+
 
 def _sum_index_table(fan, degree: DegreeClass, form_degree: DegreeClass):
-    """basis(beta), basis(alpha - beta), and per row an ``array("I")`` of
-    the positions of row + col in basis(alpha); kept on the fan, since no
-    form enters them (4 bytes per cell)."""
+    """basis(beta), basis(alpha - beta), and per monomial of the shorter
+    one (the rows when neither is) an ``array("I")`` of the positions of
+    it plus each monomial of the other in basis(alpha); kept on the fan,
+    since no form enters them (4 bytes per cell)."""
     key = (degree, form_degree)
     found = fan._sum_index_cache.get(key)
     if found is None:
@@ -75,9 +81,10 @@ def _sum_index_table(fan, degree: DegreeClass, form_degree: DegreeClass):
         if len(rows) * len(cols) > MAX_CATALECTICANT_CELLS:
             raise CatalecticantTooLarge(f"{len(rows)} x {len(cols)} cells, over the cap")
         position = {m: i for i, m in enumerate(basis(fan, form_degree))}
+        short, other = (rows, cols) if len(rows) <= len(cols) else (cols, rows)
         found = fan._sum_index_cache[key] = (rows, cols, [
-            array("I", [position[tuple(map(add, row, col))] for col in cols])
-            for row in rows])
+            array("I", [position[tuple(map(add, s, o))] for o in other])
+            for s in short])
     return found
 
 
@@ -86,29 +93,39 @@ def catalecticant_entries(form: ApolarForm, degree: DegreeClass):
     of the contraction map from the graded piece at ``degree``, taken on
     ``form.scale`` times the form.  It has the same rank and kernel as the
     form's own matrix, which is this one divided by ``form.scale``.  Each
-    cell is one index into ``form.basis_values``, read off the fan's table."""
-    rows, cols, table = _sum_index_table(form.fan, degree, form.degree)
+    cell is one index into ``form.basis_values``, read off the fan's table
+    and turned back into rows when the table holds the columns."""
+    rows, cols, lines = _sum_index_table(form.fan, degree, form.degree)
     values = form.basis_values
-    return rows, cols, [list(map(values.__getitem__, t)) for t in table]
+    matrix = [list(map(values.__getitem__, line)) for line in lines]
+    if len(rows) > len(cols):
+        matrix = list(map(list, zip(*matrix))) if cols else [[] for _ in rows]
+    return rows, cols, matrix
 
 
 def exact_rank(form: ApolarForm, degree: DegreeClass, gathered=None) -> int:
-    """Exact rank of the catalecticant at ``degree``, from the one integer
-    matrix ``catalecticant_entries`` gathers, or from ``gathered``, its
-    result, when the caller holds it.  A full rank mod p certifies it (a
-    modular rank can only drop); only otherwise does Bareiss rank the
-    same rows.  The form keeps each rank mod p, keyed by the short side's
-    residues, for the transpose to read; it never keeps a Bareiss rank."""
-    rows, cols, matrix = gathered or catalecticant_entries(form, degree)
+    """Exact rank of the catalecticant at ``degree``.  The prescreen ranks
+    the short side's ``form.residues``, read through the fan's table into
+    one byte per cell; a full rank mod p certifies (a modular rank can
+    only drop).  The form keeps each rank mod p, never a Bareiss rank,
+    keyed by the short side's length and those bytes, for the transpose
+    to read.  Only below the cap does Bareiss rank the integer matrix:
+    ``gathered``, the result of ``catalecticant_entries``, when the
+    caller holds it."""
+    rows, cols, lines = _sum_index_table(form.fan, degree, form.degree)
     cap = min(len(rows), len(cols))
     if not cap:
         return 0
-    short = matrix if len(rows) == cap else zip(*matrix)
-    key = (cap, bytes(v % PRESCREEN_PRIME for row in short for v in row))
-    residue_rank = form._prescreens.get(key)
+    cells = bytes(map(form.residues.__getitem__, chain.from_iterable(lines)))
+    residue_rank = form._prescreens.get((cap, cells))
     if residue_rank is None:
-        residue_rank = form._prescreens[key] = rank_mod(matrix, PRESCREEN_PRIME)
-    return cap if residue_rank == cap else rank_bareiss(matrix)
+        width = len(cells) // cap
+        residue_rank = form._prescreens[cap, cells] = rank_mod(
+            [cells[i:i + width] for i in range(0, len(cells), width)],
+            PRESCREEN_PRIME)
+    if residue_rank == cap:
+        return cap
+    return rank_bareiss((gathered or catalecticant_entries(form, degree))[2])
 
 
 def annihilator_in_degree(form: ApolarForm, degree: DegreeClass):
@@ -122,13 +139,14 @@ def hilbert_value(form: ApolarForm, degree: DegreeClass,
                   gathered=None) -> int:
     """Dimension of the apolar algebra's graded piece: the rank of the
     contraction matrix at ``degree``, computed once per form and degree
-    (by ``exact_rank``, which ranks ``gathered`` when it is given).
+    (by ``exact_rank``, which hands Bareiss ``gathered`` when it is given).
 
     The memo is keyed by the degree alone, not by the pair {beta,
-    alpha - beta}: each degree gathers its own matrix.  The partner of a
-    ranked degree reuses only its prescreen, after a byte-for-byte match
-    of the residues, and a prescreen below the cap sends each of the two
-    gathers to Bareiss, so ``check_symmetry`` compares two gathers."""
+    alpha - beta}: each degree reads its own residues through its own
+    table.  The partner of a ranked degree reuses only its prescreen,
+    after a byte-for-byte match of the residues, and a prescreen below
+    the cap sends each of the two integer gathers to Bareiss, so
+    ``check_symmetry`` compares two gathers."""
     rank = form._ranks.get(degree)
     if rank is None:
         rank = form._ranks[degree] = exact_rank(form, degree, gathered)

@@ -40,7 +40,8 @@ class CatMatrix:
 
 
 def catalecticant(form: ApolarForm, degree: DegreeClass) -> CatMatrix:
-    """One gather, whose matrix is also the one ranked on a first call."""
+    """One gather, whose matrix Bareiss ranks if a first call's prescreen
+    misses."""
     gathered = rows, cols, matrix = catalecticant_entries(form, degree)
     return CatMatrix(degree, rows, cols, tuple(map(tuple, matrix)), form.scale,
                      hilbert_value(form, degree, gathered))

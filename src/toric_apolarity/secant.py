@@ -63,14 +63,23 @@ def checked_prime(value: int) -> int:
     return value
 
 
+def _check_counts(fan, points):
+    """Refuse with ParseError the first point that has not one coordinate
+    per ray; run over every point before any other check of them."""
+    for coords in points:
+        if len(coords) != len(fan.rays):
+            raise ParseError(f"expected {len(fan.rays)} point coordinates, "
+                             f"got {len(coords)}")
+
+
 def _point(fan, coords):
     """The point's coordinates as Fractions: one per ray (else ParseError)
     and off the cut locus (else PointInIrrelevantLocus)."""
     coords = [Fraction(c) for c in coords]
-    if len(coords) != len(fan.rays):
-        raise ParseError(f"expected {len(fan.rays)} coordinates")
+    _check_counts(fan, [coords])
     if not fan.irrelevant.nonvanishing_at(coords):
-        raise PointInIrrelevantLocus(f"coordinates {coords} lie in the cut locus")
+        raise PointInIrrelevantLocus(
+            f"coordinates {', '.join(map(str, coords))} lie in the cut locus")
     return coords
 
 
@@ -91,9 +100,12 @@ class DecompositionCheck:
 
 def verify_decomposition(form, terms) -> DecompositionCheck:
     """Exact check that sum(coeff * parametrize(point)) equals the form,
-    for (coefficient, coordinates) pairs: every point is checked first, in
-    order, zero coefficients included; the terms are then a family without
-    parameters, whose limit check's parameter-free defect is the residual."""
+    for (coefficient, coordinates) pairs: every point's coordinate count
+    is checked first, then each point's locus, in order, zero coefficients
+    included; the terms are then a family without parameters, whose limit
+    check's parameter-free defect is the residual."""
+    terms = tuple(terms)
+    _check_counts(form.fan, [coords for _, coords in terms])
     family = LaurentFamily((), tuple(
         (LaurentScalar(Fraction(coeff), ()),
          tuple(LaurentScalar(c, ()) for c in _point(form.fan, coords)))
@@ -156,10 +168,9 @@ def limit_certificate(form, family: LaurentFamily) -> LimitCertificate:
     """
     zero_expo = (0,) * len(family.params)
     mons, columns, tops = _basis_columns(form.fan, form.degree)
+    _check_counts(form.fan, [coords for _, coords in family.terms])
     scaled = []  # (numerator, denominator, value row, exponent rows)
     for coeff, coords in family.terms:
-        if len(coords) != len(form.fan.rays):
-            raise ParseError(f"expected {len(form.fan.rays)} point coordinates")
         if coeff.coeff == 0:
             continue
         (values,), scale = _tangent_rows(columns, tops,

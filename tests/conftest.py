@@ -222,6 +222,14 @@ def coefficient_matrix(F, degree):
                         for r in rows]
 
 
+def short_residues(matrix, ncols):
+    """The rows the prescreen ranks: a catalecticant's short side (its
+    rows unless it has more rows than columns), one byte per cell, each
+    the cell mod 101."""
+    short = matrix if len(matrix) <= ncols else zip(*matrix)
+    return [bytes(v % 101 for v in line) for line in short]
+
+
 def record_echelons(monkeypatch):
     """Swap ``linalg.SparseEchelon`` for a subclass that keeps every
     instance and every row handed to ``add``; returns the instances."""

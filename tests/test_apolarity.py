@@ -19,7 +19,7 @@ from toric_apolarity.ring import basis
 from toric_apolarity.secant import parametrize
 
 from conftest import (assert_fraction_pivots, coefficient_matrix, dual, form,
-                      primal, rational_cases, record_echelons)
+                      primal, rational_cases, record_echelons, short_residues)
 
 
 def test_contract_monomial_pairing(f1):
@@ -498,10 +498,11 @@ def test_residue_prescreen_matches_bareiss(f1, p114, fake, cube):
     assert misses >= 40
 
 
-def test_each_rank_gathers_once_and_a_miss_ranks_that_matrix(
+def test_a_rank_gathers_integers_only_on_a_miss(
         f1, p114, fake, cube, monkeypatch):
-    # the prescreen ranks the gathered integer rows mod 101; on a miss
-    # Bareiss gets the same list, not a second gather
+    # the prescreen reads residues through the fan's table and gathers no
+    # integer matrix; on a miss exactly one gather happens, and Bareiss
+    # ranks that matrix
     gathered, ranked = [], []
     gather, bareiss = apolarity.catalecticant_entries, apolarity.rank_bareiss
     monkeypatch.setattr(apolarity, "catalecticant_entries",
@@ -512,17 +513,49 @@ def test_each_rank_gathers_once_and_a_miss_ranks_that_matrix(
                         or bareiss(matrix))
     misses = 0
     for F, degree in prescreen_cases(f1, p114, fake, cube):
+        rows, cols, matrix = gather(F, degree)
+        cap = min(len(rows), len(cols))
+        miss = bool(cap) and rank_mod(matrix, 101) < cap
         gathered.clear()
         ranked.clear()
         rank = apolarity.exact_rank(F, degree)
-        assert len(gathered) == 1
-        rows, cols, matrix = gathered[0]
-        cap = min(len(rows), len(cols))
-        miss = bool(cap) and rank_mod(matrix, 101) < cap
-        assert [id(m) for m in ranked] == [id(matrix)] * miss
+        assert [entries[2] for entries in gathered] == [matrix] * miss
+        assert ranked == [matrix] * miss
         assert rank == (bareiss(matrix) if miss else cap)
         misses += miss
     assert misses >= 40
+
+
+def test_table_holds_the_short_side_and_keys_its_residues(
+        f1, p114, fake, cube):
+    # the fan's table keeps one line per monomial of the shorter basis,
+    # the rows when neither is longer; catalecticant_entries still lists
+    # rows, and a form's prescreen key is the short side's residues
+    shapes = set()
+    for F, box in memo_cases(f1, p114, fake, cube):
+        position = {m: i for i, m in enumerate(basis(F.fan, F.degree))}
+        for degree in box:
+            rows, cols, lines = apolarity._sum_index_table(
+                F.fan, degree, F.degree)
+            m, n = len(rows), len(cols)
+            shapes.add("0 x n" if not m else "n x 0" if not n else
+                       "square" if m == n else "tall" if m > n else "wide")
+            short, other = (rows, cols) if m <= n else (cols, rows)
+            assert [list(line) for line in lines] == [
+                [position[tuple(map(add, s, o))] for o in other]
+                for s in short]
+            _, _, coefficients = coefficient_matrix(F, degree)
+            t_rows, t_cols, matrix = catalecticant_entries(F, degree)
+            assert (t_rows, t_cols) == (rows, cols)
+            assert matrix == [[F.scale * v for v in row]
+                              for row in coefficients]
+            assert len(matrix) == m and all(len(row) == n for row in matrix)
+            G = ApolarForm(F.fan, F.poly)
+            apolarity.exact_rank(G, degree)
+            cap = min(m, n)
+            key = (cap, b"".join(short_residues(matrix, n)))
+            assert list(G._prescreens) == [key] * bool(cap)
+    assert shapes == {"wide", "tall", "square", "0 x n", "n x 0"}
 
 
 def self_complementary_cases(f1, p114, fake, cube):

@@ -393,6 +393,30 @@ def test_malformed_point_file_is_a_parse_error(capsys, tmp_path, flag, text):
     assert out == "" and "Traceback" not in err
 
 
+@pytest.mark.parametrize("lines", [
+    ["1 | 0, 0, 1, 1", "1 | 1, 1, 1"],  # the locus point comes first
+    ["1 | 1, 1, 1", "1 | 0, 0, 1, 1"],
+])
+def test_a_terms_file_is_counted_before_any_locus_check(capsys, tmp_path,
+                                                        lines):
+    # every point's coordinate count is checked before any point's locus,
+    # so a short line is an input error wherever it stands
+    path = tmp_path / "points"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "decompose-check", F1, "--form",
+                         "x0*x1*y0*y1", "--terms", str(path))
+    assert code == 2 and "[ParseError]" in err
+    assert "expected 4 point coordinates, got 3" in err
+    assert out == "" and "Traceback" not in err
+    # the locus point alone is refused, its coordinates printed as numbers
+    path.write_text("1 | 0, 0, 1, 1\n")
+    code, out, err = run(capsys, "decompose-check", F1, "--form",
+                         "x0*x1*y0*y1", "--terms", str(path))
+    assert code == 1 and "[PointInIrrelevantLocus]" in err
+    assert "coordinates 0, 0, 1, 1 lie in the cut locus" in err
+    assert "Fraction" not in err and out == ""
+
+
 DET_CHECK = ("det-check", F1, "--degree", "5,2", "-r", "5",
              "--at", "1,2,3,4,5,6,7,9,0,2")
 
@@ -607,6 +631,8 @@ def test_bareiss_receives_only_integer_rows(capsys, monkeypatch, f1):
 
 
 def test_cat_builds_its_catalecticant_once(capsys, monkeypatch):
+    # a full prescreen ranks residues read through the fan's table and
+    # builds no integer matrix; a deficient one builds it once, for Bareiss
     from toric_apolarity import apolarity, bounds
     builds = []
     build = apolarity.catalecticant_entries
@@ -617,9 +643,11 @@ def test_cat_builds_its_catalecticant_once(capsys, monkeypatch):
 
     monkeypatch.setattr(apolarity, "catalecticant_entries", counted)
     monkeypatch.setattr(bounds, "catalecticant_entries", counted)
-    code, out, _ = run(capsys, "cat", P114, "--form", "x^2*y^2", "--beta", "2")
-    assert code == 0 and "rank 3 [exact]" in out
-    assert len(builds) == 1
+    for text, rank, want in [("x^2*y^2", 3, 0), ("x^4 + y^4", 2, 1)]:
+        builds.clear()
+        code, out, _ = run(capsys, "cat", P114, "--form", text, "--beta", "2")
+        assert code == 0 and f"3 x 3, rank {rank} [exact]" in out
+        assert len(builds) == want
 
 
 def test_cat_records_match_the_catalecticant(capsys):
