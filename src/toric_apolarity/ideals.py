@@ -3,19 +3,20 @@ by monomial multiples of the generators, colon pieces against the
 irrelevant ideal, and zero-dimensional length estimation by Hilbert
 function stabilization along multiples of an ample class.
 
-When every generator is a monomial, dim I_D is the number of monomials of
-basis(D) that some generator divides; ``ideal_piece_dimension`` and
-``length_estimate`` count them along the walk's lines
-(``ring.BasisLines.standard``), with no basis listed and no echelon.  An
-ideal with a generator of two or more terms is ranked by ``SparseEchelon``.
+dim I_D, and so each length sample, takes one of three routes: for a
+monomial ideal, the monomials of basis(D) that a generator divides,
+counted along the walk's lines (``ring.BasisLines.standard``); for
+generators of at most two terms, the rank of a gain graph on basis(D)
+(``_gain_rank``); otherwise, as for every ideal and colon piece, an echelon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import compress, repeat
-from operator import add, and_, ge, sub
+from operator import and_, ge
 
 from .abelian import DegreeClass
 from .apolarity import ApolarForm, apolar_contains
@@ -25,10 +26,10 @@ from .ring import BasisLines, Side, basis, checked_degree, monomial_key
 
 
 class IdealGens:
-    """Homogeneous generating set of an ideal in the coordinate ring;
-    ``shapes`` lists the generators' rows by their number of terms, so a
-    monomial's rows are pivots before another row meets them, and
-    ``monomials`` holds the exponents when each is a monomial, else None."""
+    """Homogeneous generating set of an ideal in the coordinate ring.  Its
+    pieces are counted if ``monomials`` (each one's exponents) is not None;
+    else ``shapes``, the generators by number of terms, makes them gain
+    graphs if the last has <= 2 terms, else echelons, monomial rows first."""
 
     def __init__(self, fan, generators):
         self.fan = fan
@@ -36,15 +37,13 @@ class IdealGens:
         shapes = []
         for g in self.generators:
             checked_degree(fan, g, Side.PRIMAL, "an ideal generator")
-            # in integer coefficients: the largest term's exponent e and
-            # coefficient, and the other terms as (exponent - e, c)
+            # integer terms: the largest (e, lead), then the others
             _, terms = g.integer_terms()
             e = max(terms, key=monomial_key)
             lead = terms.pop(e)
-            shapes.append((e, lead, [(tuple(map(sub, mono, e)), c)
-                                     for mono, c in terms.items()]))
+            shapes.append((e, lead, list(terms.items())))
         self.shapes = tuple(sorted(shapes, key=lambda shape: len(shape[2])))
-        self.monomials = (None if any(offsets for _, _, offsets in shapes)
+        self.monomials = (None if any(others for _, _, others in shapes)
                           else tuple(e for e, _, _ in shapes))
 
 
@@ -58,36 +57,78 @@ def _multiples(columns, e):
     return compress(range(len(columns[0]) if columns else 0), hits)
 
 
-def _piece_echelon(ideal: IdealGens, degree: DegreeClass):
-    """Echelon of the graded piece, spanned by every monomial multiple of
-    every generator landing in ``degree``; also returns the exponent
-    columns of basis(D), one tuple per variable.
-
-    The multipliers basis(D - deg g) of a generator g are read off
-    basis(D): for the largest term e of g they are the m - e with m in
-    basis(D) and m >= e (``_multiples``), in the same order, and the row
-    of m - e leads at m's own column, since the monomial order is
-    translation invariant.  Each generator is scaled to integer
-    coefficients; the ideal is the same.  A monomial's row is {m: lead}."""
+def _piece_rows(ideal: IdealGens, degree: DegreeClass):
+    """basis(D), its exponent columns, and per generator g (lead, leads,
+    [(c, cols), ...]): its multiples' rows, lead at columns ``leads`` and
+    each other term's c at ``cols``.  The multiple by m - e (e g's largest
+    term) has its term f at m - e + f: ``leads`` are the m >= e, ``cols``
+    the m >= f (``_multiples``), matched in order, as a monomial order is
+    translation invariant."""
     mons = basis(ideal.fan, degree)
     columns = tuple(zip(*mons))
-    index = {m: i for i, m in enumerate(mons)}
+    return mons, columns, (
+        (lead, list(_multiples(columns, e)),
+         [(c, list(_multiples(columns, f))) for f, c in others])
+        for e, lead, others in ideal.shapes)
+
+
+def _piece_echelon(ideal: IdealGens, degree: DegreeClass):
+    """Echelon of the graded piece, each row of ``_piece_rows`` entered as
+    {j: c, ..., i: lead}; also returns the exponent columns of basis(D)."""
+    _, columns, rows = _piece_rows(ideal, degree)
     ech = SparseEchelon()
-    for e, lead, offsets in ideal.shapes:
-        for i in _multiples(columns, e):
-            row = {index[tuple(map(add, mons[i], off))]: c
-                   for off, c in offsets}
-            row[i] = lead
-            ech.add(row)
+    for lead, leads, others in rows:
+        for i, *js in zip(leads, *(cols for _, cols in others)):
+            ech.add({**{j: c for j, (c, _) in zip(js, others)}, i: lead})
     return ech, columns
 
 
+def _gain_rank(ideal: IdealGens, degree: DegreeClass) -> int:
+    """dim I_D = |basis(D)| - #balanced components of a gain graph, when no
+    generator has three terms: a binomial's row (lead at i, c at j) is the
+    edge y_i = w*y_j, w = -c/lead, and a monomial's the loop y_i = 0*y_i, a
+    half-edge.  A potential y_v / y_root is a product of the gains w_g, kept
+    as its exponents packed in one int (k_g at bit 64*g): composing adds."""
+    mons, _, rows = _piece_rows(ideal, degree)
+    parent, power = list(range(len(mons))), [0] * len(mons)
+    unbalanced, gains = bytearray(len(mons)), []
+
+    def find(v):  # iterative, compressing v's path to the root
+        root, k = v, 0
+        while parent[root] != root:
+            root, k = parent[root], k + power[root]
+        while v != root:  # k is v's potential, then its parent's
+            power[v], parent[v], k, v = k, root, k - power[v], parent[v]
+        return root
+
+    @cache
+    def is_one(d):  # prod w_g ** k_g == 1 for the 64-bit digits k_g of d
+        value = Fraction(1)
+        for w in gains:
+            d, k = divmod(d + (1 << 63), 1 << 64)
+            value *= w ** (k - (1 << 63))
+        return value == 1
+
+    for lead, leads, others in rows:
+        (c, partners), = others or [(0, leads)]
+        unit = 1 << 64 * len(gains)
+        gains.append(Fraction(-c, lead))
+        for i, j in zip(leads, partners):
+            ri, rj = find(i), find(j)
+            d = unit + power[j] - power[i]  # w * (y_j / y_rj) / (y_i / y_ri)
+            if ri != rj:  # the potential of ri under rj
+                parent[ri], power[ri] = rj, d
+                unbalanced[rj] |= unbalanced[ri]
+            else:  # a cycle: balanced when its gains multiply to 1
+                unbalanced[ri] = unbalanced[ri] or d != 0 and not is_one(d)
+    return sum(parent[v] != v or unbalanced[v] for v in range(len(mons)))
+
+
 def ideal_piece_dimension(ideal: IdealGens, degree: DegreeClass) -> int:
-    """dim I_D: for a monomial ideal the monomials of basis(D) that a
-    generator divides, counted along the walk's lines; otherwise the rank of
-    the piece's echelon."""
+    """dim I_D, by the first of the module's three routes that applies."""
     if ideal.monomials is None:
-        return _piece_echelon(ideal, degree)[0].rank
+        return (_gain_rank(ideal, degree) if len(ideal.shapes[-1][2]) <= 1
+                else _piece_echelon(ideal, degree)[0].rank)
     lines = BasisLines(ideal.fan, degree)
     return lines.size - lines.standard(ideal.monomials)
 
@@ -153,9 +194,8 @@ def length_estimate(ideal: IdealGens, ample: DegreeClass,
     so an oversized max_k meets the basis cap at its first piece.  Each
     sample counts at least one, so a max_k over the budget is refused
     before any piece is walked; window and max_k below 1 are InputErrors.
-    Only then is each sample taken: for a monomial ideal, the standard
-    monomials counted on the piece's lines (one walk per k, no basis
-    listed); otherwise |basis| minus the rank of the piece's echelon."""
+    Only then is each sample taken: the standard monomials counted on a
+    monomial ideal's lines, else |basis| - ``ideal_piece_dimension``."""
     fan, monomials = ideal.fan, ideal.monomials
     _require_counts(window=window, max_k=max_k)
     if max_k > MAX_LENGTH_MONOMIALS:

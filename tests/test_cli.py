@@ -549,6 +549,9 @@ RECORD_COMMANDS = {
                            "--degree", "3,2", "-r", "3", "--seed", "1"),
     "length_fake.jsonl": ("--format", "records", "length", FAKE,
                           "--ideal", "a1^2, a2^2", "--ample", "3;0"),
+    "length_f1_points.jsonl": ("--format", "records", "length", F1, "--ideal",
+                               "a0^2 - 4*a1^2, b0^3 + 5*a1^3*b1^3",
+                               "--ample", "2,1"),
     "decompose_check_f1.jsonl": ("--format", "records", "decompose-check", F1,
                                  "--form", "x0*x1*y0*y1", "--terms",
                                  str(FIXTURES / "f1_four_points.terms")),

@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -276,10 +278,16 @@ def piece_results(I, degrees):
 
 def assert_matches_multiples_oracle(I, degrees, monkeypatch):
     """ideal_piece, ideal_piece_dimension, colon_piece and saturation_gap
-    agree with the multiples oracle; returns the number of nonzero pieces."""
+    agree with the multiples oracle; returns the number of nonzero pieces.
+    A monomial ideal's dimension is counted and one of generators of at
+    most two terms is a gain graph's rank, neither through
+    ``_piece_echelon``, so the dimension is also checked against the
+    oracle's rank directly."""
     from toric_apolarity import ideals as ideals_module
 
     got = piece_results(I, degrees)
+    assert [dim for _, dim, _, _ in got] \
+        == [multiples_piece_echelon(I, d)[0].rank for d in degrees]
     with monkeypatch.context() as patch:
         patch.setattr(ideals_module, "_piece_echelon", multiples_piece_echelon)
         want = piece_results(I, degrees)
@@ -357,6 +365,106 @@ def test_mixed_ideals_match_multiples_and_standard_monomial_oracles(
                 assert quotient == standard_monomial_count(I, d)
                 standard += 0 < quotient < len(basis(fan, d))
     assert checked >= 40 and standard >= 20
+
+
+# --- generators of at most two terms: gain graphs ---------------------
+
+# Per fixture: two gains on one pair of monomials (an unbalanced cycle);
+# a cycle balanced only through the signs of its gains (the second
+# generator is a multiple of the first); rational and negative
+# coefficients; monomial generators (half-edges) beside binomials.
+GAIN_GRAPH_CASES = {
+    "f1": [("a0^2 - a1^2", "a0^2 - 2*a1^2"),
+           ("a0 + a1", "a0^2 - a1^2"),
+           ("3/2*a0^2 - 5/7*a1^2", "b0 - 2/3*a1*b1", "-a0*b0 - 4*a1*b0"),
+           ("a0^2 - a1^2", "a0*a1", "b0^2 + 3*a1^2*b1^2", "a1*b1")],
+    "p114": [("c - a^4", "c - 2*a^4"),
+             ("a + b", "a^2 - b^2"),
+             ("-2/3*a^2 + 5*b^2", "c - 7/4*a^3*b"),
+             ("a^4 - b^4", "a*b", "c^2 + a^8")],
+    "fake": [("a0^2 - a1*a2", "a0^2 - 2*a1*a2"),
+             ("a0*a2 + a1^2", "a0^2*a2^2 - a1^4"),
+             ("-3/4*a0^3 + 5/2*a1^3", "a1^3 - 7/3*a2^3"),
+             ("a0^2 - a1*a2", "a0*a1*a2", "a1^3 + 2*a2^3")],
+}
+GAIN_GRAPH_DEGREES = {"f1": ((range(4), range(3)), ((),)),
+                      "p114": ((range(9),), ((),)),
+                      "fake": ((range(6),), Z3)}
+
+
+@pytest.mark.parametrize("fan_name", sorted(GAIN_GRAPH_CASES))
+def test_gain_graph_ranks_match_multiples_oracle(request, fan_name,
+                                                 monkeypatch):
+    fan = request.getfixturevalue(fan_name)
+    degrees = degree_box(fan, *GAIN_GRAPH_DEGREES[fan_name])
+    for gens in GAIN_GRAPH_CASES[fan_name]:
+        I = ideal(fan, *gens)
+        assert I.monomials is None and len(I.shapes[-1][2]) == 1
+        assert assert_matches_multiples_oracle(I, degrees, monkeypatch)
+        assert any(0 < ideal_piece_dimension(I, d) < len(basis(fan, d))
+                   for d in degrees)
+
+
+def test_gain_graph_ranks_by_hand(f1, p114):
+    # basis(2, 0) of f1 is a0^2, a0*a1, a1^2
+    degree = f1.degree((2, 0))
+    # y0 = y2 and y0 = 2*y2 leave y0 = y2 = 0: a0^2 and a1^2 are in I_D,
+    # and the isolated a0*a1 is a balanced component of its own
+    assert ideal_piece_dimension(ideal(f1, "a0^2 - a1^2",
+                                       "a0^2 - 2*a1^2"), degree) == 2
+    # y0 = -y1, y1 = -y2 and y0 = y2 agree: a0^2 - a1^2 adds nothing
+    assert ideal_piece_dimension(ideal(f1, "a0 + a1", "a0^2 - a1^2"),
+                                 degree) == 2
+    # the half-edge a0*a1 splits a0^2 - a1^2's balanced pair off
+    assert ideal_piece_dimension(ideal(f1, "a0^2 - a1^2", "a0*a1"),
+                                 degree) == 2
+    # c - a^4 and c - 2*a^4 put c and a^4 in the ideal: the quotient is
+    # spanned by the a^i*b^(d-i) with i <= 3
+    I = ideal(p114, "c - a^4", "c - 2*a^4")
+    for d in range(4, 9):
+        degree = p114.degree((d,))
+        assert ideal_piece_dimension(I, degree) == len(basis(p114, degree)) - 4
+
+
+def test_gain_graph_of_a_deep_component_matches_the_echelon():
+    # on P1 the rows of x0 - x1 join the n + 1 monomials of degree n in
+    # one chain, each root put under the next, so the tree is as deep as
+    # the piece; the rows of x0^2 - x1^2 then look up its deepest vertex
+    line = build_fan([[1], [-1]], [[0], [1]])
+    n = sys.getrecursionlimit() + 100
+    degree = line.degree((n,))
+    for gens in (("x0 - x1", "x0^2 - x1^2"), ("x0 - 2*x1", "x0^3 - 8*x1^3")):
+        I = ideal(line, *gens)
+        assert ideal_piece_dimension(I, degree) \
+            == multiples_piece_echelon(I, degree)[0].rank == n
+    # an unbalanced cycle through the deepest vertex: x1^2 is in the ideal,
+    # so I_D is all of S_D
+    I = ideal(line, "x0 - x1", "x0^2 - 3*x1^2")
+    assert ideal_piece_dimension(I, degree) == n + 1
+
+
+
+def test_gain_graph_potentials_stay_small_along_a_long_chain():
+    # a piece of P1 is one chain; with gain 3 the kernel vector's entries
+    # grow like 3^k, so potentials kept as numbers would hold about n^2
+    # bits in all (some 350 MB here), while their exponents take a few
+    # words each
+    line = build_fan([[1], [-1]], [[0], [1]])
+    n = 60_000
+    degree = line.degree((n,))
+    basis(line, degree)  # listed before memory is traced
+    tracemalloc.start()
+    try:
+        # x0^2 - 9*x1^2 is a multiple of x0 - 3*x1; x0^2 - 5*x1^2 is not,
+        # and with x0 - 3*x1 it gives 4*x1^2, so x1^2 and x0^2 are in I
+        assert ideal_piece_dimension(
+            ideal(line, "x0 - 3*x1", "x0^2 - 9*x1^2"), degree) == n
+        assert ideal_piece_dimension(
+            ideal(line, "x0 - 3*x1", "x0^2 - 5*x1^2"), degree) == n + 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 # --- standard monomials counted along the walk's lines ------------------
@@ -504,6 +612,21 @@ def groebner_quotient_dimension(ideal, degrees):
             for d in degrees]
 
 
+def bench_point_ideals(f1, rng):
+    """The benchmark's binomial ideals on f1: a0^p - c*a1^p and
+    b0^q - d*(a1*b1)^q for p, q in 2..3 and c, d in -9..9 but 0, and the
+    cactus shape p = q = 2 with c, d squares of 1..5."""
+    def nonzero():
+        return rng.choice([v for v in range(-9, 10) if v])
+
+    shapes = [(p, q, nonzero(), nonzero()) for p, q in product((2, 3), (2, 3))]
+    shapes.append((2, 2, rng.randint(1, 5) ** 2, rng.randint(1, 5) ** 2))
+    return [IdealGens(f1, [
+        MultiPoly(Side.PRIMAL, {(p, 0, 0, 0): 1, (0, p, 0, 0): -c}),
+        MultiPoly(Side.PRIMAL, {(0, 0, q, 0): 1, (0, q, 0, q): -d})])
+        for p, q, c, d in shapes]
+
+
 def test_quotient_dimensions_match_groebner_oracle(f1, p114, fake):
     cases = [(f1, degree_box(f1, (range(3), range(2))), f1.degree((1, 1))),
              (p114, degree_box(p114, (range(1, 5),)), p114.degree((4,))),
@@ -515,6 +638,8 @@ def test_quotient_dimensions_match_groebner_oracle(f1, p114, fake):
         ideals = [seeded_ideal(fan, rng, rng.sample(pool, rng.randint(2, 3)),
                                nterms)
                   for nterms in (1, 1, 2, 2, 2)]
+        if fan is f1:
+            ideals += bench_point_ideals(f1, rng)
         for I in ideals:
             estimate = length_estimate(I, ample, max_k=5)
             degrees = [ample.scale(k) for k, _ in estimate.samples]
@@ -523,7 +648,7 @@ def test_quotient_dimensions_match_groebner_oracle(f1, p114, fake):
             assert [len(basis(fan, d)) - ideal_piece_dimension(I, d)
                     for d in degrees] == want
             compared += len(want)
-    assert compared == 75
+    assert compared == 100
 
 
 def groebner_colon_dimension(ideal, degree):
@@ -749,8 +874,9 @@ def test_length_estimate_builds_each_sample_degree_once(fake, monkeypatch):
 
 
 def test_monomial_ideals_build_no_column_index(f1, p114, fake, monkeypatch):
-    # the multiples of every generator come from the basis columns; the
-    # monomial -> column index is built only for a generator of two terms
+    # the multiples of every generator come from the basis columns, and so
+    # do the columns of each other term f (the m >= f, in basis order): no
+    # piece of any ideal builds a monomial -> column index
     from toric_apolarity import ideals as ideals_module
 
     indexed = []
@@ -771,5 +897,8 @@ def test_monomial_ideals_build_no_column_index(f1, p114, fake, monkeypatch):
         indexed.clear()
         assert ideal_piece_dimension(ideal(fan, *gens), degree) == want > 0
         assert indexed == []
-        ideal_piece_dimension(ideal(fan, *gens, binomial), degree)
-        assert indexed == [len(mons)]
+        I = ideal(fan, *gens, binomial)
+        assert ideal_piece_dimension(I, degree) \
+            == multiples_piece_echelon(I, degree)[0].rank
+        assert ideal_piece(I, degree) and colon_piece(I, degree)
+        assert indexed == []
