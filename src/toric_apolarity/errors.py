@@ -88,7 +88,8 @@ class CatalecticantTooLarge(Refusal):
 
 
 class StackTooLarge(Refusal):
-    """A Terracini probe's tangent stacks have more cells than the matrix cap."""
+    """A Terracini probe's tangent stacks, or a determinant check's one
+    stack, have more cells than the matrix cap."""
 
 
 class ContainmentFailed(Refusal):

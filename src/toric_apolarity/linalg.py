@@ -61,14 +61,22 @@ def rank_bareiss(rows) -> int:
 
 
 def det_bareiss(rows) -> int:
-    """Exact determinant of a square integer matrix via Bareiss."""
+    """Exact determinant of a square integer matrix via Bareiss, which
+    sees the columns in increasing order of their largest |entry| (a
+    stable sort), so the early pivots and the minors they divide stay
+    small; the result carries the sign of that column permutation."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise NonSquare(f"matrix is {len(rows)}x{len(rows[0]) if rows else 0}")
     if n == 0:
         return 1
-    rank, sign, last = _bareiss(rows)
-    return sign * last if rank == n else 0
+    columns = list(zip(*rows))
+    order = sorted(range(n), key=lambda j: max(map(abs, columns[j])))
+    rank, sign, last = _bareiss(list(zip(*map(columns.__getitem__, order))))
+    if rank < n:
+        return 0
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return (-1) ** inversions * sign * last
 
 
 class SparseEchelon:

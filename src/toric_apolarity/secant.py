@@ -16,7 +16,7 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import lcm
 from operator import add, floordiv, mul
 
@@ -275,23 +275,28 @@ def _tangent_rows(columns, tops, coords, free_positions=(), prime=None):
 
     The value row is built column by column: each entry is a product of
     one table value a^e * b^(top-e) per variable, e read from that
-    variable's exponent column.  The derivative row at free position j
+    variable's exponent column.  A coordinate that is exactly 1 (a = b =
+    1, as every pinned one is) has no table and adds no pass; the others'
+    tables are running products.  The derivative row at free position j
     is the value row times e_j * b_j / a_j, one pass over the value row:
     over Q the quotient (v * e * b) // a is exact, since a^e divides v
     whenever e >= 1; mod p the factor b * a^-1 is one residue.  Only when
     a_j is 0 (0 mod p on the prime path) is the row rebuilt as a product
     of tables, with e * a^(e-1) * b^(top-e+1) in column j.
     """
-    tables = []
+    tables = []  # None for a coordinate that is 1
     scale = 1
     for c, top in zip(coords, tops):
         a, b = c.numerator, c.denominator
         if prime and b % prime == 0:
             raise BadPrime(f"prime {prime} divides the denominator of a "
                            f"coordinate")
-        up = [pow(a, e, prime) for e in range(top + 1)]
+        if a == b == 1:
+            tables.append(None)
+            continue
+        up = _powers(a, top, prime)
         if b != 1:
-            down = [pow(b, e, prime) for e in range(top, -1, -1)]
+            down = _powers(b, top, prime)[::-1]
             up = list(map(mul, up, down))
             scale *= down[0]
         tables.append(up)
@@ -302,10 +307,10 @@ def _tangent_rows(columns, tops, coords, free_positions=(), prime=None):
         column = columns[j]
         if prime and a % prime:
             step = b * pow(a, -1, prime) % prime
-            factor = [e * step for e in range(len(tables[j]))]
+            factor = [e * step for e in range(tops[j] + 1)]
             rows.append(list(map(mul, value, map(factor.__getitem__, column))))
         elif a and not prime:
-            factor = [e * b for e in range(len(tables[j]))]
+            factor = [e * b for e in range(tops[j] + 1)]
             rows.append(list(map(floordiv, map(mul, value,
                                                map(factor.__getitem__, column)),
                                  repeat(a))))
@@ -316,11 +321,26 @@ def _tangent_rows(columns, tops, coords, free_positions=(), prime=None):
     return rows, scale % prime if prime else scale
 
 
+def _powers(a, top, prime=None):
+    """[a^0, ..., a^top] as running products, each reduced mod prime when
+    one is given."""
+    if prime:
+        return list(accumulate(repeat(a % prime, top),
+                               lambda x, y: x * y % prime, initial=1))
+    return list(accumulate(repeat(a, top), mul, initial=1))
+
+
 def _table_product(tables, columns):
     """The row whose entry k is the product over variables i of
-    tables[i][columns[i][k]], built one column at a time."""
-    row = map(tables[0].__getitem__, columns[0])
-    for table, column in zip(tables[1:], columns[1:]):
+    tables[i][columns[i][k]], built one column at a time from the first
+    variable with a table; a variable without one (None) is 1 throughout,
+    and a row with no table at all is all ones."""
+    pairs = [(t, c) for t, c in zip(tables, columns) if t is not None]
+    if not pairs:
+        return [1] * len(columns[0])
+    (table, column), *rest = pairs
+    row = map(table.__getitem__, column)
+    for table, column in rest:
         row = map(mul, row, map(table.__getitem__, column))
     return list(row)
 
@@ -397,13 +417,18 @@ def terracini_probe(fan, degree: DegreeClass, r: int, prime: int = DEFAULT_PRIME
 def terracini_determinant_check(fan, degree: DegreeClass, r: int, assignment,
                                 prime: int | None = None, pins=None):
     """Exact determinant of the stacked tangent matrix at an explicit
-    parameter assignment, over Q or over Z/prime."""
+    parameter assignment, over Q or over Z/prime.  A stack of more cells
+    than the catalecticant cap is refused before any row is built."""
     _require_counts(r=r)
     if prime is not None:
         checked_prime(prime)
     _, free_positions = _chart(fan, pins)
     mons, columns, tops = _basis_columns(fan, degree)
     per_point = len(free_positions)
+    cells = r * (per_point + 1) * len(mons)
+    if cells > MAX_CATALECTICANT_CELLS:
+        raise StackTooLarge(f"{r} points make {cells} tangent-stack cells, "
+                            f"over the cap")
     if len(assignment) != r * per_point:
         raise ParseError(f"need {r * per_point} assignment values, "
                          f"got {len(assignment)}")

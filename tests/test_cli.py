@@ -558,6 +558,15 @@ RECORD_COMMANDS = {
     "decompose_check_f1_perturbed.jsonl": (
         "--format", "records", "decompose-check", F1, "--form", "x0*x1*y0*y1",
         "--terms", str(FIXTURES / "f1_perturbed_points.terms")),
+    # a unit coordinate and a zero one: the unit skip and the slope fallback
+    "det_check_f1.jsonl": ("--format", "records", "det-check", F1, "--degree",
+                           "5,2", "-r", "5", "--at", "1,2,3,4,5,6,7,9,0,2"),
+    "det_check_f1_mod101.jsonl": (
+        "--format", "records", "det-check", F1, "--degree", "5,2", "-r", "5",
+        "--at", "1,2,3,4,5,6,7,9,0,2", "--prime", "101"),
+    "det_check_f1_rational.jsonl": (
+        "--format", "records", "det-check", F1, "--degree", "5,2", "-r", "5",
+        "--at", "1/2,-3,2/3,5,-1,7/4,1,-2/5,3,9"),
 }
 
 
@@ -839,6 +848,11 @@ def limit_memory():
     # one trial at a time
     (("terracini", F1, "--degree", "3,2", "-r", "100000000"), "StackTooLarge"),
     (("terracini", F1, "--degree", "3,2", "-r", "3", "--trials", "100000"),
+     "StackTooLarge"),
+    # a square stack of 670 points over the 2,010 monomials of (62,59):
+    # 4,040,100 cells, refused before any row is built
+    (("det-check", F1, "--degree", "62,59", "-r", "670",
+      "--at", ",".join(str(k % 97 + 2) for k in range(1340))),
      "StackTooLarge"),
 ])
 def test_oversized_request_is_refused_up_front(argv, refusal):

@@ -142,6 +142,40 @@ def test_det_bareiss_matches_sympy():
     assert singular >= 10
 
 
+
+def test_det_bareiss_carries_the_sign_of_its_column_sort():
+    # columns that come largest first, with ties, negative entries, zero
+    # columns and singular cases: Bareiss sees them smallest first, and
+    # the determinant carries the sign of that permutation
+    rng = random.Random(43)
+    odd = 0
+    for k in range(240):
+        n = 1 + k % 8
+        sizes = sorted((rng.choice((1, 2, 3, 5, 8, 13)) for _ in range(n)),
+                       reverse=True)
+        if k % 5 == 0:
+            sizes[rng.randrange(n)] = 0
+        columns = []
+        for size in sizes:
+            column = [rng.randint(-size, size) for _ in range(n)]
+            column[rng.randrange(n)] = rng.choice((-size, size))
+            columns.append(column)
+        if k % 4 == 1 and n >= 2:
+            i, j = rng.sample(range(n), 2)
+            columns[i] = list(columns[j])
+        rows = [list(row) for row in zip(*columns)]
+        kept = [list(row) for row in rows]
+        want = oracle(rows, n).det()
+        got = det_bareiss(rows)
+        assert type(got) is int and got == want
+        assert rows == kept
+        order = sorted(range(n), key=lambda j: max(map(abs, columns[j])))
+        inversions = sum(order[i] > order[j]
+                         for i in range(n) for j in range(i + 1, n))
+        odd += want != 0 and inversions % 2 == 1
+    assert odd >= 20
+
+
 def test_det_bareiss_rejects_rectangular():
     with pytest.raises(NonSquare):
         det_bareiss([[1, 2, 3], [4, 5, 6]])

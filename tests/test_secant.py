@@ -287,6 +287,27 @@ def test_probe_over_the_cell_cap_is_refused_unsampled(f1, monkeypatch):
     assert terracini_probe(f1, f1.degree((3, 2)), 3, seed=0).rank == 9
 
 
+def test_determinant_over_the_cell_cap_is_refused_unbuilt(f1, monkeypatch):
+    # 5 points, each with a value row and 2 derivative rows, over the 15
+    # monomials of (5,2): 225 cells, refused before any row is built
+    from toric_apolarity import StackTooLarge, secant
+    built = []
+    tangent_rows = secant._tangent_rows
+    monkeypatch.setattr(secant, "_tangent_rows", lambda *args: built.append(
+        args) or tangent_rows(*args))
+    monkeypatch.setattr(secant, "MAX_CATALECTICANT_CELLS", 224)
+    assignment = [1, 2, 3, 4, 5, 6, 7, 9, 0, 2]
+    for prime in (None, 101):
+        with pytest.raises(StackTooLarge) as refused:
+            terracini_determinant_check(f1, f1.degree((5, 2)), 5, assignment,
+                                        prime=prime)
+        assert "225" in str(refused.value) and not built
+    monkeypatch.setattr(secant, "MAX_CATALECTICANT_CELLS", 225)
+    assert terracini_determinant_check(f1, f1.degree((5, 2)), 5, assignment,
+                                       prime=101) == 34
+    assert len(built) == 5
+
+
 def test_default_pins(f1, p114, fake):
     assert default_pins(f1) == (0, 3)
     assert default_pins(p114) == (0,)
@@ -501,13 +522,35 @@ def test_tangent_rows_mod_p_are_the_rational_rows_reduced(f1, p114, fake,
                 _tangent_rows(*columns, coords, free, prime=p)
 
 
+def unit_coordinate_cases(fan, p, rng):
+    """Coordinates with exact 1s, as int and as Fraction, at the pinned
+    and at the free positions; -1; p + 1, which is 1 mod p but not over
+    Q; and every coordinate 1 at once."""
+    pins, free = default_pins(fan), free_positions(fan)
+    dens = [d for d in (1, 2, 5) if d % p]
+
+    def other():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(2, 9),
+                        rng.choice(dens))
+
+    for unit in (1, Fraction(1), -1, Fraction(-1), p + 1, Fraction(p + 1)):
+        for at in (pins, free[:1], free[-1:], free):
+            coords = [other() for _ in fan.rays]
+            for i in at:
+                coords[i] = unit
+            yield coords
+    yield [1] * len(fan.rays)
+    yield [Fraction(1)] * len(fan.rays)
+
+
 def test_tangent_rows_at_zero_and_signed_coordinates_match_the_naive_rows(
         f1, p114, fake, cube):
     # derivative rows come from the value row times e * b / a, save where
     # a free coordinate is 0 (0 mod p on the prime path): those fall back
-    # to the table product
+    # to the table product; a coordinate that is exactly 1 has no table
+    # and no product pass, while -1 and p + 1 keep theirs
     from toric_apolarity.secant import _basis_columns, _tangent_rows
-    rng = random.Random(34)
+    rng, units = random.Random(34), random.Random(43)
     for fan, degree, _ in square_stacks(f1, p114, fake, cube):
         free = free_positions(fan)
         mons = basis(fan, degree)
@@ -515,6 +558,7 @@ def test_tangent_rows_at_zero_and_signed_coordinates_match_the_naive_rows(
         for p in PRIMES:
             dens = [d for d in (1, 2, 5, 9) if d % p]
             zeros = (0, p, 2 * p) + ((Fraction(p, 3),) if p != 3 else ())
+            cases = []
             for k in range(6):
                 coords = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
                                    rng.choice(dens)) for _ in fan.rays]
@@ -523,11 +567,17 @@ def test_tangent_rows_at_zero_and_signed_coordinates_match_the_naive_rows(
                 elif k % 3 == 2:
                     for j in free:
                         coords[j] = rng.choice(zeros)
+                cases.append(coords)
+            for coords in cases + list(unit_coordinate_cases(fan, p, units)):
                 want = naive_tangent_rows(mons, coords, free)
                 rows, scale = _tangent_rows(*columns, coords, free)
+                assert all(type(x) is int for row in rows + [[scale]]
+                           for x in row)
                 assert [[Fraction(x, scale) for x in row]
                         for row in rows] == want
                 rows, scale = _tangent_rows(*columns, coords, free, prime=p)
+                assert all(type(x) is int for row in rows + [[scale]]
+                           for x in row)
                 inverse = pow(scale, -1, p)
                 assert [[x * inverse % p for x in row]
                         for row in rows] == mat_mod(want, p)
