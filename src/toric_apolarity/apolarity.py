@@ -91,8 +91,8 @@ def _sum_index_table(fan, degree: DegreeClass, form_degree: DegreeClass):
 def catalecticant_entries(form: ApolarForm, degree: DegreeClass):
     """Rows (domain basis), columns (target basis), and the integer matrix
     of the contraction map from the graded piece at ``degree``, taken on
-    ``form.scale`` times the form.  It has the same rank and kernel as the
-    form's own matrix, which is this one divided by ``form.scale``.  Each
+    ``form.scale`` times the form, whose rank and kernel are the form's.
+    The row view for ``catalecticant`` and ``annihilator_in_degree``: each
     cell is one index into ``form.basis_values``, read off the fan's table
     and turned back into rows when the table holds the columns."""
     rows, cols, lines = _sum_index_table(form.fan, degree, form.degree)
@@ -103,15 +103,14 @@ def catalecticant_entries(form: ApolarForm, degree: DegreeClass):
     return rows, cols, matrix
 
 
-def exact_rank(form: ApolarForm, degree: DegreeClass, gathered=None) -> int:
-    """Exact rank of the catalecticant at ``degree``.  The prescreen ranks
-    the short side's ``form.residues``, read through the fan's table into
-    one byte per cell; a full rank mod p certifies (a modular rank can
-    only drop).  The form keeps each rank mod p, never a Bareiss rank,
-    keyed by the short side's length and those bytes, for the transpose
-    to read.  Only below the cap does Bareiss rank the integer matrix:
-    ``gathered``, the result of ``catalecticant_entries``, when the
-    caller holds it."""
+def exact_rank(form: ApolarForm, degree: DegreeClass) -> int:
+    """Exact rank of the catalecticant at ``degree``, read on the fan's
+    table: one line per monomial of the short side, since a rank does not
+    depend on orientation.  The prescreen ranks the lines' ``form.residues``,
+    one byte per cell; a full rank mod p certifies (a modular rank can only
+    drop).  The form keeps each rank mod p, never a Bareiss rank, keyed by
+    the short side's length and those bytes, for the transpose to read.
+    Below the cap Bareiss ranks the same lines' ``form.basis_values``."""
     rows, cols, lines = _sum_index_table(form.fan, degree, form.degree)
     cap = min(len(rows), len(cols))
     if not cap:
@@ -125,7 +124,8 @@ def exact_rank(form: ApolarForm, degree: DegreeClass, gathered=None) -> int:
             PRESCREEN_PRIME)
     if residue_rank == cap:
         return cap
-    return rank_bareiss((gathered or catalecticant_entries(form, degree))[2])
+    values = form.basis_values
+    return rank_bareiss([list(map(values.__getitem__, line)) for line in lines])
 
 
 def annihilator_in_degree(form: ApolarForm, degree: DegreeClass):
@@ -135,21 +135,20 @@ def annihilator_in_degree(form: ApolarForm, degree: DegreeClass):
     return [tuple(v) for v in nullspace(zip(*matrix), len(rows))]
 
 
-def hilbert_value(form: ApolarForm, degree: DegreeClass,
-                  gathered=None) -> int:
+def hilbert_value(form: ApolarForm, degree: DegreeClass) -> int:
     """Dimension of the apolar algebra's graded piece: the rank of the
     contraction matrix at ``degree``, computed once per form and degree
-    (by ``exact_rank``, which hands Bareiss ``gathered`` when it is given).
+    by ``exact_rank``.
 
     The memo is keyed by the degree alone, not by the pair {beta,
     alpha - beta}: each degree reads its own residues through its own
     table.  The partner of a ranked degree reuses only its prescreen,
     after a byte-for-byte match of the residues, and a prescreen below
-    the cap sends each of the two integer gathers to Bareiss, so
-    ``check_symmetry`` compares two gathers."""
+    the cap sends each degree's own integer lines to Bareiss, so on a
+    deficient pair ``check_symmetry`` compares two Bareiss ranks."""
     rank = form._ranks.get(degree)
     if rank is None:
-        rank = form._ranks[degree] = exact_rank(form, degree, gathered)
+        rank = form._ranks[degree] = exact_rank(form, degree)
     return rank
 
 

@@ -40,11 +40,11 @@ class CatMatrix:
 
 
 def catalecticant(form: ApolarForm, degree: DegreeClass) -> CatMatrix:
-    """One gather, whose matrix Bareiss ranks if a first call's prescreen
-    misses."""
-    gathered = rows, cols, matrix = catalecticant_entries(form, degree)
+    """The row view of ``catalecticant_entries``, with the rank
+    ``hilbert_value`` reads on the table's short-side lines."""
+    rows, cols, matrix = catalecticant_entries(form, degree)
     return CatMatrix(degree, rows, cols, tuple(map(tuple, matrix)), form.scale,
-                     hilbert_value(form, degree, gathered))
+                     hilbert_value(form, degree))
 
 
 @dataclass(frozen=True)

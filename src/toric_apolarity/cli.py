@@ -24,7 +24,8 @@ from .apolarity import (ApolarForm, DegreeBox, apolar_contains, check_symmetry,
 from .bounds import best_bounds, bound_report
 from .errors import InputError, ParseError, Refusal
 from .fan import _require_names, load_fan
-from .ideals import IdealGens, cactus_certificate, length_estimate
+from .ideals import (DEFAULT_MAX_K, DEFAULT_WINDOW, IdealGens,
+                     cactus_certificate, length_estimate)
 from .ring import (Side, _format_monomial, basis as graded_basis, format_poly,
                    parse_integer, parse_poly)
 from .secant import (DEFAULT_PRIME, DEFAULT_TRIALS, LaurentFamily,
@@ -423,8 +424,8 @@ def cmd_det_check(args, fan):
 # --- driver -----------------------------------------------------------------
 
 # name -> (help, required string options, other options' add_argument keywords)
-COUNTS = {"--window": {"type": parse_integer, "default": 3},
-          "--max-k": {"type": parse_integer, "default": 12}}
+COUNTS = {"--window": {"type": parse_integer, "default": DEFAULT_WINDOW},
+          "--max-k": {"type": parse_integer, "default": DEFAULT_MAX_K}}
 INT_R = {"-r": {"type": parse_integer, "required": True}}
 COMMANDS = {
     "classgroup": ("class group and variable degree table", "", {}),

@@ -96,6 +96,10 @@ class ContainmentFailed(Refusal):
     """The candidate ideal is not contained in the apolar ideal."""
 
 
+class NotStabilized(Refusal):
+    """A length estimate's last samples disagree, so it bounds nothing."""
+
+
 class PointInIrrelevantLocus(Refusal):
     """A point's coordinates lie in the vanishing set of the irrelevant ideal."""
 

@@ -20,7 +20,8 @@ from operator import and_, ge
 
 from .abelian import DegreeClass
 from .apolarity import ApolarForm, apolar_contains
-from .errors import BasisTooLarge, ContainmentFailed, _require_counts
+from .errors import (BasisTooLarge, ContainmentFailed, NotStabilized,
+                     _require_counts)
 from .linalg import SparseEchelon, nullspace
 from .ring import BasisLines, Side, basis, checked_degree, monomial_key
 
@@ -185,10 +186,14 @@ class LengthEstimate:
 # Most monomials the samples k = 1..max_k of a length estimate may have in
 # all, an empty sample counting one; more are refused before any ranking.
 MAX_LENGTH_MONOMIALS = 100_000
+# unless told otherwise, the samples are k = 1..12 and the last 3 must agree
+DEFAULT_WINDOW = 3
+DEFAULT_MAX_K = 12
 
 
 def length_estimate(ideal: IdealGens, ample: DegreeClass,
-                    window: int = 3, max_k: int = 12) -> LengthEstimate:
+                    window: int = DEFAULT_WINDOW,
+                    max_k: int = DEFAULT_MAX_K) -> LengthEstimate:
     """dim(S/I) at k * ample, k = 1..max_k.  The pieces are walked first,
     largest k first: a section of the ample class embeds each in the next,
     so an oversized max_k meets the basis cap at its first piece.  Each
@@ -238,12 +243,17 @@ class CactusCertificate:
 
 
 def cactus_certificate(form: ApolarForm, ideal: IdealGens,
-                       ample: DegreeClass, window: int = 3, max_k: int = 12,
+                       ample: DegreeClass, window: int = DEFAULT_WINDOW,
+                       max_k: int = DEFAULT_MAX_K,
                        reduced_asserted: bool = False) -> CactusCertificate:
-    """Check the counts and that the ideal annihilates the form (refused
-    if not), then estimate the length of the scheme it cuts out."""
+    """Check the counts and that the ideal annihilates the form, then
+    estimate the length of the scheme it cuts out; refused if the ideal
+    does not annihilate the form or the samples did not stabilize."""
     _require_counts(window=window, max_k=max_k)
     if not apolar_contains(ideal, form):
         raise ContainmentFailed("ideal is not contained in the annihilator")
     estimate = length_estimate(ideal, ample, window=window, max_k=max_k)
+    if not estimate.stabilized:
+        raise NotStabilized(f"the length samples k = 1..{max_k} do not end "
+                            f"in {window} equal values")
     return CactusCertificate(length=estimate, reduced_asserted=reduced_asserted)

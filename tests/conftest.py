@@ -222,12 +222,18 @@ def coefficient_matrix(F, degree):
                         for r in rows]
 
 
+def short_side(matrix, ncols):
+    """The lines a rank reads: a catalecticant's short side, its rows
+    unless it has more rows than columns, as lists."""
+    return [list(line) for line in (
+        matrix if len(matrix) <= ncols else zip(*matrix))]
+
+
 def short_residues(matrix, ncols):
-    """The rows the prescreen ranks: a catalecticant's short side (its
-    rows unless it has more rows than columns), one byte per cell, each
-    the cell mod 101."""
-    short = matrix if len(matrix) <= ncols else zip(*matrix)
-    return [bytes(v % 101 for v in line) for line in short]
+    """The lines the prescreen ranks: ``short_side``, one byte per cell,
+    each the cell mod 101."""
+    return [bytes(v % 101 for v in line)
+            for line in short_side(matrix, ncols)]
 
 
 def record_echelons(monkeypatch):

@@ -9,7 +9,8 @@ from toric_apolarity import (ApolarForm, BoxTooLarge, CatalecticantTooLarge,
                              MultiPoly, NonHomogeneousGenerator, ParseError,
                              Side, SideMismatch,
                              annihilator_in_degree, apolar_contains, best_bounds,
-                             build_fan, check_symmetry, contract, hilbert_grid,
+                             build_fan, catalecticant, check_symmetry,
+                             contract, hilbert_grid,
                              SymmetryVerdict, hilbert_value, homogeneous_degree)
 from toric_apolarity import apolarity
 from toric_apolarity.abelian import DegreeClass
@@ -19,7 +20,8 @@ from toric_apolarity.ring import basis
 from toric_apolarity.secant import parametrize
 
 from conftest import (assert_fraction_pivots, coefficient_matrix, dual, form,
-                      primal, rational_cases, record_echelons, short_residues)
+                      primal, rational_cases, record_echelons, short_residues,
+                      short_side)
 
 
 def test_contract_monomial_pairing(f1):
@@ -298,9 +300,9 @@ def test_symmetry_compares_independent_ranks(f1):
 
 
 def test_symmetry_compares_two_independent_gathers(f1):
-    # rank_mod ranks a tall catalecticant on its transpose, so both sides
-    # of a symmetry pair eliminate the same short-side matrix; the check
-    # still compares two gathers, one per degree, through the fan's table
+    # a rank reads a catalecticant's short side, so both sides of a
+    # symmetry pair eliminate the same short-side matrix; the check still
+    # compares two reads, one per degree, through each degree's own table
     fan = build_fan(f1.rays, f1.max_cones, f1.var_names, f1.dual_var_names)
     alpha, beta = fan.degree((4, 2)), fan.degree((3, 1))
     rng = random.Random(24)
@@ -498,32 +500,54 @@ def test_residue_prescreen_matches_bareiss(f1, p114, fake, cube):
     assert misses >= 40
 
 
-def test_a_rank_gathers_integers_only_on_a_miss(
+def miss_shape(rows, cols, matrix):
+    """"tall", "wide" or "square" for a catalecticant whose prescreen
+    misses, else None."""
+    m, n = len(rows), len(cols)
+    if not m * n or rank_mod(matrix, 101) == min(m, n):
+        return None
+    return "square" if m == n else "tall" if m > n else "wide"
+
+
+def test_a_rank_reads_integer_lines_only_on_a_miss(
         f1, p114, fake, cube, monkeypatch):
-    # the prescreen reads residues through the fan's table and gathers no
-    # integer matrix; on a miss exactly one gather happens, and Bareiss
-    # ranks that matrix
+    # a rank reads the fan's table and never calls catalecticant_entries;
+    # on a miss Bareiss ranks the table's short-side lines in integers,
+    # the rows when rows <= cols and their transpose otherwise
     gathered, ranked = [], []
     gather, bareiss = apolarity.catalecticant_entries, apolarity.rank_bareiss
     monkeypatch.setattr(apolarity, "catalecticant_entries",
-                        lambda *args: gathered.append(gather(*args))
-                        or gathered[-1])
+                        lambda *args: gathered.append(args) or gather(*args))
     monkeypatch.setattr(apolarity, "rank_bareiss",
-                        lambda matrix: ranked.append(matrix)
-                        or bareiss(matrix))
-    misses = 0
+                        lambda lines: ranked.append(lines) or bareiss(lines))
+    shapes = []
     for F, degree in prescreen_cases(f1, p114, fake, cube):
         rows, cols, matrix = gather(F, degree)
-        cap = min(len(rows), len(cols))
-        miss = bool(cap) and rank_mod(matrix, 101) < cap
-        gathered.clear()
+        shape = miss_shape(rows, cols, matrix)
         ranked.clear()
         rank = apolarity.exact_rank(F, degree)
-        assert [entries[2] for entries in gathered] == [matrix] * miss
-        assert ranked == [matrix] * miss
-        assert rank == (bareiss(matrix) if miss else cap)
-        misses += miss
-    assert misses >= 40
+        assert ranked == [short_side(matrix, len(cols))] * bool(shape)
+        assert rank == (bareiss(matrix) if shape
+                        else min(len(rows), len(cols)))
+        shapes.append(shape)
+    assert not gathered
+    assert {"tall", "wide", "square"} <= set(shapes)
+    assert len(shapes) - shapes.count(None) >= 40
+
+
+def test_a_miss_of_each_shape_matches_sympy_rank(f1, p114, fake, cube):
+    # every prescreen miss, tall, wide or square, is ranked exactly: the
+    # rank equals sympy's rank of the catalecticant's Fraction entries
+    sympy = pytest.importorskip("sympy")
+    shapes = set()
+    for F, degree in prescreen_cases(f1, p114, fake, cube):
+        cat = catalecticant(ApolarForm(F.fan, F.poly), degree)
+        shape = miss_shape(cat.rows, cat.cols, cat.matrix)
+        if shape:
+            want = sympy.Matrix(*cat.shape, sum(cat.entries, ())).rank()
+            assert apolarity.exact_rank(F, degree) == cat.rank == want
+            shapes.add(shape)
+    assert shapes == {"tall", "wide", "square"}
 
 
 def test_table_holds_the_short_side_and_keys_its_residues(
@@ -600,7 +624,7 @@ def test_a_pair_is_prescreened_once_unless_square(f1, cube, monkeypatch):
     # a rectangular pair shares its short-side residues, so one prescreen
     # serves both degrees; a square matrix and its transpose differ byte
     # for byte and get one each; a deficient pair sends each degree's own
-    # matrix to Bareiss
+    # short-side lines to Bareiss, the same lines twice when rectangular
     screened, ranked = [], []
     screen, bareiss = apolarity.rank_mod, apolarity.rank_bareiss
     monkeypatch.setattr(apolarity, "rank_mod", lambda matrix, p:
@@ -630,7 +654,8 @@ def test_a_pair_is_prescreened_once_unless_square(f1, cube, monkeypatch):
                 deficient = ranks[0] < min(rows, cols)
                 assert ranks[0] == ranks[1]
                 assert len(screened) == 1 + (rows == cols)
-                assert ranked == matrices * deficient
+                assert ranked == [short_side(matrices[0], cols),
+                                  short_side(matrices[1], rows)] * deficient
                 seen.add((rows == cols, deficient))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 

@@ -9,7 +9,7 @@ from toric_apolarity import (DegreeBox, best_bounds, bound_report,
 from toric_apolarity.linalg import rank_bareiss
 
 from conftest import (coefficient_matrix, form, rational_cases, search_weight,
-                      short_residues)
+                      short_residues, short_side)
 
 
 def test_catalecticant_f1_two_one(f1):
@@ -184,11 +184,13 @@ def test_ties_follow_total_free_degree_without_a_weight():
     assert moved  # the weight would have put some tie elsewhere
 
 
-def test_catalecticant_gathers_once_and_ranks_that_matrix(f1, monkeypatch):
-    # the first call gathers once and hands that matrix to the rank: the
-    # prescreen ranks its short side's residues and, on a miss, Bareiss
-    # ranks the matrix itself; a repeat call gathers again but ranks
-    # nothing
+def test_catalecticant_gathers_once_and_ranks_the_short_side(
+        f1, monkeypatch):
+    # the first call gathers the row view once, and the rank reads the
+    # fan's table, gathering nothing: the prescreen ranks the short side's
+    # residues and, on a miss, Bareiss ranks the short side's integers,
+    # the rows at the wide beta and their transpose at the tall one; a
+    # repeat call gathers again but ranks nothing
     from toric_apolarity import apolarity, bounds
     from toric_apolarity.ring import basis
 
@@ -204,8 +206,8 @@ def test_catalecticant_gathers_once_and_ranks_that_matrix(f1, monkeypatch):
         monkeypatch.setattr(module, "catalecticant_entries", counted)
     monkeypatch.setattr(apolarity, "rank_mod", lambda matrix, p:
                         screened.append(matrix) or rank_mod(matrix, p))
-    monkeypatch.setattr(apolarity, "rank_bareiss", lambda matrix:
-                        ranked.append(matrix) or bareiss(matrix))
+    monkeypatch.setattr(apolarity, "rank_bareiss", lambda lines:
+                        ranked.append(lines) or bareiss(lines))
     rng = random.Random(7)
     dense = " + ".join(f"{rng.randint(1, 9)}*" + "*".join(
         f"{n}^{e}" for n, e in zip(f1.dual_var_names, m) if e)
@@ -213,18 +215,21 @@ def test_catalecticant_gathers_once_and_ranks_that_matrix(f1, monkeypatch):
     power = " + ".join("*".join(f"{n}^{e}" for n, e in
                                 zip(f1.dual_var_names, m) if e)
                        for m in basis(f1, f1.degree((3, 2))))
-    beta = f1.degree((1, 1))
-    for text, miss in [(dense, False), (power, True)]:
-        F = form(f1, text)
-        gathered.clear(), screened.clear(), ranked.clear()
-        cat = catalecticant(F, beta)
-        assert len(gathered) == 1
-        matrix = gathered[0][2]
-        assert screened == [short_residues(matrix, len(gathered[0][1]))]
-        assert ranked == [matrix] * miss
-        assert cat.matrix == tuple(map(tuple, matrix))
-        assert cat.rank == hilbert_value(F, beta) \
-            == (1 if miss else min(cat.shape))
-        assert cat.rank == rank_bareiss(cat.matrix)
-        catalecticant(F, beta)
-        assert len(gathered) == 2 and len(screened) == 1
+    shapes = set()
+    for beta in (f1.degree((1, 1)), f1.degree((2, 1))):
+        for text, miss in [(dense, False), (power, True)]:
+            F = form(f1, text)
+            gathered.clear(), screened.clear(), ranked.clear()
+            cat = catalecticant(F, beta)
+            assert len(gathered) == 1
+            _, cols, matrix = gathered[0]
+            assert screened == [short_residues(matrix, len(cols))]
+            assert ranked == [short_side(matrix, len(cols))] * miss
+            assert cat.matrix == tuple(map(tuple, matrix))
+            assert cat.rank == hilbert_value(F, beta) \
+                == (1 if miss else min(cat.shape))
+            assert cat.rank == rank_bareiss(cat.matrix)
+            catalecticant(F, beta)
+            assert len(gathered) == 2 and len(screened) == 1
+            shapes.add("tall" if len(matrix) > len(cols) else "wide")
+    assert shapes == {"tall", "wide"}

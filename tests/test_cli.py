@@ -21,7 +21,7 @@ from toric_apolarity.abelian import DegreeClass
 from toric_apolarity.apolarity import HilbertGrid
 from toric_apolarity.cli import COMMANDS, main
 
-from conftest import (FIXTURES, parse_outcome, spanning_rays,
+from conftest import (FIXTURES, parse_outcome, short_side, spanning_rays,
                       sympy_tangent_det)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -209,6 +209,33 @@ def test_cactus_cert_command(capsys):
                        "--ideal", "a0", "--ample", "1,1")
     assert code == 1
     assert "ContainmentFailed" in err
+
+
+def test_cactus_cert_refuses_a_length_that_did_not_stabilize(capsys):
+    # a0^2 cuts out a curve on F1: its samples grow by 2 with k, so the
+    # last value bounds nothing; length still prints it, with its flag
+    argv = [F1, "--ideal", "a0^2", "--ample", "2,1"]
+    code, out, err = run(capsys, "cactus-cert", *argv[:1], "--form",
+                         "x0*x1^2*y0*y1", *argv[1:])
+    assert code == 1 and out == ""
+    assert "[NotStabilized]" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "length", *argv)
+    assert code == 0 and "stabilized: False" in out
+    assert "length estimate = 26 [heuristic-stabilized]" in out
+
+
+def test_cactus_cert_refuses_a_window_past_max_k(capsys):
+    # three samples cannot hold a window of four equal values, even when
+    # all three agree
+    argv = [P114, "--ideal", "a^3, b^3", "--ample", "4"]
+    code, out, _ = run(capsys, "length", *argv, "--max-k", "3")
+    assert code == 0 and "k=1:2 k=2:2 k=3:2" in out
+    code, out, err = run(capsys, "cactus-cert", *argv, "--form", "x^2*y^2",
+                         "--window", "4", "--max-k", "3")
+    assert code == 1 and out == "" and "[NotStabilized]" in err
+    code, out, _ = run(capsys, "cactus-cert", *argv, "--form", "x^2*y^2",
+                       "--window", "3", "--max-k", "3")
+    assert code == 0 and "cactus rank <= 2" in out
 
 
 def test_decompose_check_fixture(capsys, tmp_path):
@@ -642,24 +669,29 @@ def test_bareiss_receives_only_integer_rows(capsys, monkeypatch, f1):
     assert set().union(*kinds) == {int}
 
 
-def test_cat_builds_its_catalecticant_once(capsys, monkeypatch):
-    # a full prescreen ranks residues read through the fan's table and
-    # builds no integer matrix; a deficient one builds it once, for Bareiss
+def test_cat_ranks_with_no_row_gather(capsys, monkeypatch):
+    # cat ranks on the fan's table and never builds the row matrix: a
+    # full prescreen ranks residues alone, and a deficient one hands
+    # Bareiss the table's short-side integer lines
     from toric_apolarity import apolarity, bounds
-    builds = []
-    build = apolarity.catalecticant_entries
-
-    def counted(form, degree):
-        builds.append(degree)
-        return build(form, degree)
-
-    monkeypatch.setattr(apolarity, "catalecticant_entries", counted)
-    monkeypatch.setattr(bounds, "catalecticant_entries", counted)
-    for text, rank, want in [("x^2*y^2", 3, 0), ("x^4 + y^4", 2, 1)]:
-        builds.clear()
+    from toric_apolarity.cli import parse_degree, parse_form
+    builds, ranked = [], []
+    build, bareiss = apolarity.catalecticant_entries, apolarity.rank_bareiss
+    monkeypatch.setattr(apolarity, "catalecticant_entries",
+                        lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(bounds, "catalecticant_entries",
+                        lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(apolarity, "rank_bareiss",
+                        lambda lines: ranked.append(lines) or bareiss(lines))
+    fan = load_fan(P114)
+    for text, rank, miss in [("x^2*y^2", 3, False), ("x^4 + y^4", 2, True)]:
+        builds.clear(), ranked.clear()
         code, out, _ = run(capsys, "cat", P114, "--form", text, "--beta", "2")
         assert code == 0 and f"3 x 3, rank {rank} [exact]" in out
-        assert len(builds) == want
+        assert builds == []
+        _, cols, matrix = build(parse_form(text, fan),
+                                parse_degree("2", fan.class_group))
+        assert ranked == [short_side(matrix, len(cols))] * miss
 
 
 def test_cat_records_match_the_catalecticant(capsys):

@@ -10,7 +10,7 @@ import pytest
 
 from toric_apolarity import (BasisTooLarge, ContainmentFailed, DegreeBox,
                              IdealGens, InputError, MultiPoly,
-                             NonHomogeneousGenerator,
+                             NonHomogeneousGenerator, NotStabilized,
                              Side, build_fan, cactus_certificate, colon_piece,
                              hilbert_value, homogeneous_degree, ideal_piece,
                              ideal_piece_dimension, length_estimate, load_fan,
@@ -193,6 +193,18 @@ def test_cactus_certificate_refuses_bad_ideal(f1):
     F = form(f1, "x0*x1*y0*y1")
     with pytest.raises(ContainmentFailed):
         cactus_certificate(F, ideal(f1, "a0"), f1.degree((1, 1)))
+
+
+def test_cactus_certificate_refuses_a_length_that_did_not_stabilize(f1):
+    # a0^2 annihilates the form but cuts out a curve, whose samples grow
+    # with k: the last one bounds nothing, so no certificate is made; a
+    # window of one always agrees, so there the flag lets it through
+    F, I = form(f1, "x0*x1^2*y0*y1"), ideal(f1, "a0^2")
+    ample = f1.degree((2, 1))
+    assert not length_estimate(I, ample).stabilized
+    with pytest.raises(NotStabilized, match=r"k = 1\.\.12 do not end in 3"):
+        cactus_certificate(F, I, ample)
+    assert cactus_certificate(F, I, ample, window=1).cactus_bound == 26
 
 
 def test_ideal_gens_validation(f1):
